@@ -25,7 +25,6 @@ from .protocol import (
     integrate_pass,
     key_from_fixed_loss,
     key_length,
-    sift,
     simulate_block,
 )
 from .receiver import DetectorModel, MeasurementOutcome, measure

@@ -237,6 +237,8 @@ class ChannelConfig:
     def __post_init__(self):
         if self.mode not in ("fixed", "pass"):
             raise DomainError(f"channel mode must be 'fixed' or 'pass', got {self.mode!r}")
+        if not (math.isfinite(self.fixed_loss_db) and math.isfinite(self.excess_loss_db)):
+            raise DomainError("dB losses must be finite")
         if self.fixed_loss_db < 0 or self.excess_loss_db < 0:
             raise DomainError("dB losses must be >= 0")
         if not 0.0 <= self.background_click_prob < 1.0:

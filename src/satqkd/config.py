@@ -7,6 +7,7 @@ a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -129,6 +130,8 @@ def _num(d: dict, key: str, where: str, default=None):
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {v!r}")
     return float(v)
 
 

@@ -23,7 +23,3 @@ class DomainError(SatQkdError):
 
 class OverlapUndefinedError(DomainError):
     """A filtered spectral line has no transmitted power; overlap is undefined."""
-
-
-class DegenerateBoundError(DomainError):
-    """Decoy-state lower bound clamped to zero; error bound is undefined."""

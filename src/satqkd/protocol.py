@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .channel import PassProfile, loss_at, transmittance_from_db
-from .errors import DegenerateBoundError, DomainError
+from .errors import DomainError
 from .receiver import DetectorModel, N_DETECTORS, measure_batch
 from .source import Basis, IntensityLabel, SourceConfig
 
@@ -190,6 +190,37 @@ def analytic_tallies(
 # Monte Carlo route
 
 
+def _zero_truncated_poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
+    """Poisson(lam) counts conditioned on at least one, drawn exactly.
+
+    Given that a rate-lam process on [0, 1] has an arrival, its first one
+    sits at T = -log1p(-u (1 - e^-lam)) / lam, and the arrivals after it
+    are Poisson(lam (1 - T)). No rejection loop, so lam -> 0 costs nothing.
+    """
+    rest = lam + np.log1p(rng.random(lam.shape) * np.expm1(-lam))  # lam * (1 - T)
+    return 1 + rng.poisson(np.maximum(rest, 0.0))
+
+
+def _dark_firings(rng: np.random.Generator, p_d: float, n: int, n_conditioned: int) -> np.ndarray:
+    """(4, n) dark/background firings, rows Z0, Z1, X0, X1.
+
+    Every detector fires independently with probability p_d. The last
+    n_conditioned columns are conditioned on at least one firing: the first
+    firing detector J has P(J = j) proportional to (1 - p_d)^j p_d, and the
+    detectors after it fire independently.
+    """
+    darks = rng.random((N_DETECTORS, n)) < p_d
+    if n_conditioned:
+        # P(J <= j) up to the common factor P(any firing)
+        cdf = -np.expm1(np.arange(1, N_DETECTORS + 1) * math.log1p(-p_d))
+        first = np.searchsorted(cdf, rng.random(n_conditioned) * cdf[-1], side="right")
+        first = np.minimum(first, N_DETECTORS - 1)
+        rows = np.arange(N_DETECTORS)[:, None]
+        tail = darks[:, n - n_conditioned:]
+        darks[:, n - n_conditioned:] = (rows == first) | ((rows > first) & tail)
+    return darks
+
+
 def _simulate_shard(
     source: SourceConfig,
     total_loss_db: float,
@@ -200,33 +231,61 @@ def _simulate_shard(
     background_click_prob: float,
     chunk: int = 2_000_000,
 ) -> TallyTable:
+    """Monte Carlo of one shard that measures only the pulses that can click.
+
+    A pulse with no arriving photon and no dark or background firing is
+    never detected; it only adds to its cell's sent count. Per (class,
+    sender basis) cell this draws, from the same distribution as a
+    pulse-by-pulse simulation: the cell sizes; the pulses with at least one
+    arriving photon and their photon counts; and, among the rest, the pulses
+    with at least one firing and their firing pattern. measure_batch runs on
+    those pulses only, in slices of at most ``chunk``.
+    """
     rng = np.random.default_rng(seed_seq)
+    p_d = det.dark_prob + background_click_prob
+    if p_d >= 1.0:
+        raise DomainError("dark_prob + background_click_prob must be < 1")
+    classes = source.intensity_classes
+    n_cells = 2 * len(classes)  # cell 2k: class k rectilinear, 2k + 1: class k diagonal
+    cell_p = np.outer([c.emit_probability for c in classes],
+                      [source.basis_probability_z, 1.0 - source.basis_probability_z]).ravel()
     eta_channel = transmittance_from_db(total_loss_db + source.insertion_loss_db)
-    classes = list(source.intensity_classes)
-    probs = np.array([c.emit_probability for c in classes])
-    mus = np.array([c.mu for c in classes])
-    det_eff = det if background_click_prob == 0.0 else replace(
-        det, dark_prob=det.dark_prob + background_click_prob
-    )
+    lam = np.repeat([c.mu for c in classes], 2) * eta_channel  # mean arriving photons
+
+    sent = rng.multinomial(n_pulses, cell_p / cell_p.sum())
+    active = rng.binomial(sent, -np.expm1(-lam))
+    y0 = -math.expm1(N_DETECTORS * math.log1p(-p_d))
+    dark_only = rng.binomial(sent - active, y0)
+
+    # simulated pulses in order: the photon-active ones cell by cell, then the dark-only ones
+    seg_len = np.concatenate([active, dark_only])
+    seg_end = np.cumsum(seg_len)
+    seg_cell = np.tile(np.arange(n_cells), 2)
+    n_active, n_sim = int(seg_end[n_cells - 1]), int(seg_end[-1])
+    by_level = np.zeros(4 * n_cells, dtype=np.int64)
+    for start in range(0, n_sim, chunk):
+        stop = min(start + chunk, n_sim)
+        in_slice = np.clip(seg_end, start, stop) - np.clip(seg_end - seg_len, start, stop)
+        cell = np.repeat(seg_cell, in_slice)
+        m_dark = max(0, stop - max(start, n_active))
+        photons = np.zeros(stop - start, dtype=np.int64)
+        photons[: photons.size - m_dark] = _zero_truncated_poisson(rng, lam[cell[: cell.size - m_dark]])
+        bits = rng.integers(0, 2, size=photons.size)
+        darks = _dark_firings(rng, p_d, photons.size, m_dark)
+        out = measure_batch(photons, cell % 2 == 0, bits, e_det, det, rng, darks=darks)
+        # 0 missed, 1 detected only, 2 sifted, 3 sifted error
+        level = out["detected"].astype(np.int64) + out["sifted"] + out["error"]
+        by_level += np.bincount(4 * cell + level, minlength=4 * n_cells)
+
+    by_level = by_level.reshape(n_cells, 4)
+    detected, sifted, errors = (by_level[:, lo:].sum(axis=1) for lo in (1, 2, 3))
     tally = TallyTable(total_pulses=n_pulses, elapsed_s=n_pulses / source.repetition_rate_hz)
-    done = 0
-    while done < n_pulses:
-        m = min(chunk, n_pulses - done)
-        cls_idx = rng.choice(len(classes), size=m, p=probs)
-        basis_z = rng.random(m) < source.basis_probability_z
-        bits = rng.integers(0, 2, size=m)
-        photons = rng.poisson(mus[cls_idx])
-        arriving = rng.binomial(photons, eta_channel)
-        out = measure_batch(arriving, basis_z, bits, e_det, det_eff, rng)
-        for i, cls in enumerate(classes):
-            for basis, mask_b in ((Basis.RECTILINEAR, basis_z), (Basis.DIAGONAL, ~basis_z)):
-                mask = (cls_idx == i) & mask_b
-                cell = tally.cell(cls.label, basis)
-                cell.sent += int(mask.sum())
-                cell.detected += int((out["detected"] & mask).sum())
-                cell.sifted += int((out["sifted"] & mask).sum())
-                cell.errors += int((out["error"] & mask).sum())
-        done += m
+    for c in range(n_cells):
+        basis = Basis.RECTILINEAR if c % 2 == 0 else Basis.DIAGONAL
+        tally.cells[(classes[c // 2].label, basis)] = CellCounts(
+            sent=float(sent[c]), detected=float(detected[c]),
+            sifted=float(sifted[c]), errors=float(errors[c]),
+        )
     return tally
 
 
@@ -251,6 +310,8 @@ def simulate_block(
         raise DomainError("n_pulses must be >= 1")
     if shards < 1:
         raise DomainError("shards must be >= 1")
+    if not 0.0 <= e_det <= 0.5:
+        raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
     base = n_pulses // shards
     sizes = [base + (1 if i < n_pulses % shards else 0) for i in range(shards)]
     seqs = np.random.SeedSequence(seed).spawn(shards)
@@ -271,12 +332,6 @@ def simulate_block(
     merged.total_pulses = float(n_pulses)
     merged.elapsed_s = n_pulses / source.repetition_rate_hz
     return merged
-
-
-def sift(tally: TallyTable) -> Dict[IntensityLabel, Tuple[float, float]]:
-    """Same-basis (sifted) detection and error counts per intensity class."""
-    tally.validate()
-    return {label: (c.sifted, c.errors) for label, c in tally.by_class().items()}
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ def measure_batch(
     flip_prob: float,
     det: DetectorModel,
     rng: np.random.Generator,
+    darks: Optional[np.ndarray] = None,
 ) -> dict:
     """Vectorized measurement of a batch of arriving pulses.
 
@@ -77,6 +78,8 @@ def measure_batch(
     sent_basis_z / sent_bits: sender's basis (True = rectilinear) and bit.
     flip_prob: same-basis bit-flip probability (source extinction plus any
         residual misalignment).
+    darks: (4, n) bool dark/background firings, rows Z0, Z1, X0, X1; drawn
+        with det.dark_prob per detector when None.
 
     Returns arrays: detected, basis_z (measured basis of the outcome),
     bit, sifted (detected in the sender's basis), error (sifted and wrong
@@ -101,7 +104,8 @@ def measure_batch(
     sig_click0 = ones < detected_photons
     signal_click = detected_photons > 0
 
-    darks = rng.random((4, n)) < det.dark_prob  # rows: Z0, Z1, X0, X1
+    if darks is None:
+        darks = rng.random((N_DETECTORS, n)) < det.dark_prob
     z0 = np.where(meas_z, sig_click0, False) | darks[0]
     z1 = np.where(meas_z, sig_click1, False) | darks[1]
     x0 = np.where(~meas_z, sig_click0, False) | darks[2]

@@ -172,3 +172,8 @@ def test_channel_config_validation():
         ChannelConfig(mode="pass")  # missing profile
     with pytest.raises(DomainError):
         ChannelConfig(mode="fixed", background_click_prob=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ChannelConfig(mode="fixed", fixed_loss_db=bad)
+        with pytest.raises(DomainError):
+            ChannelConfig(mode="fixed", excess_loss_db=bad)

@@ -186,3 +186,25 @@ def test_cli_exit_codes(capsys, tmp_path, config_path):
     # domain error: fixed-mode channel fed to the pass command
     code, _, err = run_cli(capsys, "pass", "--config", str(config_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_loss_flag_is_domain_error(capsys, config_path, value):
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path), f"--loss-db={value}")
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize("key", ["fixed_loss_db", "excess_loss_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cli_non_finite_yaml_number_is_config_error(capsys, config_path, tmp_path, key, value):
+    data = yaml.safe_load(config_path.read_text())
+    data["channel"] = {"mode": "fixed", key: value}  # dumped as .nan / .inf / -.inf
+    path = tmp_path / "nonfinite.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and key in report["message"]

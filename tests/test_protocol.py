@@ -19,7 +19,6 @@ from satqkd.protocol import (
     integrate_pass,
     key_from_fixed_loss,
     key_length,
-    sift,
     sift_fraction,
     simulate_block,
 )
@@ -140,15 +139,16 @@ def test_tally_merge_associative_commutative():
 
 def test_sift_keeps_same_basis_only(source, detector, e_det):
     tally = simulate_block(source, 20.0, detector, e_det, 500_000, seed=3)
-    sifted = sift(tally)
+    tally.validate()
     by_class = tally.by_class()
-    for label, (n_k, m_k) in sifted.items():
-        assert m_k <= n_k <= by_class[label].detected
-        if by_class[label].detected > 200:
+    for label, cell in by_class.items():
+        n_k, m_k = cell.sifted, cell.errors
+        assert m_k <= n_k <= cell.detected
+        if cell.detected > 200:
             # symmetric 50/50 bases: about half of detections survive sifting
             p = 0.5
-            sigma = math.sqrt(by_class[label].detected * p * (1 - p))
-            assert abs(n_k - by_class[label].detected * p) < 5 * sigma
+            sigma = math.sqrt(cell.detected * p * (1 - p))
+            assert abs(n_k - cell.detected * p) < 5 * sigma
 
 
 def test_sift_zero_when_all_wrong_basis():
@@ -157,7 +157,9 @@ def test_sift_zero_when_all_wrong_basis():
     t = TallyTable(total_pulses=100, elapsed_s=1.0)
     cell = t.cell(IntensityLabel.SIGNAL, Basis.RECTILINEAR)
     cell.sent, cell.detected, cell.sifted, cell.errors = 100, 40, 0, 0
-    assert sift(t)[IntensityLabel.SIGNAL] == (0, 0)
+    t.validate()
+    signal = t.by_class()[IntensityLabel.SIGNAL]
+    assert (signal.sifted, signal.errors) == (0, 0)
 
 
 def test_tally_validate_rejects_inconsistent():

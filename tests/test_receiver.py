@@ -123,3 +123,22 @@ def test_rejects_negative_photons():
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
         measure(-1, PolarizationState.H, 0.0, DetectorModel(), rng)
+
+
+def test_given_darks_replace_drawn_ones():
+    # only the Z1 detector fires and no photon arrives: whatever basis was
+    # selected, the outcome lands in Z with bit 1
+    n = 1_000
+    darks = np.zeros((4, n), dtype=bool)
+    darks[1] = True
+    out = measure_batch(
+        photons=np.zeros(n, dtype=np.int64),
+        sent_basis_z=np.ones(n, dtype=bool),
+        sent_bits=np.ones(n, dtype=np.int64),
+        flip_prob=0.0,
+        det=DetectorModel(dark_prob=0.5),
+        rng=np.random.default_rng(3),
+        darks=darks,
+    )
+    assert out["detected"].all() and out["basis_z"].all() and (out["bit"] == 1).all()
+    assert out["sifted"].all() and not out["error"].any() and not out["signal_click"].any()
