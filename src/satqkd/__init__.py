@@ -27,7 +27,7 @@ from .protocol import (
     key_length,
     simulate_block,
 )
-from .receiver import DetectorModel, MeasurementOutcome, measure
+from .receiver import DetectorModel
 from .source import (
     DiodeProfile,
     ExtinctionSet,

@@ -24,7 +24,7 @@ MIN_DIVERGENCE_RAD = 17e-6  # output-optics input tolerance floor
 
 def transmittance_from_db(loss_db: float) -> float:
     """Convert a loss in dB to a linear transmittance; dB losses add, transmittances multiply."""
-    if loss_db < 0:
+    if not loss_db >= 0:  # also false for NaN
         raise DomainError(f"loss must be >= 0 dB, got {loss_db}")
     return 10.0 ** (-loss_db / 10.0)
 

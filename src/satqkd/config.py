@@ -305,10 +305,14 @@ def parse_run_config(data: dict) -> RunConfig:
     )
 
 
+# libyaml's parser when PyYAML is built with it: the same objects as the pure-Python one, ~8x faster
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_run_config(path) -> RunConfig:
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):

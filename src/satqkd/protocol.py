@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .channel import PassProfile, loss_at, transmittance_from_db
+from .channel import PassProfile, transmittance_from_db
 from .errors import DomainError
 from .receiver import DetectorModel, N_DETECTORS, measure_batch
 from .source import Basis, IntensityLabel, SourceConfig
@@ -123,6 +124,14 @@ def _total_eta(source: SourceConfig, total_loss_db: float, det: DetectorModel) -
     return transmittance_from_db(total_loss_db + source.insertion_loss_db) * det.efficiency
 
 
+def _click_prob(det: DetectorModel, background_click_prob: float) -> float:
+    """Per-detector probability of a dark or background firing in one gate."""
+    p_d = det.dark_prob + background_click_prob
+    if p_d >= 1.0:
+        raise DomainError("dark_prob + background_click_prob must be < 1")
+    return p_d
+
+
 def analytic_rates(
     source: SourceConfig,
     total_loss_db: float,
@@ -139,8 +148,7 @@ def analytic_rates(
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
     eta = _total_eta(source, total_loss_db, det)
-    p_click = det.dark_prob + background_click_prob
-    y0 = 1.0 - (1.0 - p_click) ** N_DETECTORS
+    y0 = 1.0 - (1.0 - _click_prob(det, background_click_prob)) ** N_DETECTORS
     gains, errs, mus = {}, {}, {}
     for cls in source.intensity_classes:
         q = 1.0 - (1.0 - y0) * math.exp(-eta * cls.mu)
@@ -209,7 +217,8 @@ def _dark_firings(rng: np.random.Generator, p_d: float, n: int, n_conditioned: i
     firing detector J has P(J = j) proportional to (1 - p_d)^j p_d, and the
     detectors after it fire independently.
     """
-    darks = rng.random((N_DETECTORS, n)) < p_d
+    # row by row: the same numbers as one (4, n) draw, without a (4, n) float temporary
+    darks = np.stack([rng.random(n) < p_d for _ in range(N_DETECTORS)])
     if n_conditioned:
         # P(J <= j) up to the common factor P(any firing)
         cdf = -np.expm1(np.arange(1, N_DETECTORS + 1) * math.log1p(-p_d))
@@ -223,53 +232,56 @@ def _dark_firings(rng: np.random.Generator, p_d: float, n: int, n_conditioned: i
 
 def _simulate_shard(
     source: SourceConfig,
-    total_loss_db: float,
+    total_loss_db: ArrayLike,
     det: DetectorModel,
     e_det: float,
-    n_pulses: int,
+    n_pulses: ArrayLike,
     seed_seq: np.random.SeedSequence,
     background_click_prob: float,
     chunk: int = 2_000_000,
 ) -> TallyTable:
     """Monte Carlo of one shard that measures only the pulses that can click.
 
-    A pulse with no arriving photon and no dark or background firing is
-    never detected; it only adds to its cell's sent count. Per (class,
-    sender basis) cell this draws, from the same distribution as a
-    pulse-by-pulse simulation: the cell sizes; the pulses with at least one
-    arriving photon and their photon counts; and, among the rest, the pulses
-    with at least one firing and their firing pattern. measure_batch runs on
-    those pulses only, in slices of at most ``chunk``.
+    total_loss_db and n_pulses are scalars or matching 1-D arrays, one entry
+    per segment of a pass; the tally pools all segments. A pulse with no
+    arriving photon and no dark or background firing is never detected; it
+    only adds to its cell's sent count. Per (segment, class, sender basis)
+    this draws, from the same distribution as a pulse-by-pulse simulation:
+    the cell sizes and the pulses with at least one arriving photon with
+    their photon counts. Among the rest, the pulses with at least one firing
+    are drawn per cell over all segments at once, since darks do not depend
+    on loss. measure_batch runs on the drawn pulses only, in slices of at
+    most ``chunk``.
     """
     rng = np.random.default_rng(seed_seq)
-    p_d = det.dark_prob + background_click_prob
-    if p_d >= 1.0:
-        raise DomainError("dark_prob + background_click_prob must be < 1")
+    p_d = _click_prob(det, background_click_prob)
+    losses, counts = np.atleast_1d(total_loss_db), np.atleast_1d(n_pulses)
     classes = source.intensity_classes
     n_cells = 2 * len(classes)  # cell 2k: class k rectilinear, 2k + 1: class k diagonal
     cell_p = np.outer([c.emit_probability for c in classes],
                       [source.basis_probability_z, 1.0 - source.basis_probability_z]).ravel()
-    eta_channel = transmittance_from_db(total_loss_db + source.insertion_loss_db)
-    lam = np.repeat([c.mu for c in classes], 2) * eta_channel  # mean arriving photons
+    # per segment in Python floats, so one segment rounds exactly as a scalar loss always has
+    eta_channel = [transmittance_from_db(l + source.insertion_loss_db) for l in losses.tolist()]
+    lam = np.array(eta_channel)[:, None] * np.repeat([c.mu for c in classes], 2)  # (segment, cell)
 
-    sent = rng.multinomial(n_pulses, cell_p / cell_p.sum())
+    sent = rng.multinomial(counts, cell_p / cell_p.sum())
     active = rng.binomial(sent, -np.expm1(-lam))
     y0 = -math.expm1(N_DETECTORS * math.log1p(-p_d))
-    dark_only = rng.binomial(sent - active, y0)
+    dark_only = rng.binomial((sent - active).sum(axis=0), y0)
 
-    # simulated pulses in order: the photon-active ones cell by cell, then the dark-only ones
-    seg_len = np.concatenate([active, dark_only])
-    seg_end = np.cumsum(seg_len)
-    seg_cell = np.tile(np.arange(n_cells), 2)
-    n_active, n_sim = int(seg_end[n_cells - 1]), int(seg_end[-1])
+    # simulated pulses in groups: the photon-active ones per (segment, cell), then the
+    # dark-only ones per cell; group g belongs to cell g % n_cells
+    group_len = np.concatenate([active.ravel(), dark_only])
+    group_end = np.cumsum(group_len)
+    n_active, n_sim = int(active.sum()), int(group_end[-1])
     by_level = np.zeros(4 * n_cells, dtype=np.int64)
     for start in range(0, n_sim, chunk):
         stop = min(start + chunk, n_sim)
-        in_slice = np.clip(seg_end, start, stop) - np.clip(seg_end - seg_len, start, stop)
-        cell = np.repeat(seg_cell, in_slice)
+        in_slice = np.clip(group_end, start, stop) - np.clip(group_end - group_len, start, stop)
+        cell = np.repeat(np.arange(group_len.size) % n_cells, in_slice)
         m_dark = max(0, stop - max(start, n_active))
         photons = np.zeros(stop - start, dtype=np.int64)
-        photons[: photons.size - m_dark] = _zero_truncated_poisson(rng, lam[cell[: cell.size - m_dark]])
+        photons[: photons.size - m_dark] = _zero_truncated_poisson(rng, np.repeat(lam.ravel(), in_slice[: lam.size]))
         bits = rng.integers(0, 2, size=photons.size)
         darks = _dark_firings(rng, p_d, photons.size, m_dark)
         out = measure_batch(photons, cell % 2 == 0, bits, e_det, det, rng, darks=darks)
@@ -278,8 +290,10 @@ def _simulate_shard(
         by_level += np.bincount(4 * cell + level, minlength=4 * n_cells)
 
     by_level = by_level.reshape(n_cells, 4)
+    sent = sent.sum(axis=0)
     detected, sifted, errors = (by_level[:, lo:].sum(axis=1) for lo in (1, 2, 3))
-    tally = TallyTable(total_pulses=n_pulses, elapsed_s=n_pulses / source.repetition_rate_hz)
+    total = int(counts.sum())
+    tally = TallyTable(total_pulses=total, elapsed_s=total / source.repetition_rate_hz)
     for c in range(n_cells):
         basis = Basis.RECTILINEAR if c % 2 == 0 else Basis.DIAGONAL
         tally.cells[(classes[c // 2].label, basis)] = CellCounts(
@@ -291,10 +305,10 @@ def _simulate_shard(
 
 def simulate_block(
     source: SourceConfig,
-    total_loss_db: float,
+    total_loss_db: ArrayLike,
     det: DetectorModel,
     e_det: float,
-    n_pulses: int,
+    n_pulses: ArrayLike,
     seed: int,
     shards: int = 1,
     workers: int = 1,
@@ -302,23 +316,33 @@ def simulate_block(
 ) -> TallyTable:
     """Pulse-level Monte Carlo of one transmission block.
 
-    Results are a deterministic function of (seed, shards): each shard draws
-    from an independently derived rng stream and the merge is associative,
-    so the worker count never changes the outcome.
+    total_loss_db and n_pulses are scalars, or matching 1-D arrays that give
+    the loss and pulse count of each segment of a pass, pooled into one
+    tally. Results are a deterministic function of (seed, shards): each shard
+    takes its share of every segment, draws from an independently derived
+    rng stream, and the merge is associative, so the worker count never
+    changes the outcome.
     """
-    if n_pulses < 1:
-        raise DomainError("n_pulses must be >= 1")
+    losses = np.atleast_1d(np.asarray(total_loss_db, dtype=float))
+    counts = np.atleast_1d(np.asarray(n_pulses, dtype=np.int64))
+    if losses.ndim != 1 or losses.shape != counts.shape:
+        raise DomainError("total_loss_db and n_pulses must be scalars or 1-D arrays of equal length")
+    if not np.all(np.isfinite(losses) & (losses >= 0)):
+        raise DomainError(f"losses must be finite and >= 0 dB, got {total_loss_db}")
+    n_total = int(counts.sum())
+    if (counts < 0).any() or n_total < 1:
+        raise DomainError("n_pulses must be >= 1 (>= 0 per segment)")
     if shards < 1:
         raise DomainError("shards must be >= 1")
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
-    base = n_pulses // shards
-    sizes = [base + (1 if i < n_pulses % shards else 0) for i in range(shards)]
+    # shard i takes one more pulse of a segment when i < the segment's remainder
+    sizes = counts // shards + (np.arange(shards)[:, None] < counts % shards)
     seqs = np.random.SeedSequence(seed).spawn(shards)
 
     def run(i: int) -> TallyTable:
         return _simulate_shard(
-            source, total_loss_db, det, e_det, sizes[i], seqs[i], background_click_prob
+            source, losses, det, e_det, sizes[i], seqs[i], background_click_prob
         )
 
     if workers <= 1 or shards == 1:
@@ -329,8 +353,8 @@ def simulate_block(
     merged = parts[0]
     for p in parts[1:]:
         merged = merged + p
-    merged.total_pulses = float(n_pulses)
-    merged.elapsed_s = n_pulses / source.repetition_rate_hz
+    merged.total_pulses = float(n_total)
+    merged.elapsed_s = n_total / source.repetition_rate_hz
     return merged
 
 
@@ -585,6 +609,21 @@ def key_from_fixed_loss(
     return key_length(stats_from_tally(source, tally), bounds, sec, regime)
 
 
+def _pass_segments(profile: PassProfile, step_s: float, excess_loss_db: float, rate_hz: float):
+    """(loss dB, pulses sent) of each step of the pass above the minimum elevation."""
+    t0, t1 = (profile.times_s[0], profile.times_s[-1]) if len(profile.times_s) else (0.0, 0.0)
+    losses, pulses = [], []
+    t = t0
+    while t < t1:
+        dt = min(step_s, t1 - t)
+        el = profile.elevation_at(t + dt / 2.0)
+        if el is not None and el >= profile.min_elevation_deg:
+            losses.append(profile.loss_model(el) + excess_loss_db)
+            pulses.append(rate_hz * dt)
+        t += dt
+    return losses, pulses
+
+
 def integrate_pass(
     profile: PassProfile,
     source: SourceConfig,
@@ -598,38 +637,31 @@ def integrate_pass(
     excess_loss_db: float = 0.0,
     background_click_prob: float = 0.0,
 ) -> Tuple[KeyResult, TallyTable]:
-    """Accumulate tallies over a pass, then compute bounds and key once on the pool."""
+    """Accumulate tallies over a pass, then compute bounds and key once on the pool.
+
+    The Monte Carlo mode draws every segment of the pass in one simulate_block call.
+    """
     if mode not in ("analytic", "mc"):
         raise DomainError(f"unknown pass-integration mode {mode!r}")
     if mode == "mc" and seed is None:
         raise DomainError("Monte Carlo pass integration requires a seed")
-    t0, t1 = (profile.times_s[0], profile.times_s[-1]) if len(profile.times_s) else (0.0, 0.0)
+    losses, pulses = _pass_segments(profile, step_s, excess_loss_db, source.repetition_rate_hz)
     pooled = TallyTable()
-    seg_index = 0
-    t = t0
-    while t < t1:
-        dt = min(step_s, t1 - t)
-        mid = t + dt / 2.0
-        el = profile.elevation_at(mid)
-        if el is not None and el >= profile.min_elevation_deg:
-            loss = profile.loss_model(el) + excess_loss_db
-            n = source.repetition_rate_hz * dt
-            if mode == "analytic":
-                seg = analytic_tallies(source, loss, det, e_det, n, background_click_prob)
-            else:
-                seg = simulate_block(
-                    source, loss, det, e_det, int(round(n)),
-                    seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(seg_index,)).generate_state(1)[0]),
-                    background_click_prob=background_click_prob,
-                )
-            pooled = pooled + seg
-        t += dt
-        seg_index += 1
+    if mode == "analytic":
+        for loss, n in zip(losses, pulses):
+            pooled = pooled + analytic_tallies(source, loss, det, e_det, n, background_click_prob)
+    else:
+        counts = [int(round(n)) for n in pulses]
+        if sum(counts):
+            pooled = simulate_block(source, losses, det, e_det, counts, seed=seed,
+                                    background_click_prob=background_click_prob)
     if pooled.total_pulses <= 0:
         empty = DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=0.0, degenerate=True)
         stats = SiftedStats(0.0, 0.0, 0.0, 0.0,
                             source.intensity(IntensityLabel.SIGNAL).mu, 0.0)
-        return _zero_key(stats, empty, regime, "pass never rises above the minimum elevation"), pooled
+        reason = ("no whole pulse sent above the minimum elevation" if losses
+                  else "pass never rises above the minimum elevation")
+        return _zero_key(stats, empty, regime, reason), pooled
     bounds = decoy_bounds_from_tally(source, pooled)
     result = key_length(stats_from_tally(source, pooled), bounds, sec, regime)
     return result, pooled

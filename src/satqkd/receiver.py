@@ -10,13 +10,11 @@ bit instead of being discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .source import Basis, PolarizationState
 
 N_DETECTORS = 4  # H, V, D, A
 
@@ -49,20 +47,6 @@ class DetectorModel:
         return 1.0 - (1.0 - self.dark_prob) ** N_DETECTORS
 
 
-class ClickType(Enum):
-    SINGLE = "single"
-    DOUBLE_RESOLVED = "double_resolved"
-    DARK = "dark"
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    detected: bool
-    basis: Optional[Basis] = None
-    bit: Optional[int] = None
-    click_type: Optional[ClickType] = None
-
-
 def measure_batch(
     photons: np.ndarray,
     sent_basis_z: np.ndarray,
@@ -89,6 +73,8 @@ def measure_batch(
     if not 0.0 <= flip_prob <= 0.5:
         raise DomainError(f"flip_prob must be in [0, 0.5], got {flip_prob}")
     photons = np.asarray(photons, dtype=np.int64)
+    if photons.min(initial=0) < 0:
+        raise DomainError("photon count must be >= 0")
     sent_basis_z = np.asarray(sent_basis_z, dtype=bool)
     sent_bits = np.asarray(sent_bits, dtype=np.int64)
     n = photons.size
@@ -103,6 +89,7 @@ def measure_batch(
     sig_click1 = ones > 0
     sig_click0 = ones < detected_photons
     signal_click = detected_photons > 0
+    del detected_photons, p_one, ones  # 8 bytes a pulse each; only the clicks are needed below
 
     if darks is None:
         darks = rng.random((N_DETECTORS, n)) < det.dark_prob
@@ -122,8 +109,7 @@ def measure_batch(
     c0 = np.where(basis_z, z0, x0)
     c1 = np.where(basis_z, z1, x1)
     double = c0 & c1
-    random_bits = rng.integers(0, 2, size=n)
-    bit = np.where(double, random_bits, np.where(c1, 1, 0))
+    bit = np.where(double, rng.integers(0, 2, size=n), c1)
 
     sifted = detected & (basis_z == sent_basis_z)
     error = sifted & (bit != sent_bits)
@@ -136,33 +122,3 @@ def measure_batch(
         "signal_click": signal_click & detected,
         "double": double & detected,
     }
-
-
-def measure(
-    photons_arriving: int,
-    sent_state: PolarizationState,
-    flip_prob: float,
-    det: DetectorModel,
-    rng: np.random.Generator,
-) -> MeasurementOutcome:
-    """Measure a single pulse; see measure_batch for the model."""
-    if photons_arriving < 0:
-        raise DomainError("photon count must be >= 0")
-    out = measure_batch(
-        photons=np.array([photons_arriving]),
-        sent_basis_z=np.array([sent_state.basis is Basis.RECTILINEAR]),
-        sent_bits=np.array([sent_state.bit]),
-        flip_prob=flip_prob,
-        det=det,
-        rng=rng,
-    )
-    if not out["detected"][0]:
-        return MeasurementOutcome(detected=False)
-    if not out["signal_click"][0]:
-        click = ClickType.DARK
-    elif out["double"][0]:
-        click = ClickType.DOUBLE_RESOLVED
-    else:
-        click = ClickType.SINGLE
-    basis = Basis.RECTILINEAR if out["basis_z"][0] else Basis.DIAGONAL
-    return MeasurementOutcome(detected=True, basis=basis, bit=int(out["bit"][0]), click_type=click)

@@ -65,8 +65,8 @@ class IntensityClass:
     pulse_fwhm_ps: float = 0.0  # ignored for vacuum
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise DomainError(f"mean photon number must be >= 0, got {self.mu}")
+        if not 0.0 <= self.mu < math.inf:
+            raise DomainError(f"mean photon number must be finite and >= 0, got {self.mu}")
         if self.label is IntensityLabel.VACUUM and self.mu != 0:
             raise DomainError("vacuum class must have mu = 0")
         if not 0.0 <= self.emit_probability <= 1.0:

@@ -1,17 +1,22 @@
-"""Test-only reference: the pulse-by-pulse Monte Carlo of satqkd 0.1.0.
+"""Test-only references for the Monte Carlo in satqkd.protocol.
 
-Every pulse draws its class, sender basis, bit, emitted photons and channel
-survivors, and measure_batch runs on all of them. It is slow (a few Mpulse/s)
-but has no shortcuts, so the active-pulse sampler in satqkd.protocol is
-checked against it in distribution.
+reference_shard is the pulse-by-pulse Monte Carlo of satqkd 0.1.0. Every
+pulse draws its class, sender basis, bit, emitted photons and channel
+survivors, and measure_batch runs on all of them. It is slow (a few
+Mpulse/s) but has no shortcuts, so the active-pulse sampler is checked
+against it in distribution.
+
+reference_pass is the Monte Carlo pass loop of satqkd before the whole pass
+became one draw: one simulate_block call per segment, each with its own seed
+spawned from the pass seed, and the segment tallies merged one by one.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from satqkd.channel import transmittance_from_db
-from satqkd.protocol import TallyTable
+from satqkd.channel import PassProfile, transmittance_from_db
+from satqkd.protocol import TallyTable, simulate_block
 from satqkd.receiver import DetectorModel, measure_batch
 from satqkd.source import Basis, SourceConfig
 
@@ -54,3 +59,35 @@ def reference_shard(
                 cell.errors += int((out["error"] & mask).sum())
         done += m
     return tally
+
+
+def reference_pass(
+    profile: PassProfile,
+    source: SourceConfig,
+    det: DetectorModel,
+    e_det: float,
+    seed: int,
+    step_s: float = 1.0,
+    excess_loss_db: float = 0.0,
+    background_click_prob: float = 0.0,
+) -> TallyTable:
+    t0, t1 = (profile.times_s[0], profile.times_s[-1]) if len(profile.times_s) else (0.0, 0.0)
+    pooled = TallyTable()
+    seg_index = 0
+    t = t0
+    while t < t1:
+        dt = min(step_s, t1 - t)
+        mid = t + dt / 2.0
+        el = profile.elevation_at(mid)
+        if el is not None and el >= profile.min_elevation_deg:
+            loss = profile.loss_model(el) + excess_loss_db
+            n = source.repetition_rate_hz * dt
+            seg = simulate_block(
+                source, loss, det, e_det, int(round(n)),
+                seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(seg_index,)).generate_state(1)[0]),
+                background_click_prob=background_click_prob,
+            )
+            pooled = pooled + seg
+        t += dt
+        seg_index += 1
+    return pooled

@@ -32,6 +32,11 @@ def test_transmittance_rejects_negative():
         transmittance_from_db(-1.0)
 
 
+def test_transmittance_rejects_nan():
+    with pytest.raises(DomainError):
+        transmittance_from_db(math.nan)
+
+
 @given(a=st.floats(0.0, 100.0), b=st.floats(0.0, 100.0))
 def test_transmittance_composes(a, b):
     combined = transmittance_from_db(a + b)

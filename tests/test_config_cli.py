@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from satqkd import config
 from satqkd.cli import main
 from satqkd.config import (
     default_run_config,
@@ -208,3 +210,35 @@ def test_cli_non_finite_yaml_number_is_config_error(capsys, config_path, tmp_pat
     assert out == ""
     report = json.loads(err)
     assert report["error"] == "config" and key in report["message"]
+
+
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_give_equal_run_config(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+    loaded = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(config, "YAML_LOADER", loader)
+        loaded.append(load_run_config(path))
+    assert loaded[0] == loaded[1]
+    assert run_config_to_dict(loaded[0]) == run_config_to_dict(loaded[1])
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda l: l.__name__)
+def test_every_yaml_loader_rejects_malformed_and_nan(capsys, monkeypatch, tmp_path, config_path, loader):
+    monkeypatch.setattr(config, "YAML_LOADER", loader)
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("sources: [\nchannel: {mode: fixed\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(malformed))
+    assert code == 2 and out == ""
+    assert "invalid YAML" in json.loads(err)["message"]
+    with pytest.raises(ConfigError):
+        load_run_config(malformed)
+    nan = tmp_path / "nan.yaml"
+    nan.write_text(config_path.read_text().replace("fixed_loss_db: 40.0", "fixed_loss_db: .nan"))
+    assert ".nan" in nan.read_text()
+    code, out, err = run_cli(capsys, "simulate", "--config", str(nan))
+    assert code == 2 and out == ""
+    assert "fixed_loss_db" in json.loads(err)["message"]

@@ -377,3 +377,86 @@ def test_integrate_pass_mc_mode_deterministic(source, detector, e_det, security)
     assert ta.to_dict() == tb.to_dict()
     with pytest.raises(DomainError):
         integrate_pass(profile, small, detector, e_det, security, mode="mc")
+
+
+def test_both_routes_reject_dark_plus_background_of_one(source, e_det):
+    det = DetectorModel(dark_prob=0.6)
+    with pytest.raises(DomainError, match="dark_prob \\+ background_click_prob"):
+        analytic_rates(source, 40.0, det, e_det, background_click_prob=0.6)
+    with pytest.raises(DomainError, match="dark_prob \\+ background_click_prob"):
+        simulate_block(source, 40.0, det, e_det, 1000, seed=1, background_click_prob=0.6)
+
+
+@pytest.mark.parametrize("losses", [[20.0, math.nan], [math.inf, 30.0], [20.0, -1.0]])
+def test_simulate_block_rejects_bad_segment_losses(source, detector, e_det, losses):
+    with pytest.raises(DomainError, match="losses must be finite"):
+        simulate_block(source, losses, detector, e_det, [1000, 1000], seed=1)
+
+
+@pytest.mark.parametrize("losses, counts", [
+    ([20.0, 30.0], [1000]),  # lengths differ
+    ([20.0, 30.0, 40.0], [1000, -1, 5]),
+    ([20.0, 30.0], [0, 0]),
+])
+def test_simulate_block_rejects_bad_segment_counts(source, detector, e_det, losses, counts):
+    with pytest.raises(DomainError):
+        simulate_block(source, losses, detector, e_det, counts, seed=1)
+
+
+def test_simulate_block_segments_split_across_shards(source, detector, e_det):
+    kw = dict(total_loss_db=[20.0, 35.0, 50.0], n_pulses=[70_001, 0, 29_999], seed=5, shards=3)
+    a = simulate_block(source, det=detector, e_det=e_det, workers=1, **kw)
+    b = simulate_block(source, det=detector, e_det=e_det, workers=3, **kw)
+    assert a.to_dict() == b.to_dict()
+    a.validate()
+    assert a.total_pulses == 100_000
+    assert a.elapsed_s == 100_000 / source.repetition_rate_hz
+
+
+def test_simulate_block_one_segment_array_equals_scalar(source, detector, e_det):
+    scalar = simulate_block(source, 25.0, detector, e_det, 200_000, seed=3, shards=2)
+    array = simulate_block(source, np.array([25.0]), detector, e_det, np.array([200_000]), seed=3, shards=2)
+    assert array.to_dict() == scalar.to_dict()
+
+
+def test_integrate_pass_mc_draws_all_segments_in_one_call(source, detector, e_det, security, monkeypatch):
+    from satqkd import protocol
+
+    calls = []
+    real = protocol.simulate_block
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])  # n_pulses
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "simulate_block", counting)
+    profile = PassProfile(times_s=[0.0, 5.0], elevations_deg=[20.0, 70.0],
+                          loss_model=lambda el: 60.0 - el / 2.0, min_elevation_deg=10.0)
+    small = replace(source, repetition_rate_hz=1e4)
+    _, tally = integrate_pass(profile, small, detector, e_det, security, mode="mc", seed=2)
+    assert len(calls) == 1 and list(calls[0]) == [10_000] * 5
+    assert tally.total_pulses == 50_000
+
+
+def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, security):
+    # the last step is 0.4 ms long: 0.4 pulses at 1 kHz, which round to none
+    profile = PassProfile(times_s=[0.0, 2.0004], elevations_deg=[60.0, 60.0],
+                          loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
+    small = replace(source, repetition_rate_hz=1e3)
+    mc, tally = integrate_pass(profile, small, detector, e_det, security, step_s=1.0, mode="mc", seed=4)
+    tally.validate()
+    assert tally.total_pulses == 1000 + 1000 + 0
+    assert sum(c.sent for c in tally.cells.values()) == 2000
+    analytic, _ = integrate_pass(profile, small, detector, e_det, security, step_s=1.0)
+    assert math.isfinite(mc.secret_key_length) and math.isfinite(analytic.secret_key_length)
+    # a pass above the minimum elevation whose only step rounds to no pulse
+    short = PassProfile(times_s=[0.0, 0.0004], elevations_deg=[60.0, 60.0],
+                        loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
+    mc, tally = integrate_pass(short, small, detector, e_det, security, mode="mc", seed=4)
+    assert tally.total_pulses == 0 and mc.secret_key_length == 0.0
+    assert "no whole pulse" in mc.reason
+
+
+def test_analytic_rates_rejects_nan_loss(source, detector, e_det):
+    with pytest.raises(DomainError):
+        analytic_rates(source, math.nan, detector, e_det)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from satqkd.errors import DomainError
-from satqkd.receiver import ClickType, DetectorModel, measure, measure_batch
+from satqkd.receiver import DetectorModel, measure_batch
 from satqkd.source import Basis, PolarizationState
 
 
@@ -30,13 +30,10 @@ def test_no_photons_no_darks_never_detects():
 
 
 def test_single_scalar_measure_perfect_conditions():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        out = measure(1, PolarizationState.V, 0.0, ideal_detector(), rng)
-        assert out.detected
-        if out.basis is Basis.RECTILINEAR:
-            assert out.bit == 1
-            assert out.click_type is ClickType.SINGLE
+    out = batch(1, ideal_detector(), n=200, seed=5, state=PolarizationState.V)
+    assert out["detected"].all() and out["signal_click"].all()
+    z = out["basis_z"]
+    assert (out["bit"][z] == 1).all() and not out["double"][z].any()
 
 
 def test_flip_probability_reproduced():
@@ -73,14 +70,9 @@ def test_wrong_basis_bit_is_uniform():
 
 
 def test_dark_only_clicks_marked_dark():
-    det = DetectorModel(efficiency=1.0, dark_prob=0.2)
-    rng = np.random.default_rng(3)
-    types = set()
-    for _ in range(500):
-        out = measure(0, PolarizationState.H, 0.0, det, rng)
-        if out.detected:
-            types.add(out.click_type)
-    assert types == {ClickType.DARK}
+    out = batch(0, DetectorModel(efficiency=1.0, dark_prob=0.2), n=500, seed=3)
+    assert out["detected"].any()
+    assert not out["signal_click"].any()
 
 
 def test_double_click_resolves_to_random_bit():
@@ -112,17 +104,15 @@ def test_identical_seed_identical_outcomes():
 
 
 def test_rejects_flip_prob_out_of_range():
-    rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
-        measure(1, PolarizationState.H, 0.6, DetectorModel(), rng)
+        batch(1, DetectorModel(), flip_prob=0.6, n=1)
     with pytest.raises(DomainError):
-        measure(1, PolarizationState.H, -0.1, DetectorModel(), rng)
+        batch(1, DetectorModel(), flip_prob=-0.1, n=1)
 
 
 def test_rejects_negative_photons():
-    rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
-        measure(-1, PolarizationState.H, 0.0, DetectorModel(), rng)
+        batch(-1, DetectorModel(), n=1)
 
 
 def test_given_darks_replace_drawn_ones():

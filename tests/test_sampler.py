@@ -6,6 +6,9 @@ which simulates every pulse. The tests here compare the two with chi-square
 statistics at fixed seeds, check the two exact sub-samplers (zero-truncated
 photon counts, conditioned dark firings) against their closed forms, and
 cover the edge cases: no light, no darks, slicing, and a full-pass block.
+A whole Monte Carlo pass is one pooled draw; it is compared in the same way
+with the per-segment pass loop it replaced, and simulate_block is pinned
+byte for byte to tallies recorded before pass pooling existed.
 """
 
 import math
@@ -16,16 +19,20 @@ import numpy as np
 import pytest
 
 from satqkd import protocol
+from satqkd.channel import PassProfile
 from satqkd.protocol import (
+    SecurityParams,
     _dark_firings,
+    _pass_segments,
     _simulate_shard,
     _zero_truncated_poisson,
     analytic_rates,
+    integrate_pass,
     simulate_block,
 )
 from satqkd.receiver import DetectorModel
 
-from reference_sampler import reference_shard
+from reference_sampler import reference_pass, reference_shard
 
 SEEDS = 36
 Z_LIMIT = 4.0  # one-sided normal quantile, p ~ 3e-5
@@ -172,3 +179,78 @@ def test_sampler_full_pass_block_at_40db(source, detector, e_det):
     for label, cell in tally.by_class().items():
         q = rates.gains[label]
         assert abs(cell.detected - cell.sent * q) < 5 * math.sqrt(cell.sent * q * (1 - q))
+
+
+def test_pooled_pass_matches_per_segment_reference(source, e_det):
+    # three 1 s steps whose midpoints sit at 20, 30 and 40 degrees, with loss in dB = elevation
+    profile = PassProfile(times_s=[0.0, 3.0], elevations_deg=[15.0, 45.0],
+                          loss_model=lambda el: el, min_elevation_deg=10.0)
+    source = replace(source, repetition_rate_hz=100_000)
+    det = DetectorModel(dark_prob=1e-4)
+    losses, pulses = _pass_segments(profile, 1.0, 0.0, source.repetition_rate_hz)
+    assert losses == pytest.approx([20.0, 30.0, 40.0]) and pulses == [100_000.0] * 3
+    new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
+    ref = np.zeros_like(new)
+    for s in range(SEEDS):
+        _, pooled = integrate_pass(profile, source, det, e_det, SecurityParams(), mode="mc", seed=1000 + s)
+        slow = reference_pass(profile, source, det, e_det, seed=2000 + s)
+        pooled.validate()
+        assert pooled.total_pulses == slow.total_pulses == 300_000
+        new += outcome_counts(pooled)
+        ref += outcome_counts(slow)
+    assert new.reshape(-1, 4)[:, 1:].sum() > 500
+    stat, dof = homogeneity_chi2(new, ref)
+    assert chi2_z(stat, dof) < Z_LIMIT, (stat, dof)
+
+
+# simulate_block tallies recorded before a block could hold several segments, per
+# (seed, shards, loss dB, pulses, dark_prob, background): the cells decoy/X, decoy/Z,
+# signal/X, signal/Z, vacuum/X, vacuum/Z, each as (sent, detected, sifted, errors)
+PINNED_BLOCKS = [
+    ((0, 1, 25.0, 200_000, 1e-7, 0.0),
+     [(25109, 23, 14, 0), (24717, 22, 6, 0), (69826, 41, 21, 0), (70387, 30, 14, 0),
+      (4978, 0, 0, 0), (4983, 0, 0, 0)]),
+    ((1, 3, 25.0, 200_000, 1e-7, 0.0),
+     [(24915, 9, 3, 0), (25060, 22, 12, 0), (69740, 27, 11, 0), (70278, 26, 11, 0),
+      (5007, 0, 0, 0), (5000, 0, 0, 0)]),
+    ((7, 4, 35.0, 300_000, 1e-4, 1e-5),
+     [(37257, 18, 11, 4), (37463, 17, 9, 3), (104953, 41, 21, 8), (105556, 40, 24, 10),
+      (7373, 1, 1, 0), (7398, 1, 1, 0)]),
+    ((42, 2, 0.0, 50_000, 1e-7, 0.0),
+     [(6262, 1358, 660, 12), (6290, 1357, 677, 10), (17200, 2418, 1197, 5), (17631, 2424, 1210, 11),
+      (1319, 0, 0, 0), (1298, 0, 0, 0)]),
+    ((5, 5, 30.0, 3, 1e-7, 0.0),
+     [(1, 0, 0, 0), (0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)]),
+]
+
+
+@pytest.mark.parametrize("case, cells", PINNED_BLOCKS)
+def test_simulate_block_reproduces_pinned_tallies(source, e_det, case, cells):
+    seed, shards, loss, n, dark, background = case
+    tally = simulate_block(source, loss, DetectorModel(dark_prob=dark), e_det, n,
+                           seed=seed, shards=shards, background_click_prob=background)
+    names = ("decoy/X", "decoy/Z", "signal/X", "signal/Z", "vacuum/X", "vacuum/Z")
+    expected = {
+        "total_pulses": float(n),
+        "elapsed_s": n / source.repetition_rate_hz,
+        "cells": {name: dict(zip(("sent", "detected", "sifted", "errors"), map(float, c)))
+                  for name, c in zip(names, cells)},
+    }
+    assert tally.to_dict() == expected
+
+
+def test_pooled_segments_match_analytic_gains(source, detector, e_det):
+    # at 0 dB 14 % (signal) to 23 % (decoy) of the active pulses carry two or more photons, so each
+    # segment's own loss must set its photon counts, not a loss shared by the block
+    losses, counts = [0.0, 30.0], [300_000, 300_000]
+    tally = simulate_block(source, losses, detector, e_det, counts, seed=12)
+    tally.validate()
+    by_class = tally.by_class()
+    for cls in source.intensity_classes:
+        gains = [analytic_rates(source, loss, detector, e_det).gains[cls.label] for loss in losses]
+        sent = [n * cls.emit_probability for n in counts]
+        expected = sum(m * q for m, q in zip(sent, gains))
+        sigma = math.sqrt(sum(m * q * (1 - q) for m, q in zip(sent, gains)))
+        cell = by_class[cls.label]
+        assert abs(cell.sent - sum(sent)) < 5 * math.sqrt(sum(counts))
+        assert abs(cell.detected - expected) < 5 * sigma + 1, (cls.label, cell.detected, expected)

@@ -300,3 +300,19 @@ def test_required_attenuation_rejects_negative():
     energy = 0.1 * HC / 785e-9  # only 0.1 photons in the pulse
     with pytest.raises(DomainError):
         required_attenuation(energy, 785.0, 0.5)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -0.1])
+def test_intensity_class_rejects_non_finite_or_negative_mu(mu):
+    from satqkd.source import IntensityClass
+
+    with pytest.raises(DomainError, match="mean photon number"):
+        IntensityClass(IntensityLabel.SIGNAL, mu=mu, emit_probability=0.7, pulse_fwhm_ps=900.0)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_intensity_class_rejects_non_finite_emit_probability(p):
+    from satqkd.source import IntensityClass
+
+    with pytest.raises(DomainError, match="emit_probability"):
+        IntensityClass(IntensityLabel.SIGNAL, mu=0.3, emit_probability=p, pulse_fwhm_ps=900.0)
