@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -39,70 +39,50 @@ def binary_entropy(x: float) -> float:
 # tallies
 
 
-@dataclass
-class CellCounts:
-    sent: float = 0.0
-    detected: float = 0.0
-    sifted: float = 0.0
-    errors: float = 0.0
-
-    def __add__(self, other: "CellCounts") -> "CellCounts":
-        return CellCounts(
-            sent=self.sent + other.sent,
-            detected=self.detected + other.detected,
-            sifted=self.sifted + other.sifted,
-            errors=self.errors + other.errors,
-        )
-
-    def validate(self):
-        if not (self.errors <= self.sifted <= self.detected <= self.sent):
-            raise DomainError(f"inconsistent tally cell {self}")
+BASES = (Basis.RECTILINEAR, Basis.DIAGONAL)
+COUNTS = ("sent", "detected", "sifted", "errors")
+SENT, DETECTED, SIFTED, ERRORS = range(len(COUNTS))
 
 
 @dataclass
 class TallyTable:
-    """Per (intensity class, sender basis) sufficient statistics of a block."""
+    """Sufficient statistics of a block per intensity class and sender basis.
 
-    cells: Dict[Tuple[IntensityLabel, Basis], CellCounts] = field(default_factory=dict)
+    counts[k, b, j] is count COUNTS[j] of the pulses of class labels[k]
+    (source order) sent in basis BASES[b]. The analytic route gives
+    expected, fractional counts, so the array is float64.
+    """
+
+    labels: Tuple[IntensityLabel, ...]
+    counts: np.ndarray  # (class, basis, count)
     total_pulses: float = 0.0
     elapsed_s: float = 0.0
 
-    def cell(self, label: IntensityLabel, basis: Basis) -> CellCounts:
-        return self.cells.setdefault((label, basis), CellCounts())
+    @classmethod
+    def zeros(cls, source: SourceConfig) -> "TallyTable":
+        labels = tuple(c.label for c in source.intensity_classes)
+        return cls(labels, np.zeros((len(labels), len(BASES), len(COUNTS))))
 
-    def __add__(self, other: "TallyTable") -> "TallyTable":
-        merged = TallyTable(total_pulses=self.total_pulses + other.total_pulses,
-                            elapsed_s=self.elapsed_s + other.elapsed_s)
-        for src in (self, other):
-            for key, cell in src.cells.items():
-                merged.cells[key] = merged.cells.get(key, CellCounts()) + cell
-        return merged
+    def by_class(self) -> np.ndarray:
+        """(class, count) array: the counts summed over the sender basis."""
+        return self.counts.sum(axis=1)
 
     def validate(self):
-        for cell in self.cells.values():
-            cell.validate()
-        sent = sum(c.sent for c in self.cells.values())
+        if not (np.diff(self.counts, axis=-1) <= 0).all():
+            raise DomainError("inconsistent tally: every cell needs errors <= sifted <= detected <= sent")
+        sent = self.counts[..., SENT].sum()
         if abs(sent - self.total_pulses) > 1e-6 * max(1.0, self.total_pulses):
             raise DomainError("per-cell sent counts do not sum to total pulses")
 
-    def by_class(self) -> Dict[IntensityLabel, CellCounts]:
-        out: Dict[IntensityLabel, CellCounts] = {}
-        for (label, _), cell in self.cells.items():
-            out[label] = out.get(label, CellCounts()) + cell
-        return out
-
     def to_dict(self) -> dict:
         """Deterministic, JSON-ready form (sorted keys)."""
-        cells = {}
-        for (label, basis) in sorted(self.cells, key=lambda k: (k[0].value, k[1].value)):
-            c = self.cells[(label, basis)]
-            cells[f"{label.value}/{basis.value}"] = {
-                "sent": c.sent,
-                "detected": c.detected,
-                "sifted": c.sifted,
-                "errors": c.errors,
-            }
-        return {"total_pulses": self.total_pulses, "elapsed_s": self.elapsed_s, "cells": cells}
+        cells = {
+            f"{label.value}/{basis.value}": dict(zip(COUNTS, self.counts[k, b].tolist()))
+            for k, label in enumerate(self.labels)
+            for b, basis in enumerate(BASES)
+        }
+        return {"total_pulses": self.total_pulses, "elapsed_s": self.elapsed_s,
+                "cells": dict(sorted(cells.items()))}
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +91,16 @@ class TallyTable:
 
 @dataclass(frozen=True)
 class AnalyticRates:
-    """Closed-form per-class gain and error rate for a Poissonian WCP source."""
+    """Closed-form per-class gain and error rate for a Poissonian WCP source.
 
-    gains: Dict[IntensityLabel, float]  # Q_k
-    error_rates: Dict[IntensityLabel, float]  # E_k
+    For a 1-D array of segment losses, eta and every gain and error rate are
+    arrays with one entry per segment.
+    """
+
+    gains: Dict[IntensityLabel, ArrayLike]  # Q_k
+    error_rates: Dict[IntensityLabel, ArrayLike]  # E_k
     y0: float
-    eta: float
+    eta: ArrayLike
     mus: Dict[IntensityLabel, float]
 
 
@@ -134,7 +118,7 @@ def _click_prob(det: DetectorModel, background_click_prob: float) -> float:
 
 def analytic_rates(
     source: SourceConfig,
-    total_loss_db: float,
+    total_loss_db: ArrayLike,
     det: DetectorModel,
     e_det: float,
     background_click_prob: float = 0.0,
@@ -143,20 +127,30 @@ def analytic_rates(
 
     Q_k = 1 - (1 - Y0) exp(-eta mu_k); E_k Q_k = e0 Y0 + e_det (1 - exp(-eta mu_k))
     with Y0 the probability any of the four gated detectors fires on darks
-    or background.
+    or background. total_loss_db is a scalar, or a 1-D array with one loss
+    per segment of a pass.
     """
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
-    eta = _total_eta(source, total_loss_db, det)
+    losses = np.asarray(total_loss_db, dtype=float)
+    if losses.ndim > 1:
+        raise DomainError("total_loss_db must be a scalar or a 1-D array")
+    classes = source.intensity_classes
     y0 = 1.0 - (1.0 - _click_prob(det, background_click_prob)) ** N_DETECTORS
-    gains, errs, mus = {}, {}, {}
-    for cls in source.intensity_classes:
-        q = 1.0 - (1.0 - y0) * math.exp(-eta * cls.mu)
-        eq = E0 * y0 + e_det * (1.0 - math.exp(-eta * cls.mu))
-        gains[cls.label] = q
-        errs[cls.label] = eq / q if q > 0 else E0
-        mus[cls.label] = cls.mu
-    return AnalyticRates(gains=gains, error_rates=errs, y0=y0, eta=eta, mus=mus)
+
+    def gain_and_error(eta: float, mu: float) -> Tuple[float, float]:
+        decay = math.exp(-eta * mu)
+        q = 1.0 - (1.0 - y0) * decay
+        return q, (E0 * y0 + e_det * (1.0 - decay)) / q if q > 0 else E0
+
+    # in Python floats: numpy's exp and ** may round differently from math's in the last bit
+    etas = [_total_eta(source, loss, det) for loss in losses.reshape(-1).tolist()]
+    rates = np.array([[gain_and_error(eta, c.mu) for eta in etas] for c in classes])
+    rates = rates.reshape(len(classes), len(etas), 2).transpose(0, 2, 1)  # (class, Q/E, segment)
+    eta, rates = (np.array(etas), rates) if losses.ndim else (etas[0], rates[..., 0].tolist())
+    return AnalyticRates(gains={c.label: r[0] for c, r in zip(classes, rates)},
+                         error_rates={c.label: r[1] for c, r in zip(classes, rates)},
+                         y0=y0, eta=eta, mus={c.label: c.mu for c in classes})
 
 
 def sift_fraction(source: SourceConfig, det: DetectorModel) -> float:
@@ -165,33 +159,46 @@ def sift_fraction(source: SourceConfig, det: DetectorModel) -> float:
     return pz_s * pz_r + (1.0 - pz_s) * (1.0 - pz_r)
 
 
+def _expected_tally(source: SourceConfig, det: DetectorModel, rates: AnalyticRates,
+                    n_pulses: ArrayLike) -> TallyTable:
+    """Expected counts of the segments that rates and n_pulses describe, pooled."""
+    n = np.atleast_1d(np.asarray(n_pulses, dtype=float))
+    labels = tuple(c.label for c in source.intensity_classes)
+    gains, errs = (np.array([by_label[l] for l in labels]).reshape(len(labels), n.size).T[..., None]
+                   for by_label in (rates.gains, rates.error_rates))  # (segment, class, 1)
+    emit = np.array([c.emit_probability for c in source.intensity_classes])
+    p_basis = np.array([source.basis_probability_z, 1.0 - source.basis_probability_z])
+    # each count is the one before it times a factor: sent Q_k, then the sift fraction, then E_k
+    factors = np.empty((n.size, len(labels), len(BASES), len(COUNTS)))
+    factors[..., SENT] = n[:, None, None] * emit[:, None] * p_basis
+    factors[..., DETECTED] = gains
+    factors[..., SIFTED] = sift_fraction(source, det)
+    factors[..., ERRORS] = errs
+    # the axis-0 sum of a 2-D or larger array adds the segments one by one, in order
+    counts = np.cumprod(factors, axis=-1).sum(axis=0)
+    total_pulses = elapsed_s = 0.0
+    for k in n.tolist():  # in segment order too
+        total_pulses, elapsed_s = total_pulses + k, elapsed_s + k / source.repetition_rate_hz
+    return TallyTable(labels, counts, total_pulses, elapsed_s)
+
+
 def analytic_tallies(
     source: SourceConfig,
-    total_loss_db: float,
+    total_loss_db: ArrayLike,
     det: DetectorModel,
     e_det: float,
-    n_pulses: float,
+    n_pulses: ArrayLike,
     background_click_prob: float = 0.0,
 ) -> TallyTable:
-    """Expected-value tallies (fractional counts) for the analytic route."""
+    """Expected-value tallies (fractional counts) for the analytic route.
+
+    total_loss_db and n_pulses are scalars, or matching 1-D arrays with one
+    entry per segment of a pass, pooled into one tally.
+    """
+    if np.shape(total_loss_db) != np.shape(n_pulses):
+        raise DomainError("total_loss_db and n_pulses must be scalars or 1-D arrays of equal length")
     rates = analytic_rates(source, total_loss_db, det, e_det, background_click_prob)
-    sift = sift_fraction(source, det)
-    tally = TallyTable(total_pulses=n_pulses, elapsed_s=n_pulses / source.repetition_rate_hz)
-    for cls in source.intensity_classes:
-        for basis, p_basis in (
-            (Basis.RECTILINEAR, source.basis_probability_z),
-            (Basis.DIAGONAL, 1.0 - source.basis_probability_z),
-        ):
-            sent = n_pulses * cls.emit_probability * p_basis
-            detected = sent * rates.gains[cls.label]
-            sifted = detected * sift
-            errors = sifted * rates.error_rates[cls.label]
-            cell = tally.cell(cls.label, basis)
-            cell.sent += sent
-            cell.detected += detected
-            cell.sifted += sifted
-            cell.errors += errors
-    return tally
+    return _expected_tally(source, det, rates, n_pulses)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +296,12 @@ def _simulate_shard(
         level = out["detected"].astype(np.int64) + out["sifted"] + out["error"]
         by_level += np.bincount(4 * cell + level, minlength=4 * n_cells)
 
-    by_level = by_level.reshape(n_cells, 4)
-    sent = sent.sum(axis=0)
-    detected, sifted, errors = (by_level[:, lo:].sum(axis=1) for lo in (1, 2, 3))
+    # a pulse at level j counts as detected, sifted and an error up to j, so each count sums
+    # the levels from its own up; the sent counts replace the sum of all levels
+    cells = np.cumsum(by_level.reshape(len(classes), 2, 4)[..., ::-1], axis=-1)[..., ::-1].astype(float)
+    cells[..., SENT] = sent.sum(axis=0).reshape(len(classes), 2)
     total = int(counts.sum())
-    tally = TallyTable(total_pulses=total, elapsed_s=total / source.repetition_rate_hz)
-    for c in range(n_cells):
-        basis = Basis.RECTILINEAR if c % 2 == 0 else Basis.DIAGONAL
-        tally.cells[(classes[c // 2].label, basis)] = CellCounts(
-            sent=float(sent[c]), detected=float(detected[c]),
-            sifted=float(sifted[c]), errors=float(errors[c]),
-        )
-    return tally
+    return TallyTable(tuple(c.label for c in classes), cells, total, total / source.repetition_rate_hz)
 
 
 def simulate_block(
@@ -320,8 +321,8 @@ def simulate_block(
     the loss and pulse count of each segment of a pass, pooled into one
     tally. Results are a deterministic function of (seed, shards): each shard
     takes its share of every segment, draws from an independently derived
-    rng stream, and the merge is associative, so the worker count never
-    changes the outcome.
+    rng stream, and the shard counts are added in shard order, so the worker
+    count never changes the outcome.
     """
     losses = np.atleast_1d(np.asarray(total_loss_db, dtype=float))
     counts = np.atleast_1d(np.asarray(n_pulses, dtype=np.int64))
@@ -350,12 +351,8 @@ def simulate_block(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(shards)))
-    merged = parts[0]
-    for p in parts[1:]:
-        merged = merged + p
-    merged.total_pulses = float(n_total)
-    merged.elapsed_s = n_total / source.repetition_rate_hz
-    return merged
+    counts = np.sum([p.counts for p in parts], axis=0)
+    return TallyTable(parts[0].labels, counts, float(n_total), n_total / source.repetition_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +389,21 @@ def decoy_bounds(
     else:
         mu_hi, mu_lo, q_hi, q_lo, eq_lo = mu_b, mu_a, q_b, q_a, eq_a
     y0 = q_vacuum
-    y1 = (mu_hi / (mu_hi * mu_lo - mu_lo**2)) * (
-        q_lo * math.exp(mu_lo)
-        - q_hi * math.exp(mu_hi) * (mu_lo**2 / mu_hi**2)
-        - ((mu_hi**2 - mu_lo**2) / mu_hi**2) * y0
-    )
+    try:
+        exp_lo = math.exp(mu_lo)
+        y1 = (mu_hi / (mu_hi * mu_lo - mu_lo**2)) * (
+            q_lo * exp_lo
+            - q_hi * math.exp(mu_hi) * (mu_lo**2 / mu_hi**2)
+            - ((mu_hi**2 - mu_lo**2) / mu_hi**2) * y0
+        )
+    except (OverflowError, ZeroDivisionError):
+        y1 = math.nan
+    if not math.isfinite(y1):
+        raise DomainError(f"no finite decoy bound for intensities {mu_lo} and {mu_hi}: it overflows a float")
     y1 = min(max(y1, 0.0), 1.0)
-    if y1 <= 0.0:
+    if y1 * mu_lo <= 0.0:  # y1 = 0, or so small that y1 * mu_lo underflows
         return DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=y0, degenerate=True)
-    e1 = (eq_lo * math.exp(mu_lo) - E0 * y0) / (y1 * mu_lo)
+    e1 = (eq_lo * exp_lo - E0 * y0) / (y1 * mu_lo)
     e1 = min(max(e1, 0.0), 1.0)
     return DecoyBounds(y1_lower=y1, e1_upper=e1, y0_estimate=y0)
 
@@ -423,15 +426,13 @@ def decoy_bounds_from_rates(rates: AnalyticRates) -> DecoyBounds:
 
 def decoy_bounds_from_tally(source: SourceConfig, tally: TallyTable) -> DecoyBounds:
     """Bounds from observed counts; gains from raw detections, errors from sifted."""
-    by_class = tally.by_class()
+    by_class = dict(zip(tally.labels, tally.by_class().tolist()))
     vals = {}
     for cls in source.intensity_classes:
-        c = by_class.get(cls.label, CellCounts())
-        if c.sent <= 0:
+        sent, detected, sifted, errors = by_class.get(cls.label, (0.0,) * len(COUNTS))
+        if sent <= 0:
             raise DomainError(f"no pulses sent in class {cls.label.value}")
-        q = c.detected / c.sent
-        e = c.errors / c.sifted if c.sifted > 0 else E0
-        vals[cls.label] = (cls.mu, q, e)
+        vals[cls.label] = (cls.mu, detected / sent, errors / sifted if sifted > 0 else E0)
     non_vac = [v for l, v in vals.items() if l is not IntensityLabel.VACUUM]
     if len(non_vac) != 2:
         raise DomainError("need exactly two non-vacuum intensity classes")
@@ -498,13 +499,12 @@ class KeyResult:
 
 
 def stats_from_tally(source: SourceConfig, tally: TallyTable) -> SiftedStats:
-    by_class = tally.by_class()
-    sig = by_class.get(IntensityLabel.SIGNAL, CellCounts())
+    sent, detected, sifted, errors = tally.by_class()[tally.labels.index(IntensityLabel.SIGNAL)].tolist()
     return SiftedStats(
-        n_signal=sig.sifted,
-        errors_signal=sig.errors,
-        detected_signal=sig.detected,
-        sent_signal=sig.sent,
+        n_signal=sifted,
+        errors_signal=errors,
+        detected_signal=detected,
+        sent_signal=sent,
         mu_signal=source.intensity(IntensityLabel.SIGNAL).mu,
         elapsed_s=tally.elapsed_s,
     )
@@ -542,7 +542,7 @@ def key_length(
         return _zero_key(stats, bounds, regime, "no sifted signal detections")
     e_sig = stats.qber
     if e_sig > 0.5:
-        raise DomainError(f"signal QBER {e_sig} exceeds 0.5")
+        return _zero_key(stats, bounds, regime, "signal QBER above 0.5")
     if bounds.degenerate or bounds.e1_upper is None:
         return _zero_key(stats, bounds, regime, "degenerate decoy bound (Y1 lower bound is 0)")
     if bounds.e1_upper >= 0.5:
@@ -602,11 +602,9 @@ def key_from_fixed_loss(
     background_click_prob: float = 0.0,
 ) -> KeyResult:
     """Analytic end-to-end key result at a fixed channel loss."""
-    n_pulses = duration_s * source.repetition_rate_hz
-    tally = analytic_tallies(source, total_loss_db, det, e_det, n_pulses, background_click_prob)
     rates = analytic_rates(source, total_loss_db, det, e_det, background_click_prob)
-    bounds = decoy_bounds_from_rates(rates)
-    return key_length(stats_from_tally(source, tally), bounds, sec, regime)
+    tally = _expected_tally(source, det, rates, duration_s * source.repetition_rate_hz)
+    return key_length(stats_from_tally(source, tally), decoy_bounds_from_rates(rates), sec, regime)
 
 
 def _pass_segments(profile: PassProfile, step_s: float, excess_loss_db: float, rate_hz: float):
@@ -639,29 +637,26 @@ def integrate_pass(
 ) -> Tuple[KeyResult, TallyTable]:
     """Accumulate tallies over a pass, then compute bounds and key once on the pool.
 
-    The Monte Carlo mode draws every segment of the pass in one simulate_block call.
+    Either mode takes every segment of the pass in one call: analytic_tallies
+    or simulate_block.
     """
     if mode not in ("analytic", "mc"):
         raise DomainError(f"unknown pass-integration mode {mode!r}")
     if mode == "mc" and seed is None:
         raise DomainError("Monte Carlo pass integration requires a seed")
     losses, pulses = _pass_segments(profile, step_s, excess_loss_db, source.repetition_rate_hz)
-    pooled = TallyTable()
     if mode == "analytic":
-        for loss, n in zip(losses, pulses):
-            pooled = pooled + analytic_tallies(source, loss, det, e_det, n, background_click_prob)
+        pooled = analytic_tallies(source, losses, det, e_det, pulses, background_click_prob)
     else:
         counts = [int(round(n)) for n in pulses]
+        pooled = TallyTable.zeros(source)
         if sum(counts):
             pooled = simulate_block(source, losses, det, e_det, counts, seed=seed,
                                     background_click_prob=background_click_prob)
+    stats = stats_from_tally(source, pooled)
     if pooled.total_pulses <= 0:
         empty = DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=0.0, degenerate=True)
-        stats = SiftedStats(0.0, 0.0, 0.0, 0.0,
-                            source.intensity(IntensityLabel.SIGNAL).mu, 0.0)
         reason = ("no whole pulse sent above the minimum elevation" if losses
                   else "pass never rises above the minimum elevation")
         return _zero_key(stats, empty, regime, reason), pooled
-    bounds = decoy_bounds_from_tally(source, pooled)
-    result = key_length(stats_from_tally(source, pooled), bounds, sec, regime)
-    return result, pooled
+    return key_length(stats, decoy_bounds_from_tally(source, pooled), sec, regime), pooled

@@ -8,7 +8,7 @@ against it in distribution.
 
 reference_pass is the Monte Carlo pass loop of satqkd before the whole pass
 became one draw: one simulate_block call per segment, each with its own seed
-spawned from the pass seed, and the segment tallies merged one by one.
+spawned from the pass seed, and the segment tallies added one by one.
 """
 
 from dataclasses import replace
@@ -18,7 +18,7 @@ import numpy as np
 from satqkd.channel import PassProfile, transmittance_from_db
 from satqkd.protocol import TallyTable, simulate_block
 from satqkd.receiver import DetectorModel, measure_batch
-from satqkd.source import Basis, SourceConfig
+from satqkd.source import SourceConfig
 
 
 def reference_shard(
@@ -39,7 +39,7 @@ def reference_shard(
     det_eff = det if background_click_prob == 0.0 else replace(
         det, dark_prob=det.dark_prob + background_click_prob
     )
-    tally = TallyTable(total_pulses=n_pulses, elapsed_s=n_pulses / source.repetition_rate_hz)
+    counts = np.zeros((len(classes), 2, 4))  # (class, basis Z/X, sent/detected/sifted/errors)
     done = 0
     while done < n_pulses:
         m = min(chunk, n_pulses - done)
@@ -50,15 +50,13 @@ def reference_shard(
         arriving = rng.binomial(photons, eta_channel)
         out = measure_batch(arriving, basis_z, bits, e_det, det_eff, rng)
         for i, cls in enumerate(classes):
-            for basis, mask_b in ((Basis.RECTILINEAR, basis_z), (Basis.DIAGONAL, ~basis_z)):
+            for b, mask_b in enumerate((basis_z, ~basis_z)):
                 mask = (cls_idx == i) & mask_b
-                cell = tally.cell(cls.label, basis)
-                cell.sent += int(mask.sum())
-                cell.detected += int((out["detected"] & mask).sum())
-                cell.sifted += int((out["sifted"] & mask).sum())
-                cell.errors += int((out["error"] & mask).sum())
+                counts[i, b] += [int(mask.sum()), int((out["detected"] & mask).sum()),
+                                 int((out["sifted"] & mask).sum()), int((out["error"] & mask).sum())]
         done += m
-    return tally
+    labels = tuple(c.label for c in classes)
+    return TallyTable(labels, counts, n_pulses, n_pulses / source.repetition_rate_hz)
 
 
 def reference_pass(
@@ -72,7 +70,7 @@ def reference_pass(
     background_click_prob: float = 0.0,
 ) -> TallyTable:
     t0, t1 = (profile.times_s[0], profile.times_s[-1]) if len(profile.times_s) else (0.0, 0.0)
-    pooled = TallyTable()
+    pooled = TallyTable.zeros(source)
     seg_index = 0
     t = t0
     while t < t1:
@@ -87,7 +85,9 @@ def reference_pass(
                 seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(seg_index,)).generate_state(1)[0]),
                 background_click_prob=background_click_prob,
             )
-            pooled = pooled + seg
+            pooled.counts += seg.counts
+            pooled.total_pulses += seg.total_pulses
+            pooled.elapsed_s += seg.elapsed_s
         t += dt
         seg_index += 1
     return pooled

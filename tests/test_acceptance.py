@@ -88,11 +88,11 @@ def test_acceptance_3_monte_carlo_vs_analytic(report):
     elapsed = time.perf_counter() - t0
     rates = analytic_rates(src, 30.0, det, E_DET)
     ok = elapsed < 60.0
-    for label, cell in tally.by_class().items():
+    for label, (sent, detected, sifted, errors) in zip(tally.labels, tally.by_class().tolist()):
         q, e = rates.gains[label], rates.error_rates[label]
         # 5-sigma binomial windows on raw detections and on errors given sifted
-        ok &= abs(cell.detected - cell.sent * q) <= 5.0 * math.sqrt(cell.sent * q * (1 - q))
-        ok &= abs(cell.errors - cell.sifted * e) <= 5.0 * math.sqrt(max(cell.sifted * e * (1 - e), 0.0)) + 1e-9
+        ok &= abs(detected - sent * q) <= 5.0 * math.sqrt(sent * q * (1 - q))
+        ok &= abs(errors - sifted * e) <= 5.0 * math.sqrt(max(sifted * e * (1 - e), 0.0)) + 1e-9
     report(3, "Monte Carlo vs analytic 5-sigma", ok)
 
 

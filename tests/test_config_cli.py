@@ -242,3 +242,30 @@ def test_every_yaml_loader_rejects_malformed_and_nan(capsys, monkeypatch, tmp_pa
     code, out, err = run_cli(capsys, "simulate", "--config", str(nan))
     assert code == 2 and out == ""
     assert "fixed_loss_db" in json.loads(err)["message"]
+
+
+def test_cli_intensity_whose_exp_overflows_is_domain_error(capsys, config_path, tmp_path):
+    code, out, err = run_cli(capsys, "optimize", "--mu-max", "800", "--mu-points", "3")
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "domain"
+    data = yaml.safe_load(config_path.read_text())
+    (decoy,) = [c for c in data["sources"][0]["intensity_classes"] if c["label"] == "decoy"]
+    decoy["mu"] = 800.0
+    path = tmp_path / "bright_decoy.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "keyrate", "--config", str(path))
+    assert code == 4 and out == ""
+    assert "no finite decoy bound" in json.loads(err)["message"]
+
+
+def test_cli_sampled_qber_above_half_is_a_zero_key(capsys, tmp_path):
+    # at 50 dB a 2e6-pulse block of the first source sifts one signal bit, and it is an error
+    data = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / "default.yaml").read_text())
+    data["block_pulses"] = 2_000_000
+    path = tmp_path / "short_block.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--loss-db", "50", "--seed", "23")
+    assert code == 0
+    keys = [s["key"] for s in json.loads(out)["sources"]]
+    assert keys[0]["qber_signal"] > 0.5 and keys[0]["reason"] == "signal QBER above 0.5"
+    assert all(k["secret_key_length_bits"] == k["secret_key_rate_bps"] == 0.0 for k in keys)

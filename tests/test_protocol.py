@@ -4,11 +4,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satqkd.channel import FixedLossModel, PassProfile
+from satqkd.channel import FixedLossModel, PassProfile, synthesize_pass
+from satqkd.config import default_source
 from satqkd.errors import DomainError
 from satqkd.protocol import (
+    COUNTS,
+    DETECTED,
     E0,
+    SENT,
+    SecurityParams,
     SiftedStats,
     TallyTable,
     analytic_rates,
@@ -23,7 +30,9 @@ from satqkd.protocol import (
     simulate_block,
 )
 from satqkd.receiver import DetectorModel
-from satqkd.source import IntensityLabel
+from satqkd.source import IntensityLabel, intrinsic_qber
+
+from conftest import MEASURED_EXTINCTION
 
 
 def poisson_rates(mu, eta, y0, ed):
@@ -77,6 +86,49 @@ def test_analytic_rates_match_oracle(source, detector, e_det):
         assert rates.error_rates[cls.label] == pytest.approx(e, rel=1e-12)
 
 
+def test_analytic_segments_pool_exactly_as_a_loop_over_them(source, detector, e_det):
+    # over eight segments numpy's 1-D sum is pairwise; the pooled tally must still add in order
+    losses = np.linspace(20.0, 60.0, 41).tolist()
+    pulses = [1e8 - 1e6 * k for k in range(41)]
+    pooled = analytic_tallies(source, losses, detector, e_det, pulses, 2e-6)
+    counts = total = elapsed = 0.0
+    for loss, n in zip(losses, pulses):
+        seg = analytic_tallies(source, loss, detector, e_det, n, 2e-6)
+        counts, total, elapsed = counts + seg.counts, total + seg.total_pulses, elapsed + seg.elapsed_s
+    assert pooled.counts.tolist() == counts.tolist()
+    assert (pooled.total_pulses, pooled.elapsed_s) == (total, elapsed)
+    rates = analytic_rates(source, losses, detector, e_det, 2e-6)
+    for i, loss in enumerate(losses):
+        one = analytic_rates(source, loss, detector, e_det, 2e-6)
+        assert rates.eta[i] == one.eta
+        for label in one.gains:
+            assert (rates.gains[label][i], rates.error_rates[label][i]) == (one.gains[label], one.error_rates[label])
+
+
+def test_analytic_tallies_reject_mismatched_segments(source, detector, e_det):
+    with pytest.raises(DomainError, match="equal length"):
+        analytic_tallies(source, [30.0, 40.0], detector, e_det, [1e8])
+    with pytest.raises(DomainError, match="equal length"):
+        analytic_tallies(source, [30.0, 40.0], detector, e_det, 1e8)
+
+
+def test_analytic_pass_and_fixed_loss_key_take_one_analytic_call(source, detector, e_det, security, monkeypatch):
+    from satqkd import protocol
+
+    calls = []
+    for name in ("analytic_rates", "analytic_tallies"):
+        def counting(*args, _real=getattr(protocol, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, name, counting)
+    integrate_pass(synthesize_pass(60.0, 500e3), source, detector, e_det, security)
+    assert sorted(calls) == ["analytic_rates", "analytic_tallies"]
+    calls.clear()
+    key_from_fixed_loss(source, 40.0, detector, e_det, security, 1.0)
+    assert calls == ["analytic_rates"]
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo vs analytic
 
@@ -84,7 +136,7 @@ def test_analytic_rates_match_oracle(source, detector, e_det):
 def test_simulate_block_infinite_loss_no_darks(source, e_det):
     det = DetectorModel(efficiency=0.5, dark_prob=0.0)
     tally = simulate_block(source, 300.0, det, e_det, 100_000, seed=1)
-    assert all(c.detected == 0 for c in tally.cells.values())
+    assert (tally.counts[..., DETECTED] == 0).all()
 
 
 def test_simulate_block_matches_analytic(source, detector, e_det):
@@ -92,17 +144,17 @@ def test_simulate_block_matches_analytic(source, detector, e_det):
     tally = simulate_block(source, 25.0, detector, e_det, n, seed=13, shards=4)
     rates = analytic_rates(source, 25.0, detector, e_det)
     sift_p = sift_fraction(source, detector)
-    for label, cell in tally.by_class().items():
+    for label, (sent, detected, sifted, errors) in zip(tally.labels, tally.by_class().tolist()):
         q = rates.gains[label]
-        sigma = math.sqrt(cell.sent * q * (1 - q))
-        assert abs(cell.detected - cell.sent * q) < 5 * sigma
+        sigma = math.sqrt(sent * q * (1 - q))
+        assert abs(detected - sent * q) < 5 * sigma
         # sifted fraction of detections
-        sigma_s = math.sqrt(max(cell.detected * sift_p * (1 - sift_p), 1))
-        assert abs(cell.sifted - cell.detected * sift_p) < 5 * sigma_s
-        if cell.sifted > 100:
+        sigma_s = math.sqrt(max(detected * sift_p * (1 - sift_p), 1))
+        assert abs(sifted - detected * sift_p) < 5 * sigma_s
+        if sifted > 100:
             e = rates.error_rates[label]
-            sigma_e = math.sqrt(cell.sifted * e * (1 - e))
-            assert abs(cell.errors - cell.sifted * e) < 5 * sigma_e
+            sigma_e = math.sqrt(sifted * e * (1 - e))
+            assert abs(errors - sifted * e) < 5 * sigma_e
 
 
 def test_simulate_block_rejects_zero_pulses(source, detector, e_det):
@@ -117,22 +169,6 @@ def test_simulate_deterministic_across_workers(source, detector, e_det):
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
-def test_tally_merge_associative_commutative():
-    from satqkd.source import Basis
-
-    t1 = TallyTable(total_pulses=5, elapsed_s=0.5)
-    t1.cell(IntensityLabel.SIGNAL, Basis.RECTILINEAR).sent = 5
-    t2 = TallyTable(total_pulses=3, elapsed_s=0.3)
-    t2.cell(IntensityLabel.SIGNAL, Basis.RECTILINEAR).sent = 2
-    t2.cell(IntensityLabel.DECOY, Basis.DIAGONAL).sent = 1
-    t3 = TallyTable(total_pulses=2, elapsed_s=0.2)
-    t3.cell(IntensityLabel.VACUUM, Basis.RECTILINEAR).sent = 2
-    left = (t1 + t2) + t3
-    right = t1 + (t2 + t3)
-    swapped = t3 + t1 + t2
-    assert left.to_dict() == right.to_dict() == swapped.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # sifting
 
@@ -140,34 +176,27 @@ def test_tally_merge_associative_commutative():
 def test_sift_keeps_same_basis_only(source, detector, e_det):
     tally = simulate_block(source, 20.0, detector, e_det, 500_000, seed=3)
     tally.validate()
-    by_class = tally.by_class()
-    for label, cell in by_class.items():
-        n_k, m_k = cell.sifted, cell.errors
-        assert m_k <= n_k <= cell.detected
-        if cell.detected > 200:
+    for _, detected, n_k, m_k in tally.by_class().tolist():
+        assert m_k <= n_k <= detected
+        if detected > 200:
             # symmetric 50/50 bases: about half of detections survive sifting
             p = 0.5
-            sigma = math.sqrt(cell.detected * p * (1 - p))
-            assert abs(n_k - cell.detected * p) < 5 * sigma
+            sigma = math.sqrt(detected * p * (1 - p))
+            assert abs(n_k - detected * p) < 5 * sigma
 
 
 def test_sift_zero_when_all_wrong_basis():
-    from satqkd.source import Basis
-
-    t = TallyTable(total_pulses=100, elapsed_s=1.0)
-    cell = t.cell(IntensityLabel.SIGNAL, Basis.RECTILINEAR)
-    cell.sent, cell.detected, cell.sifted, cell.errors = 100, 40, 0, 0
+    # one class, signal; cell [0, 0] is its rectilinear basis
+    t = TallyTable((IntensityLabel.SIGNAL,), np.zeros((1, 2, 4)), total_pulses=100, elapsed_s=1.0)
+    t.counts[0, 0] = 100, 40, 0, 0
     t.validate()
-    signal = t.by_class()[IntensityLabel.SIGNAL]
-    assert (signal.sifted, signal.errors) == (0, 0)
+    _, _, sifted, errors = t.by_class()[0]
+    assert (sifted, errors) == (0, 0)
 
 
 def test_tally_validate_rejects_inconsistent():
-    from satqkd.source import Basis
-
-    t = TallyTable(total_pulses=10, elapsed_s=1.0)
-    cell = t.cell(IntensityLabel.SIGNAL, Basis.RECTILINEAR)
-    cell.sent, cell.detected, cell.sifted, cell.errors = 10, 5, 6, 0
+    t = TallyTable((IntensityLabel.SIGNAL,), np.zeros((1, 2, 4)), total_pulses=10, elapsed_s=1.0)
+    t.counts[0, 0] = 10, 5, 6, 0
     with pytest.raises(DomainError):
         t.validate()
 
@@ -269,8 +298,10 @@ def test_key_length_zero_at_half_qber(security):
 def test_key_length_rejects_qber_above_half(security):
     stats = make_stats(1e-3, 1e-6, 0.0, 1e9)
     stats = replace(stats, errors_signal=stats.n_signal * 0.6)
-    with pytest.raises(DomainError):
-        key_length(stats, bounds_for(1e-3, 1e-6, 0.0), security)
+    result = key_length(stats, bounds_for(1e-3, 1e-6, 0.0), security)
+    assert result.secret_key_length == result.secret_key_rate == 0.0
+    assert result.qber_signal == pytest.approx(0.6)
+    assert result.reason == "signal QBER above 0.5"
 
 
 def test_key_length_zero_past_bb84_threshold(security):
@@ -300,6 +331,32 @@ def test_key_rate_monotone_in_loss(source, detector, e_det, security):
     assert rates[0] > 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    mu_signal=st.floats(0.0, 1000.0, exclude_min=True),
+    mu_decoy=st.floats(0.0, 1000.0, exclude_min=True),
+    loss_db=st.floats(0.0, 100.0),
+    regime=st.sampled_from(["asymptotic", "finite"]),
+)
+def test_key_from_fixed_loss_is_finite_or_domain_error(mu_signal, mu_decoy, loss_db, regime):
+    mus = {IntensityLabel.SIGNAL: mu_signal, IntensityLabel.DECOY: mu_decoy, IntensityLabel.VACUUM: 0.0}
+    base = default_source()
+    try:
+        source = replace(base, intensity_classes=tuple(
+            replace(c, mu=mus[c.label]) for c in base.intensity_classes))
+        result = key_from_fixed_loss(source, loss_db, DetectorModel(), intrinsic_qber(MEASURED_EXTINCTION),
+                                     SecurityParams(), 1.0, regime)
+    except DomainError:
+        return
+    for value in (result.secret_key_length, result.secret_key_rate):
+        assert math.isfinite(value) and value >= 0.0
+
+
+def test_decoy_bounds_reject_intensity_whose_exp_overflows():
+    with pytest.raises(DomainError, match="no finite decoy bound"):
+        decoy_bounds(800.0, 0.3, 1.0, 1e-3, 0.0, 1e-3, 1e-5)
+
+
 def test_key_length_degenerate_bounds_zero_with_reason(security):
     from satqkd.protocol import DecoyBounds
 
@@ -314,6 +371,15 @@ def test_key_length_degenerate_bounds_zero_with_reason(security):
 # pass integration
 
 
+# the tally of a pass that sends no pulse lists every cell of the default source at zero
+ZERO_TALLY = {
+    "total_pulses": 0.0,
+    "elapsed_s": 0.0,
+    "cells": {f"{label}/{basis}": dict.fromkeys(COUNTS, 0.0)
+              for label in ("decoy", "signal", "vacuum") for basis in ("X", "Z")},
+}
+
+
 def test_integrate_pass_below_min_elevation(source, detector, e_det, security):
     profile = PassProfile(
         times_s=[0.0, 60.0, 120.0],
@@ -323,7 +389,7 @@ def test_integrate_pass_below_min_elevation(source, detector, e_det, security):
     )
     result, tally = integrate_pass(profile, source, detector, e_det, security)
     assert result.secret_key_length == 0.0
-    assert tally.total_pulses == 0
+    assert tally.to_dict() == ZERO_TALLY
     assert "elevation" in result.reason
 
 
@@ -446,14 +512,14 @@ def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, secu
     mc, tally = integrate_pass(profile, small, detector, e_det, security, step_s=1.0, mode="mc", seed=4)
     tally.validate()
     assert tally.total_pulses == 1000 + 1000 + 0
-    assert sum(c.sent for c in tally.cells.values()) == 2000
+    assert tally.counts[..., SENT].sum() == 2000
     analytic, _ = integrate_pass(profile, small, detector, e_det, security, step_s=1.0)
     assert math.isfinite(mc.secret_key_length) and math.isfinite(analytic.secret_key_length)
     # a pass above the minimum elevation whose only step rounds to no pulse
     short = PassProfile(times_s=[0.0, 0.0004], elevations_deg=[60.0, 60.0],
                         loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
     mc, tally = integrate_pass(short, small, detector, e_det, security, mode="mc", seed=4)
-    assert tally.total_pulses == 0 and mc.secret_key_length == 0.0
+    assert tally.to_dict() == ZERO_TALLY and mc.secret_key_length == 0.0
     assert "no whole pulse" in mc.reason
 
 

@@ -21,6 +21,8 @@ import pytest
 from satqkd import protocol
 from satqkd.channel import PassProfile
 from satqkd.protocol import (
+    DETECTED,
+    SENT,
     SecurityParams,
     _dark_firings,
     _pass_segments,
@@ -56,11 +58,8 @@ def homogeneity_chi2(a: np.ndarray, b: np.ndarray):
 
 def outcome_counts(tally) -> np.ndarray:
     """Each pulse in exactly one category per cell: missed, detected only, sifted right, error."""
-    rows = []
-    for key in sorted(tally.cells, key=lambda k: (k[0].value, k[1].value)):
-        c = tally.cells[key]
-        rows.append([c.sent - c.detected, c.detected - c.sifted, c.sifted - c.errors, c.errors])
-    return np.array(rows, dtype=np.int64).ravel()
+    cells = tally.counts.reshape(-1, 4)  # sent, detected, sifted, errors
+    return (-np.diff(cells, axis=1, append=0.0)).astype(np.int64).ravel()
 
 
 REGIMES = {
@@ -134,14 +133,15 @@ def test_sampler_vacuum_and_no_darks(source, e_det):
     det = DetectorModel(dark_prob=0.0)
     tally = _simulate_shard(source, 20.0, det, e_det, 200_000, np.random.SeedSequence(9), 0.0)
     tally.validate()
-    for (label, _), cell in tally.cells.items():
-        values = (cell.sent, cell.detected, cell.sifted, cell.errors)
-        assert all(math.isfinite(v) for v in values)
-        if label.value == "vacuum":
-            assert cell.sent > 0 and cell.detected == 0
-        else:
-            assert cell.detected > 0
-    assert sum(c.sent for c in tally.cells.values()) == 200_000
+    for label, by_basis in zip(tally.labels, tally.counts.tolist()):
+        for values in by_basis:
+            sent, detected, _, _ = values
+            assert all(math.isfinite(v) for v in values)
+            if label.value == "vacuum":
+                assert sent > 0 and detected == 0
+            else:
+                assert detected > 0
+    assert tally.counts[..., SENT].sum() == 200_000
 
 
 def test_sampler_slices_at_zero_loss(source, detector, e_det, monkeypatch):
@@ -159,12 +159,12 @@ def test_sampler_slices_at_zero_loss(source, detector, e_det, monkeypatch):
     tally = _simulate_shard(source, 0.0, detector, e_det, n, np.random.SeedSequence(10), 0.0, chunk=chunk)
     tally.validate()
     assert len(sizes) > 5 and max(sizes) <= chunk
-    assert sum(detections) == sum(c.detected for c in tally.cells.values())
-    assert sum(c.sent for c in tally.cells.values()) == n
+    assert sum(detections) == tally.counts[..., DETECTED].sum()
+    assert tally.counts[..., SENT].sum() == n
     rates = analytic_rates(source, 0.0, detector, e_det)
-    for label, cell in tally.by_class().items():
+    for label, (sent, detected, _, _) in zip(tally.labels, tally.by_class().tolist()):
         q = rates.gains[label]
-        assert abs(cell.detected - cell.sent * q) < 5 * math.sqrt(cell.sent * q * (1 - q)) + 1
+        assert abs(detected - sent * q) < 5 * math.sqrt(sent * q * (1 - q)) + 1
 
 
 def test_sampler_full_pass_block_at_40db(source, detector, e_det):
@@ -173,12 +173,12 @@ def test_sampler_full_pass_block_at_40db(source, detector, e_det):
     tally = simulate_block(source, 40.0, detector, e_det, n, seed=11)
     assert time.perf_counter() - t0 < 30.0
     tally.validate()
-    sent = [c.sent for c in tally.cells.values()]
-    assert sum(int(s) for s in sent) == n and all(s == int(s) for s in sent)
+    cell_sent = tally.counts[..., SENT].ravel().tolist()
+    assert sum(int(s) for s in cell_sent) == n and all(s == int(s) for s in cell_sent)
     rates = analytic_rates(source, 40.0, detector, e_det)
-    for label, cell in tally.by_class().items():
+    for label, (sent, detected, _, _) in zip(tally.labels, tally.by_class().tolist()):
         q = rates.gains[label]
-        assert abs(cell.detected - cell.sent * q) < 5 * math.sqrt(cell.sent * q * (1 - q))
+        assert abs(detected - sent * q) < 5 * math.sqrt(sent * q * (1 - q))
 
 
 def test_pooled_pass_matches_per_segment_reference(source, e_det):
@@ -245,12 +245,12 @@ def test_pooled_segments_match_analytic_gains(source, detector, e_det):
     losses, counts = [0.0, 30.0], [300_000, 300_000]
     tally = simulate_block(source, losses, detector, e_det, counts, seed=12)
     tally.validate()
-    by_class = tally.by_class()
+    by_class = dict(zip(tally.labels, tally.by_class().tolist()))
     for cls in source.intensity_classes:
         gains = [analytic_rates(source, loss, detector, e_det).gains[cls.label] for loss in losses]
         sent = [n * cls.emit_probability for n in counts]
         expected = sum(m * q for m, q in zip(sent, gains))
         sigma = math.sqrt(sum(m * q * (1 - q) for m, q in zip(sent, gains)))
-        cell = by_class[cls.label]
-        assert abs(cell.sent - sum(sent)) < 5 * math.sqrt(sum(counts))
-        assert abs(cell.detected - expected) < 5 * sigma + 1, (cls.label, cell.detected, expected)
+        cell_sent, cell_detected, _, _ = by_class[cls.label]
+        assert abs(cell_sent - sum(sent)) < 5 * math.sqrt(sum(counts))
+        assert abs(cell_detected - expected) < 5 * sigma + 1, (cls.label, cell_detected, expected)
