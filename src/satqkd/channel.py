@@ -29,12 +29,6 @@ def transmittance_from_db(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def db_from_transmittance(t: float) -> float:
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"transmittance must be in (0,1], got {t}")
-    return -10.0 * math.log10(t)
-
-
 @dataclass(frozen=True)
 class GeometryParams:
     """Far-field beam-spreading geometry of the downlink."""
@@ -81,7 +75,6 @@ class ElevationLossModel:
     divergence_half_angle_rad: float = MIN_DIVERGENCE_RAD
     receiver_diameter_m: float = 1.0
     zenith_atmospheric_db: float = 1.0
-    excess_db: float = 0.0
 
     def __call__(self, elevation_deg: float) -> float:
         if elevation_deg <= 0:
@@ -93,7 +86,7 @@ class ElevationLossModel:
             receiver_diameter_m=self.receiver_diameter_m,
         )
         airmass = 1.0 / math.sin(math.radians(elevation_deg))
-        return geometric_loss(g) + self.zenith_atmospheric_db * airmass + self.excess_db
+        return geometric_loss(g) + self.zenith_atmospheric_db * airmass
 
 
 @dataclass(frozen=True)
@@ -225,14 +218,52 @@ def load_pass_csv(path, loss_model: Callable[[float], float], min_elevation_deg:
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
-    """Downlink loss configuration: a fixed budget or an elevation-dependent pass."""
+class PassSpec:
+    """The ``pass`` block of a pass-mode channel: where its pass profile comes from.
 
-    mode: str = "fixed"  # "fixed" or "pass"
+    A (time_s, elevation_deg) CSV when csv_path is set, else a synthesized
+    circular-orbit pass. Either way an ElevationLossModel at the orbit
+    altitude maps elevation to loss.
+    """
+
+    csv_path: str | None = None
+    max_elevation_deg: float = 90.0
+    orbit_altitude_m: float = 500e3
+    min_elevation_deg: float = 10.0
+    step_s: float = 1.0
+    zenith_atmospheric_db: float = 1.0
+    receiver_diameter_m: float = 1.0
+
+    def profile(self) -> PassProfile:
+        loss_model = ElevationLossModel(
+            altitude_m=self.orbit_altitude_m,
+            zenith_atmospheric_db=self.zenith_atmospheric_db,
+            receiver_diameter_m=self.receiver_diameter_m,
+        )
+        if self.csv_path is not None:
+            return load_pass_csv(self.csv_path, loss_model, min_elevation_deg=self.min_elevation_deg)
+        return synthesize_pass(
+            max_elevation_deg=self.max_elevation_deg,
+            orbit_altitude_m=self.orbit_altitude_m,
+            min_elevation_deg=self.min_elevation_deg,
+            step_s=self.step_s,
+            loss_model=loss_model,
+        )
+
+
+@dataclass(frozen=True)
+class ChannelConfig:
+    """Downlink loss configuration: a fixed budget or an elevation-dependent pass.
+
+    In pass mode the pass profile is built from pass_spec once, on construction.
+    """
+
+    mode: str  # "fixed" or "pass"
     fixed_loss_db: float = 40.0
-    pass_profile: Optional[PassProfile] = None
     excess_loss_db: float = 0.0
     background_click_prob: float = 0.0
+    pass_spec: PassSpec | None = field(default=None, metadata={"key": "pass"})  # 'pass' is a keyword
+    pass_profile: PassProfile | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("fixed", "pass"):
@@ -243,5 +274,7 @@ class ChannelConfig:
             raise DomainError("dB losses must be >= 0")
         if not 0.0 <= self.background_click_prob < 1.0:
             raise DomainError("background_click_prob must be in [0,1)")
-        if self.mode == "pass" and self.pass_profile is None:
-            raise DomainError("pass mode requires a pass_profile")
+        if self.mode == "pass":
+            if self.pass_spec is None:
+                raise DomainError("pass mode requires a 'pass' block")
+            object.__setattr__(self, "pass_profile", self.pass_spec.profile())

@@ -11,13 +11,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .analysis import estimate_fwhm, estimate_spectrum, load_histogram_csv, load_spectrum_csv
-from .channel import ChannelConfig
-from .config import RunConfig, default_run_config, load_run_config, run_config_to_dict
+from .config import RunConfig, default_run_config, load_run_config, to_dict
 from .errors import ConfigError, DomainError, FileFormatError, SatQkdError
 from .optimizer import Axis, SearchSpace, optimize
 from .protocol import (
@@ -63,12 +63,7 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "loss_db", None) is not None:
-        cfg.channel = ChannelConfig(
-            mode="fixed",
-            fixed_loss_db=args.loss_db,
-            excess_loss_db=cfg.channel.excess_loss_db,
-            background_click_prob=cfg.channel.background_click_prob,
-        )
+        cfg.channel = replace(cfg.channel, mode="fixed", fixed_loss_db=args.loss_db, pass_spec=None)
     return cfg
 
 
@@ -108,7 +103,7 @@ def cmd_simulate(args) -> dict:
         "sources": per_source,
         "combined_key_length_bits": total_length,
         "combined_key_rate_bps": total_rate,
-        "config": run_config_to_dict(cfg),
+        "config": to_dict(cfg),
     }
 
 
@@ -140,7 +135,7 @@ def cmd_keyrate(args) -> dict:
 
 def cmd_pass(args) -> dict:
     cfg = _load_config(args)
-    if cfg.channel.mode != "pass" or cfg.channel.pass_profile is None:
+    if cfg.channel.mode != "pass":
         raise ConfigError("pass command requires a channel in pass mode")
     profile = cfg.channel.pass_profile
     per_source = []

@@ -14,6 +14,7 @@ sifted fraction so asymptotic and finite results are directly comparable.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -359,12 +360,20 @@ def simulate_block(
 # decoy bounds
 
 
+# The Y1 bound cancels terms of size ~e^mu down to about (mu_hi - mu_lo) Y1, so for close
+# intensities its rounding error can outgrow Y1. A bound whose rounding error exceeds this
+# share of it (a third of a double's digits) is refused.
+Y1_ROUNDING_TOLERANCE = sys.float_info.epsilon ** (1.0 / 3.0)
+Y1_LOST_IN_ROUNDING = "signal and decoy mu too close: the Y1 bound is lost in rounding error"
+
+
 @dataclass(frozen=True)
 class DecoyBounds:
     y1_lower: float
     e1_upper: Optional[float]
     y0_estimate: float
     degenerate: bool = False
+    reason: Optional[str] = None  # why a degenerate bound is degenerate, if Y1 is not simply 0
 
 
 def decoy_bounds(
@@ -390,19 +399,28 @@ def decoy_bounds(
         mu_hi, mu_lo, q_hi, q_lo, eq_lo = mu_b, mu_a, q_b, q_a, eq_a
     y0 = q_vacuum
     try:
-        exp_lo = math.exp(mu_lo)
-        y1 = (mu_hi / (mu_hi * mu_lo - mu_lo**2)) * (
+        exp_lo, exp_hi = math.exp(mu_lo), math.exp(mu_hi)
+        prefactor = mu_hi / (mu_hi * mu_lo - mu_lo**2)
+        y1 = prefactor * (
             q_lo * exp_lo
-            - q_hi * math.exp(mu_hi) * (mu_lo**2 / mu_hi**2)
+            - q_hi * exp_hi * (mu_lo**2 / mu_hi**2)
             - ((mu_hi**2 - mu_lo**2) / mu_hi**2) * y0
         )
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         y1 = math.nan
+    except ZeroDivisionError:  # mu_hi * mu_lo rounds to mu_lo**2
+        return DecoyBounds(0.0, None, y0, degenerate=True, reason=Y1_LOST_IN_ROUNDING)
     if not math.isfinite(y1):
         raise DomainError(f"no finite decoy bound for intensities {mu_lo} and {mu_hi}: it overflows a float")
     y1 = min(max(y1, 0.0), 1.0)
     if y1 * mu_lo <= 0.0:  # y1 = 0, or so small that y1 * mu_lo underflows
         return DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=y0, degenerate=True)
+    # The gains are probabilities known to about an ulp of 1 and each bracket term takes up
+    # to 8 roundings, so the bracket is known to 8 ulps of e^mu_lo + e^mu_hi + 2 (the y0
+    # term weighs up to 2); the prefactor carries that into y1.
+    rounding = prefactor * 8 * sys.float_info.epsilon * (exp_lo + exp_hi + 2.0)
+    if not rounding <= Y1_ROUNDING_TOLERANCE * y1:
+        return DecoyBounds(0.0, None, y0, degenerate=True, reason=Y1_LOST_IN_ROUNDING)
     e1 = (eq_lo * exp_lo - E0 * y0) / (y1 * mu_lo)
     e1 = min(max(e1, 0.0), 1.0)
     return DecoyBounds(y1_lower=y1, e1_upper=e1, y0_estimate=y0)
@@ -544,7 +562,7 @@ def key_length(
     if e_sig > 0.5:
         return _zero_key(stats, bounds, regime, "signal QBER above 0.5")
     if bounds.degenerate or bounds.e1_upper is None:
-        return _zero_key(stats, bounds, regime, "degenerate decoy bound (Y1 lower bound is 0)")
+        return _zero_key(stats, bounds, regime, bounds.reason or "degenerate decoy bound (Y1 lower bound is 0)")
     if bounds.e1_upper >= 0.5:
         return _zero_key(stats, bounds, regime, "single-photon error bound >= 0.5")
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from .errors import DomainError, OverlapUndefinedError
 
@@ -85,12 +86,9 @@ class ExtinctionSet:
     er_a: float
 
     def __post_init__(self):
-        for name, er in self.as_dict().items():
+        for f, er in zip(fields(self), self.values()):
             if not 0.0 <= er < 1.0:
-                raise DomainError(f"extinction ratio {name} must be in [0,1), got {er}")
-
-    def as_dict(self) -> dict:
-        return {"er_h": self.er_h, "er_v": self.er_v, "er_d": self.er_d, "er_a": self.er_a}
+                raise DomainError(f"extinction ratio {f.name} must be in [0,1), got {er}")
 
     def values(self) -> tuple:
         return (self.er_h, self.er_v, self.er_d, self.er_a)

@@ -12,8 +12,8 @@ from satqkd.config import (
     default_run_config,
     load_run_config,
     parse_run_config,
-    run_config_to_dict,
     save_run_config,
+    to_dict,
 )
 from satqkd.errors import ConfigError
 
@@ -34,7 +34,7 @@ def test_round_trip_is_semantically_identical(tmp_path):
     path = tmp_path / "cfg.yaml"
     save_run_config(cfg, path)
     reloaded = load_run_config(path)
-    assert run_config_to_dict(reloaded) == run_config_to_dict(cfg)
+    assert to_dict(reloaded) == to_dict(cfg)
 
 
 def test_unknown_key_rejected(tmp_path, config_path):
@@ -74,6 +74,26 @@ def test_pass_mode_config_synthesizes_profile(config_path):
     cfg = parse_run_config(data)
     assert cfg.channel.pass_profile is not None
     assert 4 * 60 <= cfg.channel.pass_profile.duration_s <= 12 * 60
+
+
+def pass_mode_data(config_path) -> dict:
+    data = yaml.safe_load(config_path.read_text())
+    data["channel"] = {"mode": "pass", "pass": {"max_elevation_deg": 60.0, "step_s": 2.0}}
+    return data
+
+
+def test_pass_mode_round_trip_lists_every_pass_field(tmp_path, config_path):
+    data = pass_mode_data(config_path)
+    cfg = parse_run_config(data)
+    path = tmp_path / "pass.yaml"
+    save_run_config(cfg, path)
+    reloaded = load_run_config(path)
+    assert reloaded == cfg and to_dict(reloaded) == to_dict(cfg)
+    assert to_dict(cfg)["channel"]["pass"] == {
+        "max_elevation_deg": 60.0, "orbit_altitude_m": 500e3, "min_elevation_deg": 10.0,
+        "step_s": 2.0, "zenith_atmospheric_db": 1.0, "receiver_diameter_m": 1.0,
+    }
+    np.testing.assert_array_equal(reloaded.channel.pass_profile.times_s, cfg.channel.pass_profile.times_s)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +232,65 @@ def test_cli_non_finite_yaml_number_is_config_error(capsys, config_path, tmp_pat
     assert report["error"] == "config" and key in report["message"]
 
 
+SOURCE = ["sources", 0]
+FWHMS = SOURCE + ["diode_profiles", 0, "pulse_fwhm_by_class_ps"]
+WHERE = "config.sources[0]"
+
+
+# (keys down to the value, bad value, text the error message must hold)
+WRONG_VALUES = [
+    (SOURCE + ["extinction", "er_h"], "abc", f"{WHERE}.extinction.er_h: expected a number"),
+    (SOURCE + ["extinction", "er_h"], False, f"{WHERE}.extinction.er_h: expected a number"),
+    (FWHMS + ["signal"], "x", f"{WHERE}.diode_profiles[0].pulse_fwhm_by_class_ps.signal: expected a number"),
+    (FWHMS + ["signal"], math.nan, f"{WHERE}.diode_profiles[0].pulse_fwhm_by_class_ps.signal: expected a finite"),
+    (FWHMS, 5, f"{WHERE}.diode_profiles[0].pulse_fwhm_by_class_ps: expected a mapping"),
+    (["e_misalignment"], "0.1", "config.e_misalignment: expected a number"),
+    (SOURCE + ["intensity_classes"], 5, f"{WHERE}.intensity_classes: expected a list"),
+    (["sources"], 5, "config.sources: expected a list"),
+    (SOURCE + ["intensity_classes", 0, "label"], ["a"], f"{WHERE}.intensity_classes[0].label: expected one of"),
+    (["channel", "pass", "csv_path"], 5, "config.channel.pass.csv_path: expected str"),
+    (["channel", "pass", "loss"], 1, "config.channel.pass: unknown keys ['loss']"),
+]
+
+
+@pytest.mark.parametrize("keys,value,message", WRONG_VALUES,
+                         ids=[f"{'.'.join(map(str, keys))}={value!r}" for keys, value, _ in WRONG_VALUES])
+def test_cli_wrong_yaml_value_is_config_error_naming_its_path(capsys, config_path, tmp_path, keys, value, message):
+    data = pass_mode_data(config_path)
+    *parents, last = keys
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    path = tmp_path / "wrong.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "keyrate", "--config", str(path), "--sweep", "40:40:1")
+    assert code == 2 and out == ""
+    assert message in json.loads(err)["message"]
+
+
+def test_cli_loss_override_drops_pass_block(capsys, config_path, tmp_path):
+    data = pass_mode_data(config_path)
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--loss-db", "30")
+    assert code == 0
+    assert json.loads(out)["config"]["channel"] == {
+        "mode": "fixed", "fixed_loss_db": 30.0, "excess_loss_db": 0.0, "background_click_prob": 0.0}
+
+
+def test_cli_pass_csv_error_is_file_format_error(capsys, config_path, tmp_path):
+    bad_csv = tmp_path / "pass.csv"
+    bad_csv.write_text("t,el\n0,10\n1,11\n")
+    data = yaml.safe_load(config_path.read_text())
+    data["channel"] = {"mode": "pass", "pass": {"csv_path": str(bad_csv)}}
+    path = tmp_path / "csv_pass.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "pass", "--config", str(path))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "file-format"
+
+
 YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
@@ -223,7 +302,7 @@ def test_libyaml_and_python_loaders_give_equal_run_config(monkeypatch):
         monkeypatch.setattr(config, "YAML_LOADER", loader)
         loaded.append(load_run_config(path))
     assert loaded[0] == loaded[1]
-    assert run_config_to_dict(loaded[0]) == run_config_to_dict(loaded[1])
+    assert to_dict(loaded[0]) == to_dict(loaded[1])
 
 
 @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda l: l.__name__)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from satqkd.channel import FixedLossModel, PassProfile, synthesize_pass
@@ -17,6 +17,7 @@ from satqkd.protocol import (
     SENT,
     SecurityParams,
     SiftedStats,
+    Y1_LOST_IN_ROUNDING,
     TallyTable,
     analytic_rates,
     analytic_tallies,
@@ -252,6 +253,53 @@ def test_decoy_bounds_sandwich_grid():
 def test_decoy_bounds_rejects_equal_intensities():
     with pytest.raises(DomainError):
         decoy_bounds(0.3, 0.3, 1e-4, 1e-4, 0.0, 0.0, 0.0)
+
+
+def source_with_mus(mu_signal, mu_decoy):
+    base = default_source()
+    mus = {IntensityLabel.SIGNAL: mu_signal, IntensityLabel.DECOY: mu_decoy, IntensityLabel.VACUUM: 0.0}
+    return replace(base, intensity_classes=tuple(replace(c, mu=mus[c.label]) for c in base.intensity_classes))
+
+
+@st.composite
+def mu_pairs(draw):
+    """Two intensities in [0.01, 1], either independent or 1e-16 to 1e-3 apart (relative), either order."""
+    mu_a = draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        mu_b = draw(st.floats(0.01, 1.0))
+    else:
+        mu_b = mu_a * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-16.0, -3.0)))
+    assume(mu_b != mu_a)
+    return mu_a, mu_b
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mus=mu_pairs(),
+    loss_db=st.floats(0.0, 70.0),
+    dark_prob=st.one_of(st.just(0.0), st.floats(1e-9, 1e-5)),
+    background=st.one_of(st.just(0.0), st.floats(1e-9, 1e-5)),
+    ed=st.floats(0.0, 0.1),
+)
+@example(mus=(0.30000000000000004, 0.3), loss_db=40.0, dark_prob=1e-7, background=0.0, ed=0.0079)
+def test_decoy_bounds_sound_on_analytic_route(mus, loss_db, dark_prob, background, ed):
+    """The bounds never pass the photon-number-resolved truth, for near-equal intensities too."""
+    det = DetectorModel(dark_prob=dark_prob)
+    b = decoy_bounds_from_rates(analytic_rates(source_with_mus(*mus), loss_db, det, ed, background))
+    eta = 10.0 ** (-loss_db / 10.0) * det.efficiency
+    y0 = 1.0 - (1.0 - dark_prob - background) ** 4
+    y1_true, e1_true = true_single_photon(eta, y0, ed)
+    assert b.y1_lower <= y1_true
+    if not b.degenerate:
+        assert b.e1_upper >= e1_true
+
+
+def test_near_equal_intensities_give_zero_key_with_own_reason(detector, e_det, security):
+    # one ulp apart: the bound came out at 2.9x the true Y1 and the key at ~0.9 kbps
+    source = source_with_mus(0.30000000000000004, 0.3)
+    result = key_from_fixed_loss(source, 40.0, detector, e_det, security, 300.0, "finite")
+    assert result.secret_key_length == 0.0 and result.bounds.y1_lower == 0.0
+    assert result.reason == Y1_LOST_IN_ROUNDING
 
 
 def test_decoy_bounds_from_rates_and_tally_agree(source, detector, e_det):
