@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, FileFormatError
+from .errors import DomainError, FileFormatError, open_or_raise
 
 
 def _validate_series(x: np.ndarray, y: np.ndarray, what: str):
@@ -196,7 +196,7 @@ def estimate_spectrum(
 
 def _load_two_column_csv(path, col_x: str, col_y: str) -> Tuple[np.ndarray, np.ndarray]:
     xs, ys = [], []
-    with open(path, newline="") as fh:
+    with open_or_raise(path, FileFormatError, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != [col_x, col_y]:

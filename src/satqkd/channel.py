@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FileFormatError
+from .errors import DomainError, FileFormatError, open_or_raise
 
 EARTH_RADIUS_M = 6371e3
 EARTH_MU_M3_S2 = 3.986004418e14  # standard gravitational parameter
@@ -198,7 +198,7 @@ def synthesize_pass(
 def load_pass_csv(path, loss_model: Callable[[float], float], min_elevation_deg: float = 10.0) -> PassProfile:
     """Read a (time_s, elevation_deg) two-column CSV into a PassProfile."""
     times, els = [], []
-    with open(path, newline="") as fh:
+    with open_or_raise(path, FileFormatError, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != ["time_s", "elevation_deg"]:

@@ -20,14 +20,7 @@ from .analysis import estimate_fwhm, estimate_spectrum, load_histogram_csv, load
 from .config import RunConfig, default_run_config, load_run_config, to_dict
 from .errors import ConfigError, DomainError, FileFormatError, SatQkdError
 from .optimizer import Axis, SearchSpace, optimize
-from .protocol import (
-    decoy_bounds_from_tally,
-    integrate_pass,
-    key_from_fixed_loss,
-    key_length,
-    simulate_block,
-    stats_from_tally,
-)
+from .protocol import integrate_pass, key_from_fixed_loss, key_from_tally, simulate_block
 from .source import distinguishability_report
 
 EXIT_CONFIG = 2
@@ -83,8 +76,7 @@ def cmd_simulate(args) -> dict:
             seed=cfg.seed + i, shards=cfg.shards, workers=args.workers,
             background_click_prob=cfg.channel.background_click_prob,
         )
-        bounds = decoy_bounds_from_tally(src, tally)
-        result = key_length(stats_from_tally(src, tally), bounds, cfg.security, args.regime)
+        result = key_from_tally(src, tally, cfg.security, args.regime)
         total_length += result.secret_key_length
         total_rate += result.secret_key_rate
         per_source.append(
@@ -110,20 +102,21 @@ def cmd_simulate(args) -> dict:
 def cmd_keyrate(args) -> dict:
     cfg = _load_config(args)
     lo, hi, step = args.sweep
-    losses, rates = [], []
+    losses = []
     loss = lo
     while loss <= hi + 1e-9:
-        total = 0.0
-        for src in cfg.sources:
-            r = key_from_fixed_loss(
-                src, loss + cfg.channel.excess_loss_db, cfg.detector, cfg.e_det(src),
-                cfg.security, duration_s=args.duration, regime=args.regime,
-                background_click_prob=cfg.channel.background_click_prob,
-            )
-            total += r.secret_key_rate
-        losses.append(round(loss, 12))
-        rates.append(total)
+        losses.append(loss)
         loss += step
+    total_losses = [loss + cfg.channel.excess_loss_db for loss in losses]
+    # one call per source over the whole sweep; the sum starts at 0 and adds the sources in order
+    rates = sum(
+        key_from_fixed_loss(
+            src, total_losses, cfg.detector, cfg.e_det(src), cfg.security, duration_s=args.duration,
+            regime=args.regime, background_click_prob=cfg.channel.background_click_prob,
+        ).secret_key_rate
+        for src in cfg.sources
+    ).tolist()
+    losses = [round(loss, 12) for loss in losses]
     _write_csv(args.out_dir, "keyrate_vs_loss.csv", ["loss_db", "key_rate_bps"], zip(losses, rates))
     return {
         "command": "keyrate",

@@ -21,7 +21,7 @@ from enum import Enum
 import yaml
 
 from .channel import ChannelConfig
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, open_or_raise
 from .receiver import DetectorModel
 from .protocol import SecurityParams
 from .source import (
@@ -223,7 +223,7 @@ YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path) as fh:
+    with open_or_raise(path, ConfigError) as fh:
         try:
             data = yaml.load(fh, Loader=YAML_LOADER)
         except yaml.YAMLError as exc:

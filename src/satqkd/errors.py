@@ -23,3 +23,11 @@ class DomainError(SatQkdError):
 
 class OverlapUndefinedError(DomainError):
     """A filtered spectral line has no transmitted power; overlap is undefined."""
+
+
+def open_or_raise(path, error: type, **kwargs):
+    """open(path, **kwargs) for reading; a file that cannot be opened raises error."""
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror}") from exc

@@ -7,15 +7,14 @@ bit-identical.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
 from .errors import DomainError
 from .protocol import DetectorModel, SecurityParams, key_from_fixed_loss
-from .source import IntensityClass, IntensityLabel, SourceConfig
+from .source import IntensityLabel, SourceConfig
 
 # parameters the grid may sweep, in tie-break priority order
 SWEEPABLE = ("mu_signal", "mu_decoy", "p_signal", "p_decoy", "basis_probability_z")
@@ -56,31 +55,6 @@ class OptimizeResult:
     table: List[dict]  # one row per evaluated grid point
 
 
-def _apply_params(base: SourceConfig, params: Dict[str, float]) -> Optional[SourceConfig]:
-    """Build a SourceConfig for one grid point; None if the combination is infeasible."""
-    mu_s = params.get("mu_signal", base.intensity(IntensityLabel.SIGNAL).mu)
-    mu_d = params.get("mu_decoy", base.intensity(IntensityLabel.DECOY).mu)
-    p_s = params.get("p_signal", base.intensity(IntensityLabel.SIGNAL).emit_probability)
-    p_d = params.get("p_decoy", base.intensity(IntensityLabel.DECOY).emit_probability)
-    pz = params.get("basis_probability_z", base.basis_probability_z)
-    p_v = 1.0 - p_s - p_d
-    if mu_s <= 0 or mu_d <= 0 or mu_s == mu_d:
-        return None
-    if p_s <= 0 or p_d <= 0 or p_v < 0:
-        return None
-    if not 0.0 < pz < 1.0:
-        return None
-    classes = []
-    for cls in base.intensity_classes:
-        if cls.label is IntensityLabel.SIGNAL:
-            classes.append(replace(cls, mu=mu_s, emit_probability=p_s))
-        elif cls.label is IntensityLabel.DECOY:
-            classes.append(replace(cls, mu=mu_d, emit_probability=p_d))
-        else:
-            classes.append(replace(cls, emit_probability=p_v))
-    return replace(base, intensity_classes=tuple(classes), basis_probability_z=pz)
-
-
 def optimize(
     space: SearchSpace,
     base_source: SourceConfig,
@@ -91,23 +65,39 @@ def optimize(
     regime: str = "asymptotic",
     duration_s: float = 1.0,
 ) -> OptimizeResult:
-    """Evaluate the full grid and return the argmax (first listed combination wins ties)."""
+    """Evaluate the full grid and return the argmax (first listed combination wins ties).
+
+    The feasible points are keyed in one key_from_fixed_loss call. A point is
+    infeasible when mu_signal or mu_decoy is <= 0, they are equal, p_signal
+    or p_decoy is <= 0, the vacuum share 1 - p_signal - p_decoy is < 0, or
+    basis_probability_z is outside (0, 1).
+    """
     names = [n for n in SWEEPABLE if n in space.axes]
-    grids = [space.axes[n].values() for n in names]
-    best: Optional[Tuple[Dict[str, float], float]] = None
-    table: List[dict] = []
-    for combo in itertools.product(*grids):
-        params = dict(zip(names, (float(v) for v in combo)))
-        source = _apply_params(base_source, params)
-        if source is None:
-            continue
-        result = key_from_fixed_loss(source, total_loss_db, det, e_det, sec, duration_s, regime)
-        row = dict(params)
-        row["key_length_bits"] = result.secret_key_length
-        row["key_rate_bps"] = result.secret_key_rate
-        table.append(row)
-        if best is None or result.secret_key_length > best[1]:
-            best = (params, result.secret_key_length)
-    if best is None:
+    # row-major over the axes in SWEEPABLE order: the order of itertools.product
+    grid = dict(zip(names, (g.ravel() for g in np.meshgrid(*(space.axes[n].values() for n in names),
+                                                           indexing="ij"))))
+    signal, decoy = base_source.intensity(IntensityLabel.SIGNAL), base_source.intensity(IntensityLabel.DECOY)
+    defaults = (signal.mu, decoy.mu, signal.emit_probability, decoy.emit_probability,
+                base_source.basis_probability_z)
+    mu_s, mu_d, p_s, p_d, pz = np.broadcast_arrays(*(grid.get(n, d) for n, d in zip(SWEEPABLE, defaults)))
+    p_v = 1.0 - p_s - p_d
+    infeasible = ((mu_s <= 0) | (mu_d <= 0) | (mu_s == mu_d) | (p_s <= 0) | (p_d <= 0) | (p_v < 0)
+                  | ~((0.0 < pz) & (pz < 1.0)))
+    feasible = ~infeasible
+    if not feasible.any():
         raise DomainError("search space contains no feasible grid point")
-    return OptimizeResult(best_params=best[0], best_key_length=best[1], table=table)
+    # (mu, emit probability) per class in source order; the vacuum class takes the rest
+    swept = {IntensityLabel.SIGNAL: (mu_s, p_s), IntensityLabel.DECOY: (mu_d, p_d)}
+    rows = [swept.get(c.label, (np.full(pz.shape, c.mu), p_v)) for c in base_source.intensity_classes]
+    mus, emit = (np.array(column)[:, feasible] for column in zip(*rows))
+    if (abs(emit.sum(axis=0) - 1.0) > 1e-9).any():  # only a source without a vacuum class can fail this
+        raise DomainError("emit probabilities of a feasible grid point must sum to 1")
+    result = key_from_fixed_loss(base_source, total_loss_db, det, e_det, sec, duration_s, regime,
+                                 mus=mus, emit=emit, p_z=pz[feasible])
+    lengths = result.secret_key_length.tolist()
+    columns = [grid[n][feasible].tolist() for n in names]
+    table = [dict(zip(names + ["key_length_bits", "key_rate_bps"], row))
+             for row in zip(*columns, lengths, result.secret_key_rate.tolist())]
+    best = int(np.argmax(result.secret_key_length))
+    return OptimizeResult(best_params={n: c[best] for n, c in zip(names, columns)},
+                          best_key_length=lengths[best], table=table)

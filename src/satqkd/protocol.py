@@ -17,7 +17,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -30,10 +30,45 @@ from .source import Basis, IntensityLabel, SourceConfig
 E0 = 0.5  # error rate of background/dark clicks (random bits)
 
 
-def binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+# The key kernel takes one point or a batch of points: a batch is a float64 array with one
+# entry per point, one point a numpy float64 scalar. Scalar arithmetic is as cheap as Python's
+# but, like an array's, gives inf or NaN where Python's would raise; and np.float64 is a
+# Python float, so a one-point result prints and compares as one.
+
+
+def _points(*values) -> list:
+    """The values as float64 of one broadcast shape: arrays for a batch, numpy scalars for one point."""
+    if any(isinstance(v, np.ndarray) and v.ndim for v in values):
+        return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    return [v if type(v) is np.float64 else np.float64(v) for v in values]  # None gives NaN
+
+
+def _where(cond, a, b):
+    """np.where, without its cost for one point."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _each(fn, x):
+    """fn of every element of x, in Python floats.
+
+    numpy's exp, log2 and ** may round differently from math's in the last
+    bit, so the kernel takes them element by element from math: every point
+    of a batch then gets exactly the numbers it gets on its own.
+    """
+    if not isinstance(x, np.ndarray):
+        return np.float64(fn(float(x)))
+    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def _any(mask) -> bool:
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def binary_entropy(x: ArrayLike):
+    outside = (x <= 0.0) | (x >= 1.0)  # NaN is inside: it gives NaN
+    x_in = _where(outside, 0.5, x)
+    h = -x_in * _each(math.log2, x_in) - (1.0 - x_in) * _each(math.log2, 1.0 - x_in)
+    return _where(outside, 0.0, h)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +103,16 @@ class TallyTable:
         """(class, count) array: the counts summed over the sender basis."""
         return self.counts.sum(axis=1)
 
+    def observed_rates(self) -> Tuple[list, list]:
+        """Observed per-class gains (detections per pulse sent) and error rates (errors per sifted detection)."""
+        gains, error_rates = [], []
+        for label, (sent, detected, sifted, errors) in zip(self.labels, self.by_class().tolist()):
+            if sent <= 0:
+                raise DomainError(f"no pulses sent in class {label.value}")
+            gains.append(detected / sent)
+            error_rates.append(errors / sifted if sifted > 0 else E0)
+        return gains, error_rates
+
     def validate(self):
         if not (np.diff(self.counts, axis=-1) <= 0).all():
             raise DomainError("inconsistent tally: every cell needs errors <= sifted <= detected <= sent")
@@ -94,15 +139,18 @@ class TallyTable:
 class AnalyticRates:
     """Closed-form per-class gain and error rate for a Poissonian WCP source.
 
-    For a 1-D array of segment losses, eta and every gain and error rate are
-    arrays with one entry per segment.
+    Row k of mus, gains and error_rates belongs to class labels[k] (source
+    order). For one point a row is a scalar; for a batch of points (losses,
+    intensities, or segments of a pass) it has one entry per point, and so
+    does eta when the losses do.
     """
 
-    gains: Dict[IntensityLabel, ArrayLike]  # Q_k
-    error_rates: Dict[IntensityLabel, ArrayLike]  # E_k
+    labels: Tuple[IntensityLabel, ...]
+    mus: np.ndarray  # (class[, point])
+    gains: np.ndarray  # Q_k: (class[, point])
+    error_rates: np.ndarray  # E_k: (class[, point])
     y0: float
-    eta: ArrayLike
-    mus: Dict[IntensityLabel, float]
+    eta: np.ndarray  # one per loss
 
 
 def _total_eta(source: SourceConfig, total_loss_db: float, det: DetectorModel) -> float:
@@ -123,13 +171,15 @@ def analytic_rates(
     det: DetectorModel,
     e_det: float,
     background_click_prob: float = 0.0,
+    mus: Optional[ArrayLike] = None,
 ) -> AnalyticRates:
     """Gain Q_k and error rate E_k per intensity class.
 
     Q_k = 1 - (1 - Y0) exp(-eta mu_k); E_k Q_k = e0 Y0 + e_det (1 - exp(-eta mu_k))
     with Y0 the probability any of the four gated detectors fires on darks
     or background. total_loss_db is a scalar, or a 1-D array with one loss
-    per segment of a pass.
+    per point. mus, if given, replaces the source's intensities: a (class,
+    point) array in source order that broadcasts against the losses.
     """
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
@@ -137,50 +187,54 @@ def analytic_rates(
     if losses.ndim > 1:
         raise DomainError("total_loss_db must be a scalar or a 1-D array")
     classes = source.intensity_classes
+    if mus is None:
+        mus = np.reshape([c.mu for c in classes], (len(classes),) + (1,) * losses.ndim)
+    mus = np.asarray(mus, dtype=float)
     y0 = 1.0 - (1.0 - _click_prob(det, background_click_prob)) ** N_DETECTORS
-
-    def gain_and_error(eta: float, mu: float) -> Tuple[float, float]:
-        decay = math.exp(-eta * mu)
-        q = 1.0 - (1.0 - y0) * decay
-        return q, (E0 * y0 + e_det * (1.0 - decay)) / q if q > 0 else E0
-
-    # in Python floats: numpy's exp and ** may round differently from math's in the last bit
-    etas = [_total_eta(source, loss, det) for loss in losses.reshape(-1).tolist()]
-    rates = np.array([[gain_and_error(eta, c.mu) for eta in etas] for c in classes])
-    rates = rates.reshape(len(classes), len(etas), 2).transpose(0, 2, 1)  # (class, Q/E, segment)
-    eta, rates = (np.array(etas), rates) if losses.ndim else (etas[0], rates[..., 0].tolist())
-    return AnalyticRates(gains={c.label: r[0] for c, r in zip(classes, rates)},
-                         error_rates={c.label: r[1] for c, r in zip(classes, rates)},
-                         y0=y0, eta=eta, mus={c.label: c.mu for c in classes})
+    eta = _each(lambda loss: _total_eta(source, loss, det), losses)
+    decay = _each(math.exp, -eta * mus)
+    gains = 1.0 - (1.0 - y0) * decay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error_rates = np.where(gains > 0, (E0 * y0 + e_det * (1.0 - decay)) / gains, E0)
+    return AnalyticRates(tuple(c.label for c in classes), mus, gains, error_rates, y0, eta)
 
 
-def sift_fraction(source: SourceConfig, det: DetectorModel) -> float:
-    """Probability sender and receiver pick the same basis."""
-    pz_s, pz_r = source.basis_probability_z, det.basis_probability_z
+def sift_fraction(source: SourceConfig, det: DetectorModel, basis_probability_z: Optional[ArrayLike] = None):
+    """Probability sender and receiver pick the same basis.
+
+    basis_probability_z, if given, replaces the sender's, one entry per point.
+    """
+    pz_s = source.basis_probability_z if basis_probability_z is None else basis_probability_z
+    pz_r = det.basis_probability_z
     return pz_s * pz_r + (1.0 - pz_s) * (1.0 - pz_r)
 
 
-def _expected_tally(source: SourceConfig, det: DetectorModel, rates: AnalyticRates,
-                    n_pulses: ArrayLike) -> TallyTable:
-    """Expected counts of the segments that rates and n_pulses describe, pooled."""
-    n = np.atleast_1d(np.asarray(n_pulses, dtype=float))
-    labels = tuple(c.label for c in source.intensity_classes)
-    gains, errs = (np.array([by_label[l] for l in labels]).reshape(len(labels), n.size).T[..., None]
-                   for by_label in (rates.gains, rates.error_rates))  # (segment, class, 1)
-    emit = np.array([c.emit_probability for c in source.intensity_classes])
-    p_basis = np.array([source.basis_probability_z, 1.0 - source.basis_probability_z])
+def _expected_counts(source: SourceConfig, det: DetectorModel, rates: AnalyticRates, n_pulses: ArrayLike,
+                     emit: Optional[ArrayLike] = None, p_z: Optional[ArrayLike] = None) -> np.ndarray:
+    """Expected (point, class, basis, count) counts of each point of rates; no point axis for one point.
+
+    n_pulses, the emit probabilities (a (class, point) array in source order)
+    and the sender's Z-basis probability (one per point) broadcast against
+    the points of rates; the last two default to the source's.
+    """
+    if emit is None:
+        emit = [c.emit_probability for c in source.intensity_classes]
+    p_z = np.asarray(source.basis_probability_z if p_z is None else p_z, dtype=float)
+
+    def per_class(rows: ArrayLike) -> np.ndarray:  # (class[, point]) -> ([point, ]class, 1)
+        return np.asarray(rows, dtype=float).T[..., None]
+
+    p_basis = np.array([p_z, 1.0 - p_z]).T[..., None, :]
+    sent = np.asarray(n_pulses, dtype=float)[..., None, None] * per_class(emit) * p_basis
+    sift = np.asarray(sift_fraction(source, det, p_z))[..., None, None]
+    gains, error_rates = per_class(rates.gains), per_class(rates.error_rates)
     # each count is the one before it times a factor: sent Q_k, then the sift fraction, then E_k
-    factors = np.empty((n.size, len(labels), len(BASES), len(COUNTS)))
-    factors[..., SENT] = n[:, None, None] * emit[:, None] * p_basis
+    factors = np.empty(np.broadcast_shapes(sent.shape, gains.shape, sift.shape) + (len(COUNTS),))
+    factors[..., SENT] = sent
     factors[..., DETECTED] = gains
-    factors[..., SIFTED] = sift_fraction(source, det)
-    factors[..., ERRORS] = errs
-    # the axis-0 sum of a 2-D or larger array adds the segments one by one, in order
-    counts = np.cumprod(factors, axis=-1).sum(axis=0)
-    total_pulses = elapsed_s = 0.0
-    for k in n.tolist():  # in segment order too
-        total_pulses, elapsed_s = total_pulses + k, elapsed_s + k / source.repetition_rate_hz
-    return TallyTable(labels, counts, total_pulses, elapsed_s)
+    factors[..., SIFTED] = sift
+    factors[..., ERRORS] = error_rates
+    return np.cumprod(factors, axis=-1)
 
 
 def analytic_tallies(
@@ -199,7 +253,13 @@ def analytic_tallies(
     if np.shape(total_loss_db) != np.shape(n_pulses):
         raise DomainError("total_loss_db and n_pulses must be scalars or 1-D arrays of equal length")
     rates = analytic_rates(source, total_loss_db, det, e_det, background_click_prob)
-    return _expected_tally(source, det, rates, n_pulses)
+    counts = _expected_counts(source, det, rates, n_pulses)
+    if counts.ndim > 3:  # the axis-0 sum of a 2-D or larger array adds the segments one by one, in order
+        counts = counts.sum(axis=0)
+    total_pulses = elapsed_s = 0.0
+    for k in np.atleast_1d(np.asarray(n_pulses, dtype=float)).tolist():  # in segment order too
+        total_pulses, elapsed_s = total_pulses + k, elapsed_s + k / source.repetition_rate_hz
+    return TallyTable(rates.labels, counts, total_pulses, elapsed_s)
 
 
 # ---------------------------------------------------------------------------
@@ -365,98 +425,95 @@ def simulate_block(
 # share of it (a third of a double's digits) is refused.
 Y1_ROUNDING_TOLERANCE = sys.float_info.epsilon ** (1.0 / 3.0)
 Y1_LOST_IN_ROUNDING = "signal and decoy mu too close: the Y1 bound is lost in rounding error"
+Y1_ZERO = "degenerate decoy bound (Y1 lower bound is 0)"
+MAX_EXP_ARG = math.log(sys.float_info.max)  # the largest x whose math.exp(x) does not overflow
+
+
+def _square(x: float) -> float:
+    return x**2  # Python's pow, which may round x * x differently
 
 
 @dataclass(frozen=True)
 class DecoyBounds:
-    y1_lower: float
-    e1_upper: Optional[float]
-    y0_estimate: float
-    degenerate: bool = False
-    reason: Optional[str] = None  # why a degenerate bound is degenerate, if Y1 is not simply 0
+    """Bounds on the single-photon yield and error rate.
+
+    Each field is a scalar for one point and an array for a batch of
+    points. e1_upper is None where the bound is degenerate.
+    """
+
+    y1_lower: ArrayLike
+    e1_upper: Optional[ArrayLike]
+    y0_estimate: ArrayLike
+    degenerate: ArrayLike = False
+    reason: Optional[ArrayLike] = None  # why a degenerate bound is degenerate; None reads as Y1_ZERO
 
 
 def decoy_bounds(
-    mu_a: float,
-    mu_b: float,
-    q_a: float,
-    q_b: float,
-    q_vacuum: float,
-    eq_a: float,
-    eq_b: float,
+    mu_a: ArrayLike,
+    mu_b: ArrayLike,
+    q_a: ArrayLike,
+    q_b: ArrayLike,
+    q_vacuum: ArrayLike,
+    eq_a: ArrayLike,
+    eq_b: ArrayLike,
 ) -> DecoyBounds:
     """Standard 2-decoy (signal + decoy + vacuum) bounds on Y1 and e1.
 
     Takes the two non-vacuum intensities in either order (the labeling
     convention of which class is brighter does not matter), their gains Q,
-    the vacuum gain, and the error-gain products E*Q.
+    the vacuum gain, and the error-gain products E*Q. Each is a scalar or an
+    array with one entry per point; they broadcast, and each point is
+    bounded on its own.
     """
-    if mu_a <= 0 or mu_b <= 0 or mu_a == mu_b:
+    mu_a, mu_b, q_a, q_b, y0, eq_a, eq_b = _points(mu_a, mu_b, q_a, q_b, q_vacuum, eq_a, eq_b)
+    if _any((mu_a <= 0) | (mu_b <= 0) | (mu_a == mu_b)):
         raise DomainError("need two distinct positive non-vacuum intensities")
-    if mu_a > mu_b:
-        mu_hi, mu_lo, q_hi, q_lo, eq_lo = mu_a, mu_b, q_a, q_b, eq_b
-    else:
-        mu_hi, mu_lo, q_hi, q_lo, eq_lo = mu_b, mu_a, q_b, q_a, eq_a
-    y0 = q_vacuum
-    try:
-        exp_lo, exp_hi = math.exp(mu_lo), math.exp(mu_hi)
-        prefactor = mu_hi / (mu_hi * mu_lo - mu_lo**2)
-        y1 = prefactor * (
-            q_lo * exp_lo
-            - q_hi * exp_hi * (mu_lo**2 / mu_hi**2)
-            - ((mu_hi**2 - mu_lo**2) / mu_hi**2) * y0
-        )
-    except OverflowError:
-        y1 = math.nan
-    except ZeroDivisionError:  # mu_hi * mu_lo rounds to mu_lo**2
-        return DecoyBounds(0.0, None, y0, degenerate=True, reason=Y1_LOST_IN_ROUNDING)
-    if not math.isfinite(y1):
-        raise DomainError(f"no finite decoy bound for intensities {mu_lo} and {mu_hi}: it overflows a float")
-    y1 = min(max(y1, 0.0), 1.0)
-    if y1 * mu_lo <= 0.0:  # y1 = 0, or so small that y1 * mu_lo underflows
-        return DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=y0, degenerate=True)
-    # The gains are probabilities known to about an ulp of 1 and each bracket term takes up
-    # to 8 roundings, so the bracket is known to 8 ulps of e^mu_lo + e^mu_hi + 2 (the y0
-    # term weighs up to 2); the prefactor carries that into y1.
-    rounding = prefactor * 8 * sys.float_info.epsilon * (exp_lo + exp_hi + 2.0)
-    if not rounding <= Y1_ROUNDING_TOLERANCE * y1:
-        return DecoyBounds(0.0, None, y0, degenerate=True, reason=Y1_LOST_IN_ROUNDING)
-    e1 = (eq_lo * exp_lo - E0 * y0) / (y1 * mu_lo)
-    e1 = min(max(e1, 0.0), 1.0)
-    return DecoyBounds(y1_lower=y1, e1_upper=e1, y0_estimate=y0)
+    a_hi = mu_a > mu_b
+    mu_hi, mu_lo, q_hi, q_lo, eq_lo = (_where(a_hi, x, y) for x, y in
+                                       ((mu_a, mu_b), (mu_b, mu_a), (q_a, q_b), (q_b, q_a), (eq_b, eq_a)))
+    overflow = mu_hi > MAX_EXP_ARG  # math.exp overflows past it, and the square may: neither is taken there
+    lo, hi = _where(overflow, 0.0, mu_lo), _where(overflow, 0.0, mu_hi)
+    exp_lo, exp_hi, lo2, hi2 = _each(math.exp, lo), _each(math.exp, hi), _each(_square, lo), _each(_square, hi)
+    with np.errstate(all="ignore"):
+        denominator = mu_hi * mu_lo - lo2
+        prefactor = mu_hi / denominator
+        y1 = prefactor * (q_lo * exp_lo - q_hi * exp_hi * (lo2 / hi2) - ((hi2 - lo2) / hi2) * y0)
+        lost = (denominator == 0.0) | (hi2 == 0.0)  # mu_hi * mu_lo rounds to mu_lo**2
+        unbounded = overflow | ~(lost | np.isfinite(y1))
+        if _any(unbounded):
+            k = int(np.argmax(np.ravel(unbounded)))
+            raise DomainError(f"no finite decoy bound for intensities {np.ravel(mu_lo)[k]} and "
+                              f"{np.ravel(mu_hi)[k]}: it overflows a float")
+        y1 = _where(y1 < 0.0, 0.0, y1)  # max(y1, 0.0), then min(y1, 1.0), as Python's max and min
+        y1 = _where(1.0 < y1, 1.0, y1)
+        zero = y1 * mu_lo <= 0.0  # y1 = 0, or so small that y1 * mu_lo underflows
+        # The gains are probabilities known to about an ulp of 1 and each bracket term takes up
+        # to 8 roundings, so the bracket is known to 8 ulps of e^mu_lo + e^mu_hi + 2 (the y0
+        # term weighs up to 2); the prefactor carries that into y1.
+        rounding = prefactor * 8 * sys.float_info.epsilon * (exp_lo + exp_hi + 2.0)
+        lost = lost | ~(zero | (rounding <= Y1_ROUNDING_TOLERANCE * y1))
+        degenerate = lost | zero
+        e1 = (eq_lo * exp_lo - E0 * y0) / (y1 * mu_lo)
+    e1 = _where(e1 < 0.0, 0.0, e1)
+    e1 = _where(1.0 < e1, 1.0, e1)
+    return DecoyBounds(_where(degenerate, 0.0, y1), _where(degenerate, None, e1), y0, degenerate,
+                       _where(lost, Y1_LOST_IN_ROUNDING, _where(zero, Y1_ZERO, None)))
 
 
-def decoy_bounds_from_rates(rates: AnalyticRates) -> DecoyBounds:
-    labels = [l for l in rates.mus if l is not IntensityLabel.VACUUM]
-    if len(labels) != 2:
+def decoy_bounds_from_classes(labels: Tuple[IntensityLabel, ...], mus: ArrayLike, gains: ArrayLike,
+                              error_rates: ArrayLike, y0: float = 0.0) -> DecoyBounds:
+    """2-decoy bounds from per-class rows in source order: intensity mu, gain Q and error rate E.
+
+    Row k belongs to class labels[k]; each row is a scalar or has one entry
+    per point. A source without a vacuum class takes y0 as its vacuum gain.
+    """
+    non_vacuum = [k for k, l in enumerate(labels) if l is not IntensityLabel.VACUUM]
+    if len(non_vacuum) != 2:
         raise DomainError("need exactly two non-vacuum intensity classes")
-    a, b = labels
-    return decoy_bounds(
-        mu_a=rates.mus[a],
-        mu_b=rates.mus[b],
-        q_a=rates.gains[a],
-        q_b=rates.gains[b],
-        q_vacuum=rates.gains.get(IntensityLabel.VACUUM, rates.y0),
-        eq_a=rates.error_rates[a] * rates.gains[a],
-        eq_b=rates.error_rates[b] * rates.gains[b],
-    )
-
-
-def decoy_bounds_from_tally(source: SourceConfig, tally: TallyTable) -> DecoyBounds:
-    """Bounds from observed counts; gains from raw detections, errors from sifted."""
-    by_class = dict(zip(tally.labels, tally.by_class().tolist()))
-    vals = {}
-    for cls in source.intensity_classes:
-        sent, detected, sifted, errors = by_class.get(cls.label, (0.0,) * len(COUNTS))
-        if sent <= 0:
-            raise DomainError(f"no pulses sent in class {cls.label.value}")
-        vals[cls.label] = (cls.mu, detected / sent, errors / sifted if sifted > 0 else E0)
-    non_vac = [v for l, v in vals.items() if l is not IntensityLabel.VACUUM]
-    if len(non_vac) != 2:
-        raise DomainError("need exactly two non-vacuum intensity classes")
-    (mu_a, q_a, e_a), (mu_b, q_b, e_b) = non_vac
-    q_vac = vals[IntensityLabel.VACUUM][1] if IntensityLabel.VACUUM in vals else 0.0
-    return decoy_bounds(mu_a, mu_b, q_a, q_b, q_vac, e_a * q_a, e_b * q_b)
+    a, b = non_vacuum
+    q_vacuum = gains[labels.index(IntensityLabel.VACUUM)] if IntensityLabel.VACUUM in labels else y0
+    return decoy_bounds(mus[a], mus[b], gains[a], gains[b], q_vacuum,
+                        error_rates[a] * gains[a], error_rates[b] * gains[b])
 
 
 # ---------------------------------------------------------------------------
@@ -478,29 +535,27 @@ class SecurityParams:
 
 @dataclass(frozen=True)
 class SiftedStats:
-    """Signal-class statistics feeding the key formula."""
+    """Signal-class statistics feeding the key formula; scalars, or arrays with one entry per point."""
 
-    n_signal: float  # sifted signal detections
-    errors_signal: float
-    detected_signal: float  # all signal detections (before sifting)
-    sent_signal: float  # signal pulses sent
-    mu_signal: float
-    elapsed_s: float
-
-    @property
-    def qber(self) -> float:
-        return self.errors_signal / self.n_signal if self.n_signal > 0 else E0
+    n_signal: ArrayLike  # sifted signal detections
+    errors_signal: ArrayLike
+    detected_signal: ArrayLike  # all signal detections (before sifting)
+    sent_signal: ArrayLike  # signal pulses sent
+    mu_signal: ArrayLike
+    elapsed_s: ArrayLike
 
 
 @dataclass(frozen=True)
 class KeyResult:
-    sifted_bits: float
-    qber_signal: float
+    """Key of one point (scalar fields) or of a batch of points (array fields)."""
+
+    sifted_bits: ArrayLike
+    qber_signal: ArrayLike
     bounds: DecoyBounds
-    secret_key_length: float
-    secret_key_rate: float
+    secret_key_length: ArrayLike
+    secret_key_rate: ArrayLike
     regime: str
-    reason: Optional[str] = None
+    reason: Optional[ArrayLike] = None
 
     def to_dict(self) -> dict:
         return {
@@ -516,28 +571,12 @@ class KeyResult:
         }
 
 
-def stats_from_tally(source: SourceConfig, tally: TallyTable) -> SiftedStats:
-    sent, detected, sifted, errors = tally.by_class()[tally.labels.index(IntensityLabel.SIGNAL)].tolist()
-    return SiftedStats(
-        n_signal=sifted,
-        errors_signal=errors,
-        detected_signal=detected,
-        sent_signal=sent,
-        mu_signal=source.intensity(IntensityLabel.SIGNAL).mu,
-        elapsed_s=tally.elapsed_s,
-    )
-
-
-def _zero_key(stats: SiftedStats, bounds: DecoyBounds, regime: str, reason: str) -> KeyResult:
-    return KeyResult(
-        sifted_bits=stats.n_signal,
-        qber_signal=stats.qber,
-        bounds=bounds,
-        secret_key_length=0.0,
-        secret_key_rate=0.0,
-        regime=regime,
-        reason=reason,
-    )
+def _signal_stats(labels: Tuple[IntensityLabel, ...], counts: np.ndarray, mu_signal: ArrayLike,
+                  elapsed_s: ArrayLike) -> SiftedStats:
+    """Signal statistics of (point, class, basis, count) counts; no point axis for one point."""
+    by_count = counts[..., labels.index(IntensityLabel.SIGNAL), :, :].sum(axis=-2)
+    sent, detected, sifted, errors = by_count.T
+    return SiftedStats(sifted, errors, detected, sent, mu_signal, elapsed_s)
 
 
 def key_length(
@@ -553,56 +592,58 @@ def key_length(
     deviations (eps budget split equally across the two deviations) shrink
     the single-photon count and inflate its error bound, then fixed
     secrecy/correctness penalties are subtracted.
+
+    Every field of stats and bounds is a scalar or an array with one entry
+    per point; they broadcast, each point is keyed on its own, and the
+    result then holds arrays. A key length or rate that is not finite
+    raises DomainError.
     """
     if regime not in ("asymptotic", "finite"):
         raise DomainError(f"unknown regime {regime!r}")
-    if stats.n_signal < 1:
-        return _zero_key(stats, bounds, regime, "no sifted signal detections")
-    e_sig = stats.qber
-    if e_sig > 0.5:
-        return _zero_key(stats, bounds, regime, "signal QBER above 0.5")
-    if bounds.degenerate or bounds.e1_upper is None:
-        return _zero_key(stats, bounds, regime, bounds.reason or "degenerate decoy bound (Y1 lower bound is 0)")
-    if bounds.e1_upper >= 0.5:
-        return _zero_key(stats, bounds, regime, "single-photon error bound >= 0.5")
-
-    q_sig = stats.detected_signal / stats.sent_signal if stats.sent_signal > 0 else 0.0
-    if q_sig <= 0:
-        return _zero_key(stats, bounds, regime, "zero signal gain")
-    mu = stats.mu_signal
-    p1_yield = mu * math.exp(-mu) * bounds.y1_lower
-    # expected sifted single-photon count, scaled by the observed sifted fraction
-    s1 = stats.n_signal * p1_yield / q_sig
-    ec_cost = sec.f_ec * stats.n_signal * binary_entropy(e_sig)
-
-    if regime == "asymptotic":
-        length = s1 * (1.0 - binary_entropy(bounds.e1_upper)) - ec_cost
-    else:
-        eps_h = sec.eps_secrecy / 2.0  # equal split across the two deviations
-        dev = math.sqrt(stats.n_signal * math.log(1.0 / eps_h) / 2.0)
-        s1_minus = s1 - dev
-        if s1_minus <= 0:
-            return _zero_key(stats, bounds, regime, "single-photon count consumed by finite-size deviation")
-        phi1 = bounds.e1_upper + math.sqrt(math.log(1.0 / eps_h) / (2.0 * s1_minus))
-        if phi1 >= 0.5:
-            return _zero_key(stats, bounds, regime, "single-photon phase error bound >= 0.5")
-        length = (
-            s1_minus * (1.0 - binary_entropy(phi1))
-            - ec_cost
-            - 6.0 * math.log2(21.0 / sec.eps_secrecy)
-            - math.log2(2.0 / sec.eps_correctness)
-        )
-    length = max(length, 0.0)
-    rate = length / stats.elapsed_s if stats.elapsed_s > 0 else 0.0
-    return KeyResult(
-        sifted_bits=stats.n_signal,
-        qber_signal=e_sig,
-        bounds=bounds,
-        secret_key_length=length,
-        secret_key_rate=rate,
-        regime=regime,
-        reason=None if length > 0 else "negative key length clamped to 0",
-    )
+    n, errors, detected, sent, mu, elapsed, y1, e1, degenerate = _points(
+        stats.n_signal, stats.errors_signal, stats.detected_signal, stats.sent_signal, stats.mu_signal,
+        stats.elapsed_s, bounds.y1_lower, bounds.e1_upper, bounds.degenerate)  # e1_upper None: NaN
+    with np.errstate(all="ignore"):  # the points that make no key may divide by zero
+        e_sig = _where(n > 0, errors / n, E0)
+        q_sig = _where(sent > 0, detected / sent, 0.0)
+        # expected sifted single-photon count, scaled by the observed sifted fraction
+        s1 = n * (mu * _each(math.exp, -mu) * y1) / q_sig
+        ec_cost = sec.f_ec * n * binary_entropy(e_sig)
+        # the first of these that holds makes a point's key zero, with its reason
+        zero_keys = [
+            (n < 1, "no sifted signal detections"),
+            (e_sig > 0.5, "signal QBER above 0.5"),
+            # e1 != e1 holds for NaN, which is what an e1_upper of None reads as
+            ((degenerate != 0) | (e1 != e1), Y1_ZERO if bounds.reason is None else bounds.reason),
+            (e1 >= 0.5, "single-photon error bound >= 0.5"),
+            (q_sig <= 0, "zero signal gain"),
+        ]
+        if regime == "asymptotic":
+            length = s1 * (1.0 - binary_entropy(e1)) - ec_cost
+        else:
+            log_term = math.log(1.0 / (sec.eps_secrecy / 2.0))  # eps split equally across the two deviations
+            s1_minus = s1 - np.sqrt(n * log_term / 2.0)
+            phi1 = e1 + np.sqrt(log_term / (2.0 * s1_minus))
+            zero_keys += [
+                (s1_minus <= 0, "single-photon count consumed by finite-size deviation"),
+                (phi1 >= 0.5, "single-photon phase error bound >= 0.5"),
+            ]
+            length = (
+                s1_minus * (1.0 - binary_entropy(phi1))
+                - ec_cost
+                - 6.0 * math.log2(21.0 / sec.eps_secrecy)
+                - math.log2(2.0 / sec.eps_correctness)
+            )
+        zero, reason = False, None
+        for holds, why in reversed(zero_keys):  # so the first that holds writes its reason last
+            zero, reason = zero | holds, _where(holds, why, reason)
+        length = _where(zero | (length < 0.0), 0.0, length)  # max(length, 0.0), as Python's max
+        rate = _where(elapsed > 0, length / elapsed, 0.0)
+        if _any(length * 0.0 + rate * 0.0 != 0.0):  # x * 0.0 is 0 for a finite x, NaN for inf or NaN
+            raise DomainError("secret key length or rate is not finite: "
+                              "the statistics or bounds hold a NaN or an infinity")
+    reason = _where(zero, reason, _where(length > 0, None, "negative key length clamped to 0"))
+    return KeyResult(n, e_sig, bounds, length, rate, regime, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -611,33 +652,63 @@ def key_length(
 
 def key_from_fixed_loss(
     source: SourceConfig,
-    total_loss_db: float,
+    total_loss_db: ArrayLike,
     det: DetectorModel,
     e_det: float,
     sec: SecurityParams,
     duration_s: float,
     regime: str = "asymptotic",
     background_click_prob: float = 0.0,
+    mus: Optional[ArrayLike] = None,
+    emit: Optional[ArrayLike] = None,
+    p_z: Optional[ArrayLike] = None,
 ) -> KeyResult:
-    """Analytic end-to-end key result at a fixed channel loss."""
-    rates = analytic_rates(source, total_loss_db, det, e_det, background_click_prob)
-    tally = _expected_tally(source, det, rates, duration_s * source.repetition_rate_hz)
-    return key_length(stats_from_tally(source, tally), decoy_bounds_from_rates(rates), sec, regime)
+    """Analytic end-to-end key result at a fixed channel loss, for one point or a batch.
+
+    total_loss_db is a scalar or a 1-D array with one loss per point. mus and
+    emit, (class, point) arrays in source order, and p_z, one per point,
+    replace the source's intensities, emit probabilities and sender Z-basis
+    probability point by point. Every point is keyed on its own and gets the
+    numbers it gets alone; a batch gives a KeyResult of arrays.
+    """
+    rates = analytic_rates(source, total_loss_db, det, e_det, background_click_prob, mus)
+    n_pulses = duration_s * source.repetition_rate_hz
+    counts = _expected_counts(source, det, rates, n_pulses, emit, p_z)
+    mu_signal = rates.mus[rates.labels.index(IntensityLabel.SIGNAL)]
+    stats = _signal_stats(rates.labels, counts, mu_signal, n_pulses / source.repetition_rate_hz)
+    bounds = decoy_bounds_from_classes(rates.labels, rates.mus, rates.gains, rates.error_rates, rates.y0)
+    return key_length(stats, bounds, sec, regime)
+
+
+def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams, regime: str) -> KeyResult:
+    """Key of a pooled tally; its bounds take the observed gains (all detections) and error rates (sifted)."""
+    mus = [source.intensity(label).mu for label in tally.labels]
+    bounds = decoy_bounds_from_classes(tally.labels, mus, *tally.observed_rates())
+    stats = _signal_stats(tally.labels, tally.counts, source.intensity(IntensityLabel.SIGNAL).mu, tally.elapsed_s)
+    return key_length(stats, bounds, sec, regime)
 
 
 def _pass_segments(profile: PassProfile, step_s: float, excess_loss_db: float, rate_hz: float):
-    """(loss dB, pulses sent) of each step of the pass above the minimum elevation."""
-    t0, t1 = (profile.times_s[0], profile.times_s[-1]) if len(profile.times_s) else (0.0, 0.0)
-    losses, pulses = [], []
+    """(loss dB, pulses sent) of each step of the pass above the minimum elevation.
+
+    The steps are walked one by one; their midpoints are interpolated in one call.
+    """
+    ts = profile.times_s
+    t0, t1 = (ts[0], ts[-1]) if len(ts) else (0.0, 0.0)
+    mids, steps = [], []
     t = t0
     while t < t1:
         dt = min(step_s, t1 - t)
-        el = profile.elevation_at(t + dt / 2.0)
-        if el is not None and el >= profile.min_elevation_deg:
-            losses.append(profile.loss_model(el) + excess_loss_db)
-            pulses.append(rate_hz * dt)
+        mids.append(t + dt / 2.0)
+        steps.append(dt)
         t += dt
-    return losses, pulses
+    if not mids:
+        return [], []
+    mids = np.array(mids)
+    elevations = np.interp(mids, ts, profile.elevations_deg)
+    keep = elevations >= profile.min_elevation_deg  # every midpoint lies in [t0, t1]
+    losses = [profile.loss_model(el) + excess_loss_db for el in elevations[keep].tolist()]
+    return losses, [rate_hz * dt for dt in np.array(steps)[keep].tolist()]
 
 
 def integrate_pass(
@@ -671,10 +742,9 @@ def integrate_pass(
         if sum(counts):
             pooled = simulate_block(source, losses, det, e_det, counts, seed=seed,
                                     background_click_prob=background_click_prob)
-    stats = stats_from_tally(source, pooled)
     if pooled.total_pulses <= 0:
         empty = DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=0.0, degenerate=True)
         reason = ("no whole pulse sent above the minimum elevation" if losses
                   else "pass never rises above the minimum elevation")
-        return _zero_key(stats, empty, regime, reason), pooled
-    return key_length(stats, decoy_bounds_from_tally(source, pooled), sec, regime), pooled
+        return KeyResult(0.0, E0, empty, 0.0, 0.0, regime, reason), pooled
+    return key_from_tally(source, pooled, sec, regime), pooled

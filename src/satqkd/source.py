@@ -72,8 +72,8 @@ class IntensityClass:
             raise DomainError("vacuum class must have mu = 0")
         if not 0.0 <= self.emit_probability <= 1.0:
             raise DomainError(f"emit_probability must be in [0,1], got {self.emit_probability}")
-        if self.label is not IntensityLabel.VACUUM and self.pulse_fwhm_ps <= 0:
-            raise DomainError(f"{self.label.value} class needs pulse_fwhm_ps > 0")
+        if self.label is not IntensityLabel.VACUUM and not 0.0 < self.pulse_fwhm_ps < math.inf:
+            raise DomainError(f"{self.label.value} class needs pulse_fwhm_ps finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ class FilterSpec:
     shape: str = "rectangular"  # or "gaussian"
 
     def __post_init__(self):
-        if self.fwhm_nm <= 0:
-            raise DomainError("filter fwhm_nm must be > 0")
+        if not 0.0 < self.center_nm < math.inf or not 0.0 < self.fwhm_nm < math.inf:
+            raise DomainError("filter center_nm and fwhm_nm must be finite and > 0")
         if self.shape not in ("rectangular", "gaussian"):
             raise DomainError(f"unknown filter shape {self.shape!r}")
 
@@ -124,11 +124,11 @@ class DiodeProfile:
     pulse_fwhm_by_class_ps: Mapping[IntensityLabel, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.spectral_fwhm_nm <= 0:
-            raise DomainError("spectral_fwhm_nm must be > 0")
+        if not 0.0 < self.center_wavelength_nm < math.inf or not 0.0 < self.spectral_fwhm_nm < math.inf:
+            raise DomainError("center_wavelength_nm and spectral_fwhm_nm must be finite and > 0")
         for label, fwhm in self.pulse_fwhm_by_class_ps.items():
-            if label is not IntensityLabel.VACUUM and fwhm <= 0:
-                raise DomainError(f"pulse FWHM for {label.value} must be > 0")
+            if label is not IntensityLabel.VACUUM and not 0.0 < fwhm < math.inf:
+                raise DomainError(f"pulse FWHM for {label.value} must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def test_acceptance_3_monte_carlo_vs_analytic(report):
     rates = analytic_rates(src, 30.0, det, E_DET)
     ok = elapsed < 60.0
     for label, (sent, detected, sifted, errors) in zip(tally.labels, tally.by_class().tolist()):
-        q, e = rates.gains[label], rates.error_rates[label]
+        q, e = rates.gains[rates.labels.index(label)], rates.error_rates[rates.labels.index(label)]
         # 5-sigma binomial windows on raw detections and on errors given sifted
         ok &= abs(detected - sent * q) <= 5.0 * math.sqrt(sent * q * (1 - q))
         ok &= abs(errors - sifted * e) <= 5.0 * math.sqrt(max(sifted * e * (1 - e), 0.0)) + 1e-9

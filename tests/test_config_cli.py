@@ -348,3 +348,26 @@ def test_cli_sampled_qber_above_half_is_a_zero_key(capsys, tmp_path):
     keys = [s["key"] for s in json.loads(out)["sources"]]
     assert keys[0]["qber_signal"] > 0.5 and keys[0]["reason"] == "signal QBER above 0.5"
     assert all(k["secret_key_length_bits"] == k["secret_key_rate_bps"] == 0.0 for k in keys)
+
+
+def test_cli_missing_config_file_is_config_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "missing.yaml"))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "config" and "cannot read" in json.loads(err)["message"]
+
+
+def test_cli_missing_pass_csv_is_file_format_error(capsys, config_path, tmp_path):
+    data = yaml.safe_load(config_path.read_text())
+    data["channel"] = {"mode": "pass", "pass": {"csv_path": str(tmp_path / "missing.csv")}}
+    path = tmp_path / "missing_csv_pass.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "pass", "--config", str(path))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "file-format" and "cannot read" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze-histogram", "analyze-spectrum"])
+def test_cli_missing_analysis_file_is_file_format_error(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, command, str(tmp_path / "missing.csv"))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "file-format" and "cannot read" in json.loads(err)["message"]

@@ -1,8 +1,12 @@
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from satqkd.errors import DomainError
-from satqkd.optimizer import Axis, SearchSpace, optimize
+from satqkd.optimizer import SWEEPABLE, Axis, SearchSpace, optimize
 from satqkd.protocol import key_from_fixed_loss
+from satqkd.source import IntensityLabel
 
 
 def run(space, source, detector, e_det, security, loss=40.0):
@@ -62,3 +66,64 @@ def test_basis_bias_axis_supported(source, detector, e_det, security):
     space = SearchSpace(axes={"basis_probability_z": Axis(0.3, 0.7, 5)})
     result = run(space, source, detector, e_det, security)
     assert len(result.table) == 5
+
+
+def reference_grid(space, base, loss, detector, e_det, security, regime="asymptotic", duration_s=1.0):
+    """The grid as one one-point key per feasible combination, in itertools.product order."""
+    names = [n for n in SWEEPABLE if n in space.axes]
+    signal, decoy = base.intensity(IntensityLabel.SIGNAL), base.intensity(IntensityLabel.DECOY)
+    defaults = dict(zip(SWEEPABLE, (signal.mu, decoy.mu, signal.emit_probability, decoy.emit_probability,
+                                    base.basis_probability_z)))
+    rows = []
+    for combo in itertools.product(*(space.axes[n].values() for n in names)):
+        params = dict(zip(names, (float(v) for v in combo)))
+        mu_s, mu_d, p_s, p_d, pz = (params.get(n, defaults[n]) for n in SWEEPABLE)
+        p_v = 1.0 - p_s - p_d
+        if mu_s <= 0 or mu_d <= 0 or mu_s == mu_d or p_s <= 0 or p_d <= 0 or p_v < 0 or not 0.0 < pz < 1.0:
+            continue
+        by_label = {IntensityLabel.SIGNAL: (mu_s, p_s), IntensityLabel.DECOY: (mu_d, p_d),
+                    IntensityLabel.VACUUM: (0.0, p_v)}
+        classes = tuple(replace(c, mu=by_label[c.label][0], emit_probability=by_label[c.label][1])
+                        for c in base.intensity_classes)
+        source = replace(base, intensity_classes=classes, basis_probability_z=pz)
+        key = key_from_fixed_loss(source, loss, detector, e_det, security, duration_s, regime)
+        rows.append({**params, "key_length_bits": key.secret_key_length, "key_rate_bps": key.secret_key_rate})
+    return rows
+
+
+@pytest.mark.parametrize("loss, regime", [(38.0, "finite"), (25.0, "asymptotic"), (70.0, "asymptotic")])
+def test_grid_equals_one_point_keys_of_each_feasible_combination(source, detector, e_det, security, loss, regime):
+    # equal intensities, vacuum shares below 0 and p_Z of 0 and 1 make some combinations infeasible
+    space = SearchSpace(axes={
+        "mu_signal": Axis(0.1, 0.9, 5), "mu_decoy": Axis(0.1, 0.5, 3), "p_signal": Axis(0.3, 0.9, 4),
+        "p_decoy": Axis(0.05, 0.45, 3), "basis_probability_z": Axis(0.0, 1.0, 5),
+    })
+    result = optimize(space, source, loss, detector, e_det, security, regime=regime, duration_s=300.0)
+    reference = reference_grid(space, source, loss, detector, e_det, security, regime, 300.0)
+    assert 0 < len(reference) < 5 * 3 * 4 * 3 * 5
+    assert result.table == reference
+    # the first listed combination wins ties: at 70 dB every key is 0 and the first row is best
+    best = max(reference, key=lambda row: row["key_length_bits"])
+    assert result.best_params == {k: v for k, v in best.items() if k in space.axes}
+    assert result.best_key_length == best["key_length_bits"]
+
+
+def test_grid_and_sweep_make_one_key_call(source, detector, e_det, security, monkeypatch, capsys):
+    from satqkd import cli, optimizer
+
+    calls = []
+    real = optimizer.key_from_fixed_loss
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "key_from_fixed_loss", counting)
+    monkeypatch.setattr(cli, "key_from_fixed_loss", counting)
+    run(SearchSpace(axes={"mu_signal": Axis(0.1, 0.9, 9), "mu_decoy": Axis(0.1, 0.9, 9)}),
+        source, detector, e_det, security)
+    assert calls == [40.0]
+    calls.clear()
+    assert cli.main(["keyrate", "--sweep", "20:30:0.5"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 and all(len(c) == 21 for c in calls)  # one call per default source

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from satqkd.channel import FixedLossModel, PassProfile, synthesize_pass
@@ -22,8 +22,7 @@ from satqkd.protocol import (
     analytic_rates,
     analytic_tallies,
     decoy_bounds,
-    decoy_bounds_from_rates,
-    decoy_bounds_from_tally,
+    decoy_bounds_from_classes,
     integrate_pass,
     key_from_fixed_loss,
     key_length,
@@ -57,21 +56,21 @@ def true_single_photon(eta, y0, ed):
 def test_analytic_rates_vacuum_class(source, e_det):
     det = DetectorModel(dark_prob=1e-5)
     rates = analytic_rates(source, 40.0, det, e_det)
-    assert rates.gains[IntensityLabel.VACUUM] == pytest.approx(rates.y0, rel=1e-12)
-    assert rates.error_rates[IntensityLabel.VACUUM] == pytest.approx(E0, rel=1e-12)
+    assert rates.gains[rates.labels.index(IntensityLabel.VACUUM)] == pytest.approx(rates.y0, rel=1e-12)
+    assert rates.error_rates[rates.labels.index(IntensityLabel.VACUUM)] == pytest.approx(E0, rel=1e-12)
 
 
 def test_analytic_rates_40db_gain(source):
     det = DetectorModel(efficiency=0.5, dark_prob=0.0)
     rates = analytic_rates(source, 40.0, det, 0.0079)
-    assert rates.gains[IntensityLabel.DECOY] == pytest.approx(2.5e-5, rel=1e-3)
+    assert rates.gains[rates.labels.index(IntensityLabel.DECOY)] == pytest.approx(2.5e-5, rel=1e-3)
 
 
 def test_analytic_rates_no_darks_error_equals_e_det(source):
     det = DetectorModel(efficiency=0.5, dark_prob=0.0)
     rates = analytic_rates(source, 30.0, det, 0.0079)
     for label in (IntensityLabel.SIGNAL, IntensityLabel.DECOY):
-        assert rates.error_rates[label] == pytest.approx(0.0079, rel=1e-12)
+        assert rates.error_rates[rates.labels.index(label)] == pytest.approx(0.0079, rel=1e-12)
 
 
 def test_analytic_rates_rejects_large_e_det(source, detector):
@@ -83,8 +82,8 @@ def test_analytic_rates_match_oracle(source, detector, e_det):
     rates = analytic_rates(source, 35.0, detector, e_det)
     for cls in source.intensity_classes:
         q, e = poisson_rates(cls.mu, rates.eta, rates.y0, e_det)
-        assert rates.gains[cls.label] == pytest.approx(q, rel=1e-12)
-        assert rates.error_rates[cls.label] == pytest.approx(e, rel=1e-12)
+        assert rates.gains[rates.labels.index(cls.label)] == pytest.approx(q, rel=1e-12)
+        assert rates.error_rates[rates.labels.index(cls.label)] == pytest.approx(e, rel=1e-12)
 
 
 def test_analytic_segments_pool_exactly_as_a_loop_over_them(source, detector, e_det):
@@ -102,8 +101,8 @@ def test_analytic_segments_pool_exactly_as_a_loop_over_them(source, detector, e_
     for i, loss in enumerate(losses):
         one = analytic_rates(source, loss, detector, e_det, 2e-6)
         assert rates.eta[i] == one.eta
-        for label in one.gains:
-            assert (rates.gains[label][i], rates.error_rates[label][i]) == (one.gains[label], one.error_rates[label])
+        for k in range(len(one.labels)):
+            assert (rates.gains[k][i], rates.error_rates[k][i]) == (one.gains[k], one.error_rates[k])
 
 
 def test_analytic_tallies_reject_mismatched_segments(source, detector, e_det):
@@ -146,14 +145,14 @@ def test_simulate_block_matches_analytic(source, detector, e_det):
     rates = analytic_rates(source, 25.0, detector, e_det)
     sift_p = sift_fraction(source, detector)
     for label, (sent, detected, sifted, errors) in zip(tally.labels, tally.by_class().tolist()):
-        q = rates.gains[label]
+        q = rates.gains[rates.labels.index(label)]
         sigma = math.sqrt(sent * q * (1 - q))
         assert abs(detected - sent * q) < 5 * sigma
         # sifted fraction of detections
         sigma_s = math.sqrt(max(detected * sift_p * (1 - sift_p), 1))
         assert abs(sifted - detected * sift_p) < 5 * sigma_s
         if sifted > 100:
-            e = rates.error_rates[label]
+            e = rates.error_rates[rates.labels.index(label)]
             sigma_e = math.sqrt(sifted * e * (1 - e))
             assert abs(errors - sifted * e) < 5 * sigma_e
 
@@ -255,6 +254,10 @@ def test_decoy_bounds_rejects_equal_intensities():
         decoy_bounds(0.3, 0.3, 1e-4, 1e-4, 0.0, 0.0, 0.0)
 
 
+def bounds_from_rates(rates):
+    return decoy_bounds_from_classes(rates.labels, rates.mus, rates.gains, rates.error_rates, rates.y0)
+
+
 def source_with_mus(mu_signal, mu_decoy):
     base = default_source()
     mus = {IntensityLabel.SIGNAL: mu_signal, IntensityLabel.DECOY: mu_decoy, IntensityLabel.VACUUM: 0.0}
@@ -285,7 +288,7 @@ def mu_pairs(draw):
 def test_decoy_bounds_sound_on_analytic_route(mus, loss_db, dark_prob, background, ed):
     """The bounds never pass the photon-number-resolved truth, for near-equal intensities too."""
     det = DetectorModel(dark_prob=dark_prob)
-    b = decoy_bounds_from_rates(analytic_rates(source_with_mus(*mus), loss_db, det, ed, background))
+    b = bounds_from_rates(analytic_rates(source_with_mus(*mus), loss_db, det, ed, background))
     eta = 10.0 ** (-loss_db / 10.0) * det.efficiency
     y0 = 1.0 - (1.0 - dark_prob - background) ** 4
     y1_true, e1_true = true_single_photon(eta, y0, ed)
@@ -304,9 +307,9 @@ def test_near_equal_intensities_give_zero_key_with_own_reason(detector, e_det, s
 
 def test_decoy_bounds_from_rates_and_tally_agree(source, detector, e_det):
     rates = analytic_rates(source, 30.0, detector, e_det)
-    from_rates = decoy_bounds_from_rates(rates)
+    from_rates = bounds_from_rates(rates)
     tally = analytic_tallies(source, 30.0, detector, e_det, 1e9)
-    from_tally = decoy_bounds_from_tally(source, tally)
+    from_tally = decoy_bounds_from_classes(tally.labels, [c.mu for c in source.intensity_classes], *tally.observed_rates())
     assert from_rates.y1_lower == pytest.approx(from_tally.y1_lower, rel=1e-9)
     assert from_rates.e1_upper == pytest.approx(from_tally.e1_upper, rel=1e-9)
 
@@ -400,6 +403,81 @@ def test_key_from_fixed_loss_is_finite_or_domain_error(mu_signal, mu_decoy, loss
         assert math.isfinite(value) and value >= 0.0
 
 
+def source_at(base, mu_signal, mu_decoy, p_signal, p_decoy, p_z):
+    """base with its signal and decoy intensities and emit probabilities replaced; vacuum takes the rest."""
+    params = {IntensityLabel.SIGNAL: (mu_signal, p_signal), IntensityLabel.DECOY: (mu_decoy, p_decoy),
+              IntensityLabel.VACUUM: (0.0, 1.0 - p_signal - p_decoy)}
+    classes = tuple(replace(c, mu=params[c.label][0], emit_probability=params[c.label][1])
+                    for c in base.intensity_classes)
+    return replace(base, intensity_classes=classes, basis_probability_z=p_z)
+
+
+@st.composite
+def source_points(draw):
+    """(mu_signal, mu_decoy, p_signal, p_decoy, p_z) of a valid source; the vacuum class keeps >= 1e-4."""
+    mu = st.one_of(st.floats(0.0, 2.0, exclude_min=True), st.floats(0.0, 1000.0, exclude_min=True))
+    p_signal, share = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))
+    return draw(mu), draw(mu), p_signal, (1.0 - p_signal) * share, draw(st.floats(0.01, 0.99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=st.lists(st.tuples(source_points(), st.floats(0.0, 100.0)), min_size=1, max_size=6),
+    efficiency=st.floats(1e-3, 1.0),
+    dark_prob=st.one_of(st.just(0.0), st.floats(1e-10, 1e-3)),
+    background=st.one_of(st.just(0.0), st.floats(1e-10, 1e-3)),
+    receiver_p_z=st.floats(0.01, 0.99),
+    duration=st.floats(1e-3, 1e5),
+    regime=st.sampled_from(["asymptotic", "finite"]),
+)
+def test_key_batch_is_finite_or_domain_error_and_each_point_keys_as_alone(
+        points, efficiency, dark_prob, background, receiver_p_z, duration, regime):
+    """Any detector, background, duration, class probabilities and p_Z: every key is finite and >= 0
+    or the call raises DomainError, and each point of a batch gets exactly its one-point key."""
+    base = default_source()
+    det = DetectorModel(efficiency=efficiency, dark_prob=dark_prob, basis_probability_z=receiver_p_z)
+    args = (det, intrinsic_qber(MEASURED_EXTINCTION), SecurityParams(), duration, regime, background)
+    alone = []
+    for params, loss in points:
+        try:
+            alone.append(key_from_fixed_loss(source_at(base, *params), loss, *args))
+        except DomainError:
+            alone.append(None)
+    for one in filter(None, alone):
+        for value in (one.secret_key_length, one.secret_key_rate):
+            assert math.isfinite(value) and value >= 0.0
+    mu_s, mu_d, p_s, p_d, p_z = (np.array(column) for column in zip(*(params for params, _ in points)))
+    by_label = {IntensityLabel.SIGNAL: (mu_s, p_s), IntensityLabel.DECOY: (mu_d, p_d),
+                IntensityLabel.VACUUM: (np.zeros_like(mu_s), 1.0 - p_s - p_d)}
+    mus, emit = (np.array([by_label[c.label][j] for c in base.intensity_classes]) for j in (0, 1))
+    try:
+        batch = key_from_fixed_loss(base, np.array([loss for _, loss in points]), *args,
+                                    mus=mus, emit=emit, p_z=p_z)
+    except DomainError:
+        event("batch refused")
+        assert None in alone
+        return
+    event("batch keyed")
+    assert None not in alone
+    for i, one in enumerate(alone):
+        assert (batch.secret_key_length[i], batch.secret_key_rate[i], batch.reason[i]) == (
+            one.secret_key_length, one.secret_key_rate, one.reason)
+        assert (batch.sifted_bits[i], batch.qber_signal[i]) == (one.sifted_bits, one.qber_signal)
+        assert (batch.bounds.y1_lower[i], batch.bounds.e1_upper[i]) == (one.bounds.y1_lower, one.bounds.e1_upper)
+
+
+def test_key_length_rejects_non_finite_statistics(security):
+    bounds = bounds_for(1e-3, 1e-6, 0.01)
+    stats = make_stats(1e-3, 1e-6, 0.01, 1e9)
+    for bad in (replace(stats, n_signal=math.nan), replace(stats, errors_signal=math.nan)):
+        with pytest.raises(DomainError, match="not finite"):
+            key_length(bad, bounds, security)
+    # one bad point fails the whole batch
+    batch = replace(stats, n_signal=np.array([stats.n_signal, math.nan]))
+    with pytest.raises(DomainError, match="not finite"):
+        key_length(batch, bounds, security, "finite")
+
+
 def test_decoy_bounds_reject_intensity_whose_exp_overflows():
     with pytest.raises(DomainError, match="no finite decoy bound"):
         decoy_bounds(800.0, 0.3, 1.0, 1e-3, 0.0, 1e-3, 1e-5)
@@ -476,6 +554,30 @@ def test_integrate_pass_pooling_beats_per_segment_keys(source, detector, e_det, 
         per_segment += seg.secret_key_length
         t = end
     assert pooled.secret_key_length >= per_segment
+
+
+def per_step_segments(profile, step_s, excess_loss_db, rate_hz):
+    """(losses, pulses) of a pass walked with one elevation_at call per step."""
+    losses, pulses = [], []
+    t = profile.times_s[0]
+    while t < profile.times_s[-1]:
+        dt = min(step_s, profile.times_s[-1] - t)
+        el = profile.elevation_at(t + dt / 2.0)
+        if el is not None and el >= profile.min_elevation_deg:
+            losses.append(profile.loss_model(el) + excess_loss_db)
+            pulses.append(rate_hz * dt)
+        t += dt
+    return losses, pulses
+
+
+@pytest.mark.parametrize("step", [1.0, 0.7, 13.0])
+def test_pass_segments_interpolate_as_one_call_per_step(step):
+    from satqkd.protocol import _pass_segments
+
+    dipping = PassProfile(times_s=[0.0, 3.3, 10.1, 11.0], elevations_deg=[5.0, 40.0, 9.0, 12.0],
+                          loss_model=lambda el: 60.0 - el / 2.0, min_elevation_deg=10.0)
+    for profile in (synthesize_pass(75.0, 500e3), dipping):
+        assert _pass_segments(profile, step, 1.5, 1e8) == per_step_segments(profile, step, 1.5, 1e8)
 
 
 def test_integrate_pass_mc_mode_deterministic(source, detector, e_det, security):

@@ -163,7 +163,7 @@ def test_sampler_slices_at_zero_loss(source, detector, e_det, monkeypatch):
     assert tally.counts[..., SENT].sum() == n
     rates = analytic_rates(source, 0.0, detector, e_det)
     for label, (sent, detected, _, _) in zip(tally.labels, tally.by_class().tolist()):
-        q = rates.gains[label]
+        q = rates.gains[rates.labels.index(label)]
         assert abs(detected - sent * q) < 5 * math.sqrt(sent * q * (1 - q)) + 1
 
 
@@ -177,7 +177,7 @@ def test_sampler_full_pass_block_at_40db(source, detector, e_det):
     assert sum(int(s) for s in cell_sent) == n and all(s == int(s) for s in cell_sent)
     rates = analytic_rates(source, 40.0, detector, e_det)
     for label, (sent, detected, _, _) in zip(tally.labels, tally.by_class().tolist()):
-        q = rates.gains[label]
+        q = rates.gains[rates.labels.index(label)]
         assert abs(detected - sent * q) < 5 * math.sqrt(sent * q * (1 - q))
 
 
@@ -246,8 +246,8 @@ def test_pooled_segments_match_analytic_gains(source, detector, e_det):
     tally = simulate_block(source, losses, detector, e_det, counts, seed=12)
     tally.validate()
     by_class = dict(zip(tally.labels, tally.by_class().tolist()))
-    for cls in source.intensity_classes:
-        gains = [analytic_rates(source, loss, detector, e_det).gains[cls.label] for loss in losses]
+    for k, cls in enumerate(source.intensity_classes):
+        gains = [analytic_rates(source, loss, detector, e_det).gains[k] for loss in losses]
         sent = [n * cls.emit_probability for n in counts]
         expected = sum(m * q for m, q in zip(sent, gains))
         sigma = math.sqrt(sum(m * q * (1 - q) for m, q in zip(sent, gains)))

@@ -316,3 +316,29 @@ def test_intensity_class_rejects_non_finite_emit_probability(p):
 
     with pytest.raises(DomainError, match="emit_probability"):
         IntensityClass(IntensityLabel.SIGNAL, mu=0.3, emit_probability=p, pulse_fwhm_ps=900.0)
+
+
+@pytest.mark.parametrize("fwhm", [math.nan, math.inf, 0.0])
+def test_intensity_class_rejects_non_finite_pulse_fwhm(fwhm):
+    from satqkd.source import IntensityClass
+
+    with pytest.raises(DomainError, match="pulse_fwhm_ps"):
+        IntensityClass(IntensityLabel.SIGNAL, mu=0.3, emit_probability=0.7, pulse_fwhm_ps=fwhm)
+
+
+@pytest.mark.parametrize("field", ["center_wavelength_nm", "spectral_fwhm_nm"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_diode_profile_rejects_non_finite_wavelengths(field, value):
+    with pytest.raises(DomainError, match=field):
+        _diode(**{field: value})
+
+
+def test_diode_profile_rejects_nan_pulse_fwhm():
+    with pytest.raises(DomainError, match="pulse FWHM"):
+        _diode(pulse_fwhm_by_class_ps={IntensityLabel.SIGNAL: math.nan})
+
+
+@pytest.mark.parametrize("center, fwhm", [(math.nan, 2.0), (math.inf, 2.0), (777.5, math.nan), (777.5, math.inf)])
+def test_filter_spec_rejects_non_finite_center_or_width(center, fwhm):
+    with pytest.raises(DomainError, match="center_nm and fwhm_nm"):
+        FilterSpec(center, fwhm)
