@@ -8,7 +8,6 @@ from .channel import (
     GeometryParams,
     PassProfile,
     geometric_loss,
-    loss_at,
     synthesize_pass,
     transmittance_from_db,
 )

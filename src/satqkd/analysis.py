@@ -194,7 +194,8 @@ def estimate_spectrum(
     )
 
 
-def _load_two_column_csv(path, col_x: str, col_y: str) -> Tuple[np.ndarray, np.ndarray]:
+def load_two_column_csv(path, col_x: str, col_y: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The two columns of a CSV whose header starts with col_x,col_y, as float arrays; blank rows are skipped."""
     xs, ys = [], []
     with open_or_raise(path, FileFormatError, newline="") as fh:
         reader = csv.reader(fh)
@@ -213,7 +214,7 @@ def _load_two_column_csv(path, col_x: str, col_y: str) -> Tuple[np.ndarray, np.n
 
 
 def load_histogram_csv(path) -> HistogramSeries:
-    x, y = _load_two_column_csv(path, "time_ps", "counts")
+    x, y = load_two_column_csv(path, "time_ps", "counts")
     try:
         return HistogramSeries(time_ps=x, counts=y)
     except DomainError as exc:
@@ -221,7 +222,7 @@ def load_histogram_csv(path) -> HistogramSeries:
 
 
 def load_spectrum_csv(path) -> SpectrumSeries:
-    x, y = _load_two_column_csv(path, "wavelength_nm", "intensity")
+    x, y = load_two_column_csv(path, "wavelength_nm", "intensity")
     try:
         return SpectrumSeries(wavelength_nm=x, intensity=y)
     except DomainError as exc:

@@ -7,14 +7,14 @@ which is accurate enough to reproduce the familiar "several minutes above
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, FileFormatError, open_or_raise
+from .analysis import load_two_column_csv
+from .errors import DomainError, FileFormatError
 
 EARTH_RADIUS_M = 6371e3
 EARTH_MU_M3_S2 = 3.986004418e14  # standard gravitational parameter
@@ -131,13 +131,31 @@ class PassProfile:
             return None
         return float(np.interp(t, ts, self.elevations_deg))
 
+    def segments(self, step_s: float, excess_loss_db: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+        """Loss (dB, excess included) and duration (s) of each step of the pass above the minimum elevation.
 
-def loss_at(profile: PassProfile, t: float) -> Optional[float]:
-    """Channel loss (dB) at time t, or None outside the pass (out-of-pass marker)."""
-    el = profile.elevation_at(t)
-    if el is None:
-        return None
-    return profile.loss_model(el)
+        The pass is walked from its first to its last sample in steps of step_s,
+        the last one cut short. A step takes the elevation at its midpoint (all
+        midpoints are interpolated in one call) and is dropped when that lies
+        below the minimum elevation.
+        """
+        if not (math.isfinite(step_s) and step_s > 0):
+            raise DomainError(f"step must be finite and > 0 s, got {step_s}")
+        ts = self.times_s
+        t0, t1 = (ts[0], ts[-1]) if len(ts) else (0.0, 0.0)
+        mids, steps = [], []
+        t = t0
+        while t < t1:
+            dt = min(step_s, t1 - t)
+            mids.append(t + dt / 2.0)
+            steps.append(dt)
+            t += dt
+        if not mids:
+            return np.empty(0), np.empty(0)
+        elevations = np.interp(mids, ts, self.elevations_deg)
+        keep = elevations >= self.min_elevation_deg  # every midpoint lies in [t0, t1]
+        losses = [self.loss_model(el) + excess_loss_db for el in elevations[keep].tolist()]
+        return np.array(losses, dtype=float), np.array(steps)[keep]
 
 
 def _elevation_from_central_angle(gamma: float, orbit_radius_m: float) -> float:
@@ -172,8 +190,8 @@ def synthesize_pass(
         raise DomainError("need min_elevation < max_elevation <= 90")
     if orbit_altitude_m <= 0:
         raise DomainError("orbit altitude must be > 0")
-    if step_s <= 0:
-        raise DomainError("step must be > 0")
+    if not (math.isfinite(step_s) and step_s > 0):
+        raise DomainError(f"step must be finite and > 0 s, got {step_s}")
     r = EARTH_RADIUS_M + orbit_altitude_m
     omega = math.sqrt(EARTH_MU_M3_S2 / r**3)  # orbital angular rate, rad/s
     gamma_max = _central_angle_from_elevation(max_elevation_deg, r)  # at culmination
@@ -197,20 +215,7 @@ def synthesize_pass(
 
 def load_pass_csv(path, loss_model: Callable[[float], float], min_elevation_deg: float = 10.0) -> PassProfile:
     """Read a (time_s, elevation_deg) two-column CSV into a PassProfile."""
-    times, els = [], []
-    with open_or_raise(path, FileFormatError, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["time_s", "elevation_deg"]:
-            raise FileFormatError(f"{path}: expected header 'time_s,elevation_deg'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                els.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
+    times, els = load_two_column_csv(path, "time_s", "elevation_deg")
     if len(times) < 2:
         raise FileFormatError(f"{path}: need at least 2 samples")
     return PassProfile(times_s=times, elevations_deg=els, loss_model=loss_model,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -131,14 +132,13 @@ def cmd_pass(args) -> dict:
     if cfg.channel.mode != "pass":
         raise ConfigError("pass command requires a channel in pass mode")
     profile = cfg.channel.pass_profile
+    segments = profile.segments(args.step, cfg.channel.excess_loss_db)  # shared by every source
     per_source = []
     total = 0.0
     for i, src in enumerate(cfg.sources):
         result, tally = integrate_pass(
-            profile, src, cfg.detector, cfg.e_det(src), cfg.security,
-            step_s=args.step, regime=args.regime, mode=args.mode,
-            seed=cfg.seed + i,
-            excess_loss_db=cfg.channel.excess_loss_db,
+            *segments, src, cfg.detector, cfg.e_det(src), cfg.security,
+            regime=args.regime, mode=args.mode, seed=cfg.seed + i,
             background_click_prob=cfg.channel.background_click_prob,
         )
         total += result.secret_key_length
@@ -248,7 +248,9 @@ def _sweep_spec(text: str):
     return lo, hi, step
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The satqkd argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(prog="satqkd", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -310,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
     except ConfigError as exc:

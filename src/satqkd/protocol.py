@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .channel import PassProfile, transmittance_from_db
+from .channel import transmittance_from_db
 from .errors import DomainError
 from .receiver import DetectorModel, N_DETECTORS, measure_batch
 from .source import Basis, IntensityLabel, SourceConfig
@@ -671,6 +671,8 @@ def key_from_fixed_loss(
     probability point by point. Every point is keyed on its own and gets the
     numbers it gets alone; a batch gives a KeyResult of arrays.
     """
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise DomainError(f"duration must be finite and > 0 s, got {duration_s}")
     rates = analytic_rates(source, total_loss_db, det, e_det, background_click_prob, mus)
     n_pulses = duration_s * source.repetition_rate_hz
     counts = _expected_counts(source, det, rates, n_pulses, emit, p_z)
@@ -688,63 +690,42 @@ def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams,
     return key_length(stats, bounds, sec, regime)
 
 
-def _pass_segments(profile: PassProfile, step_s: float, excess_loss_db: float, rate_hz: float):
-    """(loss dB, pulses sent) of each step of the pass above the minimum elevation.
-
-    The steps are walked one by one; their midpoints are interpolated in one call.
-    """
-    ts = profile.times_s
-    t0, t1 = (ts[0], ts[-1]) if len(ts) else (0.0, 0.0)
-    mids, steps = [], []
-    t = t0
-    while t < t1:
-        dt = min(step_s, t1 - t)
-        mids.append(t + dt / 2.0)
-        steps.append(dt)
-        t += dt
-    if not mids:
-        return [], []
-    mids = np.array(mids)
-    elevations = np.interp(mids, ts, profile.elevations_deg)
-    keep = elevations >= profile.min_elevation_deg  # every midpoint lies in [t0, t1]
-    losses = [profile.loss_model(el) + excess_loss_db for el in elevations[keep].tolist()]
-    return losses, [rate_hz * dt for dt in np.array(steps)[keep].tolist()]
-
-
 def integrate_pass(
-    profile: PassProfile,
+    losses_db: ArrayLike,
+    durations_s: ArrayLike,
     source: SourceConfig,
     det: DetectorModel,
     e_det: float,
     sec: SecurityParams,
-    step_s: float = 1.0,
     regime: str = "finite",
     mode: str = "analytic",
     seed: Optional[int] = None,
-    excess_loss_db: float = 0.0,
     background_click_prob: float = 0.0,
 ) -> Tuple[KeyResult, TallyTable]:
     """Accumulate tallies over a pass, then compute bounds and key once on the pool.
 
-    Either mode takes every segment of the pass in one call: analytic_tallies
-    or simulate_block.
+    losses_db and durations_s give the loss and duration of each segment of
+    the pass, as PassProfile.segments returns them; a segment sends the
+    source's repetition rate times its duration in pulses. Either mode takes
+    every segment in one call: analytic_tallies or simulate_block.
     """
     if mode not in ("analytic", "mc"):
         raise DomainError(f"unknown pass-integration mode {mode!r}")
     if mode == "mc" and seed is None:
         raise DomainError("Monte Carlo pass integration requires a seed")
-    losses, pulses = _pass_segments(profile, step_s, excess_loss_db, source.repetition_rate_hz)
+    losses = np.asarray(losses_db, dtype=float)
+    pulses = source.repetition_rate_hz * np.asarray(durations_s, dtype=float)
     if mode == "analytic":
         pooled = analytic_tallies(source, losses, det, e_det, pulses, background_click_prob)
     else:
-        counts = [int(round(n)) for n in pulses]
+        counts = np.rint(pulses).astype(np.int64)
         pooled = TallyTable.zeros(source)
-        if sum(counts):
+        if counts.sum():
             pooled = simulate_block(source, losses, det, e_det, counts, seed=seed,
                                     background_click_prob=background_click_prob)
     if pooled.total_pulses <= 0:
         empty = DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=0.0, degenerate=True)
-        reason = ("no whole pulse sent above the minimum elevation" if losses
+        reason = ("no whole pulse sent above the minimum elevation" if losses.size
                   else "pass never rises above the minimum elevation")
         return KeyResult(0.0, E0, empty, 0.0, 0.0, regime, reason), pooled
     return key_from_tally(source, pooled, sec, regime), pooled

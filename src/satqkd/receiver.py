@@ -29,7 +29,6 @@ class DetectorModel:
 
     efficiency: float = 0.5
     dark_prob: float = 1e-7  # per gate, per detector
-    gate_width_ps: float = 1000.0  # recorded and validated; no number depends on it
     basis_probability_z: float = 0.5
 
     def __post_init__(self):
@@ -37,8 +36,6 @@ class DetectorModel:
             raise DomainError("efficiency must be in (0,1]")
         if not 0.0 <= self.dark_prob < 1.0:
             raise DomainError("dark_prob must be in [0,1)")
-        if self.gate_width_ps <= 0:
-            raise DomainError("gate_width_ps must be > 0")
         if not 0.0 < self.basis_probability_z < 1.0:
             raise DomainError("basis_probability_z must be in (0,1)")
 

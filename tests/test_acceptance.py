@@ -197,7 +197,7 @@ def test_acceptance_8_pass_integration(report):
     )
     minutes = profile.duration_s / 60.0
     result, pooled = integrate_pass(
-        profile, default_source(), DetectorModel(), E_DET, SEC, regime="finite"
+        *profile.segments(1.0), default_source(), DetectorModel(), E_DET, SEC, regime="finite"
     )
     elapsed = time.perf_counter() - t0
     ok = 4.0 <= minutes <= 12.0 and result.secret_key_length > 0 and elapsed < 10.0

@@ -44,8 +44,8 @@ def analytic_results() -> dict:
     for name, (culmination, regime, excess, background) in PASSES.items():
         profile = synthesize_pass(culmination, 500e3, min_elevation_deg=10.0, step_s=1.0)
         key, tally = integrate_pass(
-            profile, src, cfg.detector, cfg.e_det(src), cfg.security, regime=regime,
-            excess_loss_db=excess, background_click_prob=background,
+            *profile.segments(1.0, excess), src, cfg.detector, cfg.e_det(src), cfg.security,
+            regime=regime, background_click_prob=background,
         )
         results[name] = {"key": key.to_dict(), "tally": tally.to_dict()}
     results["keyrate"] = _cli(CLI_RUNS["keyrate"])["rows"]

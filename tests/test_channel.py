@@ -13,7 +13,6 @@ from satqkd.channel import (
     PassProfile,
     geometric_loss,
     load_pass_csv,
-    loss_at,
     slant_range_m,
     synthesize_pass,
     transmittance_from_db,
@@ -127,27 +126,40 @@ def test_synthesize_pass_rejects_bad_elevations():
         synthesize_pass(10.0, 500e3, min_elevation_deg=10.0)
 
 
-def test_loss_at_sample_points_and_interpolation():
-    model = FixedLossModel(40.0)
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_synthesize_pass_rejects_step_not_finite_and_positive(step):
+    with pytest.raises(DomainError, match="step must be finite and > 0"):
+        synthesize_pass(60.0, 500e3, step_s=step)
+
+
+def test_segments_sample_midpoints_and_skip_low_elevation():
     profile = PassProfile(
         times_s=[0.0, 10.0, 20.0],
         elevations_deg=[20.0, 30.0, 20.0],
         loss_model=lambda el: 100.0 - el,
         min_elevation_deg=10.0,
     )
-    assert loss_at(profile, 10.0) == pytest.approx(70.0)
-    assert loss_at(profile, 5.0) == pytest.approx(75.0)  # elevation 25 at midpoint
-    assert loss_at(profile, -1.0) is None
-    assert loss_at(profile, 21.0) is None
-    const = PassProfile(times_s=[0.0, 10.0], elevations_deg=[30.0, 30.0], loss_model=model)
-    assert loss_at(const, 3.0) == loss_at(const, 7.0) == 40.0
+    losses, durations = profile.segments(20.0)  # one step, its midpoint on the middle sample
+    assert losses.tolist() == [70.0] and durations.tolist() == [20.0]
+    losses, durations = profile.segments(5.0, excess_loss_db=1.5)  # elevations 22.5, 27.5, 27.5, 22.5
+    assert losses.tolist() == pytest.approx([79.0, 74.0, 74.0, 79.0])
+    assert durations.tolist() == [5.0] * 4
+    dipping = PassProfile(times_s=[0.0, 10.0, 20.0], elevations_deg=[20.0, 5.0, 20.0],
+                          loss_model=FixedLossModel(40.0), min_elevation_deg=10.0)
+    losses, durations = dipping.segments(5.0)  # midpoint elevations 16.25, 8.75, 8.75, 16.25
+    assert losses.tolist() == [40.0, 40.0] and durations.tolist() == [5.0, 5.0]
+    const = PassProfile(times_s=[0.0, 10.0], elevations_deg=[30.0, 30.0], loss_model=FixedLossModel(40.0))
+    losses, durations = const.segments(3.0)  # the last step is cut short
+    assert losses.tolist() == [40.0] * 4 and durations.tolist() == pytest.approx([3.0, 3.0, 3.0, 1.0])
+    low = PassProfile(times_s=[0.0, 10.0], elevations_deg=[5.0, 5.0], loss_model=FixedLossModel(40.0))
+    assert [a.size for a in low.segments(1.0)] == [0, 0]
 
 
-def test_loss_at_continuous_over_span():
+def test_segments_continuous_over_span():
     profile = synthesize_pass(90.0, 500e3, min_elevation_deg=10.0, step_s=5.0)
-    ts = np.linspace(profile.times_s[0], profile.times_s[-1], 500)
-    losses = np.array([loss_at(profile, t) for t in ts])
+    losses, durations = profile.segments(profile.duration_s / 500)
     assert np.all(np.abs(np.diff(losses)) < 1.0)
+    assert durations.sum() == pytest.approx(profile.duration_s)
 
 
 def test_pass_profile_rejects_unsorted_times():

@@ -37,6 +37,12 @@ def test_round_trip_is_semantically_identical(tmp_path):
     assert to_dict(reloaded) == to_dict(cfg)
 
 
+def test_default_yaml_is_the_default_run_config():
+    loaded = load_run_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+    assert loaded == default_run_config()
+    assert to_dict(loaded) == to_dict(default_run_config())
+
+
 def test_unknown_key_rejected(tmp_path, config_path):
     data = yaml.safe_load(config_path.read_text())
     data["detector"]["effciency"] = 0.4  # typo
@@ -250,6 +256,7 @@ WRONG_VALUES = [
     (SOURCE + ["intensity_classes", 0, "label"], ["a"], f"{WHERE}.intensity_classes[0].label: expected one of"),
     (["channel", "pass", "csv_path"], 5, "config.channel.pass.csv_path: expected str"),
     (["channel", "pass", "loss"], 1, "config.channel.pass: unknown keys ['loss']"),
+    (["detector", "gate_width_ps"], 1000.0, "config.detector: unknown keys ['gate_width_ps']"),
 ]
 
 
@@ -267,6 +274,28 @@ def test_cli_wrong_yaml_value_is_config_error_naming_its_path(capsys, config_pat
     code, out, err = run_cli(capsys, "keyrate", "--config", str(path), "--sweep", "40:40:1")
     assert code == 2 and out == ""
     assert message in json.loads(err)["message"]
+
+
+BAD_SPANS = ["0", "-1", "nan", "inf"]
+
+
+@pytest.mark.parametrize("value", BAD_SPANS)
+def test_cli_pass_step_not_finite_and_positive_is_domain_error(capsys, config_path, tmp_path, value):
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(pass_mode_data(config_path)))
+    code, out, err = run_cli(capsys, "pass", "--config", str(path), f"--step={value}")
+    assert code == 4 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "domain" and "step must be finite and > 0" in report["message"]
+
+
+@pytest.mark.parametrize("command", ["keyrate", "optimize"])
+@pytest.mark.parametrize("value", BAD_SPANS)
+def test_cli_duration_not_finite_and_positive_is_domain_error(capsys, config_path, command, value):
+    code, out, err = run_cli(capsys, command, "--config", str(config_path), f"--duration={value}")
+    assert code == 4 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "domain" and "duration must be finite and > 0" in report["message"]
 
 
 def test_cli_loss_override_drops_pass_block(capsys, config_path, tmp_path):

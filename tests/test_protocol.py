@@ -122,7 +122,7 @@ def test_analytic_pass_and_fixed_loss_key_take_one_analytic_call(source, detecto
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(protocol, name, counting)
-    integrate_pass(synthesize_pass(60.0, 500e3), source, detector, e_det, security)
+    integrate_pass(*synthesize_pass(60.0, 500e3).segments(1.0), source, detector, e_det, security)
     assert sorted(calls) == ["analytic_rates", "analytic_tallies"]
     calls.clear()
     key_from_fixed_loss(source, 40.0, detector, e_det, security, 1.0)
@@ -513,7 +513,7 @@ def test_integrate_pass_below_min_elevation(source, detector, e_det, security):
         loss_model=FixedLossModel(40.0),
         min_elevation_deg=10.0,
     )
-    result, tally = integrate_pass(profile, source, detector, e_det, security)
+    result, tally = integrate_pass(*profile.segments(1.0), source, detector, e_det, security)
     assert result.secret_key_length == 0.0
     assert tally.to_dict() == ZERO_TALLY
     assert "elevation" in result.reason
@@ -528,7 +528,7 @@ def test_integrate_pass_constant_loss_matches_fixed(source, detector, e_det, sec
         min_elevation_deg=10.0,
     )
     from_pass, _ = integrate_pass(
-        profile, source, detector, e_det, security, step_s=1.0, regime="asymptotic"
+        *profile.segments(1.0), source, detector, e_det, security, regime="asymptotic"
     )
     direct = key_from_fixed_loss(source, 38.0, detector, e_det, security, duration, "asymptotic")
     assert from_pass.secret_key_length == pytest.approx(direct.secret_key_length, rel=1e-9)
@@ -538,7 +538,7 @@ def test_integrate_pass_pooling_beats_per_segment_keys(source, detector, e_det, 
     from satqkd.channel import synthesize_pass
 
     profile = synthesize_pass(90.0, 500e3, min_elevation_deg=10.0, step_s=1.0)
-    pooled, _ = integrate_pass(profile, source, detector, e_det, security, regime="finite")
+    pooled, _ = integrate_pass(*profile.segments(1.0), source, detector, e_det, security, regime="finite")
     # split the pass into 30 s slices keyed independently
     per_segment = 0.0
     t = profile.times_s[0]
@@ -550,34 +550,33 @@ def test_integrate_pass_pooling_beats_per_segment_keys(source, detector, e_det, 
             loss_model=profile.loss_model,
             min_elevation_deg=profile.min_elevation_deg,
         )
-        seg, _ = integrate_pass(sliced, source, detector, e_det, security, regime="finite")
+        seg, _ = integrate_pass(*sliced.segments(1.0), source, detector, e_det, security, regime="finite")
         per_segment += seg.secret_key_length
         t = end
     assert pooled.secret_key_length >= per_segment
 
 
-def per_step_segments(profile, step_s, excess_loss_db, rate_hz):
-    """(losses, pulses) of a pass walked with one elevation_at call per step."""
-    losses, pulses = [], []
+def per_step_segments(profile, step_s, excess_loss_db):
+    """(losses, durations) of a pass walked with one elevation_at call per step."""
+    losses, durations = [], []
     t = profile.times_s[0]
     while t < profile.times_s[-1]:
         dt = min(step_s, profile.times_s[-1] - t)
         el = profile.elevation_at(t + dt / 2.0)
         if el is not None and el >= profile.min_elevation_deg:
             losses.append(profile.loss_model(el) + excess_loss_db)
-            pulses.append(rate_hz * dt)
+            durations.append(dt)
         t += dt
-    return losses, pulses
+    return losses, durations
 
 
 @pytest.mark.parametrize("step", [1.0, 0.7, 13.0])
 def test_pass_segments_interpolate_as_one_call_per_step(step):
-    from satqkd.protocol import _pass_segments
-
     dipping = PassProfile(times_s=[0.0, 3.3, 10.1, 11.0], elevations_deg=[5.0, 40.0, 9.0, 12.0],
                           loss_model=lambda el: 60.0 - el / 2.0, min_elevation_deg=10.0)
     for profile in (synthesize_pass(75.0, 500e3), dipping):
-        assert _pass_segments(profile, step, 1.5, 1e8) == per_step_segments(profile, step, 1.5, 1e8)
+        losses, durations = profile.segments(step, 1.5)
+        assert (losses.tolist(), durations.tolist()) == per_step_segments(profile, step, 1.5)
 
 
 def test_integrate_pass_mc_mode_deterministic(source, detector, e_det, security):
@@ -588,11 +587,12 @@ def test_integrate_pass_mc_mode_deterministic(source, detector, e_det, security)
         min_elevation_deg=10.0,
     )
     small = replace(source, repetition_rate_hz=1e5)
-    a, ta = integrate_pass(profile, small, detector, e_det, security, mode="mc", seed=7)
-    b, tb = integrate_pass(profile, small, detector, e_det, security, mode="mc", seed=7)
+    segments = profile.segments(1.0)
+    a, ta = integrate_pass(*segments, small, detector, e_det, security, mode="mc", seed=7)
+    b, tb = integrate_pass(*segments, small, detector, e_det, security, mode="mc", seed=7)
     assert ta.to_dict() == tb.to_dict()
     with pytest.raises(DomainError):
-        integrate_pass(profile, small, detector, e_det, security, mode="mc")
+        integrate_pass(*segments, small, detector, e_det, security, mode="mc")
 
 
 def test_both_routes_reject_dark_plus_background_of_one(source, e_det):
@@ -649,7 +649,7 @@ def test_integrate_pass_mc_draws_all_segments_in_one_call(source, detector, e_de
     profile = PassProfile(times_s=[0.0, 5.0], elevations_deg=[20.0, 70.0],
                           loss_model=lambda el: 60.0 - el / 2.0, min_elevation_deg=10.0)
     small = replace(source, repetition_rate_hz=1e4)
-    _, tally = integrate_pass(profile, small, detector, e_det, security, mode="mc", seed=2)
+    _, tally = integrate_pass(*profile.segments(1.0), small, detector, e_det, security, mode="mc", seed=2)
     assert len(calls) == 1 and list(calls[0]) == [10_000] * 5
     assert tally.total_pulses == 50_000
 
@@ -659,16 +659,16 @@ def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, secu
     profile = PassProfile(times_s=[0.0, 2.0004], elevations_deg=[60.0, 60.0],
                           loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
     small = replace(source, repetition_rate_hz=1e3)
-    mc, tally = integrate_pass(profile, small, detector, e_det, security, step_s=1.0, mode="mc", seed=4)
+    mc, tally = integrate_pass(*profile.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
     tally.validate()
     assert tally.total_pulses == 1000 + 1000 + 0
     assert tally.counts[..., SENT].sum() == 2000
-    analytic, _ = integrate_pass(profile, small, detector, e_det, security, step_s=1.0)
+    analytic, _ = integrate_pass(*profile.segments(1.0), small, detector, e_det, security)
     assert math.isfinite(mc.secret_key_length) and math.isfinite(analytic.secret_key_length)
     # a pass above the minimum elevation whose only step rounds to no pulse
     short = PassProfile(times_s=[0.0, 0.0004], elevations_deg=[60.0, 60.0],
                         loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
-    mc, tally = integrate_pass(short, small, detector, e_det, security, mode="mc", seed=4)
+    mc, tally = integrate_pass(*short.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
     assert tally.to_dict() == ZERO_TALLY and mc.secret_key_length == 0.0
     assert "no whole pulse" in mc.reason
 

@@ -25,7 +25,6 @@ from satqkd.protocol import (
     SENT,
     SecurityParams,
     _dark_firings,
-    _pass_segments,
     _simulate_shard,
     _zero_truncated_poisson,
     analytic_rates,
@@ -187,12 +186,13 @@ def test_pooled_pass_matches_per_segment_reference(source, e_det):
                           loss_model=lambda el: el, min_elevation_deg=10.0)
     source = replace(source, repetition_rate_hz=100_000)
     det = DetectorModel(dark_prob=1e-4)
-    losses, pulses = _pass_segments(profile, 1.0, 0.0, source.repetition_rate_hz)
-    assert losses == pytest.approx([20.0, 30.0, 40.0]) and pulses == [100_000.0] * 3
+    losses, durations = profile.segments(1.0)
+    assert losses.tolist() == pytest.approx([20.0, 30.0, 40.0]) and durations.tolist() == [1.0] * 3
     new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(SEEDS):
-        _, pooled = integrate_pass(profile, source, det, e_det, SecurityParams(), mode="mc", seed=1000 + s)
+        _, pooled = integrate_pass(losses, durations, source, det, e_det, SecurityParams(), mode="mc",
+                                   seed=1000 + s)
         slow = reference_pass(profile, source, det, e_det, seed=2000 + s)
         pooled.validate()
         assert pooled.total_pulses == slow.total_pulses == 300_000
