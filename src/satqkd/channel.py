@@ -20,6 +20,7 @@ EARTH_RADIUS_M = 6371e3
 EARTH_MU_M3_S2 = 3.986004418e14  # standard gravitational parameter
 
 MIN_DIVERGENCE_RAD = 17e-6  # output-optics input tolerance floor
+MAX_PASS_STEPS = 1_000_000  # steps of one pass walk: 1 ms steps over a pass of up to 1000 s
 
 
 def transmittance_from_db(loss_db: float) -> float:
@@ -137,16 +138,23 @@ class PassProfile:
         The pass is walked from its first to its last sample in steps of step_s,
         the last one cut short. A step takes the elevation at its midpoint (all
         midpoints are interpolated in one call) and is dropped when that lies
-        below the minimum elevation.
+        below the minimum elevation. A step that would cut the pass into more
+        than MAX_PASS_STEPS steps, or that is too small to move the pass clock,
+        raises DomainError.
         """
         if not (math.isfinite(step_s) and step_s > 0):
             raise DomainError(f"step must be finite and > 0 s, got {step_s}")
         ts = self.times_s
         t0, t1 = (ts[0], ts[-1]) if len(ts) else (0.0, 0.0)
+        if (t1 - t0) / step_s > MAX_PASS_STEPS:
+            raise DomainError(f"step {step_s:g} s cuts the {t1 - t0:g} s pass into more than "
+                              f"{MAX_PASS_STEPS} steps")
         mids, steps = [], []
         t = t0
         while t < t1:
             dt = min(step_s, t1 - t)
+            if t + dt == t:  # below half an ulp of t
+                raise DomainError(f"step {step_s:g} s is too small to advance the pass clock at t = {t:.17g} s")
             mids.append(t + dt / 2.0)
             steps.append(dt)
             t += dt
@@ -200,6 +208,9 @@ def synthesize_pass(
     half_span = math.acos(min(1.0, math.cos(gamma_min) / math.cos(gamma_max))) / omega
     if loss_model is None:
         loss_model = ElevationLossModel(altitude_m=orbit_altitude_m)
+    if 2.0 * half_span / step_s > MAX_PASS_STEPS:
+        raise DomainError(f"step {step_s:g} s cuts the {2.0 * half_span:g} s pass into more than "
+                          f"{MAX_PASS_STEPS} samples")
     n_half = int(math.floor(half_span / step_s))
     offsets = np.arange(-n_half, n_half + 1) * step_s
     gammas = np.arccos(np.cos(gamma_max) * np.cos(omega * offsets))

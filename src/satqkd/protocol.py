@@ -1,8 +1,9 @@
 """Decoy-state BB84 pipeline: simulation, analytic rates, sifting, bounds, key length.
 
-Two routes produce the same sufficient statistics (a TallyTable): a
-pulse-level Monte Carlo over Poissonian weak coherent pulses, and the
-closed-form gain/error equations for the same channel. Downstream, the
+Two routes produce the same sufficient statistics (a TallyTable): a Monte
+Carlo over Poissonian weak coherent pulses, which draws each cell's counts
+from the receiver's exact per-pulse outcome law, and the closed-form
+gain/error equations for the same channel. Downstream, the
 2-decoy bounds and the GLLP-style key formula (with Hoeffding finite-size
 corrections) are shared by both routes.
 
@@ -24,7 +25,7 @@ from numpy.typing import ArrayLike
 
 from .channel import transmittance_from_db
 from .errors import DomainError
-from .receiver import DetectorModel, N_DETECTORS, measure_batch
+from .receiver import DetectorModel, N_DETECTORS, outcome_probabilities
 from .source import Basis, IntensityLabel, SourceConfig
 
 E0 = 0.5  # error rate of background/dark clicks (random bits)
@@ -266,38 +267,6 @@ def analytic_tallies(
 # Monte Carlo route
 
 
-def _zero_truncated_poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
-    """Poisson(lam) counts conditioned on at least one, drawn exactly.
-
-    Given that a rate-lam process on [0, 1] has an arrival, its first one
-    sits at T = -log1p(-u (1 - e^-lam)) / lam, and the arrivals after it
-    are Poisson(lam (1 - T)). No rejection loop, so lam -> 0 costs nothing.
-    """
-    rest = lam + np.log1p(rng.random(lam.shape) * np.expm1(-lam))  # lam * (1 - T)
-    return 1 + rng.poisson(np.maximum(rest, 0.0))
-
-
-def _dark_firings(rng: np.random.Generator, p_d: float, n: int, n_conditioned: int) -> np.ndarray:
-    """(4, n) dark/background firings, rows Z0, Z1, X0, X1.
-
-    Every detector fires independently with probability p_d. The last
-    n_conditioned columns are conditioned on at least one firing: the first
-    firing detector J has P(J = j) proportional to (1 - p_d)^j p_d, and the
-    detectors after it fire independently.
-    """
-    # row by row: the same numbers as one (4, n) draw, without a (4, n) float temporary
-    darks = np.stack([rng.random(n) < p_d for _ in range(N_DETECTORS)])
-    if n_conditioned:
-        # P(J <= j) up to the common factor P(any firing)
-        cdf = -np.expm1(np.arange(1, N_DETECTORS + 1) * math.log1p(-p_d))
-        first = np.searchsorted(cdf, rng.random(n_conditioned) * cdf[-1], side="right")
-        first = np.minimum(first, N_DETECTORS - 1)
-        rows = np.arange(N_DETECTORS)[:, None]
-        tail = darks[:, n - n_conditioned:]
-        darks[:, n - n_conditioned:] = (rows == first) | ((rows > first) & tail)
-    return darks
-
-
 def _simulate_shard(
     source: SourceConfig,
     total_loss_db: ArrayLike,
@@ -306,61 +275,37 @@ def _simulate_shard(
     n_pulses: ArrayLike,
     seed_seq: np.random.SeedSequence,
     background_click_prob: float,
-    chunk: int = 2_000_000,
 ) -> TallyTable:
-    """Monte Carlo of one shard that measures only the pulses that can click.
+    """Monte Carlo of one shard, drawn as counts with no per-pulse arrays.
 
     total_loss_db and n_pulses are scalars or matching 1-D arrays, one entry
-    per segment of a pass; the tally pools all segments. A pulse with no
-    arriving photon and no dark or background firing is never detected; it
-    only adds to its cell's sent count. Per (segment, class, sender basis)
-    this draws, from the same distribution as a pulse-by-pulse simulation:
-    the cell sizes and the pulses with at least one arriving photon with
-    their photon counts. Among the rest, the pulses with at least one firing
-    are drawn per cell over all segments at once, since darks do not depend
-    on loss. measure_batch runs on the drawn pulses only, in slices of at
-    most ``chunk``.
+    per segment of a pass; the tally pools all segments. Per segment one
+    multinomial draw splits the pulses into (class, sender basis) cells, and
+    per (segment, cell) a second one splits the cell's pulses over the four
+    outcome levels of receiver.outcome_probabilities. Pulses are independent
+    and each lands in a level with exactly those probabilities, so the counts
+    have the same distribution as a pulse-by-pulse simulation.
     """
     rng = np.random.default_rng(seed_seq)
     p_d = _click_prob(det, background_click_prob)
     losses, counts = np.atleast_1d(total_loss_db), np.atleast_1d(n_pulses)
     classes = source.intensity_classes
-    n_cells = 2 * len(classes)  # cell 2k: class k rectilinear, 2k + 1: class k diagonal
+    # cell 2k: class k rectilinear, 2k + 1: class k diagonal
     cell_p = np.outer([c.emit_probability for c in classes],
                       [source.basis_probability_z, 1.0 - source.basis_probability_z]).ravel()
+    p_same = np.tile([det.basis_probability_z, 1.0 - det.basis_probability_z], len(classes))
     # per segment in Python floats, so one segment rounds exactly as a scalar loss always has
     eta_channel = [transmittance_from_db(l + source.insertion_loss_db) for l in losses.tolist()]
     lam = np.array(eta_channel)[:, None] * np.repeat([c.mu for c in classes], 2)  # (segment, cell)
 
     sent = rng.multinomial(counts, cell_p / cell_p.sum())
-    active = rng.binomial(sent, -np.expm1(-lam))
-    y0 = -math.expm1(N_DETECTORS * math.log1p(-p_d))
-    dark_only = rng.binomial((sent - active).sum(axis=0), y0)
-
-    # simulated pulses in groups: the photon-active ones per (segment, cell), then the
-    # dark-only ones per cell; group g belongs to cell g % n_cells
-    group_len = np.concatenate([active.ravel(), dark_only])
-    group_end = np.cumsum(group_len)
-    n_active, n_sim = int(active.sum()), int(group_end[-1])
-    by_level = np.zeros(4 * n_cells, dtype=np.int64)
-    for start in range(0, n_sim, chunk):
-        stop = min(start + chunk, n_sim)
-        in_slice = np.clip(group_end, start, stop) - np.clip(group_end - group_len, start, stop)
-        cell = np.repeat(np.arange(group_len.size) % n_cells, in_slice)
-        m_dark = max(0, stop - max(start, n_active))
-        photons = np.zeros(stop - start, dtype=np.int64)
-        photons[: photons.size - m_dark] = _zero_truncated_poisson(rng, np.repeat(lam.ravel(), in_slice[: lam.size]))
-        bits = rng.integers(0, 2, size=photons.size)
-        darks = _dark_firings(rng, p_d, photons.size, m_dark)
-        out = measure_batch(photons, cell % 2 == 0, bits, e_det, det, rng, darks=darks)
-        # 0 missed, 1 detected only, 2 sifted, 3 sifted error
-        level = out["detected"].astype(np.int64) + out["sifted"] + out["error"]
-        by_level += np.bincount(4 * cell + level, minlength=4 * n_cells)
-
-    # a pulse at level j counts as detected, sifted and an error up to j, so each count sums
-    # the levels from its own up; the sent counts replace the sum of all levels
-    cells = np.cumsum(by_level.reshape(len(classes), 2, 4)[..., ::-1], axis=-1)[..., ::-1].astype(float)
-    cells[..., SENT] = sent.sum(axis=0).reshape(len(classes), 2)
+    levels = outcome_probabilities(lam * det.efficiency, p_same, e_det, p_d)  # (segment, cell, level)
+    # levels drawn from the last (sifted error) to the first (missed), so that numpy takes the
+    # missed pulses, nearly all of them, as the remainder and each small level keeps its precision
+    drawn = rng.multinomial(sent, levels[..., ::-1]).sum(axis=0)
+    # a pulse at level j counts as detected, sifted and an error up to j, so the running sums
+    # from the last level give errors, sifted, detected and sent
+    cells = np.cumsum(drawn, axis=-1)[..., ::-1].reshape(len(classes), 2, len(COUNTS)).astype(float)
     total = int(counts.sum())
     return TallyTable(tuple(c.label for c in classes), cells, total, total / source.repetition_rate_hz)
 
@@ -376,7 +321,7 @@ def simulate_block(
     workers: int = 1,
     background_click_prob: float = 0.0,
 ) -> TallyTable:
-    """Pulse-level Monte Carlo of one transmission block.
+    """Monte Carlo of one transmission block.
 
     total_loss_db and n_pulses are scalars, or matching 1-D arrays that give
     the loss and pulse count of each segment of a pass, pooled into one

@@ -172,12 +172,6 @@ class SourceConfig:
                 return c
         raise KeyError(label)
 
-    def diode(self, pol: PolarizationState) -> DiodeProfile:
-        for d in self.diode_profiles:
-            if d.polarization is pol:
-                return d
-        raise KeyError(pol)
-
 
 def intrinsic_qber(ext: ExtinctionSet, weights: Optional[Sequence[float]] = None) -> float:
     """QBER contributed by imperfect polarization extinction.

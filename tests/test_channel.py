@@ -132,6 +132,11 @@ def test_synthesize_pass_rejects_step_not_finite_and_positive(step):
         synthesize_pass(60.0, 500e3, step_s=step)
 
 
+def test_synthesize_pass_rejects_more_samples_than_the_step_cap():
+    with pytest.raises(DomainError, match="into more than 1000000 samples"):
+        synthesize_pass(60.0, 500e3, step_s=1e-4)
+
+
 def test_segments_sample_midpoints_and_skip_low_elevation():
     profile = PassProfile(
         times_s=[0.0, 10.0, 20.0],

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import satqkd
 from satqkd import config
 from satqkd.cli import main
 from satqkd.config import (
@@ -289,6 +294,46 @@ def test_cli_pass_step_not_finite_and_positive_is_domain_error(capsys, config_pa
     assert report["error"] == "domain" and "step must be finite and > 0" in report["message"]
 
 
+def run_cli_bounded(*argv, seconds: float = 60.0):
+    """The CLI in a child process under a time limit and a 2 GiB address-space limit.
+
+    A pass walk that runs away then fails the test instead of filling the
+    machine's memory or hanging the suite.
+    """
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    path = os.pathsep.join(filter(None, [str(Path(satqkd.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "satqkd.cli", *argv], capture_output=True, text=True,
+                          timeout=seconds, preexec_fn=limit_memory, env=dict(os.environ, PYTHONPATH=path))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_pass_step_over_the_step_cap_is_domain_error(config_path, tmp_path):
+    # 1e-4 s steps cut the synthesized 60-degree pass into more than MAX_PASS_STEPS (1e6) steps
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(pass_mode_data(config_path)))
+    code, out, err = run_cli_bounded("pass", "--config", str(path), "--step", "1e-4")
+    assert code == 4 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "domain" and "into more than 1000000 steps" in report["message"]
+
+
+def test_cli_pass_step_that_cannot_move_the_clock_is_domain_error(config_path, tmp_path):
+    # at t = 1e6 s half an ulp is 5.8e-11 s: a 5e-11 s step leaves t as it is, while the
+    # 1e-5 s pass holds only 2e5 such steps, under the step cap
+    csv = tmp_path / "late_pass.csv"
+    csv.write_text("time_s,elevation_deg\n1000000.0,30.0\n1000000.00001,31.0\n")
+    data = pass_mode_data(config_path)
+    data["channel"]["pass"] = {"csv_path": str(csv)}
+    path = tmp_path / "late_pass.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli_bounded("pass", "--config", str(path), "--step", "5e-11")
+    assert code == 4 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "domain" and "too small to advance the pass clock" in report["message"]
+
+
 @pytest.mark.parametrize("command", ["keyrate", "optimize"])
 @pytest.mark.parametrize("value", BAD_SPANS)
 def test_cli_duration_not_finite_and_positive_is_domain_error(capsys, config_path, command, value):
@@ -372,7 +417,7 @@ def test_cli_sampled_qber_above_half_is_a_zero_key(capsys, tmp_path):
     data["block_pulses"] = 2_000_000
     path = tmp_path / "short_block.yaml"
     path.write_text(yaml.safe_dump(data))
-    code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--loss-db", "50", "--seed", "23")
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--loss-db", "50", "--seed", "9")
     assert code == 0
     keys = [s["key"] for s in json.loads(out)["sources"]]
     assert keys[0]["qber_signal"] > 0.5 and keys[0]["reason"] == "signal QBER above 0.5"
