@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +28,8 @@ from .source import distinguishability_report
 EXIT_CONFIG = 2
 EXIT_FILE = 3
 EXIT_DOMAIN = 4
+
+MAX_SWEEP_POINTS = 1_000_000  # losses of one keyrate sweep, as many as the steps of one pass walk
 
 
 def _emit(report: dict, out_dir: Optional[str]):
@@ -102,12 +105,7 @@ def cmd_simulate(args) -> dict:
 
 def cmd_keyrate(args) -> dict:
     cfg = _load_config(args)
-    lo, hi, step = args.sweep
-    losses = []
-    loss = lo
-    while loss <= hi + 1e-9:
-        losses.append(loss)
-        loss += step
+    losses = args.sweep
     total_losses = [loss + cfg.channel.excess_loss_db for loss in losses]
     # one call per source over the whole sweep; the sum starts at 0 and adds the sources in order
     rates = sum(
@@ -216,14 +214,9 @@ def cmd_report_distinguishability(args) -> dict:
     for src in cfg.sources:
         rep = distinguishability_report(src, temp_c=args.temp)
         rows = rep.as_rows()
-        _write_csv(
-            args.out_dir,
-            f"distinguishability_{int(src.wavelength_label_nm)}nm.csv",
-            ["mode_a", "mode_b", "temporal_overlap", "spectral_overlap",
-             "temporal_score", "spectral_score", "score"],
-            ([r[k] for k in ("mode_a", "mode_b", "temporal_overlap", "spectral_overlap",
-                             "temporal_score", "spectral_score", "score")] for r in rows),
-        )
+        columns = list(rows[0])  # as_rows gives every row the same keys
+        _write_csv(args.out_dir, f"distinguishability_{int(src.wavelength_label_nm)}nm.csv", columns,
+                   ([r[k] for k in columns] for r in rows))
         reports.append(
             {
                 "wavelength_nm": src.wavelength_label_nm,
@@ -238,14 +231,26 @@ def cmd_report_distinguishability(args) -> dict:
     return {"command": "report-distinguishability", "temp_c": args.temp, "sources": reports}
 
 
-def _sweep_spec(text: str):
+def _sweep_spec(text: str) -> list:
+    """The losses lo, lo + step, ... up to hi of a LO:HI:STEP sweep; at most MAX_SWEEP_POINTS of them."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must be lo:hi:step")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise argparse.ArgumentTypeError("sweep lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("sweep needs hi >= lo and step > 0")
-    return lo, hi, step
+    losses = []
+    loss = lo
+    while loss <= hi + 1e-9:
+        if len(losses) == MAX_SWEEP_POINTS:
+            raise argparse.ArgumentTypeError(f"sweep has more than {MAX_SWEEP_POINTS} points")
+        if loss + step == loss:
+            raise argparse.ArgumentTypeError(f"sweep step {step:g} is too small to move the loss from {loss:g}")
+        losses.append(loss)
+        loss += step
+    return losses
 
 
 @functools.cache
@@ -255,35 +260,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    # each subcommand takes only the flags that change its output
+    def common(p, config=True, seed=False, loss_db=False):
         if config:
             p.add_argument("--config", help="YAML run configuration")
+        if seed:
             p.add_argument("--seed", type=int, help="override the config seed")
+        if loss_db:
             p.add_argument("--loss-db", type=float, help="override with a fixed channel loss")
         p.add_argument("--out-dir", help="directory for report.json and CSV series")
 
     p = sub.add_parser("simulate", help="Monte Carlo block simulation and key extraction")
-    common(p)
+    common(p, seed=True, loss_db=True)
     p.add_argument("--regime", choices=["asymptotic", "finite"], default="finite")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="threads; changes only the speed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("keyrate", help="analytic key-rate sweep over channel loss")
     common(p)
-    p.add_argument("--sweep", type=_sweep_spec, default=(0.0, 60.0, 1.0), metavar="LO:HI:STEP")
+    p.add_argument("--sweep", type=_sweep_spec, default="0:60:1", metavar="LO:HI:STEP")
     p.add_argument("--regime", choices=["asymptotic", "finite"], default="asymptotic")
     p.add_argument("--duration", type=float, default=300.0, help="block duration in seconds")
     p.set_defaults(func=cmd_keyrate)
 
     p = sub.add_parser("pass", help="integrate a satellite pass into one pooled key")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--regime", choices=["asymptotic", "finite"], default="finite")
     p.add_argument("--mode", choices=["analytic", "mc"], default="analytic")
     p.add_argument("--step", type=float, default=1.0, help="integration step in seconds")
     p.set_defaults(func=cmd_pass)
 
     p = sub.add_parser("optimize", help="grid search over source intensities")
-    common(p)
+    common(p, loss_db=True)
     p.add_argument("--regime", choices=["asymptotic", "finite"], default="asymptotic")
     p.add_argument("--mu-min", type=float, default=0.05)
     p.add_argument("--mu-max", type=float, default=1.0)

@@ -42,12 +42,13 @@ DEFAULT_EXTINCTION = ExtinctionSet(er_h=0.61e-3, er_v=0.35e-3, er_d=1.3e-2, er_a
 def default_source(wavelength_nm: float = 785.0, repetition_rate_hz: float = 100e6) -> SourceConfig:
     """One wavelength half of the transmitter with documented defaults.
 
-    Signal mu 0.3 (900 ps pulses), decoy mu 0.5 (500 ps), vacuum; diode
-    spectra centered at 777.5 nm behind a 2 nm rectangular filter.
+    Signal mu 0.3, decoy mu 0.5, vacuum; every diode emits 900 ps signal
+    and 500 ps decoy pulses, its spectrum centered at 777.5 nm behind a 2 nm
+    rectangular filter.
     """
     classes = (
-        IntensityClass(IntensityLabel.SIGNAL, mu=0.3, emit_probability=0.7, pulse_fwhm_ps=900.0),
-        IntensityClass(IntensityLabel.DECOY, mu=0.5, emit_probability=0.25, pulse_fwhm_ps=500.0),
+        IntensityClass(IntensityLabel.SIGNAL, mu=0.3, emit_probability=0.7),
+        IntensityClass(IntensityLabel.DECOY, mu=0.5, emit_probability=0.25),
         IntensityClass(IntensityLabel.VACUUM, mu=0.0, emit_probability=0.05),
     )
     diodes = tuple(
@@ -56,9 +57,7 @@ def default_source(wavelength_nm: float = 785.0, repetition_rate_hz: float = 100
             center_wavelength_nm=777.5,
             spectral_fwhm_nm=1.0,
             temp_coefficient_nm_per_c=0.05,
-            current_coefficient_nm_per_ma=0.01,
             reference_temp_c=25.0,
-            reference_current_ma=60.0,
             trigger_delay_ps=0.0,
             pulse_fwhm_by_class_ps={IntensityLabel.SIGNAL: 900.0, IntensityLabel.DECOY: 500.0},
         )

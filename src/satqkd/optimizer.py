@@ -7,6 +7,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -18,6 +19,8 @@ from .source import IntensityLabel, SourceConfig
 
 # parameters the grid may sweep, in tie-break priority order
 SWEEPABLE = ("mu_signal", "mu_decoy", "p_signal", "p_decoy", "basis_probability_z")
+
+MAX_GRID_POINTS = 1_000_000  # points of one search grid, as many as the steps of one pass walk
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,8 @@ class SearchSpace:
                 raise DomainError(f"unknown search parameter {name!r}; choose from {SWEEPABLE}")
         if not self.axes:
             raise DomainError("search space has no axes")
+        if math.prod(axis.points for axis in self.axes.values()) > MAX_GRID_POINTS:
+            raise DomainError(f"search grid has more than {MAX_GRID_POINTS} points")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -27,6 +27,8 @@ HC = 1.98645e-25
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 MAX_TRIGGER_HZ = 200e6  # laser driver limit
+VALID_TEMP_RANGE_C = (0.0, 45.0)  # qualified window of the diodes' linear temperature drift, degC
+SPECTRAL_GRID_POINTS = 20001  # samples of a filtered spectral overlap integral
 
 
 class Basis(Enum):
@@ -63,7 +65,6 @@ class IntensityClass:
     label: IntensityLabel
     mu: float  # mean photon number per pulse
     emit_probability: float
-    pulse_fwhm_ps: float = 0.0  # ignored for vacuum
 
     def __post_init__(self):
         if not 0.0 <= self.mu < math.inf:
@@ -72,8 +73,6 @@ class IntensityClass:
             raise DomainError("vacuum class must have mu = 0")
         if not 0.0 <= self.emit_probability <= 1.0:
             raise DomainError(f"emit_probability must be in [0,1], got {self.emit_probability}")
-        if self.label is not IntensityLabel.VACUUM and not 0.0 < self.pulse_fwhm_ps < math.inf:
-            raise DomainError(f"{self.label.value} class needs pulse_fwhm_ps finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -116,12 +115,10 @@ class DiodeProfile:
     polarization: PolarizationState
     center_wavelength_nm: float
     spectral_fwhm_nm: float
+    pulse_fwhm_by_class_ps: Mapping[IntensityLabel, float]  # one width per non-vacuum class
     temp_coefficient_nm_per_c: float = 0.0
-    current_coefficient_nm_per_ma: float = 0.0
     reference_temp_c: float = 25.0
-    reference_current_ma: float = 60.0
     trigger_delay_ps: float = 0.0
-    pulse_fwhm_by_class_ps: Mapping[IntensityLabel, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.center_wavelength_nm < math.inf or not 0.0 < self.spectral_fwhm_nm < math.inf:
@@ -165,6 +162,10 @@ class SourceConfig:
         pols = [d.polarization for d in self.diode_profiles]
         if sorted(p.value for p in pols) != ["A", "D", "H", "V"]:
             raise DomainError("need exactly one diode per polarization H,V,D,A")
+        for d in self.diode_profiles:
+            for label in labels:
+                if label is not IntensityLabel.VACUUM and label not in d.pulse_fwhm_by_class_ps:
+                    raise DomainError(f"diode {d.polarization.value} has no pulse_fwhm_by_class_ps.{label.value}")
 
     def intensity(self, label: IntensityLabel) -> IntensityClass:
         for c in self.intensity_classes:
@@ -193,30 +194,22 @@ def intrinsic_qber(ext: ExtinctionSet, weights: Optional[Sequence[float]] = None
     return sum(w * er / (1.0 + er) for w, er in zip(weights, ers))
 
 
-def shifted_center(
-    diode: DiodeProfile,
-    temp_c: float,
-    current_ma: Optional[float] = None,
-    valid_temp_range_c: tuple = (0.0, 45.0),
-) -> float:
-    """Emission wavelength under the given operating temperature and drive current.
+def shifted_center(diode: DiodeProfile, temp_c: float) -> float:
+    """Emission wavelength at the given operating temperature.
 
-    Linear in both knobs around the diode's reference point. Temperatures
-    outside the qualified window only warn; the linear model is extrapolated.
+    Linear in temperature around the diode's reference point. Temperatures
+    outside VALID_TEMP_RANGE_C only warn; the linear model is extrapolated.
+    A temperature that is not finite raises DomainError.
     """
-    if current_ma is None:
-        current_ma = diode.reference_current_ma
-    lo, hi = valid_temp_range_c
+    if not math.isfinite(temp_c):
+        raise DomainError(f"temperature must be finite, got {temp_c}")
+    lo, hi = VALID_TEMP_RANGE_C
     if not lo <= temp_c <= hi:
         warnings.warn(
             f"temperature {temp_c} degC outside validity window [{lo}, {hi}]; extrapolating",
             stacklevel=2,
         )
-    return (
-        diode.center_wavelength_nm
-        + diode.temp_coefficient_nm_per_c * (temp_c - diode.reference_temp_c)
-        + diode.current_coefficient_nm_per_ma * (current_ma - diode.reference_current_ma)
-    )
+    return diode.center_wavelength_nm + diode.temp_coefficient_nm_per_c * (temp_c - diode.reference_temp_c)
 
 
 def filter_transmission(center_nm: float, line_fwhm_nm: float, filt: FilterSpec) -> float:
@@ -248,17 +241,12 @@ def _bhattacharyya_gaussians(c_a, s_a, c_b, s_b) -> float:
     return pref * math.exp(-((c_a - c_b) ** 2) / (4.0 * s2))
 
 
-def spectral_overlap(
-    line_a: tuple,
-    line_b: tuple,
-    filt: Optional[FilterSpec] = None,
-    grid_points: int = 20001,
-) -> float:
+def spectral_overlap(line_a: tuple, line_b: tuple, filt: Optional[FilterSpec] = None) -> float:
     """Bhattacharyya overlap of two Gaussian spectral lines, optionally filtered.
 
     Each line is (center_nm, fwhm_nm). With a filter, both lines are clipped
     by the filter transmission, renormalized, and the overlap integral is
-    evaluated numerically.
+    evaluated numerically on SPECTRAL_GRID_POINTS points.
 
     Raises OverlapUndefinedError when a filtered line has (numerically) zero
     transmitted power.
@@ -274,7 +262,7 @@ def spectral_overlap(
 
     lo = min(c_a - 6 * s_a, c_b - 6 * s_b, filt.center_nm - filt.fwhm_nm)
     hi = max(c_a + 6 * s_a, c_b + 6 * s_b, filt.center_nm + filt.fwhm_nm)
-    x = np.linspace(lo, hi, grid_points)
+    x = np.linspace(lo, hi, SPECTRAL_GRID_POINTS)
     if filt.shape == "rectangular":
         t = (np.abs(x - filt.center_nm) <= filt.fwhm_nm / 2.0).astype(float)
     else:
@@ -353,12 +341,11 @@ def distinguishability_report(config: SourceConfig, temp_c: float = 25.0) -> Dis
         for cls in config.intensity_classes:
             if cls.label is IntensityLabel.VACUUM:
                 continue
-            pulse_fwhm = diode.pulse_fwhm_by_class_ps.get(cls.label, cls.pulse_fwhm_ps)
             center = shifted_center(diode, temp_c)
             modes.append(
                 (
                     f"{diode.polarization.value}/{cls.label.value}",
-                    pulse_fwhm,
+                    diode.pulse_fwhm_by_class_ps[cls.label],
                     diode.trigger_delay_ps,
                     center,
                     diode.spectral_fwhm_nm,

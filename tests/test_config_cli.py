@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,51 @@ def test_cli_report_distinguishability(capsys, config_path, tmp_path):
     assert any(p.name.startswith("distinguishability_") for p in out_dir.iterdir())
 
 
+DISTINGUISHABILITY_PINS = Path(__file__).with_name("data") / "distinguishability_pins.json"
+
+
+def test_cli_report_distinguishability_prints_pinned_stdout(capsys, tmp_path):
+    # data/distinguishability_pins.json holds the reports printed before the diode drive-current
+    # terms and the per-class pulse width were removed, for the default config and for the
+    # README's drift study: diodes with distinct temperature coefficients, at 30 degC
+    pinned = json.loads(DISTINGUISHABILITY_PINS.read_text())
+    drift = default_run_config()
+    drift.sources = tuple(
+        replace(src, diode_profiles=tuple(replace(d, temp_coefficient_nm_per_c=k)
+                                          for d, k in zip(src.diode_profiles, (0.03, 0.05, 0.07, 0.09))))
+        for src in drift.sources
+    )
+    path = tmp_path / "drift.yaml"
+    save_run_config(drift, path)
+    for name, argv in (("default", []), ("drift_30degC", ["--config", str(path), "--temp", "30"])):
+        code, out, _ = run_cli(capsys, "report-distinguishability", *argv)
+        assert code == 0
+        assert out == json.dumps(pinned[name], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_temperature_is_domain_error(capsys, value):
+    code, out, err = run_cli(capsys, "report-distinguishability", f"--temp={value}")
+    assert code == 4 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "domain" and "temperature must be finite" in report["message"]
+
+
+# flags that no longer exist because they changed none of the command's output
+REMOVED_FLAGS = [
+    ("keyrate", "--seed", "1"), ("optimize", "--seed", "1"), ("report-distinguishability", "--seed", "1"),
+    ("keyrate", "--loss-db", "40"), ("report-distinguishability", "--loss-db", "40"), ("pass", "--loss-db", "40"),
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
+def test_cli_removed_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 def test_cli_optimize(capsys, config_path, tmp_path):
     out_dir = tmp_path / "opt"
     code, out, _ = run_cli(
@@ -262,6 +308,13 @@ WRONG_VALUES = [
     (["channel", "pass", "csv_path"], 5, "config.channel.pass.csv_path: expected str"),
     (["channel", "pass", "loss"], 1, "config.channel.pass: unknown keys ['loss']"),
     (["detector", "gate_width_ps"], 1000.0, "config.detector: unknown keys ['gate_width_ps']"),
+    (SOURCE + ["intensity_classes", 0, "pulse_fwhm_ps"], 900.0,
+     f"{WHERE}.intensity_classes[0]: unknown keys ['pulse_fwhm_ps']"),
+    (SOURCE + ["diode_profiles", 0, "current_coefficient_nm_per_ma"], 0.01,
+     f"{WHERE}.diode_profiles[0]: unknown keys ['current_coefficient_nm_per_ma']"),
+    (SOURCE + ["diode_profiles", 0, "reference_current_ma"], 60.0,
+     f"{WHERE}.diode_profiles[0]: unknown keys ['reference_current_ma']"),
+    (FWHMS, {"signal": 900.0}, f"{WHERE}: diode H has no pulse_fwhm_by_class_ps.decoy"),
 ]
 
 
@@ -297,7 +350,7 @@ def test_cli_pass_step_not_finite_and_positive_is_domain_error(capsys, config_pa
 def run_cli_bounded(*argv, seconds: float = 60.0):
     """The CLI in a child process under a time limit and a 2 GiB address-space limit.
 
-    A pass walk that runs away then fails the test instead of filling the
+    A walk or grid that runs away then fails the test instead of filling the
     machine's memory or hanging the suite.
     """
     def limit_memory():
@@ -332,6 +385,30 @@ def test_cli_pass_step_that_cannot_move_the_clock_is_domain_error(config_path, t
     assert code == 4 and out == ""
     report = json.loads(err)
     assert report["error"] == "domain" and "too small to advance the pass clock" in report["message"]
+
+
+# (sweep, text of the refusal): unbounded walks that would fill memory, and walks that key nothing
+BAD_SWEEPS = [
+    ("nan:60:1", "must be finite"), ("0:nan:1", "must be finite"), ("0:60:nan", "must be finite"),
+    ("0:inf:1", "must be finite"),
+    ("0:1e6:1e-9", "more than 1000000 points"),
+    ("1e17:1e17:1", "too small to move the loss from 1e+17"),  # 1e17 + 1 == 1e17
+]
+
+
+@pytest.mark.parametrize("sweep,message", BAD_SWEEPS, ids=[s for s, _ in BAD_SWEEPS])
+def test_cli_sweep_not_finite_or_unbounded_is_usage_error(sweep, message):
+    code, out, err = run_cli_bounded("keyrate", f"--sweep={sweep}")
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_cli_optimize_grid_over_the_cap_is_domain_error():
+    # 1e5 x 1e5 points would ask numpy for 74.5 GiB
+    code, out, err = run_cli_bounded("optimize", "--mu-points", "100000")
+    assert code == 4 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "domain" and "more than 1000000 points" in report["message"]
 
 
 @pytest.mark.parametrize("command", ["keyrate", "optimize"])

@@ -101,8 +101,8 @@ def _diode(**kw):
         polarization=PolarizationState.H,
         center_wavelength_nm=777.5,
         spectral_fwhm_nm=1.0,
+        pulse_fwhm_by_class_ps={IntensityLabel.SIGNAL: 900.0, IntensityLabel.DECOY: 500.0},
         reference_temp_c=25.0,
-        reference_current_ma=60.0,
     )
     defaults.update(kw)
     return DiodeProfile(**defaults)
@@ -110,19 +110,13 @@ def _diode(**kw):
 
 def test_shifted_center_zero_coefficients():
     d = _diode()
-    assert shifted_center(d, 40.0, 100.0) == 777.5
+    assert shifted_center(d, 40.0) == 777.5
 
 
 def test_shifted_center_temperature():
     d = _diode(temp_coefficient_nm_per_c=0.06)
     with pytest.warns(UserWarning, match="outside validity window"):
-        assert shifted_center(d, 50.0, 60.0) == pytest.approx(779.0)
-
-
-def test_shifted_center_current():
-    d = _diode(current_coefficient_nm_per_ma=0.01)
-    # 60 mA signal drive to 100 mA decoy drive
-    assert shifted_center(d, 25.0, 100.0) == pytest.approx(777.9)
+        assert shifted_center(d, 50.0) == pytest.approx(779.0)
 
 
 def test_shifted_center_warns_outside_window():
@@ -132,7 +126,7 @@ def test_shifted_center_warns_outside_window():
 
 
 def test_shifted_center_is_linear():
-    d = _diode(temp_coefficient_nm_per_c=0.03, current_coefficient_nm_per_ma=0.02)
+    d = _diode(temp_coefficient_nm_per_c=0.03)
     once = shifted_center(d, 45.0) - d.center_wavelength_nm
     half = shifted_center(d, 35.0) - d.center_wavelength_nm
     assert once == pytest.approx(2 * half, abs=1e-12)
@@ -308,7 +302,7 @@ def test_intensity_class_rejects_non_finite_or_negative_mu(mu):
     from satqkd.source import IntensityClass
 
     with pytest.raises(DomainError, match="mean photon number"):
-        IntensityClass(IntensityLabel.SIGNAL, mu=mu, emit_probability=0.7, pulse_fwhm_ps=900.0)
+        IntensityClass(IntensityLabel.SIGNAL, mu=mu, emit_probability=0.7)
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
@@ -316,15 +310,7 @@ def test_intensity_class_rejects_non_finite_emit_probability(p):
     from satqkd.source import IntensityClass
 
     with pytest.raises(DomainError, match="emit_probability"):
-        IntensityClass(IntensityLabel.SIGNAL, mu=0.3, emit_probability=p, pulse_fwhm_ps=900.0)
-
-
-@pytest.mark.parametrize("fwhm", [math.nan, math.inf, 0.0])
-def test_intensity_class_rejects_non_finite_pulse_fwhm(fwhm):
-    from satqkd.source import IntensityClass
-
-    with pytest.raises(DomainError, match="pulse_fwhm_ps"):
-        IntensityClass(IntensityLabel.SIGNAL, mu=0.3, emit_probability=0.7, pulse_fwhm_ps=fwhm)
+        IntensityClass(IntensityLabel.SIGNAL, mu=0.3, emit_probability=p)
 
 
 @pytest.mark.parametrize("field", ["center_wavelength_nm", "spectral_fwhm_nm"])
