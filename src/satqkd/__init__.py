@@ -14,12 +14,11 @@ from .channel import (
 from .config import RunConfig, default_run_config, default_source, load_run_config
 from .optimizer import Axis, SearchSpace, optimize
 from .protocol import (
-    AnalyticRates,
     DecoyBounds,
     KeyResult,
     SecurityParams,
     TallyTable,
-    analytic_rates,
+    analytic_tallies,
     decoy_bounds,
     integrate_pass,
     key_from_fixed_loss,

@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 Every subcommand prints one machine-readable JSON report to stdout and can
-additionally drop flat CSV series into --out-dir for plotting. Exit codes:
-0 success, 2 config/schema error, 3 data-file format error, 4 domain error.
+additionally drop flat CSV series into --out-dir for plotting. Each
+diagnostic on stderr, an error or a warning, is one JSON object on one line.
+Exit codes: 0 success, 2 config/schema error, 3 data-file format error,
+4 domain error.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -20,7 +23,7 @@ from typing import Optional
 from . import __version__
 from .analysis import estimate_fwhm, estimate_spectrum, load_histogram_csv, load_spectrum_csv
 from .config import RunConfig, default_run_config, load_run_config, to_dict
-from .errors import ConfigError, DomainError, FileFormatError, SatQkdError
+from .errors import ConfigError, FileFormatError, SatQkdError
 from .optimizer import Axis, SearchSpace, optimize
 from .protocol import integrate_pass, key_from_fixed_loss, key_from_tally, simulate_block
 from .source import distinguishability_report
@@ -28,6 +31,9 @@ from .source import distinguishability_report
 EXIT_CONFIG = 2
 EXIT_FILE = 3
 EXIT_DOMAIN = 4
+# the error name and exit code of each error class, the most specific first
+ERROR_EXITS = ((ConfigError, "config", EXIT_CONFIG), (FileFormatError, "file-format", EXIT_FILE),
+               (SatQkdError, "domain", EXIT_DOMAIN))
 
 MAX_SWEEP_POINTS = 1_000_000  # losses of one keyrate sweep, as many as the steps of one pass walk
 
@@ -126,6 +132,8 @@ def cmd_keyrate(args) -> dict:
 
 
 def cmd_pass(args) -> dict:
+    if args.mode == "analytic" and args.seed is not None:
+        raise ConfigError("--seed applies only to --mode mc: the analytic pass draws no random numbers")
     cfg = _load_config(args)
     if cfg.channel.mode != "pass":
         raise ConfigError("pass command requires a channel in pass mode")
@@ -319,19 +327,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _diagnostic(**fields):
+    """One diagnostic on stderr, as one JSON object on one line."""
+    print(json.dumps(fields), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        report = args.func(args)
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-    except FileFormatError as exc:
-        print(json.dumps({"error": "file-format", "message": str(exc)}), file=sys.stderr)
-        return EXIT_FILE
-    except (DomainError, SatQkdError) as exc:
-        print(json.dumps({"error": "domain", "message": str(exc)}), file=sys.stderr)
-        return EXIT_DOMAIN
+    error = None
+    # the warnings filters stay as they are; a warning they let through is recorded, not printed
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            report = args.func(args)
+        except SatQkdError as exc:
+            error = exc
+    for warning in caught:
+        _diagnostic(warning=warning.category.__name__, message=str(warning.message))
+    if error is not None:
+        name, code = next((name, code) for kind, name, code in ERROR_EXITS if isinstance(error, kind))
+        _diagnostic(error=name, message=str(error))
+        return code
     _emit(report, getattr(args, "out_dir", None))
     return 0
 

@@ -95,8 +95,6 @@ def optimize(
     swept = {IntensityLabel.SIGNAL: (mu_s, p_s), IntensityLabel.DECOY: (mu_d, p_d)}
     rows = [swept.get(c.label, (np.full(pz.shape, c.mu), p_v)) for c in base_source.intensity_classes]
     mus, emit = (np.array(column)[:, feasible] for column in zip(*rows))
-    if (abs(emit.sum(axis=0) - 1.0) > 1e-9).any():  # only a source without a vacuum class can fail this
-        raise DomainError("emit probabilities of a feasible grid point must sum to 1")
     result = key_from_fixed_loss(base_source, total_loss_db, det, e_det, sec, duration_s, regime,
                                  mus=mus, emit=emit, p_z=pz[feasible])
     lengths = result.secret_key_length.tolist()

@@ -1,11 +1,11 @@
-"""Decoy-state BB84 pipeline: simulation, analytic rates, sifting, bounds, key length.
+"""Decoy-state BB84 pipeline: simulation, analytic tallies, bounds, key length.
 
 Two routes produce the same sufficient statistics (a TallyTable): a Monte
 Carlo over Poissonian weak coherent pulses, which draws each cell's counts
-from the receiver's exact per-pulse outcome law, and the closed-form
-gain/error equations for the same channel. Downstream, the
-2-decoy bounds and the GLLP-style key formula (with Hoeffding finite-size
-corrections) are shared by both routes.
+from the receiver's exact per-pulse outcome law, and the expected counts of
+the closed-form gain/error equations for the same channel. One reader keys
+every count array, through the 2-decoy bounds and the GLLP-style key formula
+(with Hoeffding finite-size corrections).
 
 Counting convention: sifted counts (same-basis detections) feed the key
 formula, and the single-photon count estimate is scaled by the observed
@@ -18,7 +18,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -104,16 +104,6 @@ class TallyTable:
         """(class, count) array: the counts summed over the sender basis."""
         return self.counts.sum(axis=1)
 
-    def observed_rates(self) -> Tuple[list, list]:
-        """Observed per-class gains (detections per pulse sent) and error rates (errors per sifted detection)."""
-        gains, error_rates = [], []
-        for label, (sent, detected, sifted, errors) in zip(self.labels, self.by_class().tolist()):
-            if sent <= 0:
-                raise DomainError(f"no pulses sent in class {label.value}")
-            gains.append(detected / sent)
-            error_rates.append(errors / sifted if sifted > 0 else E0)
-        return gains, error_rates
-
     def validate(self):
         if not (np.diff(self.counts, axis=-1) <= 0).all():
             raise DomainError("inconsistent tally: every cell needs errors <= sifted <= detected <= sent")
@@ -136,28 +126,6 @@ class TallyTable:
 # analytic route
 
 
-@dataclass(frozen=True)
-class AnalyticRates:
-    """Closed-form per-class gain and error rate for a Poissonian WCP source.
-
-    Row k of mus, gains and error_rates belongs to class labels[k] (source
-    order). For one point a row is a scalar; for a batch of points (losses,
-    intensities, or segments of a pass) it has one entry per point, and so
-    does eta when the losses do.
-    """
-
-    labels: Tuple[IntensityLabel, ...]
-    mus: np.ndarray  # (class[, point])
-    gains: np.ndarray  # Q_k: (class[, point])
-    error_rates: np.ndarray  # E_k: (class[, point])
-    y0: float
-    eta: np.ndarray  # one per loss
-
-
-def _total_eta(source: SourceConfig, total_loss_db: float, det: DetectorModel) -> float:
-    return transmittance_from_db(total_loss_db + source.insertion_loss_db) * det.efficiency
-
-
 def _click_prob(det: DetectorModel, background_click_prob: float) -> float:
     """Per-detector probability of a dark or background firing in one gate."""
     p_d = det.dark_prob + background_click_prob
@@ -166,21 +134,19 @@ def _click_prob(det: DetectorModel, background_click_prob: float) -> float:
     return p_d
 
 
-def analytic_rates(
-    source: SourceConfig,
-    total_loss_db: ArrayLike,
-    det: DetectorModel,
-    e_det: float,
-    background_click_prob: float = 0.0,
-    mus: Optional[ArrayLike] = None,
-) -> AnalyticRates:
-    """Gain Q_k and error rate E_k per intensity class.
+def _expected_counts(source: SourceConfig, total_loss_db: ArrayLike, det: DetectorModel, e_det: float,
+                     n_pulses: ArrayLike, background_click_prob: float, mus: Optional[ArrayLike] = None,
+                     emit: Optional[ArrayLike] = None, p_z: Optional[ArrayLike] = None) -> np.ndarray:
+    """Expected ([point,] class, basis, count) counts of the closed-form WCP model; no point axis for one point.
 
-    Q_k = 1 - (1 - Y0) exp(-eta mu_k); E_k Q_k = e0 Y0 + e_det (1 - exp(-eta mu_k))
-    with Y0 the probability any of the four gated detectors fires on darks
-    or background. total_loss_db is a scalar, or a 1-D array with one loss
-    per point. mus, if given, replaces the source's intensities: a (class,
-    point) array in source order that broadcasts against the losses.
+    A cell's sent pulses times the class gain Q_k = 1 - (1 - Y0) exp(-eta
+    mu_k) are detected, those times the sift fraction sifted, and those
+    times the error rate E_k, with E_k Q_k = e0 Y0 + e_det (1 - exp(-eta
+    mu_k)), errors; Y0 is the probability any of the four gated detectors
+    fires on darks or background. total_loss_db is a scalar or a 1-D array
+    with one loss per point, and n_pulses broadcasts against the points.
+    mus and emit, (class[, point]) arrays in source order, and p_z, the
+    sender's Z-basis probability ([point]), replace the source's.
     """
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
@@ -190,45 +156,24 @@ def analytic_rates(
     classes = source.intensity_classes
     if mus is None:
         mus = np.reshape([c.mu for c in classes], (len(classes),) + (1,) * losses.ndim)
-    mus = np.asarray(mus, dtype=float)
+    if emit is None:
+        emit = [c.emit_probability for c in classes]
+    p_z = np.asarray(source.basis_probability_z if p_z is None else p_z, dtype=float)
     y0 = 1.0 - (1.0 - _click_prob(det, background_click_prob)) ** N_DETECTORS
-    eta = _each(lambda loss: _total_eta(source, loss, det), losses)
-    decay = _each(math.exp, -eta * mus)
+    eta = _each(lambda loss: transmittance_from_db(loss + source.insertion_loss_db) * det.efficiency, losses)
+    decay = _each(math.exp, -eta * np.asarray(mus, dtype=float))
     gains = 1.0 - (1.0 - y0) * decay
     with np.errstate(divide="ignore", invalid="ignore"):
         error_rates = np.where(gains > 0, (E0 * y0 + e_det * (1.0 - decay)) / gains, E0)
-    return AnalyticRates(tuple(c.label for c in classes), mus, gains, error_rates, y0, eta)
-
-
-def sift_fraction(source: SourceConfig, det: DetectorModel, basis_probability_z: Optional[ArrayLike] = None):
-    """Probability sender and receiver pick the same basis.
-
-    basis_probability_z, if given, replaces the sender's, one entry per point.
-    """
-    pz_s = source.basis_probability_z if basis_probability_z is None else basis_probability_z
     pz_r = det.basis_probability_z
-    return pz_s * pz_r + (1.0 - pz_s) * (1.0 - pz_r)
-
-
-def _expected_counts(source: SourceConfig, det: DetectorModel, rates: AnalyticRates, n_pulses: ArrayLike,
-                     emit: Optional[ArrayLike] = None, p_z: Optional[ArrayLike] = None) -> np.ndarray:
-    """Expected (point, class, basis, count) counts of each point of rates; no point axis for one point.
-
-    n_pulses, the emit probabilities (a (class, point) array in source order)
-    and the sender's Z-basis probability (one per point) broadcast against
-    the points of rates; the last two default to the source's.
-    """
-    if emit is None:
-        emit = [c.emit_probability for c in source.intensity_classes]
-    p_z = np.asarray(source.basis_probability_z if p_z is None else p_z, dtype=float)
 
     def per_class(rows: ArrayLike) -> np.ndarray:  # (class[, point]) -> ([point, ]class, 1)
         return np.asarray(rows, dtype=float).T[..., None]
 
     p_basis = np.array([p_z, 1.0 - p_z]).T[..., None, :]
     sent = np.asarray(n_pulses, dtype=float)[..., None, None] * per_class(emit) * p_basis
-    sift = np.asarray(sift_fraction(source, det, p_z))[..., None, None]
-    gains, error_rates = per_class(rates.gains), per_class(rates.error_rates)
+    sift = (p_z * pz_r + (1.0 - p_z) * (1.0 - pz_r))[..., None, None]
+    gains, error_rates = per_class(gains), per_class(error_rates)
     # each count is the one before it times a factor: sent Q_k, then the sift fraction, then E_k
     factors = np.empty(np.broadcast_shapes(sent.shape, gains.shape, sift.shape) + (len(COUNTS),))
     factors[..., SENT] = sent
@@ -246,21 +191,20 @@ def analytic_tallies(
     n_pulses: ArrayLike,
     background_click_prob: float = 0.0,
 ) -> TallyTable:
-    """Expected-value tallies (fractional counts) for the analytic route.
+    """Expected-value tallies (fractional counts) of the closed-form model.
 
     total_loss_db and n_pulses are scalars, or matching 1-D arrays with one
     entry per segment of a pass, pooled into one tally.
     """
     if np.shape(total_loss_db) != np.shape(n_pulses):
         raise DomainError("total_loss_db and n_pulses must be scalars or 1-D arrays of equal length")
-    rates = analytic_rates(source, total_loss_db, det, e_det, background_click_prob)
-    counts = _expected_counts(source, det, rates, n_pulses)
+    counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses, background_click_prob)
     if counts.ndim > 3:  # the axis-0 sum of a 2-D or larger array adds the segments one by one, in order
         counts = counts.sum(axis=0)
     total_pulses = elapsed_s = 0.0
     for k in np.atleast_1d(np.asarray(n_pulses, dtype=float)).tolist():  # in segment order too
         total_pulses, elapsed_s = total_pulses + k, elapsed_s + k / source.repetition_rate_hz
-    return TallyTable(rates.labels, counts, total_pulses, elapsed_s)
+    return TallyTable(tuple(c.label for c in source.intensity_classes), counts, total_pulses, elapsed_s)
 
 
 # ---------------------------------------------------------------------------
@@ -445,22 +389,6 @@ def decoy_bounds(
                        _where(lost, Y1_LOST_IN_ROUNDING, _where(zero, Y1_ZERO, None)))
 
 
-def decoy_bounds_from_classes(labels: Tuple[IntensityLabel, ...], mus: ArrayLike, gains: ArrayLike,
-                              error_rates: ArrayLike, y0: float = 0.0) -> DecoyBounds:
-    """2-decoy bounds from per-class rows in source order: intensity mu, gain Q and error rate E.
-
-    Row k belongs to class labels[k]; each row is a scalar or has one entry
-    per point. A source without a vacuum class takes y0 as its vacuum gain.
-    """
-    non_vacuum = [k for k, l in enumerate(labels) if l is not IntensityLabel.VACUUM]
-    if len(non_vacuum) != 2:
-        raise DomainError("need exactly two non-vacuum intensity classes")
-    a, b = non_vacuum
-    q_vacuum = gains[labels.index(IntensityLabel.VACUUM)] if IntensityLabel.VACUUM in labels else y0
-    return decoy_bounds(mus[a], mus[b], gains[a], gains[b], q_vacuum,
-                        error_rates[a] * gains[a], error_rates[b] * gains[b])
-
-
 # ---------------------------------------------------------------------------
 # key length
 
@@ -514,14 +442,6 @@ class KeyResult:
             "regime": self.regime,
             "reason": self.reason,
         }
-
-
-def _signal_stats(labels: Tuple[IntensityLabel, ...], counts: np.ndarray, mu_signal: ArrayLike,
-                  elapsed_s: ArrayLike) -> SiftedStats:
-    """Signal statistics of (point, class, basis, count) counts; no point axis for one point."""
-    by_count = counts[..., labels.index(IntensityLabel.SIGNAL), :, :].sum(axis=-2)
-    sent, detected, sifted, errors = by_count.T
-    return SiftedStats(sifted, errors, detected, sent, mu_signal, elapsed_s)
 
 
 def key_length(
@@ -592,7 +512,39 @@ def key_length(
 
 
 # ---------------------------------------------------------------------------
-# convenience pipelines
+# the key of a count array
+
+
+def _key_from_counts(labels: Tuple[IntensityLabel, ...], counts: np.ndarray, mus: Sequence,
+                     elapsed_s: ArrayLike, sec: SecurityParams, regime: str) -> KeyResult:
+    """Key of ([point,] class, basis, count) counts; no point axis for one point.
+
+    labels are one signal, one decoy and one vacuum class, as SourceConfig
+    requires, and mus holds one row per class in source order, a scalar or
+    one entry per point. The 2-decoy bounds take each class's observed gain
+    (detections per pulse sent) and error rate (errors per sifted detection);
+    the key formula takes the signal class's counts.
+    """
+    by_class = counts[..., 0, :] + counts[..., 1, :]  # ([point,] class, count): the sum over the bases
+    sent, detected, sifted, errors = np.ascontiguousarray(by_class.T)  # each (class[, point])
+    empty = (sent <= 0).reshape(len(labels), -1).any(axis=1)
+    if empty.any():
+        raise DomainError(f"no pulses sent in class {labels[int(np.argmax(empty))].value}")
+    gains = detected / sent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error_gains = np.where(sifted > 0, errors / sifted, E0) * gains
+    a, b = (k for k, label in enumerate(labels) if label is not IntensityLabel.VACUUM)
+    bounds = decoy_bounds(mus[a], mus[b], gains[a], gains[b], gains[labels.index(IntensityLabel.VACUUM)],
+                          error_gains[a], error_gains[b])
+    k = labels.index(IntensityLabel.SIGNAL)
+    return key_length(SiftedStats(sifted[k], errors[k], detected[k], sent[k], mus[k], elapsed_s),
+                      bounds, sec, regime)
+
+
+def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams, regime: str) -> KeyResult:
+    """Key of a pooled tally."""
+    mus = [source.intensity(label).mu for label in tally.labels]
+    return _key_from_counts(tally.labels, tally.counts, mus, tally.elapsed_s, sec, regime)
 
 
 def key_from_fixed_loss(
@@ -608,7 +560,7 @@ def key_from_fixed_loss(
     emit: Optional[ArrayLike] = None,
     p_z: Optional[ArrayLike] = None,
 ) -> KeyResult:
-    """Analytic end-to-end key result at a fixed channel loss, for one point or a batch.
+    """Analytic key at a fixed channel loss, for one point or a batch: the key of the expected counts.
 
     total_loss_db is a scalar or a 1-D array with one loss per point. mus and
     emit, (class, point) arrays in source order, and p_z, one per point,
@@ -618,21 +570,11 @@ def key_from_fixed_loss(
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise DomainError(f"duration must be finite and > 0 s, got {duration_s}")
-    rates = analytic_rates(source, total_loss_db, det, e_det, background_click_prob, mus)
     n_pulses = duration_s * source.repetition_rate_hz
-    counts = _expected_counts(source, det, rates, n_pulses, emit, p_z)
-    mu_signal = rates.mus[rates.labels.index(IntensityLabel.SIGNAL)]
-    stats = _signal_stats(rates.labels, counts, mu_signal, n_pulses / source.repetition_rate_hz)
-    bounds = decoy_bounds_from_classes(rates.labels, rates.mus, rates.gains, rates.error_rates, rates.y0)
-    return key_length(stats, bounds, sec, regime)
-
-
-def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams, regime: str) -> KeyResult:
-    """Key of a pooled tally; its bounds take the observed gains (all detections) and error rates (sifted)."""
-    mus = [source.intensity(label).mu for label in tally.labels]
-    bounds = decoy_bounds_from_classes(tally.labels, mus, *tally.observed_rates())
-    stats = _signal_stats(tally.labels, tally.counts, source.intensity(IntensityLabel.SIGNAL).mu, tally.elapsed_s)
-    return key_length(stats, bounds, sec, regime)
+    counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses, background_click_prob, mus, emit, p_z)
+    labels = tuple(c.label for c in source.intensity_classes)
+    rows = [c.mu for c in source.intensity_classes] if mus is None else np.asarray(mus, dtype=float)
+    return _key_from_counts(labels, counts, rows, n_pulses / source.repetition_rate_hz, sec, regime)
 
 
 def integrate_pass(

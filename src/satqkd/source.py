@@ -154,10 +154,13 @@ class SourceConfig:
         if abs(total_p - 1.0) > 1e-9:
             raise DomainError(f"emit probabilities must sum to 1, got {total_p}")
         labels = [c.label for c in self.intensity_classes]
-        if len(set(labels)) != len(labels):
-            raise DomainError("duplicate intensity class labels")
-        non_vac = [c.mu for c in self.intensity_classes if c.label is not IntensityLabel.VACUUM]
-        if len(non_vac) == 2 and (non_vac[0] == non_vac[1] or min(non_vac) <= 0):
+        # the 2-decoy bound needs a measured vacuum yield; a two-intensity source needs the
+        # 1-decoy bound, which is not implemented
+        if sorted(label.value for label in labels) != ["decoy", "signal", "vacuum"]:
+            raise DomainError("need exactly one signal, one decoy and one vacuum intensity class, got "
+                              f"{[label.value for label in labels]}")
+        mu_signal, mu_decoy = self.intensity(IntensityLabel.SIGNAL).mu, self.intensity(IntensityLabel.DECOY).mu
+        if mu_signal == mu_decoy or min(mu_signal, mu_decoy) <= 0:
             raise DomainError("signal and decoy mu must be distinct and positive")
         pols = [d.polarization for d in self.diode_profiles]
         if sorted(p.value for p in pols) != ["A", "D", "H", "V"]:
@@ -371,8 +374,6 @@ def distinguishability_report(config: SourceConfig, temp_c: float = 25.0) -> Dis
                     spectral_score=1.0 - s_ov,
                 )
             )
-    if not pairs:
-        raise DomainError("source has no non-vacuum emission modes")
     worst = max(pairs, key=lambda p: p.score)
     return DistinguishabilityReport(pairs=pairs, worst_pair=worst)
 

@@ -9,15 +9,21 @@ against it in distribution.
 reference_pass is the Monte Carlo pass loop of satqkd before the whole pass
 became one draw: one simulate_block call per segment, each with its own seed
 spawned from the pass seed, and the segment tallies added one by one.
+
+enumerated_levels is measure_batch's per-pulse outcome law by exact
+enumeration of photon numbers, port clicks and dark patterns, and
+enumerated_cells the expected tally that law gives a block.
 """
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from satqkd.channel import PassProfile, transmittance_from_db
 from satqkd.protocol import TallyTable, simulate_block
-from satqkd.receiver import DetectorModel, measure_batch
+from satqkd.receiver import OUTCOME_LEVELS, DetectorModel, measure_batch
 from satqkd.source import SourceConfig
 
 
@@ -91,3 +97,73 @@ def reference_pass(
         t += dt
         seg_index += 1
     return pooled
+
+
+N_MAX = 40  # arriving photons summed over; the Poisson tail past it is below 1e-40 at lambda 1.5
+NS = np.arange(N_MAX)
+COMB = np.array([[math.comb(n, m) for m in range(N_MAX)] for n in range(N_MAX)], dtype=float)
+
+
+def binomial_pmf(p: float) -> np.ndarray:
+    """(n, m) array of P(m successes of n trials); zero for m > n."""
+    with np.errstate(all="ignore"):
+        pmf = COMB * p ** NS[None, :] * (1.0 - p) ** (NS[:, None] - NS[None, :])
+    return np.where(NS[None, :] <= NS[:, None], pmf, 0.0)
+
+
+def signal_clicks(lam: float, eta_det: float, p_one: float) -> dict:
+    """P(photon click on port 0, photon click on port 1) of the measured basis.
+
+    Photon number n ~ Poisson(lam) arrives, m ~ Binomial(n, eta_det) are
+    detected and k ~ Binomial(m, p_one) of them project onto bit 1.
+    """
+    poisson = np.array([math.exp(-lam) * lam**n / math.factorial(n) for n in range(N_MAX)])
+    joint = poisson[:, None, None] * binomial_pmf(eta_det)[:, :, None] * binomial_pmf(p_one)[None, :, :]
+    m, k = np.meshgrid(NS, NS, indexing="ij")
+    joint = joint.sum(axis=0)  # (m, k)
+    return {(c0, c1): float(joint[((k < m) == c0) & ((k > 0) == c1)].sum())
+            for c0, c1 in itertools.product((False, True), repeat=2)}
+
+
+def enumerated_levels(lam, eta_det, flip, p_d, p_z, sender_z) -> np.ndarray:
+    """P(each outcome level) summed over both sent bits, both receiver bases,
+    the photon-click pairs and the 16 dark patterns, by measure_batch's rules."""
+    levels = np.zeros(len(OUTCOME_LEVELS))
+    for sent_bit, meas_z in itertools.product((0, 1), (True, False)):
+        same = meas_z == sender_z
+        p_one = (1.0 - flip if sent_bit else flip) if same else 0.5
+        weight = 0.5 * (p_z if meas_z else 1.0 - p_z)
+        for (s0, s1), p_sig in signal_clicks(lam, eta_det, p_one).items():
+            for darks in itertools.product((False, True), repeat=4):  # Z0, Z1, X0, X1
+                p = weight * p_sig * math.prod(p_d if d else 1.0 - p_d for d in darks)
+                z0, z1 = (meas_z and s0) or darks[0], (meas_z and s1) or darks[1]
+                x0, x1 = (not meas_z and s0) or darks[2], (not meas_z and s1) or darks[3]
+                if not (z0 or z1 or x0 or x1):
+                    levels[0] += p
+                    continue
+                basis_z = meas_z if (z0 or z1 if meas_z else x0 or x1) else not meas_z
+                c0, c1 = (z0, z1) if basis_z else (x0, x1)
+                if basis_z != sender_z:
+                    levels[1] += p
+                elif c0 and c1:  # a double click: a random bit
+                    levels[2] += p / 2.0
+                    levels[3] += p / 2.0
+                else:
+                    levels[2 if int(c1) == sent_bit else 3] += p
+    return levels
+
+
+def enumerated_cells(source: SourceConfig, total_loss_db: float, det: DetectorModel, e_det: float,
+                     n_pulses: float, background_click_prob: float = 0.0) -> np.ndarray:
+    """Expected (class, basis, sent/detected/sifted/errors) counts of a block: n_pulses times each
+    cell's probability times its enumerated outcome levels, a level counting toward every count up to it."""
+    eta_channel = transmittance_from_db(total_loss_db + source.insertion_loss_db)
+    p_d = det.dark_prob + background_click_prob
+    cells = np.zeros((len(source.intensity_classes), 2, 4))
+    for k, cls in enumerate(source.intensity_classes):
+        for b, (sender_z, p_basis) in enumerate(((True, source.basis_probability_z),
+                                                 (False, 1.0 - source.basis_probability_z))):
+            levels = enumerated_levels(cls.mu * eta_channel, det.efficiency, e_det, p_d,
+                                       det.basis_probability_z, sender_z)
+            cells[k, b] = n_pulses * cls.emit_probability * p_basis * np.cumsum(levels[::-1])[::-1]
+    return cells

@@ -20,7 +20,7 @@ from satqkd.protocol import (
     E0,
     SecurityParams,
     SiftedStats,
-    analytic_rates,
+    analytic_tallies,
     decoy_bounds,
     integrate_pass,
     key_from_fixed_loss,
@@ -86,10 +86,10 @@ def test_acceptance_3_monte_carlo_vs_analytic(report):
     t0 = time.perf_counter()
     tally = simulate_block(src, 30.0, det, E_DET, n, seed=20260823, shards=8, workers=4)
     elapsed = time.perf_counter() - t0
-    rates = analytic_rates(src, 30.0, det, E_DET)
+    expected = analytic_tallies(src, 30.0, det, E_DET, n).by_class().tolist()
     ok = elapsed < 60.0
-    for label, (sent, detected, sifted, errors) in zip(tally.labels, tally.by_class().tolist()):
-        q, e = rates.gains[rates.labels.index(label)], rates.error_rates[rates.labels.index(label)]
+    for (sent, detected, sifted, errors), (m, d, s, r) in zip(tally.by_class().tolist(), expected):
+        q, e = d / m, r / s
         # 5-sigma binomial windows on raw detections and on errors given sifted
         ok &= abs(detected - sent * q) <= 5.0 * math.sqrt(sent * q * (1 - q))
         ok &= abs(errors - sifted * e) <= 5.0 * math.sqrt(max(sifted * e * (1 - e), 0.0)) + 1e-9

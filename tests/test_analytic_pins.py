@@ -3,8 +3,11 @@
 data/analytic_pins.json holds, from the version whose tally was a dict of
 per-(class, basis) cells and whose analytic pass looped over its segments:
 the tally and key of two analytic passes (one with background light and
-excess loss), a keyrate sweep and an optimize best. Python floats survive
-a JSON round trip exactly, so every number is compared with ==.
+excess loss), a keyrate sweep and an optimize best. Two keyrate rates were
+re-recorded when the fixed-loss key began to read its bounds' gains and
+error rates from the expected counts: they moved by 1.0e-15 and 1.0e-14
+relative. Python floats survive a JSON round trip exactly, so every number
+is compared with ==.
 """
 
 import contextlib

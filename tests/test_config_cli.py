@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -157,6 +160,40 @@ def test_cli_pass_command(capsys, config_path, tmp_path):
     assert report["combined_key_length_bits"] > 0
 
 
+def test_cli_analytic_pass_refuses_seed(capsys, config_path, tmp_path):
+    # the analytic pass draws no random numbers, so a seed would change nothing
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(pass_mode_data(config_path)))
+    code, out, err = run_cli(capsys, "pass", "--config", str(path), "--seed", "1")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and "--seed applies only to --mode mc" in report["message"]
+    code, out, _ = run_cli(capsys, "pass", "--config", str(path), "--mode", "mc", "--seed", "1")
+    assert code == 0 and json.loads(out)["mode"] == "mc"
+
+
+# (label, mu, emit probability) of sources the 2-decoy bound cannot key: it needs a measured vacuum yield
+NOT_SIGNAL_DECOY_VACUUM = {
+    "signal_and_decoy": [("signal", 0.3, 0.75), ("decoy", 0.5, 0.25)],
+    "signal_only": [("signal", 0.3, 1.0)],
+    "two_signals": [("signal", 0.3, 0.5), ("signal", 0.5, 0.45), ("vacuum", 0.0, 0.05)],
+}
+
+
+@pytest.mark.parametrize("classes", NOT_SIGNAL_DECOY_VACUUM.values(), ids=NOT_SIGNAL_DECOY_VACUUM)
+def test_cli_source_needs_one_signal_decoy_and_vacuum_class(capsys, config_path, tmp_path, classes):
+    data = yaml.safe_load(config_path.read_text())
+    data["sources"][0]["intensity_classes"] = [
+        {"label": label, "mu": mu, "emit_probability": p} for label, mu, p in classes]
+    path = tmp_path / "classes.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "keyrate", "--config", str(path), "--sweep", "40:40:1")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and report["message"].startswith(
+        "config.sources[0]: need exactly one signal, one decoy and one vacuum intensity class")
+
+
 def test_cli_analyze_histogram(capsys, tmp_path):
     sigma = 500.0 / (2 * math.sqrt(2 * math.log(2)))
     x = np.arange(0.0, 10000.0, 4.0)
@@ -220,6 +257,23 @@ def test_cli_non_finite_temperature_is_domain_error(capsys, value):
     assert code == 4 and out == ""
     report = json.loads(err)
     assert report["error"] == "domain" and "temperature must be finite" in report["message"]
+
+
+def test_cli_warning_is_one_json_object_per_stderr_line():
+    # a child process, where the warnings filters are Python's own: under the suite a warning is an error
+    code, out, err = run_cli_bounded("report-distinguishability", "--temp", "50")
+    assert code == 0
+    assert [json.loads(line) for line in err.splitlines()] == [{
+        "warning": "UserWarning",
+        "message": "temperature 50.0 degC outside validity window [0.0, 45.0]; extrapolating",
+    }]
+    # the warning leaves stdout as it is without it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = io.StringIO()
+        with contextlib.redirect_stdout(quiet):
+            assert main(["report-distinguishability", "--temp", "50"]) == 0
+    assert out == quiet.getvalue() and json.loads(out)["temp_c"] == 50.0
 
 
 # flags that no longer exist because they changed none of the command's output

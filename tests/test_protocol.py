@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from satqkd.channel import FixedLossModel, PassProfile, synthesize_pass
+from satqkd.channel import FixedLossModel, PassProfile, synthesize_pass, transmittance_from_db
 from satqkd.config import default_source
 from satqkd.errors import DomainError
 from satqkd.protocol import (
@@ -19,20 +19,20 @@ from satqkd.protocol import (
     SiftedStats,
     Y1_LOST_IN_ROUNDING,
     TallyTable,
-    analytic_rates,
+    _expected_counts,
     analytic_tallies,
     decoy_bounds,
-    decoy_bounds_from_classes,
     integrate_pass,
     key_from_fixed_loss,
+    key_from_tally,
     key_length,
-    sift_fraction,
     simulate_block,
 )
 from satqkd.receiver import DetectorModel
 from satqkd.source import IntensityLabel, intrinsic_qber
 
 from conftest import MEASURED_EXTINCTION
+from reference_sampler import enumerated_cells
 
 
 def poisson_rates(mu, eta, y0, ed):
@@ -49,41 +49,49 @@ def true_single_photon(eta, y0, ed):
     return y1, e1
 
 
+def class_rates(tally):
+    """{label: (gain, error rate)} of a tally: detections per pulse sent, errors per sifted detection."""
+    return {label: (detected / sent, errors / sifted if sifted else E0)
+            for label, (sent, detected, sifted, errors) in zip(tally.labels, tally.by_class().tolist())}
+
+
 # ---------------------------------------------------------------------------
-# analytic rates
+# analytic tallies: the closed-form model's expected counts
 
 
 def test_analytic_rates_vacuum_class(source, e_det):
     det = DetectorModel(dark_prob=1e-5)
-    rates = analytic_rates(source, 40.0, det, e_det)
-    assert rates.gains[rates.labels.index(IntensityLabel.VACUUM)] == pytest.approx(rates.y0, rel=1e-12)
-    assert rates.error_rates[rates.labels.index(IntensityLabel.VACUUM)] == pytest.approx(E0, rel=1e-12)
+    gain, error_rate = class_rates(analytic_tallies(source, 40.0, det, e_det, 1e9))[IntensityLabel.VACUUM]
+    assert gain == pytest.approx(1.0 - (1.0 - 1e-5) ** 4, rel=1e-12)
+    assert error_rate == pytest.approx(E0, rel=1e-12)
 
 
 def test_analytic_rates_40db_gain(source):
     det = DetectorModel(efficiency=0.5, dark_prob=0.0)
-    rates = analytic_rates(source, 40.0, det, 0.0079)
-    assert rates.gains[rates.labels.index(IntensityLabel.DECOY)] == pytest.approx(2.5e-5, rel=1e-3)
+    gain, _ = class_rates(analytic_tallies(source, 40.0, det, 0.0079, 1e9))[IntensityLabel.DECOY]
+    assert gain == pytest.approx(2.5e-5, rel=1e-3)
 
 
 def test_analytic_rates_no_darks_error_equals_e_det(source):
     det = DetectorModel(efficiency=0.5, dark_prob=0.0)
-    rates = analytic_rates(source, 30.0, det, 0.0079)
+    rates = class_rates(analytic_tallies(source, 30.0, det, 0.0079, 1e9))
     for label in (IntensityLabel.SIGNAL, IntensityLabel.DECOY):
-        assert rates.error_rates[rates.labels.index(label)] == pytest.approx(0.0079, rel=1e-12)
+        assert rates[label][1] == pytest.approx(0.0079, rel=1e-12)
 
 
 def test_analytic_rates_rejects_large_e_det(source, detector):
     with pytest.raises(DomainError):
-        analytic_rates(source, 40.0, detector, 0.6)
+        analytic_tallies(source, 40.0, detector, 0.6, 1e9)
 
 
 def test_analytic_rates_match_oracle(source, detector, e_det):
-    rates = analytic_rates(source, 35.0, detector, e_det)
+    rates = class_rates(analytic_tallies(source, 35.0, detector, e_det, 1e9))
+    eta = transmittance_from_db(35.0 + source.insertion_loss_db) * detector.efficiency
+    y0 = 1.0 - (1.0 - detector.dark_prob) ** 4
     for cls in source.intensity_classes:
-        q, e = poisson_rates(cls.mu, rates.eta, rates.y0, e_det)
-        assert rates.gains[rates.labels.index(cls.label)] == pytest.approx(q, rel=1e-12)
-        assert rates.error_rates[rates.labels.index(cls.label)] == pytest.approx(e, rel=1e-12)
+        q, e = poisson_rates(cls.mu, eta, y0, e_det)
+        assert rates[cls.label][0] == pytest.approx(q, rel=1e-12)
+        assert rates[cls.label][1] == pytest.approx(e, rel=1e-12)
 
 
 def test_analytic_segments_pool_exactly_as_a_loop_over_them(source, detector, e_det):
@@ -97,12 +105,9 @@ def test_analytic_segments_pool_exactly_as_a_loop_over_them(source, detector, e_
         counts, total, elapsed = counts + seg.counts, total + seg.total_pulses, elapsed + seg.elapsed_s
     assert pooled.counts.tolist() == counts.tolist()
     assert (pooled.total_pulses, pooled.elapsed_s) == (total, elapsed)
-    rates = analytic_rates(source, losses, detector, e_det, 2e-6)
-    for i, loss in enumerate(losses):
-        one = analytic_rates(source, loss, detector, e_det, 2e-6)
-        assert rates.eta[i] == one.eta
-        for k in range(len(one.labels)):
-            assert (rates.gains[k][i], rates.error_rates[k][i]) == (one.gains[k], one.error_rates[k])
+    per_segment = _expected_counts(source, losses, detector, e_det, pulses, 2e-6)
+    for i, (loss, n) in enumerate(zip(losses, pulses)):
+        assert per_segment[i].tolist() == _expected_counts(source, loss, detector, e_det, n, 2e-6).tolist()
 
 
 def test_analytic_tallies_reject_mismatched_segments(source, detector, e_det):
@@ -116,17 +121,17 @@ def test_analytic_pass_and_fixed_loss_key_take_one_analytic_call(source, detecto
     from satqkd import protocol
 
     calls = []
-    for name in ("analytic_rates", "analytic_tallies"):
+    for name in ("_expected_counts", "analytic_tallies"):
         def counting(*args, _real=getattr(protocol, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(protocol, name, counting)
     integrate_pass(*synthesize_pass(60.0, 500e3).segments(1.0), source, detector, e_det, security)
-    assert sorted(calls) == ["analytic_rates", "analytic_tallies"]
+    assert sorted(calls) == ["_expected_counts", "analytic_tallies"]
     calls.clear()
     key_from_fixed_loss(source, 40.0, detector, e_det, security, 1.0)
-    assert calls == ["analytic_rates"]
+    assert calls == ["_expected_counts"]
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +147,32 @@ def test_simulate_block_infinite_loss_no_darks(source, e_det):
 def test_simulate_block_matches_analytic(source, detector, e_det):
     n = 2_000_000
     tally = simulate_block(source, 25.0, detector, e_det, n, seed=13, shards=4)
-    rates = analytic_rates(source, 25.0, detector, e_det)
-    sift_p = sift_fraction(source, detector)
-    for label, (sent, detected, sifted, errors) in zip(tally.labels, tally.by_class().tolist()):
-        q = rates.gains[rates.labels.index(label)]
+    expected = analytic_tallies(source, 25.0, detector, e_det, n).by_class().tolist()
+    for (sent, detected, sifted, errors), (m, d, s, r) in zip(tally.by_class().tolist(), expected):
+        q = d / m
         sigma = math.sqrt(sent * q * (1 - q))
         assert abs(detected - sent * q) < 5 * sigma
         # sifted fraction of detections
+        sift_p = s / d
         sigma_s = math.sqrt(max(detected * sift_p * (1 - sift_p), 1))
         assert abs(sifted - detected * sift_p) < 5 * sigma_s
         if sifted > 100:
-            e = rates.error_rates[rates.labels.index(label)]
+            e = r / s
             sigma_e = math.sqrt(sifted * e * (1 - e))
             assert abs(errors - sifted * e) < 5 * sigma_e
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_monte_carlo_is_a_draw_of_the_outcome_law(source, detector, e_det, seed):
+    # at 0 dB 14 % (signal) to 23 % (decoy) of the pulses that hold a photon hold two or more, so
+    # double clicks weigh most here; 1e12 pulses resolve each signal and decoy error count to ~1e-4
+    n = 10**12
+    drawn = simulate_block(source, 0.0, detector, e_det, n, seed=seed).counts
+    expected = enumerated_cells(source, 0.0, detector, e_det, float(n))
+    # each count is binomial: the pulses of its cell that reach its level
+    sigma = np.sqrt(expected * (1.0 - expected / n))
+    assert (expected > 1e3).all()
+    assert (np.abs(drawn - expected) < 5.0 * sigma).all(), (drawn - expected) / sigma
 
 
 def test_simulate_block_rejects_zero_pulses(source, detector, e_det):
@@ -254,10 +272,6 @@ def test_decoy_bounds_rejects_equal_intensities():
         decoy_bounds(0.3, 0.3, 1e-4, 1e-4, 0.0, 0.0, 0.0)
 
 
-def bounds_from_rates(rates):
-    return decoy_bounds_from_classes(rates.labels, rates.mus, rates.gains, rates.error_rates, rates.y0)
-
-
 def source_with_mus(mu_signal, mu_decoy):
     base = default_source()
     mus = {IntensityLabel.SIGNAL: mu_signal, IntensityLabel.DECOY: mu_decoy, IntensityLabel.VACUUM: 0.0}
@@ -288,7 +302,8 @@ def mu_pairs(draw):
 def test_decoy_bounds_sound_on_analytic_route(mus, loss_db, dark_prob, background, ed):
     """The bounds never pass the photon-number-resolved truth, for near-equal intensities too."""
     det = DetectorModel(dark_prob=dark_prob)
-    b = bounds_from_rates(analytic_rates(source_with_mus(*mus), loss_db, det, ed, background))
+    b = key_from_fixed_loss(source_with_mus(*mus), loss_db, det, ed, SecurityParams(), 1.0,
+                            background_click_prob=background).bounds
     eta = 10.0 ** (-loss_db / 10.0) * det.efficiency
     y0 = 1.0 - (1.0 - dark_prob - background) ** 4
     y1_true, e1_true = true_single_photon(eta, y0, ed)
@@ -305,11 +320,11 @@ def test_near_equal_intensities_give_zero_key_with_own_reason(detector, e_det, s
     assert result.reason == Y1_LOST_IN_ROUNDING
 
 
-def test_decoy_bounds_from_rates_and_tally_agree(source, detector, e_det):
-    rates = analytic_rates(source, 30.0, detector, e_det)
-    from_rates = bounds_from_rates(rates)
-    tally = analytic_tallies(source, 30.0, detector, e_det, 1e9)
-    from_tally = decoy_bounds_from_classes(tally.labels, [c.mu for c in source.intensity_classes], *tally.observed_rates())
+def test_decoy_bounds_from_rates_and_tally_agree(source, detector, e_det, security):
+    # 10 s at 100 MHz: the fixed-loss key reads the same 1e9 expected pulses as the tally
+    from_rates = key_from_fixed_loss(source, 30.0, detector, e_det, security, 10.0).bounds
+    from_tally = key_from_tally(source, analytic_tallies(source, 30.0, detector, e_det, 1e9), security,
+                                "asymptotic").bounds
     assert from_rates.y1_lower == pytest.approx(from_tally.y1_lower, rel=1e-9)
     assert from_rates.e1_upper == pytest.approx(from_tally.e1_upper, rel=1e-9)
 
@@ -598,7 +613,7 @@ def test_integrate_pass_mc_mode_deterministic(source, detector, e_det, security)
 def test_both_routes_reject_dark_plus_background_of_one(source, e_det):
     det = DetectorModel(dark_prob=0.6)
     with pytest.raises(DomainError, match="dark_prob \\+ background_click_prob"):
-        analytic_rates(source, 40.0, det, e_det, background_click_prob=0.6)
+        analytic_tallies(source, 40.0, det, e_det, 1e9, background_click_prob=0.6)
     with pytest.raises(DomainError, match="dark_prob \\+ background_click_prob"):
         simulate_block(source, 40.0, det, e_det, 1000, seed=1, background_click_prob=0.6)
 
@@ -675,4 +690,4 @@ def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, secu
 
 def test_analytic_rates_rejects_nan_loss(source, detector, e_det):
     with pytest.raises(DomainError):
-        analytic_rates(source, math.nan, detector, e_det)
+        analytic_tallies(source, math.nan, detector, e_det, 1e9)

@@ -1,13 +1,15 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
+from satqkd.channel import transmittance_from_db
 from satqkd.errors import DomainError
-from satqkd.protocol import analytic_rates
+from satqkd.protocol import analytic_tallies
 from satqkd.receiver import OUTCOME_LEVELS, DetectorModel, measure_batch, outcome_probabilities
 from satqkd.source import Basis, PolarizationState
+
+from reference_sampler import enumerated_levels
 
 
 def ideal_detector(**kw):
@@ -122,59 +124,6 @@ def test_rejects_negative_photons():
 # ---------------------------------------------------------------------------
 # the closed-form outcome law against an exact enumeration of measure_batch's model
 
-N_MAX = 40  # arriving photons summed over; the Poisson tail past it is below 1e-40 at lambda 1.5
-NS = np.arange(N_MAX)
-COMB = np.array([[math.comb(n, m) for m in range(N_MAX)] for n in range(N_MAX)], dtype=float)
-
-
-def binomial_pmf(p: float) -> np.ndarray:
-    """(n, m) array of P(m successes of n trials); zero for m > n."""
-    with np.errstate(all="ignore"):
-        pmf = COMB * p ** NS[None, :] * (1.0 - p) ** (NS[:, None] - NS[None, :])
-    return np.where(NS[None, :] <= NS[:, None], pmf, 0.0)
-
-
-def signal_clicks(lam: float, eta_det: float, p_one: float) -> dict:
-    """P(photon click on port 0, photon click on port 1) of the measured basis.
-
-    Photon number n ~ Poisson(lam) arrives, m ~ Binomial(n, eta_det) are
-    detected and k ~ Binomial(m, p_one) of them project onto bit 1.
-    """
-    poisson = np.array([math.exp(-lam) * lam**n / math.factorial(n) for n in range(N_MAX)])
-    joint = poisson[:, None, None] * binomial_pmf(eta_det)[:, :, None] * binomial_pmf(p_one)[None, :, :]
-    m, k = np.meshgrid(NS, NS, indexing="ij")
-    joint = joint.sum(axis=0)  # (m, k)
-    return {(c0, c1): float(joint[((k < m) == c0) & ((k > 0) == c1)].sum())
-            for c0, c1 in itertools.product((False, True), repeat=2)}
-
-
-def enumerated_levels(lam, eta_det, flip, p_d, p_z, sender_z) -> np.ndarray:
-    """P(each outcome level) summed over both sent bits, both receiver bases,
-    the photon-click pairs and the 16 dark patterns, by measure_batch's rules."""
-    levels = np.zeros(len(OUTCOME_LEVELS))
-    for sent_bit, meas_z in itertools.product((0, 1), (True, False)):
-        same = meas_z == sender_z
-        p_one = (1.0 - flip if sent_bit else flip) if same else 0.5
-        weight = 0.5 * (p_z if meas_z else 1.0 - p_z)
-        for (s0, s1), p_sig in signal_clicks(lam, eta_det, p_one).items():
-            for darks in itertools.product((False, True), repeat=4):  # Z0, Z1, X0, X1
-                p = weight * p_sig * math.prod(p_d if d else 1.0 - p_d for d in darks)
-                z0, z1 = (meas_z and s0) or darks[0], (meas_z and s1) or darks[1]
-                x0, x1 = (not meas_z and s0) or darks[2], (not meas_z and s1) or darks[3]
-                if not (z0 or z1 or x0 or x1):
-                    levels[0] += p
-                    continue
-                basis_z = meas_z if (z0 or z1 if meas_z else x0 or x1) else not meas_z
-                c0, c1 = (z0, z1) if basis_z else (x0, x1)
-                if basis_z != sender_z:
-                    levels[1] += p
-                elif c0 and c1:  # a double click: a random bit
-                    levels[2] += p / 2.0
-                    levels[3] += p / 2.0
-                else:
-                    levels[2 if int(c1) == sent_bit else 3] += p
-    return levels
-
 
 @pytest.mark.parametrize("sender_z", [True, False])
 @pytest.mark.parametrize("p_z", [0.5, 0.9])
@@ -200,8 +149,11 @@ def test_outcome_law_broadcasts_and_sums_to_one():
 
 
 def test_outcome_law_gain_is_the_analytic_gain(source):
-    # P(detected) = 1 - (1 - p_d)^4 e^-a, which is the gain Q_k of protocol.analytic_rates
+    # P(detected) = 1 - (1 - p_d)^4 e^-a, which is each class's gain Q_k in the analytic tally
     det = DetectorModel(dark_prob=3e-6)
-    rates = analytic_rates(source, np.linspace(0.0, 60.0, 13), det, e_det=0.02)
-    levels = outcome_probabilities(rates.eta * rates.mus, 0.5, 0.02, det.dark_prob)
-    np.testing.assert_allclose(levels[..., 1:].sum(axis=-1), rates.gains, rtol=1e-9)
+    for loss in np.linspace(0.0, 60.0, 13).tolist():
+        eta = transmittance_from_db(loss + source.insertion_loss_db) * det.efficiency
+        by_class = analytic_tallies(source, loss, det, 0.02, 1.0).by_class().tolist()
+        for cls, (sent, detected, _, _) in zip(source.intensity_classes, by_class):
+            levels = outcome_probabilities(eta * cls.mu, 0.5, 0.02, det.dark_prob)
+            assert levels[1:].sum() == pytest.approx(detected / sent, rel=1e-9), (loss, cls.label)
