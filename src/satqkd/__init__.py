@@ -37,7 +37,6 @@ from .source import (
     distinguishability_report,
     filter_transmission,
     intrinsic_qber,
-    required_attenuation,
     shifted_center,
     spectral_overlap,
     temporal_overlap,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -22,10 +22,10 @@ def _validate_series(x: np.ndarray, y: np.ndarray, what: str):
         raise DomainError(f"{what}: x and y must be 1-D and equal length")
     if x.size < 5:
         raise DomainError(f"{what}: need at least 5 points")
-    if not np.all(np.diff(x) > 0):
-        raise DomainError(f"{what}: x values must be strictly increasing")
-    if np.any(y < 0):
-        raise DomainError(f"{what}: values must be >= 0")
+    if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+        raise DomainError(f"{what}: x values must be finite and strictly increasing")
+    if not np.all((y >= 0) & (y < np.inf)):  # false for NaN too
+        raise DomainError(f"{what}: values must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -227,11 +227,3 @@ def load_spectrum_csv(path) -> SpectrumSeries:
         return SpectrumSeries(wavelength_nm=x, intensity=y)
     except DomainError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-
-
-def save_xy_csv(path, col_x: str, col_y: str, x: Sequence[float], y: Sequence[float]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([col_x, col_y])
-        for xi, yi in zip(x, y):
-            writer.writerow([repr(float(xi)), repr(float(yi))])

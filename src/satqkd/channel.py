@@ -91,14 +91,6 @@ class ElevationLossModel:
 
 
 @dataclass(frozen=True)
-class FixedLossModel:
-    loss_db: float = 40.0
-
-    def __call__(self, elevation_deg: float) -> float:
-        return self.loss_db
-
-
-@dataclass(frozen=True)
 class PassProfile:
     """Time-ordered elevation samples of one satellite pass above a ground station."""
 
@@ -112,9 +104,9 @@ class PassProfile:
         el = np.asarray(self.elevations_deg, dtype=float)
         if t.shape != el.shape or t.ndim != 1:
             raise DomainError("times and elevations must be 1-D and equal length")
-        if t.size >= 2 and not np.all(np.diff(t) > 0):
-            raise DomainError("times must be strictly increasing")
-        if el.size and (el.min() < 0 or el.max() > 90):
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+            raise DomainError("times must be finite and strictly increasing")
+        if not np.all((el >= 0) & (el <= 90)):  # false for NaN too
             raise DomainError("elevations must be in [0, 90] degrees")
         object.__setattr__(self, "times_s", t)
         object.__setattr__(self, "elevations_deg", el)
@@ -124,13 +116,6 @@ class PassProfile:
         if len(self.times_s) < 2:
             return 0.0
         return float(self.times_s[-1] - self.times_s[0])
-
-    def elevation_at(self, t: float) -> Optional[float]:
-        """Linear interpolation of elevation; None outside the pass span."""
-        ts = self.times_s
-        if len(ts) == 0 or t < ts[0] or t > ts[-1]:
-            return None
-        return float(np.interp(t, ts, self.elevations_deg))
 
     def segments(self, step_s: float, excess_loss_db: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
         """Loss (dB, excess included) and duration (s) of each step of the pass above the minimum elevation.

@@ -64,7 +64,7 @@ def _load_config(args) -> RunConfig:
     else:
         cfg = default_run_config()
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)  # checked by RunConfig, as a YAML seed is
     if getattr(args, "loss_db", None) is not None:
         cfg.channel = replace(cfg.channel, mode="fixed", fixed_loss_db=args.loss_db, pass_spec=None)
     return cfg
@@ -204,6 +204,11 @@ def cmd_analyze_histogram(args) -> dict:
 
 
 def cmd_analyze_spectrum(args) -> dict:
+    if (args.band_center is None) != (args.band_halfwidth is None):
+        raise ConfigError("--band-center and --band-halfwidth must be given together")
+    if args.band_center is not None and not (math.isfinite(args.band_center)
+                                             and 0.0 <= args.band_halfwidth < math.inf):
+        raise ConfigError("--band-center must be finite and --band-halfwidth finite and >= 0")
     series = load_spectrum_csv(args.file)
     est = estimate_spectrum(series, band_center_nm=args.band_center, band_halfwidth_nm=args.band_halfwidth)
     return {

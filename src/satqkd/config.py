@@ -89,6 +89,8 @@ class RunConfig:
     def __post_init__(self):
         if not 1 <= len(self.sources) <= 2:
             raise ConfigError("need one or two source blocks")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.block_pulses < 1:
             raise ConfigError("block_pulses must be >= 1")
         if self.shards < 1:
@@ -230,8 +232,3 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return parse_run_config(data)
-
-
-def save_run_config(cfg: RunConfig, path):
-    with open(path, "w") as fh:
-        yaml.safe_dump(to_dict(cfg), fh, sort_keys=False)

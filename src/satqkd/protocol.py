@@ -309,11 +309,12 @@ def simulate_block(
 # decoy bounds
 
 
-# The Y1 bound cancels terms of size ~e^mu down to about (mu_hi - mu_lo) Y1, so for close
-# intensities its rounding error can outgrow Y1. A bound whose rounding error exceeds this
-# share of it (a third of a double's digits) is refused.
+# The Y1 bound cancels terms of size ~e^mu down to about (mu_hi - mu_lo) Y1, so its rounding
+# error can outgrow Y1: for close intensities, or for a Y1 near the size of that error, as
+# at high loss with no dark counts. A bound whose rounding error exceeds this share of it
+# (a third of a double's digits) is refused.
 Y1_ROUNDING_TOLERANCE = sys.float_info.epsilon ** (1.0 / 3.0)
-Y1_LOST_IN_ROUNDING = "signal and decoy mu too close: the Y1 bound is lost in rounding error"
+Y1_LOST_IN_ROUNDING = "degenerate decoy bound (Y1 lower bound is lost in its rounding error)"
 Y1_ZERO = "degenerate decoy bound (Y1 lower bound is 0)"
 MAX_EXP_ARG = math.log(sys.float_info.max)  # the largest x whose math.exp(x) does not overflow
 
@@ -327,14 +328,18 @@ class DecoyBounds:
     """Bounds on the single-photon yield and error rate.
 
     Each field is a scalar for one point and an array for a batch of
-    points. e1_upper is None where the bound is degenerate.
+    points. reason says why a bound is degenerate and is None exactly where
+    the bound holds; e1_upper is None where it is degenerate.
     """
 
     y1_lower: ArrayLike
     e1_upper: Optional[ArrayLike]
     y0_estimate: ArrayLike
-    degenerate: ArrayLike = False
-    reason: Optional[ArrayLike] = None  # why a degenerate bound is degenerate; None reads as Y1_ZERO
+    reason: Optional[ArrayLike]
+
+    @property
+    def degenerate(self) -> ArrayLike:
+        return np.not_equal(self.reason, None)
 
 
 def decoy_bounds(
@@ -385,7 +390,7 @@ def decoy_bounds(
         e1 = (eq_lo * exp_lo - E0 * y0) / (y1 * mu_lo)
     e1 = _where(e1 < 0.0, 0.0, e1)
     e1 = _where(1.0 < e1, 1.0, e1)
-    return DecoyBounds(_where(degenerate, 0.0, y1), _where(degenerate, None, e1), y0, degenerate,
+    return DecoyBounds(_where(degenerate, 0.0, y1), _where(degenerate, None, e1), y0,
                        _where(lost, Y1_LOST_IN_ROUNDING, _where(zero, Y1_ZERO, None)))
 
 
@@ -465,9 +470,9 @@ def key_length(
     """
     if regime not in ("asymptotic", "finite"):
         raise DomainError(f"unknown regime {regime!r}")
-    n, errors, detected, sent, mu, elapsed, y1, e1, degenerate = _points(
+    n, errors, detected, sent, mu, elapsed, y1, e1 = _points(
         stats.n_signal, stats.errors_signal, stats.detected_signal, stats.sent_signal, stats.mu_signal,
-        stats.elapsed_s, bounds.y1_lower, bounds.e1_upper, bounds.degenerate)  # e1_upper None: NaN
+        stats.elapsed_s, bounds.y1_lower, bounds.e1_upper)  # e1_upper None: NaN
     with np.errstate(all="ignore"):  # the points that make no key may divide by zero
         e_sig = _where(n > 0, errors / n, E0)
         q_sig = _where(sent > 0, detected / sent, 0.0)
@@ -478,8 +483,8 @@ def key_length(
         zero_keys = [
             (n < 1, "no sifted signal detections"),
             (e_sig > 0.5, "signal QBER above 0.5"),
-            # e1 != e1 holds for NaN, which is what an e1_upper of None reads as
-            ((degenerate != 0) | (e1 != e1), Y1_ZERO if bounds.reason is None else bounds.reason),
+            # e1 != e1 holds for NaN, which is what the None e1_upper of a degenerate bound reads as
+            (e1 != e1, bounds.reason),
             (e1 >= 0.5, "single-photon error bound >= 0.5"),
             (q_sig <= 0, "zero signal gain"),
         ]
@@ -611,8 +616,8 @@ def integrate_pass(
             pooled = simulate_block(source, losses, det, e_det, counts, seed=seed,
                                     background_click_prob=background_click_prob)
     if pooled.total_pulses <= 0:
-        empty = DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=0.0, degenerate=True)
         reason = ("no whole pulse sent above the minimum elevation" if losses.size
                   else "pass never rises above the minimum elevation")
+        empty = DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=0.0, reason=reason)
         return KeyResult(0.0, E0, empty, 0.0, 0.0, regime, reason), pooled
     return key_from_tally(source, pooled, sec, regime), pooled

@@ -20,9 +20,6 @@ from typing import Optional
 
 from .errors import DomainError, OverlapUndefinedError
 
-# Planck constant times speed of light, J*m
-HC = 1.98645e-25
-
 # FWHM of a Gaussian = 2*sqrt(2*ln2) * sigma
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -41,15 +38,6 @@ class PolarizationState(Enum):
     V = "V"
     D = "D"
     A = "A"
-
-    @property
-    def basis(self) -> Basis:
-        return Basis.RECTILINEAR if self in (PolarizationState.H, PolarizationState.V) else Basis.DIAGONAL
-
-    @property
-    def bit(self) -> int:
-        """Bit convention: H=0, V=1, D=0, A=1."""
-        return 0 if self in (PolarizationState.H, PolarizationState.D) else 1
 
 
 class IntensityLabel(Enum):
@@ -376,18 +364,3 @@ def distinguishability_report(config: SourceConfig, temp_c: float = 25.0) -> Dis
             )
     worst = max(pairs, key=lambda p: p.score)
     return DistinguishabilityReport(pairs=pairs, worst_pair=worst)
-
-
-def required_attenuation(pulse_energy_j: float, wavelength_nm: float, target_mu: float) -> float:
-    """Attenuation (dB) needed to bring a pulse down to the target mean photon number."""
-    if pulse_energy_j <= 0:
-        raise DomainError("pulse_energy_j must be > 0")
-    if target_mu <= 0:
-        raise DomainError("target_mu must be > 0")
-    n_photons = pulse_energy_j * (wavelength_nm * 1e-9) / HC
-    if target_mu > n_photons:
-        raise DomainError(
-            f"target mu {target_mu} exceeds pulse photon number {n_photons:g}; "
-            "attenuation would be negative"
-        )
-    return 10.0 * math.log10(n_photons / target_mu)

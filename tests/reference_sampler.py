@@ -1,4 +1,7 @@
-"""Test-only references for the Monte Carlo in satqkd.protocol.
+"""Test-only references for the receiver model and the Monte Carlo in satqkd.protocol.
+
+measure_batch samples the receiver model of satqkd.receiver pulse by pulse:
+every detector port, dark count and double click is drawn per pulse.
 
 reference_shard is the pulse-by-pulse Monte Carlo of satqkd 0.1.0. Every
 pulse draws its class, sender basis, bit, emitted photons and channel
@@ -9,6 +12,7 @@ against it in distribution.
 reference_pass is the Monte Carlo pass loop of satqkd before the whole pass
 became one draw: one simulate_block call per segment, each with its own seed
 spawned from the pass seed, and the segment tallies added one by one.
+elevation_at gives it a pass's elevation one time at a time.
 
 enumerated_levels is measure_batch's per-pulse outcome law by exact
 enumeration of photon numbers, port clicks and dark patterns, and
@@ -22,9 +26,91 @@ from dataclasses import replace
 import numpy as np
 
 from satqkd.channel import PassProfile, transmittance_from_db
+from satqkd.errors import DomainError
 from satqkd.protocol import TallyTable, simulate_block
-from satqkd.receiver import OUTCOME_LEVELS, DetectorModel, measure_batch
+from satqkd.receiver import N_DETECTORS, OUTCOME_LEVELS, DetectorModel
 from satqkd.source import SourceConfig
+
+
+def measure_batch(
+    photons: np.ndarray,
+    sent_basis_z: np.ndarray,
+    sent_bits: np.ndarray,
+    flip_prob: float,
+    det: DetectorModel,
+    rng: np.random.Generator,
+) -> dict:
+    """Pulse-by-pulse measurement of a batch of arriving pulses by satqkd.receiver's model.
+
+    photons: number of photons reaching the receiver per pulse.
+    sent_basis_z / sent_bits: sender's basis (True = rectilinear) and bit.
+    flip_prob: same-basis bit-flip probability (source extinction plus any
+        residual misalignment).
+
+    Returns arrays: detected, basis_z (measured basis of the outcome),
+    bit, sifted (detected in the sender's basis), error (sifted and wrong
+    bit), signal_click (a real photon contributed), double (both detectors
+    of the outcome basis clicked).
+    """
+    if not 0.0 <= flip_prob <= 0.5:
+        raise DomainError(f"flip_prob must be in [0, 0.5], got {flip_prob}")
+    photons = np.asarray(photons, dtype=np.int64)
+    if photons.min(initial=0) < 0:
+        raise DomainError("photon count must be >= 0")
+    sent_basis_z = np.asarray(sent_basis_z, dtype=bool)
+    sent_bits = np.asarray(sent_bits, dtype=np.int64)
+    n = photons.size
+
+    meas_z = rng.random(n) < det.basis_probability_z
+    detected_photons = rng.binomial(photons, det.efficiency)
+
+    same = meas_z == sent_basis_z
+    # per-photon probability of projecting onto bit 1 in the measured basis
+    p_one = np.where(same, np.where(sent_bits == 1, 1.0 - flip_prob, flip_prob), 0.5)
+    ones = rng.binomial(detected_photons, p_one)
+    sig_click1 = ones > 0
+    sig_click0 = ones < detected_photons
+    signal_click = detected_photons > 0
+    del detected_photons, p_one, ones  # 8 bytes a pulse each; only the clicks are needed below
+
+    darks = rng.random((N_DETECTORS, n)) < det.dark_prob  # rows Z0, Z1, X0, X1
+    z0 = np.where(meas_z, sig_click0, False) | darks[0]
+    z1 = np.where(meas_z, sig_click1, False) | darks[1]
+    x0 = np.where(~meas_z, sig_click0, False) | darks[2]
+    x1 = np.where(~meas_z, sig_click1, False) | darks[3]
+
+    any_z = z0 | z1
+    any_x = x0 | x1
+    detected = any_z | any_x
+    # the measured basis wins whenever it clicked; otherwise only darks in
+    # the other basis fired and the outcome lands there
+    meas_clicked = np.where(meas_z, any_z, any_x)
+    basis_z = np.where(meas_clicked, meas_z, ~meas_z)
+
+    c0 = np.where(basis_z, z0, x0)
+    c1 = np.where(basis_z, z1, x1)
+    double = c0 & c1
+    bit = np.where(double, rng.integers(0, 2, size=n), c1)
+
+    sifted = detected & (basis_z == sent_basis_z)
+    error = sifted & (bit != sent_bits)
+    return {
+        "detected": detected,
+        "basis_z": basis_z,
+        "bit": bit,
+        "sifted": sifted,
+        "error": error,
+        "signal_click": signal_click & detected,
+        "double": double & detected,
+    }
+
+
+def elevation_at(profile: PassProfile, t: float):
+    """Linear interpolation of the pass elevation at time t; None outside the pass span."""
+    ts = profile.times_s
+    if len(ts) == 0 or t < ts[0] or t > ts[-1]:
+        return None
+    return float(np.interp(t, ts, profile.elevations_deg))
 
 
 def reference_shard(
@@ -82,7 +168,7 @@ def reference_pass(
     while t < t1:
         dt = min(step_s, t1 - t)
         mid = t + dt / 2.0
-        el = profile.elevation_at(mid)
+        el = elevation_at(profile, mid)
         if el is not None and el >= profile.min_elevation_deg:
             loss = profile.loss_model(el) + excess_loss_db
             n = source.repetition_rate_hz * dt

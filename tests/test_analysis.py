@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -10,9 +11,16 @@ from satqkd.analysis import (
     estimate_spectrum,
     load_histogram_csv,
     load_spectrum_csv,
-    save_xy_csv,
 )
 from satqkd.errors import DomainError, FileFormatError
+
+
+def save_xy_csv(path, col_x, col_y, x, y):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([col_x, col_y])
+        for xi, yi in zip(x, y):
+            writer.writerow([repr(float(xi)), repr(float(yi))])
 
 
 def gaussian_histogram(fwhm_ps, bin_ps=4.0, center=5000.0, amplitude=1000.0, noise=0.0, seed=0):

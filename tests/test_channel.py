@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from satqkd.channel import (
     ChannelConfig,
     ElevationLossModel,
-    FixedLossModel,
     GeometryParams,
     PassProfile,
     geometric_loss,
@@ -18,6 +17,8 @@ from satqkd.channel import (
     transmittance_from_db,
 )
 from satqkd.errors import DomainError, FileFormatError
+
+from conftest import FixedLossModel
 
 
 def test_transmittance_trivial():
@@ -177,7 +178,7 @@ def test_load_pass_csv_round_trip(tmp_path):
     path.write_text("time_s,elevation_deg\n0,10\n10,45\n20,10\n")
     profile = load_pass_csv(path, FixedLossModel(40.0))
     assert profile.duration_s == 20.0
-    assert profile.elevation_at(5.0) == pytest.approx(27.5)
+    assert np.interp(5.0, profile.times_s, profile.elevations_deg) == pytest.approx(27.5)
 
 
 def test_load_pass_csv_rejects_bad_header(tmp_path):

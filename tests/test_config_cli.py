@@ -21,10 +21,11 @@ from satqkd.config import (
     default_run_config,
     load_run_config,
     parse_run_config,
-    save_run_config,
     to_dict,
 )
 from satqkd.errors import ConfigError
+
+from conftest import save_run_config
 
 
 @pytest.fixture
@@ -576,3 +577,70 @@ def test_cli_missing_analysis_file_is_file_format_error(capsys, tmp_path, comman
     code, out, err = run_cli(capsys, command, str(tmp_path / "missing.csv"))
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "file-format" and "cannot read" in json.loads(err)["message"]
+
+
+def gaussian_csv(path, header, bad_value=None):
+    """A 201-point Gaussian peak as a two-column CSV; bad_value replaces the value of point 10."""
+    x = np.linspace(0.0, 2000.0, 201).tolist()
+    y = (1000.0 * np.exp(-((np.array(x) - 1000.0) ** 2) / (2 * 150.0**2)) + 5.0).tolist()
+    if bad_value is not None:
+        y[10] = bad_value
+    rows = [f"{a},{b}" for a, b in zip(x, y)]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command,header,value", [
+    ("analyze-histogram", "time_ps,counts", "inf"),
+    ("analyze-histogram", "time_ps,counts", "nan"),
+    ("analyze-spectrum", "wavelength_nm,intensity", "nan"),
+])
+def test_cli_non_finite_analysis_value_is_file_format_error(capsys, tmp_path, command, header, value):
+    # an inf count once printed "fwhm_ps": NaN, and a NaN one blamed the peak touching the boundary
+    path = gaussian_csv(tmp_path / "series.csv", header, value)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 3 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "file-format" and "values must be finite and >= 0" in report["message"]
+
+
+def test_cli_pass_csv_with_nan_elevation_is_config_error(capsys, config_path, tmp_path):
+    # the NaN sample once dropped the steps around it and keyed the rest of the pass
+    csv_path = tmp_path / "pass.csv"
+    csv_path.write_text("time_s,elevation_deg\n0,5\n100,40\n200,nan\n300,40\n400,5\n")
+    data = yaml.safe_load(config_path.read_text())
+    data["channel"] = {"mode": "pass", "pass": {"csv_path": str(csv_path)}}
+    path = tmp_path / "nan_pass.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "pass", "--config", str(path))
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and "elevations must be in [0, 90] degrees" in report["message"]
+
+
+@pytest.mark.parametrize("input_kind", ["simulate_flag", "pass_mc_flag", "yaml"])
+def test_cli_negative_seed_is_config_error(capsys, config_path, tmp_path, input_kind):
+    data = pass_mode_data(config_path) if input_kind == "pass_mc_flag" else yaml.safe_load(config_path.read_text())
+    if input_kind == "yaml":
+        data["seed"] = -1
+    path = tmp_path / "seed.yaml"
+    path.write_text(yaml.safe_dump(data))
+    argv = {"simulate_flag": ["simulate", "--seed", "-1"], "pass_mc_flag": ["pass", "--mode", "mc", "--seed", "-1"],
+            "yaml": ["simulate"]}[input_kind]
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and "seed must be >= 0" in report["message"]
+
+
+@pytest.mark.parametrize("band", [
+    ["--band-center", "777.5"], ["--band-halfwidth", "2.5"],
+    ["--band-center", "777.5", "--band-halfwidth", "-1"], ["--band-center", "777.5", "--band-halfwidth", "nan"],
+    ["--band-center", "777.5", "--band-halfwidth", "inf"], ["--band-center", "nan", "--band-halfwidth", "2.5"],
+])
+def test_cli_spectrum_band_flags_need_a_finite_pair(capsys, tmp_path, band):
+    # one flag alone once printed "in_band": null, and a negative half width made in_band always false
+    path = gaussian_csv(tmp_path / "spec.csv", "wavelength_nm,intensity")
+    code, out, err = run_cli(capsys, "analyze-spectrum", str(path), *band)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "config"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from satqkd.channel import FixedLossModel, PassProfile, synthesize_pass, transmittance_from_db
+from satqkd.channel import PassProfile, synthesize_pass, transmittance_from_db
 from satqkd.config import default_source
 from satqkd.errors import DomainError
 from satqkd.protocol import (
@@ -31,8 +31,8 @@ from satqkd.protocol import (
 from satqkd.receiver import DetectorModel
 from satqkd.source import IntensityLabel, intrinsic_qber
 
-from conftest import MEASURED_EXTINCTION
-from reference_sampler import enumerated_cells
+from conftest import MEASURED_EXTINCTION, FixedLossModel
+from reference_sampler import elevation_at, enumerated_cells
 
 
 def poisson_rates(mu, eta, y0, ed):
@@ -320,6 +320,15 @@ def test_near_equal_intensities_give_zero_key_with_own_reason(detector, e_det, s
     assert result.reason == Y1_LOST_IN_ROUNDING
 
 
+@pytest.mark.parametrize("loss_db", [80.0, 90.0])
+def test_high_loss_bound_lost_in_rounding_blames_no_intensities(source, e_det, security, loss_db):
+    # mu 0.3 and 0.5 are far apart; with no darks Y1 falls to ~1e-8, near its own rounding error
+    det = DetectorModel(dark_prob=0.0)
+    result = key_from_fixed_loss(source, loss_db, det, e_det, security, 300.0, "finite")
+    assert result.secret_key_length == 0.0 and result.bounds.degenerate
+    assert result.reason == Y1_LOST_IN_ROUNDING and "mu" not in result.reason
+
+
 def test_decoy_bounds_from_rates_and_tally_agree(source, detector, e_det, security):
     # 10 s at 100 MHz: the fixed-loss key reads the same 1e9 expected pulses as the tally
     from_rates = key_from_fixed_loss(source, 30.0, detector, e_det, security, 10.0).bounds
@@ -499,10 +508,10 @@ def test_decoy_bounds_reject_intensity_whose_exp_overflows():
 
 
 def test_key_length_degenerate_bounds_zero_with_reason(security):
-    from satqkd.protocol import DecoyBounds
+    from satqkd.protocol import Y1_ZERO, DecoyBounds
 
     stats = make_stats(1e-3, 1e-6, 0.01, 1e9)
-    degenerate = DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=1e-6, degenerate=True)
+    degenerate = DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=1e-6, reason=Y1_ZERO)
     result = key_length(stats, degenerate, security)
     assert result.secret_key_length == 0.0
     assert "degenerate" in result.reason
@@ -561,7 +570,7 @@ def test_integrate_pass_pooling_beats_per_segment_keys(source, detector, e_det, 
         end = min(t + 30.0, profile.times_s[-1])
         sliced = PassProfile(
             times_s=[t, end],
-            elevations_deg=[profile.elevation_at(t), profile.elevation_at(end)],
+            elevations_deg=[elevation_at(profile, t), elevation_at(profile, end)],
             loss_model=profile.loss_model,
             min_elevation_deg=profile.min_elevation_deg,
         )
@@ -577,7 +586,7 @@ def per_step_segments(profile, step_s, excess_loss_db):
     t = profile.times_s[0]
     while t < profile.times_s[-1]:
         dt = min(step_s, profile.times_s[-1] - t)
-        el = profile.elevation_at(t + dt / 2.0)
+        el = elevation_at(profile, t + dt / 2.0)
         if el is not None and el >= profile.min_elevation_deg:
             losses.append(profile.loss_model(el) + excess_loss_db)
             durations.append(dt)

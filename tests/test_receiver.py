@@ -6,10 +6,10 @@ import pytest
 from satqkd.channel import transmittance_from_db
 from satqkd.errors import DomainError
 from satqkd.protocol import analytic_tallies
-from satqkd.receiver import OUTCOME_LEVELS, DetectorModel, measure_batch, outcome_probabilities
-from satqkd.source import Basis, PolarizationState
+from satqkd.receiver import OUTCOME_LEVELS, DetectorModel, outcome_probabilities
+from satqkd.source import PolarizationState
 
-from reference_sampler import enumerated_levels
+from reference_sampler import enumerated_levels, measure_batch
 
 
 def ideal_detector(**kw):
@@ -19,11 +19,14 @@ def ideal_detector(**kw):
 
 
 def batch(photons, det, flip_prob=0.0, n=100_000, seed=11, state=PolarizationState.H):
+    # (rectilinear basis, bit) of each state; the bit convention is H=0, V=1, D=0, A=1
+    basis_z, bit = {PolarizationState.H: (True, 0), PolarizationState.V: (True, 1),
+                    PolarizationState.D: (False, 0), PolarizationState.A: (False, 1)}[state]
     rng = np.random.default_rng(seed)
     return measure_batch(
         photons=np.full(n, photons, dtype=np.int64),
-        sent_basis_z=np.full(n, state.basis is Basis.RECTILINEAR),
-        sent_bits=np.full(n, state.bit, dtype=np.int64),
+        sent_basis_z=np.full(n, basis_z),
+        sent_bits=np.full(n, bit, dtype=np.int64),
         flip_prob=flip_prob,
         det=det,
         rng=rng,
@@ -122,7 +125,7 @@ def test_rejects_negative_photons():
 
 
 # ---------------------------------------------------------------------------
-# the closed-form outcome law against an exact enumeration of measure_batch's model
+# the closed-form outcome law against an exact enumeration of the receiver model
 
 
 @pytest.mark.parametrize("sender_z", [True, False])

@@ -16,7 +16,6 @@ from satqkd.source import (
     distinguishability_report,
     filter_transmission,
     intrinsic_qber,
-    required_attenuation,
     shifted_center,
     spectral_overlap,
     temporal_overlap,
@@ -270,31 +269,6 @@ def test_distinguishability_shifted_diode(source):
     rep = distinguishability_report(cfg)
     shifted = [p for p in rep.pairs if p.mode_a.startswith("H") != p.mode_b.startswith("H")]
     assert max(p.spectral_score for p in shifted) > 0.95
-
-
-# ---------------------------------------------------------------------------
-# attenuation
-
-
-def test_required_attenuation_identity():
-    # pulse energy equal to one target photon -> 0 dB
-    from satqkd.source import HC
-
-    energy = 0.5 * HC / 785e-9
-    assert required_attenuation(energy, 785.0, 0.5) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_required_attenuation_one_picojoule():
-    assert required_attenuation(1e-12, 785.0, 0.5) == pytest.approx(69.0, abs=0.05)
-    assert required_attenuation(1e-12, 785.0, 0.3) == pytest.approx(71.2, abs=0.05)
-
-
-def test_required_attenuation_rejects_negative():
-    from satqkd.source import HC
-
-    energy = 0.1 * HC / 785e-9  # only 0.1 photons in the pulse
-    with pytest.raises(DomainError):
-        required_attenuation(energy, 785.0, 0.5)
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -0.1])
