@@ -8,6 +8,7 @@ interpolate to the half-max crossings on either side.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -171,8 +172,13 @@ def estimate_spectrum(
     """Line center (intensity-weighted centroid inside the FWHM window) and FWHM.
 
     When a band check is requested, in_band reports whether the centroid
-    falls within band_center +- band_halfwidth.
+    falls within band_center +- band_halfwidth. A band needs both values, a
+    finite center and a finite half width >= 0.
     """
+    if (band_center_nm is None) != (band_halfwidth_nm is None):
+        raise DomainError("band_center_nm and band_halfwidth_nm must be given together")
+    if band_center_nm is not None and not (math.isfinite(band_center_nm) and 0.0 <= band_halfwidth_nm < math.inf):
+        raise DomainError("band_center_nm must be finite and band_halfwidth_nm finite and >= 0")
     x = series.wavelength_nm
     y = series.intensity - series.intensity.min()
     peak, left, right, multi = _half_max_crossings(x, y)
@@ -181,9 +187,7 @@ def estimate_spectrum(
         window = np.zeros_like(x, dtype=bool)
         window[peak] = True
     center = float(np.sum(x[window] * y[window]) / np.sum(y[window]))
-    in_band = None
-    if band_center_nm is not None and band_halfwidth_nm is not None:
-        in_band = abs(center - band_center_nm) <= band_halfwidth_nm
+    in_band = None if band_center_nm is None else abs(center - band_center_nm) <= band_halfwidth_nm
     return SpectrumEstimate(
         center=center,
         fwhm=right - left,

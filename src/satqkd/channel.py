@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .analysis import load_two_column_csv
 from .errors import DomainError, FileFormatError
+from .exact import each, square
 
 EARTH_RADIUS_M = 6371e3
 EARTH_MU_M3_S2 = 3.986004418e14  # standard gravitational parameter
@@ -23,11 +25,17 @@ MIN_DIVERGENCE_RAD = 17e-6  # output-optics input tolerance floor
 MAX_PASS_STEPS = 1_000_000  # steps of one pass walk: 1 ms steps over a pass of up to 1000 s
 
 
-def transmittance_from_db(loss_db: float) -> float:
-    """Convert a loss in dB to a linear transmittance; dB losses add, transmittances multiply."""
-    if not loss_db >= 0:  # also false for NaN
-        raise DomainError(f"loss must be >= 0 dB, got {loss_db}")
-    return 10.0 ** (-loss_db / 10.0)
+def transmittance_from_db(loss_db: ArrayLike):
+    """Linear transmittance of a loss in dB, a float for a scalar and an array for an array.
+
+    dB losses add, transmittances multiply.
+    """
+    losses = np.asarray(loss_db, dtype=float)
+    bad = losses[~(losses >= 0)]  # also NaN
+    if bad.size:
+        raise DomainError(f"loss must be >= 0 dB, got {bad[0]}")
+    t = each(lambda loss: 10.0 ** (-loss / 10.0), losses)
+    return t if t.ndim else float(t)
 
 
 @dataclass(frozen=True)
@@ -47,21 +55,26 @@ class GeometryParams:
             )
 
 
+def beam_spreading_loss_db(range_m: ArrayLike, divergence_half_angle_rad: float,
+                           receiver_diameter_m: float) -> np.ndarray:
+    """Ratio of receiver area to far-field spot area in dB, clamped at 0 dB, at every range."""
+    spot_diameter = 2.0 * np.asarray(range_m, dtype=float) * divergence_half_angle_rad
+    ratio = each(square, receiver_diameter_m / spot_diameter)
+    return np.where(ratio >= 1.0, 0.0, -10.0 * each(math.log10, ratio))
+
+
 def geometric_loss(g: GeometryParams) -> float:
-    """Beam-spreading loss in dB: ratio of receiver area to far-field spot area, clamped at 0 dB."""
-    spot_diameter = 2.0 * g.range_m * g.divergence_half_angle_rad
-    ratio = (g.receiver_diameter_m / spot_diameter) ** 2
-    if ratio >= 1.0:
-        return 0.0
-    return -10.0 * math.log10(ratio)
+    """Beam-spreading loss in dB of one geometry."""
+    return float(beam_spreading_loss_db(g.range_m, g.divergence_half_angle_rad, g.receiver_diameter_m))
 
 
-def slant_range_m(elevation_deg: float, altitude_m: float) -> float:
-    """Ground-station-to-satellite distance at the given elevation (spherical Earth)."""
-    el = math.radians(elevation_deg)
+def slant_range_m(elevation_deg: ArrayLike, altitude_m: float):
+    """Ground-station-to-satellite distance at each elevation (spherical Earth); a float for a scalar."""
+    el = np.radians(np.asarray(elevation_deg, dtype=float))
     re = EARTH_RADIUS_M
     r = re + altitude_m
-    return math.sqrt(r**2 - (re * math.cos(el)) ** 2) - re * math.sin(el)
+    d = np.sqrt(r**2 - each(square, re * np.cos(el))) - re * np.sin(el)
+    return d if d.ndim else float(d)
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,8 @@ class ElevationLossModel:
     """Default elevation -> loss map: beam spreading at slant range plus airmass term.
 
     With the default 17 urad divergence and a 1 m receiver this gives roughly
-    40 dB near 10 degrees elevation for a 500 km orbit.
+    40 dB near 10 degrees elevation for a 500 km orbit. The model takes one
+    elevation or an array of them and gives a loss of the same shape.
     """
 
     altitude_m: float = 500e3
@@ -77,26 +91,40 @@ class ElevationLossModel:
     receiver_diameter_m: float = 1.0
     zenith_atmospheric_db: float = 1.0
 
-    def __call__(self, elevation_deg: float) -> float:
-        if elevation_deg <= 0:
+    def __post_init__(self):
+        if not (math.isfinite(self.zenith_atmospheric_db) and self.zenith_atmospheric_db >= 0):
+            raise DomainError(f"zenith_atmospheric_db must be finite and >= 0, got {self.zenith_atmospheric_db}")
+        if not (math.isfinite(self.receiver_diameter_m) and self.receiver_diameter_m > 0):
+            raise DomainError(f"receiver_diameter_m must be finite and > 0, got {self.receiver_diameter_m}")
+        if not (math.isfinite(self.divergence_half_angle_rad)
+                and self.divergence_half_angle_rad >= MIN_DIVERGENCE_RAD):
+            raise DomainError(f"divergence_half_angle_rad must be finite and >= {MIN_DIVERGENCE_RAD:g}, "
+                              f"got {self.divergence_half_angle_rad}")
+        if not (math.isfinite(self.altitude_m) and self.altitude_m > 0):
+            raise DomainError(f"orbit altitude must be finite and > 0 m, got {self.altitude_m}")
+
+    def __call__(self, elevation_deg: ArrayLike):
+        el = np.asarray(elevation_deg, dtype=float)
+        if (el <= 0).any():
             raise DomainError("elevation must be > 0 for the loss model")
-        d = slant_range_m(elevation_deg, self.altitude_m)
-        g = GeometryParams(
-            range_m=d,
-            divergence_half_angle_rad=self.divergence_half_angle_rad,
-            receiver_diameter_m=self.receiver_diameter_m,
-        )
-        airmass = 1.0 / math.sin(math.radians(elevation_deg))
-        return geometric_loss(g) + self.zenith_atmospheric_db * airmass
+        spreading = beam_spreading_loss_db(slant_range_m(el, self.altitude_m), self.divergence_half_angle_rad,
+                                           self.receiver_diameter_m)
+        airmass = 1.0 / np.sin(np.radians(el))
+        loss = spreading + self.zenith_atmospheric_db * airmass
+        return loss if loss.ndim else float(loss)
 
 
 @dataclass(frozen=True)
 class PassProfile:
-    """Time-ordered elevation samples of one satellite pass above a ground station."""
+    """Time-ordered elevation samples of one satellite pass above a ground station.
+
+    loss_model maps an array of elevations (degrees) to an array of losses
+    (dB) of the same shape; segments calls it once, on every kept step.
+    """
 
     times_s: Sequence[float]
     elevations_deg: Sequence[float]
-    loss_model: Callable[[float], float]
+    loss_model: Callable[[np.ndarray], np.ndarray]
     min_elevation_deg: float = 10.0
 
     def __post_init__(self):
@@ -134,31 +162,34 @@ class PassProfile:
         if (t1 - t0) / step_s > MAX_PASS_STEPS:
             raise DomainError(f"step {step_s:g} s cuts the {t1 - t0:g} s pass into more than "
                               f"{MAX_PASS_STEPS} steps")
-        mids, steps = [], []
-        t = t0
-        while t < t1:
+        # The whole steps. add.accumulate adds left to right, so clock[k] is t0 plus k steps rounded
+        # as t += step rounds them. A sum advances by at least half a step unless it stalls, so
+        # twice the nominal count of clock readings always reaches the last whole step.
+        clock = np.full(2 * int((t1 - t0) / step_s) + 2, step_s)
+        clock[0] = t0
+        np.add.accumulate(clock, out=clock)
+        cut = ~(step_s <= t1 - clock[:-1])  # from here on the step would reach past t1
+        n_whole = int(cut.argmax()) if cut.any() else len(cut)
+        stalled = np.flatnonzero(clock[1:n_whole + 1] == clock[:n_whole])
+        if stalled.size:
+            raise DomainError(f"step {step_s:g} s is too small to advance the pass clock at "
+                              f"t = {clock[stalled[0]]:.17g} s")
+        starts, steps = [clock[:n_whole]], [np.full(n_whole, step_s)]
+        t = clock[n_whole].item()
+        while t < t1:  # the last step, cut short to end at t1; rounding can leave a second, tiny one
             dt = min(step_s, t1 - t)
             if t + dt == t:  # below half an ulp of t
                 raise DomainError(f"step {step_s:g} s is too small to advance the pass clock at t = {t:.17g} s")
-            mids.append(t + dt / 2.0)
-            steps.append(dt)
+            starts.append([t])
+            steps.append([dt])
             t += dt
-        if not mids:
+        starts, steps = np.concatenate(starts), np.concatenate(steps)
+        if not steps.size:
             return np.empty(0), np.empty(0)
-        elevations = np.interp(mids, ts, self.elevations_deg)
+        elevations = np.interp(starts + steps / 2.0, ts, self.elevations_deg)
         keep = elevations >= self.min_elevation_deg  # every midpoint lies in [t0, t1]
-        losses = [self.loss_model(el) + excess_loss_db for el in elevations[keep].tolist()]
-        return np.array(losses, dtype=float), np.array(steps)[keep]
-
-
-def _elevation_from_central_angle(gamma: float, orbit_radius_m: float) -> float:
-    """Elevation (deg) of a satellite at central angle gamma from the station."""
-    re = EARTH_RADIUS_M
-    r = orbit_radius_m
-    if gamma <= 0:
-        return 90.0
-    el = math.atan2(math.cos(gamma) - re / r, math.sin(gamma))
-    return math.degrees(el)
+        losses = self.loss_model(elevations[keep]) + excess_loss_db
+        return losses, steps[keep]
 
 
 def _central_angle_from_elevation(elevation_deg: float, orbit_radius_m: float) -> float:
@@ -171,7 +202,7 @@ def synthesize_pass(
     orbit_altitude_m: float,
     min_elevation_deg: float = 10.0,
     step_s: float = 1.0,
-    loss_model: Optional[Callable[[float], float]] = None,
+    loss_model: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> PassProfile:
     """Generate a symmetric elevation-vs-time profile for a circular-orbit pass.
 
@@ -199,7 +230,10 @@ def synthesize_pass(
     n_half = int(math.floor(half_span / step_s))
     offsets = np.arange(-n_half, n_half + 1) * step_s
     gammas = np.arccos(np.cos(gamma_max) * np.cos(omega * offsets))
-    elevations = np.array([_elevation_from_central_angle(g, r) for g in gammas])
+    # the elevation at central angle gamma, atan2 taken from math for its rounding; 90 at gamma 0
+    rise = (np.cos(gammas) - EARTH_RADIUS_M / r).tolist()
+    atan = np.array([math.atan2(y, x) for y, x in zip(rise, np.sin(gammas).tolist())])
+    elevations = np.where(gammas <= 0, 90.0, np.degrees(atan))
     times = offsets + n_half * step_s  # start the pass clock at 0
     return PassProfile(
         times_s=times,
@@ -209,7 +243,8 @@ def synthesize_pass(
     )
 
 
-def load_pass_csv(path, loss_model: Callable[[float], float], min_elevation_deg: float = 10.0) -> PassProfile:
+def load_pass_csv(path, loss_model: Callable[[np.ndarray], np.ndarray],
+                  min_elevation_deg: float = 10.0) -> PassProfile:
     """Read a (time_s, elevation_deg) two-column CSV into a PassProfile."""
     times, els = load_two_column_csv(path, "time_s", "elevation_deg")
     if len(times) < 2:

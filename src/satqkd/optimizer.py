@@ -17,8 +17,10 @@ from .errors import DomainError
 from .protocol import DetectorModel, SecurityParams, key_from_fixed_loss
 from .source import IntensityLabel, SourceConfig
 
-# parameters the grid may sweep, in tie-break priority order
-SWEEPABLE = ("mu_signal", "mu_decoy", "p_signal", "p_decoy", "basis_probability_z")
+# parameters the grid may sweep, in tie-break priority order, each with the open interval it lies in
+DOMAINS = {"mu_signal": (0.0, math.inf), "mu_decoy": (0.0, math.inf), "p_signal": (0.0, math.inf),
+           "p_decoy": (0.0, math.inf), "basis_probability_z": (0.0, 1.0)}
+SWEEPABLE = tuple(DOMAINS)
 
 MAX_GRID_POINTS = 1_000_000  # points of one search grid, as many as the steps of one pass walk
 
@@ -44,9 +46,13 @@ class SearchSpace:
     axes: Dict[str, Axis]
 
     def __post_init__(self):
-        for name in self.axes:
+        for name, axis in self.axes.items():
             if name not in SWEEPABLE:
                 raise DomainError(f"unknown search parameter {name!r}; choose from {SWEEPABLE}")
+            lo, hi = DOMAINS[name]
+            if not lo < axis.lower < axis.upper < hi:  # false for NaN too
+                raise DomainError(f"{name} axis [{axis.lower:g}, {axis.upper:g}] leaves the domain "
+                                  f"({lo:g}, {hi:g}) of {name}")
         if not self.axes:
             raise DomainError("search space has no axes")
         if math.prod(axis.points for axis in self.axes.values()) > MAX_GRID_POINTS:
@@ -72,10 +78,10 @@ def optimize(
 ) -> OptimizeResult:
     """Evaluate the full grid and return the argmax (first listed combination wins ties).
 
-    The feasible points are keyed in one key_from_fixed_loss call. A point is
-    infeasible when mu_signal or mu_decoy is <= 0, they are equal, p_signal
-    or p_decoy is <= 0, the vacuum share 1 - p_signal - p_decoy is < 0, or
-    basis_probability_z is outside (0, 1).
+    The feasible points are keyed in one key_from_fixed_loss call. The axes
+    keep every swept value in its domain, so a point is infeasible when
+    mu_signal equals mu_decoy, p_signal or p_decoy is 0 (an unswept emit
+    probability may be), or the vacuum share 1 - p_signal - p_decoy is < 0.
     """
     names = [n for n in SWEEPABLE if n in space.axes]
     # row-major over the axes in SWEEPABLE order: the order of itertools.product
@@ -86,9 +92,7 @@ def optimize(
                 base_source.basis_probability_z)
     mu_s, mu_d, p_s, p_d, pz = np.broadcast_arrays(*(grid.get(n, d) for n, d in zip(SWEEPABLE, defaults)))
     p_v = 1.0 - p_s - p_d
-    infeasible = ((mu_s <= 0) | (mu_d <= 0) | (mu_s == mu_d) | (p_s <= 0) | (p_d <= 0) | (p_v < 0)
-                  | ~((0.0 < pz) & (pz < 1.0)))
-    feasible = ~infeasible
+    feasible = ~((mu_s == mu_d) | (p_s <= 0) | (p_d <= 0) | (p_v < 0))
     if not feasible.any():
         raise DomainError("search space contains no feasible grid point")
     # (mu, emit probability) per class in source order; the vacuum class takes the rest

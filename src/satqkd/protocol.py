@@ -25,6 +25,7 @@ from numpy.typing import ArrayLike
 
 from .channel import transmittance_from_db
 from .errors import DomainError
+from .exact import each, square
 from .receiver import DetectorModel, N_DETECTORS, outcome_probabilities
 from .source import Basis, IntensityLabel, SourceConfig
 
@@ -49,18 +50,6 @@ def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
-def _each(fn, x):
-    """fn of every element of x, in Python floats.
-
-    numpy's exp, log2 and ** may round differently from math's in the last
-    bit, so the kernel takes them element by element from math: every point
-    of a batch then gets exactly the numbers it gets on its own.
-    """
-    if not isinstance(x, np.ndarray):
-        return np.float64(fn(float(x)))
-    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-
-
 def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
@@ -68,7 +57,7 @@ def _any(mask) -> bool:
 def binary_entropy(x: ArrayLike):
     outside = (x <= 0.0) | (x >= 1.0)  # NaN is inside: it gives NaN
     x_in = _where(outside, 0.5, x)
-    h = -x_in * _each(math.log2, x_in) - (1.0 - x_in) * _each(math.log2, 1.0 - x_in)
+    h = -x_in * each(math.log2, x_in) - (1.0 - x_in) * each(math.log2, 1.0 - x_in)
     return _where(outside, 0.0, h)
 
 
@@ -160,8 +149,8 @@ def _expected_counts(source: SourceConfig, total_loss_db: ArrayLike, det: Detect
         emit = [c.emit_probability for c in classes]
     p_z = np.asarray(source.basis_probability_z if p_z is None else p_z, dtype=float)
     y0 = 1.0 - (1.0 - _click_prob(det, background_click_prob)) ** N_DETECTORS
-    eta = _each(lambda loss: transmittance_from_db(loss + source.insertion_loss_db) * det.efficiency, losses)
-    decay = _each(math.exp, -eta * np.asarray(mus, dtype=float))
+    eta = transmittance_from_db(losses + source.insertion_loss_db) * det.efficiency
+    decay = each(math.exp, -eta * np.asarray(mus, dtype=float))
     gains = 1.0 - (1.0 - y0) * decay
     with np.errstate(divide="ignore", invalid="ignore"):
         error_rates = np.where(gains > 0, (E0 * y0 + e_det * (1.0 - decay)) / gains, E0)
@@ -201,9 +190,10 @@ def analytic_tallies(
     counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses, background_click_prob)
     if counts.ndim > 3:  # the axis-0 sum of a 2-D or larger array adds the segments one by one, in order
         counts = counts.sum(axis=0)
-    total_pulses = elapsed_s = 0.0
-    for k in np.atleast_1d(np.asarray(n_pulses, dtype=float)).tolist():  # in segment order too
-        total_pulses, elapsed_s = total_pulses + k, elapsed_s + k / source.repetition_rate_hz
+    # add.accumulate adds left to right, so both sums add the segments in order as a loop from 0.0 does
+    pulses = np.concatenate(([0.0], np.ravel(np.asarray(n_pulses, dtype=float))))
+    total_pulses = np.add.accumulate(pulses)[-1].item()
+    elapsed_s = np.add.accumulate(pulses / source.repetition_rate_hz)[-1].item()
     return TallyTable(tuple(c.label for c in source.intensity_classes), counts, total_pulses, elapsed_s)
 
 
@@ -238,9 +228,8 @@ def _simulate_shard(
     cell_p = np.outer([c.emit_probability for c in classes],
                       [source.basis_probability_z, 1.0 - source.basis_probability_z]).ravel()
     p_same = np.tile([det.basis_probability_z, 1.0 - det.basis_probability_z], len(classes))
-    # per segment in Python floats, so one segment rounds exactly as a scalar loss always has
-    eta_channel = [transmittance_from_db(l + source.insertion_loss_db) for l in losses.tolist()]
-    lam = np.array(eta_channel)[:, None] * np.repeat([c.mu for c in classes], 2)  # (segment, cell)
+    eta_channel = transmittance_from_db(losses + source.insertion_loss_db)
+    lam = eta_channel[:, None] * np.repeat([c.mu for c in classes], 2)  # (segment, cell)
 
     sent = rng.multinomial(counts, cell_p / cell_p.sum())
     levels = outcome_probabilities(lam * det.efficiency, p_same, e_det, p_d)  # (segment, cell, level)
@@ -319,10 +308,6 @@ Y1_ZERO = "degenerate decoy bound (Y1 lower bound is 0)"
 MAX_EXP_ARG = math.log(sys.float_info.max)  # the largest x whose math.exp(x) does not overflow
 
 
-def _square(x: float) -> float:
-    return x**2  # Python's pow, which may round x * x differently
-
-
 @dataclass(frozen=True)
 class DecoyBounds:
     """Bounds on the single-photon yield and error rate.
@@ -367,7 +352,7 @@ def decoy_bounds(
                                        ((mu_a, mu_b), (mu_b, mu_a), (q_a, q_b), (q_b, q_a), (eq_b, eq_a)))
     overflow = mu_hi > MAX_EXP_ARG  # math.exp overflows past it, and the square may: neither is taken there
     lo, hi = _where(overflow, 0.0, mu_lo), _where(overflow, 0.0, mu_hi)
-    exp_lo, exp_hi, lo2, hi2 = _each(math.exp, lo), _each(math.exp, hi), _each(_square, lo), _each(_square, hi)
+    exp_lo, exp_hi, lo2, hi2 = each(math.exp, lo), each(math.exp, hi), each(square, lo), each(square, hi)
     with np.errstate(all="ignore"):
         denominator = mu_hi * mu_lo - lo2
         prefactor = mu_hi / denominator
@@ -477,7 +462,7 @@ def key_length(
         e_sig = _where(n > 0, errors / n, E0)
         q_sig = _where(sent > 0, detected / sent, 0.0)
         # expected sifted single-photon count, scaled by the observed sifted fraction
-        s1 = n * (mu * _each(math.exp, -mu) * y1) / q_sig
+        s1 = n * (mu * each(math.exp, -mu) * y1) / q_sig
         ec_cost = sec.f_ec * n * binary_entropy(e_sig)
         # the first of these that holds makes a point's key zero, with its reason
         zero_keys = [

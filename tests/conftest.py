@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 import yaml
 
@@ -18,8 +19,8 @@ class FixedLossModel:
 
     loss_db: float = 40.0
 
-    def __call__(self, elevation_deg: float) -> float:
-        return self.loss_db
+    def __call__(self, elevation_deg):
+        return np.full(np.shape(elevation_deg), self.loss_db)
 
 
 def save_run_config(cfg, path):

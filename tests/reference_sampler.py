@@ -17,6 +17,11 @@ elevation_at gives it a pass's elevation one time at a time.
 enumerated_levels is measure_batch's per-pulse outcome law by exact
 enumeration of photon numbers, port clicks and dark patterns, and
 enumerated_cells the expected tally that law gives a block.
+
+reference_loss and synthesized_elevations are the pass geometry of satqkd
+before it took arrays: ElevationLossModel's loss at one elevation, and the
+elevations of a synthesized pass, one sample at a time, in scalar math.
+The array code of satqkd.channel must give exactly these numbers.
 """
 
 import itertools
@@ -25,7 +30,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from satqkd.channel import PassProfile, transmittance_from_db
+from satqkd.channel import (
+    EARTH_MU_M3_S2,
+    EARTH_RADIUS_M,
+    ElevationLossModel,
+    PassProfile,
+    _central_angle_from_elevation,
+    transmittance_from_db,
+)
 from satqkd.errors import DomainError
 from satqkd.protocol import TallyTable, simulate_block
 from satqkd.receiver import N_DETECTORS, OUTCOME_LEVELS, DetectorModel
@@ -111,6 +123,45 @@ def elevation_at(profile: PassProfile, t: float):
     if len(ts) == 0 or t < ts[0] or t > ts[-1]:
         return None
     return float(np.interp(t, ts, profile.elevations_deg))
+
+
+def reference_loss(model: ElevationLossModel, elevation_deg: float) -> float:
+    """The model's loss (dB) at one elevation: beam spreading at slant range plus the airmass term."""
+    if elevation_deg <= 0:
+        raise DomainError("elevation must be > 0 for the loss model")
+    el = math.radians(elevation_deg)
+    re = EARTH_RADIUS_M
+    r = re + model.altitude_m
+    slant_range = math.sqrt(r**2 - (re * math.cos(el)) ** 2) - re * math.sin(el)
+    spot_diameter = 2.0 * slant_range * model.divergence_half_angle_rad
+    ratio = (model.receiver_diameter_m / spot_diameter) ** 2
+    geometric = 0.0 if ratio >= 1.0 else -10.0 * math.log10(ratio)
+    airmass = 1.0 / math.sin(math.radians(elevation_deg))
+    return geometric + model.zenith_atmospheric_db * airmass
+
+
+def elevation_from_central_angle(gamma: float, orbit_radius_m: float) -> float:
+    """Elevation (deg) of a satellite at central angle gamma from the station."""
+    re = EARTH_RADIUS_M
+    r = orbit_radius_m
+    if gamma <= 0:
+        return 90.0
+    el = math.atan2(math.cos(gamma) - re / r, math.sin(gamma))
+    return math.degrees(el)
+
+
+def synthesized_elevations(max_elevation_deg: float, orbit_altitude_m: float, min_elevation_deg: float = 10.0,
+                           step_s: float = 1.0) -> np.ndarray:
+    """The elevation samples of synthesize_pass, one elevation_from_central_angle call per sample."""
+    r = EARTH_RADIUS_M + orbit_altitude_m
+    omega = math.sqrt(EARTH_MU_M3_S2 / r**3)
+    gamma_max = _central_angle_from_elevation(max_elevation_deg, r)
+    gamma_min = _central_angle_from_elevation(min_elevation_deg, r)
+    half_span = math.acos(min(1.0, math.cos(gamma_min) / math.cos(gamma_max))) / omega
+    n_half = int(math.floor(half_span / step_s))
+    offsets = np.arange(-n_half, n_half + 1) * step_s
+    gammas = np.arccos(np.cos(gamma_max) * np.cos(omega * offsets))
+    return np.clip([elevation_from_central_angle(g, r) for g in gammas], 0.0, 90.0)
 
 
 def reference_shard(

@@ -102,6 +102,19 @@ def test_spectrum_gaussian_center_and_band_check():
     assert est.in_band is True
 
 
+@pytest.mark.parametrize("band", [
+    dict(band_center_nm=777.5), dict(band_halfwidth_nm=2.5), dict(band_center_nm=777.5, band_halfwidth_nm=-1.0),
+    dict(band_center_nm=777.5, band_halfwidth_nm=math.nan), dict(band_center_nm=777.5, band_halfwidth_nm=math.inf),
+    dict(band_center_nm=math.nan, band_halfwidth_nm=2.5), dict(band_center_nm=-math.inf, band_halfwidth_nm=2.5),
+])
+def test_spectrum_band_needs_a_finite_pair(band):
+    # a lone value was once ignored (in_band None) and a negative half width made in_band always false
+    x = np.linspace(775.0, 780.0, 51)
+    y = np.exp(-((x - 777.5) ** 2))
+    with pytest.raises(DomainError, match="band_center_nm"):
+        estimate_spectrum(SpectrumSeries(wavelength_nm=x, intensity=y), **band)
+
+
 def test_spectrum_out_of_band_flagged():
     sigma = 1.0 / (2 * math.sqrt(2 * math.log(2)))
     x = np.linspace(775.0, 787.0, 1201)

@@ -19,6 +19,7 @@ from satqkd.channel import (
 from satqkd.errors import DomainError, FileFormatError
 
 from conftest import FixedLossModel
+from reference_sampler import reference_loss, synthesized_elevations
 
 
 def test_transmittance_trivial():
@@ -95,6 +96,65 @@ def test_elevation_loss_model_monotone_nonincreasing():
 def test_elevation_loss_model_roughly_40db_low_elevation():
     model = ElevationLossModel(altitude_m=500e3)
     assert model(10.0) == pytest.approx(40.0, abs=3.0)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(zenith_atmospheric_db=-5.0), dict(zenith_atmospheric_db=math.nan), dict(receiver_diameter_m=0.0),
+    dict(receiver_diameter_m=math.inf), dict(divergence_half_angle_rad=10e-6), dict(altitude_m=0.0),
+    dict(altitude_m=-500e3),
+])
+def test_elevation_loss_model_checks_its_settings(bad):
+    with pytest.raises(DomainError, match="zenith_atmospheric_db|receiver_diameter_m|divergence|orbit altitude"):
+        ElevationLossModel(**bad)
+
+
+def test_transmittance_of_an_array_rounds_as_python_pow():
+    losses = np.random.default_rng(5).uniform(0.0, 80.0, 2_000)
+    assert transmittance_from_db(losses).tolist() == [10.0 ** (-x / 10.0) for x in losses.tolist()]
+    with pytest.raises(DomainError, match="got nan"):
+        transmittance_from_db(np.array([3.0, math.nan, -1.0]))
+
+
+# Exactness oracle: the array geometry gives the scalar reference's numbers bit for bit. sin, cos,
+# sqrt, radians and degrees round alike in numpy and math on IEEE hosts; a host where they do not
+# fails here instead of moving every pass result.
+LOSS_MODELS = [
+    ElevationLossModel(),
+    ElevationLossModel(altitude_m=1200e3, zenith_atmospheric_db=0.3, receiver_diameter_m=0.4),
+    # a 12 m receiver catches the whole 10 m spot near zenith, clamping the beam spreading at 0 dB
+    ElevationLossModel(altitude_m=300e3, zenith_atmospheric_db=2.5, receiver_diameter_m=12.0),
+]
+
+
+@pytest.mark.parametrize("model", LOSS_MODELS)
+def test_loss_model_array_equals_scalar_reference(model):
+    rng = np.random.default_rng(20221018)
+    els = np.concatenate((rng.uniform(1e-6, 90.0, 12_000), [1e-6, 10.0, 45.0, 89.999999, 90.0]))
+    reference = [reference_loss(model, el) for el in els.tolist()]
+    assert model(els).tolist() == reference
+    assert [model(el) for el in els[:200].tolist()] == reference[:200]  # the scalar call runs the array code
+    assert model(els.reshape(-1, 5)).tolist() == np.reshape(reference, (-1, 5)).tolist()
+
+
+@pytest.mark.parametrize("altitude_m", [500e3, 800e3])
+def test_synthesized_elevations_equal_scalar_reference(altitude_m):
+    for culmination in (10.5, 12.0, 17.3, 30.0, 45.0, 60.0, 75.0, 89.5, 90.0):
+        for step in (1.0, 0.37):
+            profile = synthesize_pass(culmination, altitude_m, step_s=step)
+            expected = synthesized_elevations(culmination, altitude_m, step_s=step)
+            assert profile.elevations_deg.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("step", [0.01, 0.7, 1.0, 13.0, 1e3])
+def test_segments_call_the_loss_model_once(step):
+    calls = []
+
+    def spy(elevations):
+        calls.append(np.shape(elevations))
+        return FixedLossModel(40.0)(elevations)
+
+    losses, durations = synthesize_pass(60.0, 500e3, loss_model=spy).segments(step)
+    assert calls == [losses.shape] and losses.size == durations.size > 0
 
 
 def test_synthesize_pass_duration_brackets_visibility_window():

@@ -618,6 +618,37 @@ def test_cli_pass_csv_with_nan_elevation_is_config_error(capsys, config_path, tm
     assert report["error"] == "config" and "elevations must be in [0, 90] degrees" in report["message"]
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("zenith_atmospheric_db", -5.0, "zenith_atmospheric_db must be finite and >= 0"),
+    ("receiver_diameter_m", 0.0, "receiver_diameter_m must be finite and > 0"),
+    ("receiver_diameter_m", -1.0, "receiver_diameter_m must be finite and > 0"),
+    ("orbit_altitude_m", 0.0, "orbit altitude must be finite and > 0"),
+])
+@pytest.mark.parametrize("command", ["keyrate", "pass"])
+def test_cli_bad_loss_model_setting_is_config_error_naming_its_key(capsys, config_path, tmp_path, key, value,
+                                                                    message, command):
+    # a negative atmospheric loss once keyed a pass, and a 0 m receiver failed only the pass command
+    data = pass_mode_data(config_path)
+    data["channel"]["pass"][key] = value
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and message in report["message"]
+
+
+@pytest.mark.parametrize("bound", [["--mu-min", "-1"], ["--mu-min", "0"], ["--mu-max", "-0.5", "--mu-min", "-1"]])
+def test_cli_optimize_axis_outside_the_mu_domain_is_domain_error(capsys, config_path, bound):
+    # --mu-min -1 once dropped the points it made infeasible and reported a 90-point grid
+    code, out, err = run_cli(capsys, "optimize", "--config", str(config_path), *bound)
+    assert code == 4 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "domain" and "mu_signal axis" in report["message"]
+    code, _, err = run_cli(capsys, "optimize", "--config", str(config_path), "--mu-min", "nan")
+    assert code == 4 and json.loads(err)["error"] == "domain"
+
+
 @pytest.mark.parametrize("input_kind", ["simulate_flag", "pass_mc_flag", "yaml"])
 def test_cli_negative_seed_is_config_error(capsys, config_path, tmp_path, input_kind):
     data = pass_mode_data(config_path) if input_kind == "pass_mc_flag" else yaml.safe_load(config_path.read_text())

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,15 @@ def test_single_point_axis_rejected():
 def test_unknown_parameter_rejected():
     with pytest.raises(DomainError):
         SearchSpace(axes={"detector_efficiency": Axis(0.1, 0.9, 3)})
+
+
+@pytest.mark.parametrize("name,lower,upper", [
+    ("mu_signal", -1.0, 1.0), ("mu_decoy", 0.0, 1.0), ("mu_signal", 0.1, math.inf), ("p_signal", 0.0, 0.5),
+    ("p_decoy", -0.1, 0.5), ("basis_probability_z", 0.0, 0.5), ("basis_probability_z", 0.5, 1.0),
+])
+def test_axis_outside_its_parameter_domain_rejected(name, lower, upper):
+    with pytest.raises(DomainError, match=f"{name} axis"):
+        SearchSpace(axes={name: Axis(lower, upper, 3)})
 
 
 def test_best_dominates_paper_intensity_pair(source, detector, e_det, security):
@@ -93,10 +103,10 @@ def reference_grid(space, base, loss, detector, e_det, security, regime="asympto
 
 @pytest.mark.parametrize("loss, regime", [(38.0, "finite"), (25.0, "asymptotic"), (70.0, "asymptotic")])
 def test_grid_equals_one_point_keys_of_each_feasible_combination(source, detector, e_det, security, loss, regime):
-    # equal intensities, vacuum shares below 0 and p_Z of 0 and 1 make some combinations infeasible
+    # equal intensities and vacuum shares below 0 make some combinations infeasible
     space = SearchSpace(axes={
         "mu_signal": Axis(0.1, 0.9, 5), "mu_decoy": Axis(0.1, 0.5, 3), "p_signal": Axis(0.3, 0.9, 4),
-        "p_decoy": Axis(0.05, 0.45, 3), "basis_probability_z": Axis(0.0, 1.0, 5),
+        "p_decoy": Axis(0.05, 0.45, 3), "basis_probability_z": Axis(0.1, 0.9, 5),
     })
     result = optimize(space, source, loss, detector, e_det, security, regime=regime, duration_s=300.0)
     reference = reference_grid(space, source, loss, detector, e_det, security, regime, 300.0)

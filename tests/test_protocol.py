@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from satqkd.channel import PassProfile, synthesize_pass, transmittance_from_db
+from satqkd.channel import ElevationLossModel, PassProfile, synthesize_pass, transmittance_from_db
 from satqkd.config import default_source
 from satqkd.errors import DomainError
 from satqkd.protocol import (
@@ -32,7 +32,7 @@ from satqkd.receiver import DetectorModel
 from satqkd.source import IntensityLabel, intrinsic_qber
 
 from conftest import MEASURED_EXTINCTION, FixedLossModel
-from reference_sampler import elevation_at, enumerated_cells
+from reference_sampler import elevation_at, enumerated_cells, reference_loss
 
 
 def poisson_rates(mu, eta, y0, ed):
@@ -580,27 +580,30 @@ def test_integrate_pass_pooling_beats_per_segment_keys(source, detector, e_det, 
     assert pooled.secret_key_length >= per_segment
 
 
-def per_step_segments(profile, step_s, excess_loss_db):
-    """(losses, durations) of a pass walked with one elevation_at call per step."""
+def per_step_segments(profile, step_s, excess_loss_db, loss):
+    """(losses, durations) of a pass walked with one elevation_at and one loss call per step."""
     losses, durations = [], []
     t = profile.times_s[0]
     while t < profile.times_s[-1]:
         dt = min(step_s, profile.times_s[-1] - t)
         el = elevation_at(profile, t + dt / 2.0)
         if el is not None and el >= profile.min_elevation_deg:
-            losses.append(profile.loss_model(el) + excess_loss_db)
+            losses.append(loss(el) + excess_loss_db)
             durations.append(dt)
         t += dt
     return losses, durations
 
 
-@pytest.mark.parametrize("step", [1.0, 0.7, 13.0])
+@pytest.mark.parametrize("step", [1.0, 0.7, 13.0, 0.01])
 def test_pass_segments_interpolate_as_one_call_per_step(step):
+    # the exactness oracle of a whole pass: clock, midpoints and every loss against scalar math
+    model = ElevationLossModel(altitude_m=600e3, zenith_atmospheric_db=0.7, receiver_diameter_m=0.8)
     dipping = PassProfile(times_s=[0.0, 3.3, 10.1, 11.0], elevations_deg=[5.0, 40.0, 9.0, 12.0],
                           loss_model=lambda el: 60.0 - el / 2.0, min_elevation_deg=10.0)
-    for profile in (synthesize_pass(75.0, 500e3), dipping):
+    for profile, loss in ((synthesize_pass(75.0, 600e3, loss_model=model), lambda el: reference_loss(model, el)),
+                          (dipping, dipping.loss_model)):
         losses, durations = profile.segments(step, 1.5)
-        assert (losses.tolist(), durations.tolist()) == per_step_segments(profile, step, 1.5)
+        assert (losses.tolist(), durations.tolist()) == per_step_segments(profile, step, 1.5, loss)
 
 
 def test_integrate_pass_mc_mode_deterministic(source, detector, e_det, security):
@@ -695,6 +698,15 @@ def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, secu
     mc, tally = integrate_pass(*short.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
     assert tally.to_dict() == ZERO_TALLY and mc.secret_key_length == 0.0
     assert "no whole pulse" in mc.reason
+
+
+def test_analytic_tallies_add_pulses_and_time_in_segment_order(source, detector, e_det):
+    pulses = np.random.default_rng(3).uniform(0.0, 1e8, 500)
+    tally = analytic_tallies(source, np.full(500, 30.0), detector, e_det, pulses)
+    total = elapsed = 0.0
+    for k in pulses.tolist():
+        total, elapsed = total + k, elapsed + k / source.repetition_rate_hz
+    assert (tally.total_pulses, tally.elapsed_s) == (total, elapsed)
 
 
 def test_analytic_rates_rejects_nan_loss(source, detector, e_det):
