@@ -5,9 +5,7 @@ __version__ = "0.1.0"
 from .channel import (
     ChannelConfig,
     ElevationLossModel,
-    GeometryParams,
     PassProfile,
-    geometric_loss,
     synthesize_pass,
     transmittance_from_db,
 )

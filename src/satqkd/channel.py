@@ -38,34 +38,12 @@ def transmittance_from_db(loss_db: ArrayLike):
     return t if t.ndim else float(t)
 
 
-@dataclass(frozen=True)
-class GeometryParams:
-    """Far-field beam-spreading geometry of the downlink."""
-
-    range_m: float
-    divergence_half_angle_rad: float
-    receiver_diameter_m: float
-
-    def __post_init__(self):
-        if self.range_m <= 0 or self.receiver_diameter_m <= 0:
-            raise DomainError("range and receiver diameter must be > 0")
-        if self.divergence_half_angle_rad < MIN_DIVERGENCE_RAD:
-            raise DomainError(
-                f"divergence must be >= {MIN_DIVERGENCE_RAD:g} rad, got {self.divergence_half_angle_rad:g}"
-            )
-
-
 def beam_spreading_loss_db(range_m: ArrayLike, divergence_half_angle_rad: float,
                            receiver_diameter_m: float) -> np.ndarray:
     """Ratio of receiver area to far-field spot area in dB, clamped at 0 dB, at every range."""
     spot_diameter = 2.0 * np.asarray(range_m, dtype=float) * divergence_half_angle_rad
     ratio = each(square, receiver_diameter_m / spot_diameter)
     return np.where(ratio >= 1.0, 0.0, -10.0 * each(math.log10, ratio))
-
-
-def geometric_loss(g: GeometryParams) -> float:
-    """Beam-spreading loss in dB of one geometry."""
-    return float(beam_spreading_loss_db(g.range_m, g.divergence_half_angle_rad, g.receiver_diameter_m))
 
 
 def slant_range_m(elevation_deg: ArrayLike, altitude_m: float):

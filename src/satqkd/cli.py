@@ -71,6 +71,9 @@ def _load_config(args) -> RunConfig:
 
 
 def _total_fixed_loss(cfg: RunConfig) -> float:
+    if cfg.channel.mode != "fixed":
+        raise ConfigError(f"a channel in {cfg.channel.mode} mode has no fixed loss: give --loss-db, "
+                          "or run the pass command")
     return cfg.channel.fixed_loss_db + cfg.channel.excess_loss_db
 
 
@@ -225,22 +228,13 @@ def cmd_report_distinguishability(args) -> dict:
     cfg = _load_config(args)
     reports = []
     for src in cfg.sources:
-        rep = distinguishability_report(src, temp_c=args.temp)
-        rows = rep.as_rows()
-        columns = list(rows[0])  # as_rows gives every row the same keys
+        rows = distinguishability_report(src, temp_c=args.temp)
+        columns = list(rows[0])  # every row has the same keys
         _write_csv(args.out_dir, f"distinguishability_{int(src.wavelength_label_nm)}nm.csv", columns,
                    ([r[k] for k in columns] for r in rows))
-        reports.append(
-            {
-                "wavelength_nm": src.wavelength_label_nm,
-                "pairs": rows,
-                "worst_pair": {
-                    "mode_a": rep.worst_pair.mode_a,
-                    "mode_b": rep.worst_pair.mode_b,
-                    "score": rep.worst_pair.score,
-                },
-            }
-        )
+        worst = max(rows, key=lambda r: r["score"])  # the first of equal scores
+        reports.append({"wavelength_nm": src.wavelength_label_nm, "pairs": rows,
+                        "worst_pair": {k: worst[k] for k in ("mode_a", "mode_b", "score")}})
     return {"command": "report-distinguishability", "temp_c": args.temp, "sources": reports}
 
 

@@ -129,13 +129,14 @@ def _expected_counts(source: SourceConfig, total_loss_db: ArrayLike, det: Detect
     """Expected ([point,] class, basis, count) counts of the closed-form WCP model; no point axis for one point.
 
     A cell's sent pulses times the class gain Q_k = 1 - (1 - Y0) exp(-eta
-    mu_k) are detected, those times the sift fraction sifted, and those
-    times the error rate E_k, with E_k Q_k = e0 Y0 + e_det (1 - exp(-eta
-    mu_k)), errors; Y0 is the probability any of the four gated detectors
-    fires on darks or background. total_loss_db is a scalar or a 1-D array
-    with one loss per point, and n_pulses broadcasts against the points.
-    mus and emit, (class[, point]) arrays in source order, and p_z, the
-    sender's Z-basis probability ([point]), replace the source's.
+    mu_k) are detected, those times the receiver's probability of the
+    cell's basis sifted, and those times the error rate E_k, with E_k Q_k =
+    e0 Y0 + e_det (1 - exp(-eta mu_k)), errors; Y0 is the probability any
+    of the four gated detectors fires on darks or background. total_loss_db
+    is a scalar or a 1-D array with one loss per point, and n_pulses
+    broadcasts against the points. mus and emit, (class[, point]) arrays in
+    source order, and p_z, the sender's Z-basis probability ([point]),
+    replace the source's.
     """
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
@@ -154,14 +155,14 @@ def _expected_counts(source: SourceConfig, total_loss_db: ArrayLike, det: Detect
     gains = 1.0 - (1.0 - y0) * decay
     with np.errstate(divide="ignore", invalid="ignore"):
         error_rates = np.where(gains > 0, (E0 * y0 + e_det * (1.0 - decay)) / gains, E0)
-    pz_r = det.basis_probability_z
 
     def per_class(rows: ArrayLike) -> np.ndarray:  # (class[, point]) -> ([point, ]class, 1)
         return np.asarray(rows, dtype=float).T[..., None]
 
     p_basis = np.array([p_z, 1.0 - p_z]).T[..., None, :]
     sent = np.asarray(n_pulses, dtype=float)[..., None, None] * per_class(emit) * p_basis
-    sift = (p_z * pz_r + (1.0 - p_z) * (1.0 - pz_r))[..., None, None]
+    pz_r = det.basis_probability_z
+    sift = np.array([pz_r, 1.0 - pz_r])  # a detection is sifted when the receiver picks the sender's basis
     gains, error_rates = per_class(gains), per_class(error_rates)
     # each count is the one before it times a factor: sent Q_k, then the sift fraction, then E_k
     factors = np.empty(np.broadcast_shapes(sent.shape, gains.shape, sift.shape) + (len(COUNTS),))

@@ -11,6 +11,7 @@ numeric-integration oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections.abc import Mapping, Sequence
@@ -285,82 +286,29 @@ def temporal_overlap(fwhm_a_ps: float, fwhm_b_ps: float, delay_ps: float) -> flo
     return min(1.0, _bhattacharyya_gaussians(0.0, s_a, delay_ps, s_b))
 
 
-@dataclass(frozen=True)
-class ModePair:
-    """Distinguishability metrics for one pair of emission modes."""
+def distinguishability_report(config: SourceConfig, temp_c: float = 25.0) -> list[dict]:
+    """Pairwise indistinguishability audit over all (diode, non-vacuum intensity class) modes.
 
-    mode_a: str
-    mode_b: str
-    temporal_overlap: float
-    spectral_overlap: float
-    temporal_score: float
-    spectral_score: float
-
-    @property
-    def score(self) -> float:
-        return max(self.temporal_score, self.spectral_score)
-
-
-@dataclass(frozen=True)
-class DistinguishabilityReport:
-    pairs: Sequence[ModePair]
-    worst_pair: ModePair
-
-    def as_rows(self):
-        return [
-            {
-                "mode_a": p.mode_a,
-                "mode_b": p.mode_b,
-                "temporal_overlap": p.temporal_overlap,
-                "spectral_overlap": p.spectral_overlap,
-                "temporal_score": p.temporal_score,
-                "spectral_score": p.spectral_score,
-                "score": p.score,
-            }
-            for p in self.pairs
-        ]
-
-
-def distinguishability_report(config: SourceConfig, temp_c: float = 25.0) -> DistinguishabilityReport:
-    """Pairwise indistinguishability audit over all (diode, intensity class) modes.
-
-    Diagnostic only: scores are 1 - overlap and are not folded into the
-    key-rate math.
+    One row per mode pair: mode_a, mode_b, temporal_overlap,
+    spectral_overlap, temporal_score, spectral_score and score, the larger
+    of the two scores. Diagnostic only: scores are 1 - overlap and are not
+    folded into the key-rate math.
     """
-    modes = []
-    for diode in config.diode_profiles:
-        for cls in config.intensity_classes:
-            if cls.label is IntensityLabel.VACUUM:
-                continue
-            center = shifted_center(diode, temp_c)
-            modes.append(
-                (
-                    f"{diode.polarization.value}/{cls.label.value}",
-                    diode.pulse_fwhm_by_class_ps[cls.label],
-                    diode.trigger_delay_ps,
-                    center,
-                    diode.spectral_fwhm_nm,
-                )
-            )
-    pairs = []
-    for i in range(len(modes)):
-        for j in range(i + 1, len(modes)):
-            name_a, fw_a, d_a, c_a, sf_a = modes[i]
-            name_b, fw_b, d_b, c_b, sf_b = modes[j]
-            t_ov = temporal_overlap(fw_a, fw_b, d_b - d_a)
-            try:
-                s_ov = spectral_overlap((c_a, sf_a), (c_b, sf_b), config.filter)
-            except OverlapUndefinedError:
-                s_ov = 0.0  # no common transmitted power: fully distinguishable
-            pairs.append(
-                ModePair(
-                    mode_a=name_a,
-                    mode_b=name_b,
-                    temporal_overlap=t_ov,
-                    spectral_overlap=s_ov,
-                    temporal_score=1.0 - t_ov,
-                    spectral_score=1.0 - s_ov,
-                )
-            )
-    worst = max(pairs, key=lambda p: p.score)
-    return DistinguishabilityReport(pairs=pairs, worst_pair=worst)
+    modes = [
+        (f"{diode.polarization.value}/{cls.label.value}", diode.pulse_fwhm_by_class_ps[cls.label],
+         diode.trigger_delay_ps, shifted_center(diode, temp_c), diode.spectral_fwhm_nm)
+        for diode in config.diode_profiles
+        for cls in config.intensity_classes
+        if cls.label is not IntensityLabel.VACUUM
+    ]
+    rows = []
+    for (name_a, fw_a, d_a, c_a, sf_a), (name_b, fw_b, d_b, c_b, sf_b) in itertools.combinations(modes, 2):
+        t_ov = temporal_overlap(fw_a, fw_b, d_b - d_a)
+        try:
+            s_ov = spectral_overlap((c_a, sf_a), (c_b, sf_b), config.filter)
+        except OverlapUndefinedError:
+            s_ov = 0.0  # no common transmitted power: fully distinguishable
+        rows.append({"mode_a": name_a, "mode_b": name_b, "temporal_overlap": t_ov, "spectral_overlap": s_ov,
+                     "temporal_score": 1.0 - t_ov, "spectral_score": 1.0 - s_ov,
+                     "score": max(1.0 - t_ov, 1.0 - s_ov)})
+    return rows

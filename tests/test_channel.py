@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from satqkd.channel import (
     ChannelConfig,
     ElevationLossModel,
-    GeometryParams,
     PassProfile,
-    geometric_loss,
+    beam_spreading_loss_db,
     load_pass_csv,
     slant_range_m,
     synthesize_pass,
@@ -46,25 +45,23 @@ def test_transmittance_composes(a, b):
 
 
 def test_geometric_loss_clamped_when_receiver_exceeds_spot():
-    g = GeometryParams(range_m=1000.0, divergence_half_angle_rad=17e-6, receiver_diameter_m=1.0)
     # spot is 3.4 cm at 1 km; a 1 m receiver catches everything
-    assert geometric_loss(g) == 0.0
+    assert beam_spreading_loss_db(1000.0, 17e-6, 1.0) == 0.0
 
 
 def test_geometric_loss_500km():
-    g = GeometryParams(range_m=500e3, divergence_half_angle_rad=17e-6, receiver_diameter_m=0.7)
-    assert geometric_loss(g) == pytest.approx(27.7, abs=0.05)
+    assert beam_spreading_loss_db(500e3, 17e-6, 0.7) == pytest.approx(27.7, abs=0.05)
 
 
 def test_geometric_loss_doubling_range_adds_6db():
-    near = GeometryParams(range_m=500e3, divergence_half_angle_rad=17e-6, receiver_diameter_m=0.7)
-    far = GeometryParams(range_m=1000e3, divergence_half_angle_rad=17e-6, receiver_diameter_m=0.7)
-    assert geometric_loss(far) - geometric_loss(near) == pytest.approx(20 * math.log10(2), abs=1e-9)
+    near = beam_spreading_loss_db(500e3, 17e-6, 0.7)
+    far = beam_spreading_loss_db(1000e3, 17e-6, 0.7)
+    assert far - near == pytest.approx(20 * math.log10(2), abs=1e-9)
 
 
 def test_geometry_enforces_divergence_floor():
-    with pytest.raises(DomainError):
-        GeometryParams(range_m=500e3, divergence_half_angle_rad=10e-6, receiver_diameter_m=0.7)
+    with pytest.raises(DomainError, match="divergence"):
+        ElevationLossModel(divergence_half_angle_rad=10e-6, receiver_diameter_m=0.7)
 
 
 @given(
@@ -74,10 +71,10 @@ def test_geometry_enforces_divergence_floor():
     ddiv=st.floats(0.0, 50e-6),
 )
 def test_geometric_loss_monotone(r, dr, div, ddiv):
-    base = geometric_loss(GeometryParams(r, div, 0.7))
-    assert geometric_loss(GeometryParams(r + dr, div, 0.7)) >= base
-    assert geometric_loss(GeometryParams(r, div + ddiv, 0.7)) >= base
-    assert geometric_loss(GeometryParams(r, div, 0.8)) <= base
+    base = beam_spreading_loss_db(r, div, 0.7)
+    assert beam_spreading_loss_db(r + dr, div, 0.7) >= base
+    assert beam_spreading_loss_db(r, div + ddiv, 0.7) >= base
+    assert beam_spreading_loss_db(r, div, 0.8) <= base
 
 
 def test_slant_range_limits():

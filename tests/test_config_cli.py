@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from satqkd.config import (
     to_dict,
 )
 from satqkd.errors import ConfigError
+from satqkd.source import IntensityLabel
 
 from conftest import save_run_config
 
@@ -173,6 +175,26 @@ def test_cli_analytic_pass_refuses_seed(capsys, config_path, tmp_path):
     assert code == 0 and json.loads(out)["mode"] == "mc"
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["optimize", "--mu-points", "3"]], ids=["simulate", "optimize"])
+def test_cli_fixed_loss_command_refuses_a_pass_channel_without_loss_db(capsys, config_path, tmp_path, argv):
+    # a pass-mode channel has no fixed loss to key at; --loss-db turns any config into a fixed-loss run
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(pass_mode_data(config_path)))
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and "--loss-db" in report["message"]
+    code, out, err = run_cli(capsys, *argv, "--config", str(path), "--loss-db", "30")
+    assert code == 0 and err == ""
+    fixed = pass_mode_data(config_path)
+    fixed["channel"] = {"mode": "fixed", "fixed_loss_db": 30.0}
+    path.write_text(yaml.safe_dump(fixed))
+    _, same, _ = run_cli(capsys, *argv, "--config", str(path))
+    report, same = json.loads(out), json.loads(same)
+    report.pop("config", None), same.pop("config", None)  # the channels differ there by design
+    assert report == same
+
+
 # (label, mu, emit probability) of sources the 2-decoy bound cannot key: it needs a measured vacuum yield
 NOT_SIGNAL_DECOY_VACUUM = {
     "signal_and_decoy": [("signal", 0.3, 0.75), ("decoy", 0.5, 0.25)],
@@ -228,6 +250,43 @@ def test_cli_report_distinguishability(capsys, config_path, tmp_path):
     assert report["sources"][0]["worst_pair"]["score"] == pytest.approx(0.079, abs=1e-3)
     assert (out_dir / "report.json").exists()
     assert any(p.name.startswith("distinguishability_") for p in out_dir.iterdir())
+
+
+DISTINGUISHABILITY_COLUMNS = ["mode_a", "mode_b", "temporal_overlap", "spectral_overlap", "temporal_score",
+                              "spectral_score", "score"]
+
+
+def test_cli_distinguishability_csv_holds_the_report_pairs_in_column_order(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "report-distinguishability", "--out-dir", str(out_dir))
+    assert code == 0
+    sources = json.loads(out)["sources"]
+    assert len(sources) == 2
+    for src in sources:
+        with open(out_dir / f"distinguishability_{int(src['wavelength_nm'])}nm.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == DISTINGUISHABILITY_COLUMNS
+        assert rows == [[str(pair[k]) for k in header] for pair in src["pairs"]]
+
+
+def test_cli_distinguishability_tie_reports_the_first_pair(capsys, tmp_path):
+    # four copies of one diode, one pulse width for signal and decoy: every pair scores the same
+    cfg = default_run_config()
+    widths = {IntensityLabel.SIGNAL: 700.0, IntensityLabel.DECOY: 700.0}
+    cfg.sources = tuple(
+        replace(src, diode_profiles=tuple(replace(src.diode_profiles[0], polarization=d.polarization,
+                                                  pulse_fwhm_by_class_ps=widths)
+                                          for d in src.diode_profiles))
+        for src in cfg.sources
+    )
+    path = tmp_path / "identical.yaml"
+    save_run_config(cfg, path)
+    code, out, _ = run_cli(capsys, "report-distinguishability", "--config", str(path))
+    assert code == 0
+    for src in json.loads(out)["sources"]:
+        pairs = src["pairs"]
+        assert len(pairs) == 28 and len({p["score"] for p in pairs}) == 1
+        assert src["worst_pair"] == {k: pairs[0][k] for k in ("mode_a", "mode_b", "score")}
 
 
 DISTINGUISHABILITY_PINS = Path(__file__).with_name("data") / "distinguishability_pins.json"

@@ -15,6 +15,7 @@ from satqkd.protocol import (
     DETECTED,
     E0,
     SENT,
+    SIFTED,
     SecurityParams,
     SiftedStats,
     Y1_LOST_IN_ROUNDING,
@@ -210,6 +211,32 @@ def test_sift_zero_when_all_wrong_basis():
     t.validate()
     _, _, sifted, errors = t.by_class()[0]
     assert (sifted, errors) == (0, 0)
+
+
+@pytest.mark.parametrize("pz_r", [0.9, 0.3])
+def test_analytic_sifts_each_sender_basis_with_the_receivers_probability_of_it(source, e_det, pz_r):
+    # the receiver measures in Z with pz_r whatever the sender sent: a Z cell's detections are
+    # sifted with pz_r and an X cell's with 1 - pz_r, also when the sender's p_Z differs
+    det = DetectorModel(basis_probability_z=pz_r)
+    counts = _expected_counts(replace(source, basis_probability_z=0.9), np.array([0.0, 20.0, 40.0]), det,
+                              e_det, 1e9, 0.0)
+    np.testing.assert_array_equal(counts[..., SIFTED], counts[..., DETECTED] * [pz_r, 1.0 - pz_r])
+
+
+def test_simulate_block_matches_analytic_per_cell_at_biased_bases(source, e_det):
+    # p_Z 0.9 at both ends: about 90 % of Z and 10 % of X detections are sifted. The vacuum class
+    # is left out: its detections are darks, which the receiver sifts about half the time in either
+    # basis, and the closed-form model does not follow that
+    src = replace(source, basis_probability_z=0.9)
+    det = DetectorModel(basis_probability_z=0.9)
+    n = 10**9
+    drawn = simulate_block(src, 20.0, det, e_det, n, seed=5).counts
+    expected = analytic_tallies(src, 20.0, det, e_det, n).counts
+    lit = [k for k, c in enumerate(src.intensity_classes) if c.label is not IntensityLabel.VACUUM]
+    for cell, means in zip(drawn[lit].reshape(-1, 4).tolist(), expected[lit].reshape(-1, 4).tolist()):
+        # each count is binomial in the one before it: detected in sent, sifted in detected, ...
+        for trials, count, p in zip(cell, cell[1:], np.divide(means[1:], means[:-1]).tolist()):
+            assert abs(count - trials * p) < 5 * math.sqrt(trials * p * (1 - p)), (cell, means)
 
 
 def test_tally_validate_rejects_inconsistent():
