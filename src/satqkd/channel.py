@@ -275,7 +275,7 @@ class ChannelConfig:
     mode: str  # "fixed" or "pass"
     fixed_loss_db: float = 40.0
     excess_loss_db: float = 0.0
-    background_click_prob: float = 0.0
+    background_click_prob: float = 0.0  # per gate and detector; RunConfig.receiver adds it to dark_prob
     pass_spec: PassSpec | None = field(default=None, metadata={"key": "pass"})  # 'pass' is a keyword
     pass_profile: PassProfile | None = field(default=None, init=False, repr=False, compare=False)
 

@@ -38,21 +38,26 @@ ERROR_EXITS = ((ConfigError, "config", EXIT_CONFIG), (FileFormatError, "file-for
 MAX_SWEEP_POINTS = 1_000_000  # losses of one keyrate sweep, as many as the steps of one pass walk
 
 
+def _make_out_dir(out_dir: Optional[str]):
+    """Create --out-dir before the command runs, so that a path no directory can take is a config error."""
+    if out_dir:
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out-dir {out_dir}: cannot make the directory: {exc.strerror}") from exc
+
+
 def _emit(report: dict, out_dir: Optional[str]):
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
     print(text)
     if out_dir:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / "report.json").write_text(text + "\n")
+        (Path(out_dir) / "report.json").write_text(text + "\n")
 
 
 def _write_csv(out_dir: Optional[str], name: str, header, rows):
     if not out_dir:
         return
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    with open(path / name, "w", newline="") as fh:
+    with open(Path(out_dir) / name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -85,9 +90,8 @@ def cmd_simulate(args) -> dict:
     total_rate = 0.0
     for i, src in enumerate(cfg.sources):
         tally = simulate_block(
-            src, loss, cfg.detector, cfg.e_det(src), cfg.block_pulses,
+            src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses,
             seed=cfg.seed + i, shards=cfg.shards, workers=args.workers,
-            background_click_prob=cfg.channel.background_click_prob,
         )
         result = key_from_tally(src, tally, cfg.security, args.regime)
         total_length += result.secret_key_length
@@ -118,10 +122,8 @@ def cmd_keyrate(args) -> dict:
     total_losses = [loss + cfg.channel.excess_loss_db for loss in losses]
     # one call per source over the whole sweep; the sum starts at 0 and adds the sources in order
     rates = sum(
-        key_from_fixed_loss(
-            src, total_losses, cfg.detector, cfg.e_det(src), cfg.security, duration_s=args.duration,
-            regime=args.regime, background_click_prob=cfg.channel.background_click_prob,
-        ).secret_key_rate
+        key_from_fixed_loss(src, total_losses, cfg.receiver, cfg.e_det(src), cfg.security,
+                            duration_s=args.duration, regime=args.regime).secret_key_rate
         for src in cfg.sources
     ).tolist()
     losses = [round(loss, 12) for loss in losses]
@@ -146,9 +148,8 @@ def cmd_pass(args) -> dict:
     total = 0.0
     for i, src in enumerate(cfg.sources):
         result, tally = integrate_pass(
-            *segments, src, cfg.detector, cfg.e_det(src), cfg.security,
+            *segments, src, cfg.receiver, cfg.e_det(src), cfg.security,
             regime=args.regime, mode=args.mode, seed=cfg.seed + i,
-            background_click_prob=cfg.channel.background_click_prob,
         )
         total += result.secret_key_length
         per_source.append(
@@ -176,7 +177,7 @@ def cmd_optimize(args) -> dict:
         "mu_decoy": Axis(args.mu_min, args.mu_max, args.mu_points),
     }
     result = optimize(
-        SearchSpace(axes=axes), cfg.sources[0], _total_fixed_loss(cfg), cfg.detector,
+        SearchSpace(axes=axes), cfg.sources[0], _total_fixed_loss(cfg), cfg.receiver,
         cfg.e_det(cfg.sources[0]), cfg.security, regime=args.regime,
         duration_s=args.duration,
     )
@@ -337,6 +338,7 @@ def main(argv=None) -> int:
     # the warnings filters stay as they are; a warning they let through is recorded, not printed
     with warnings.catch_warnings(record=True) as caught:
         try:
+            _make_out_dir(args.out_dir)
             report = args.func(args)
         except SatQkdError as exc:
             error = exc
@@ -346,7 +348,7 @@ def main(argv=None) -> int:
         name, code = next((name, code) for kind, name, code in ERROR_EXITS if isinstance(error, kind))
         _diagnostic(error=name, message=str(error))
         return code
-    _emit(report, getattr(args, "out_dir", None))
+    _emit(report, args.out_dir)
     return 0
 
 

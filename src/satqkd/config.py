@@ -15,7 +15,7 @@ import math
 import types
 import typing
 from collections.abc import Mapping, Sequence
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
 import yaml
@@ -91,12 +91,20 @@ class RunConfig:
             raise ConfigError("need one or two source blocks")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.block_pulses < 1:
-            raise ConfigError("block_pulses must be >= 1")
+        if not 1 <= self.block_pulses < 2**63:  # the Monte Carlo counts pulses in int64
+            raise ConfigError(f"block_pulses must be in [1, 2**63 - 1], got {self.block_pulses}")
         if self.shards < 1:
             raise ConfigError("shards must be >= 1")
         if self.e_misalignment is not None and not 0.0 <= self.e_misalignment <= 0.5:
             raise ConfigError("e_misalignment must be in [0, 0.5]")
+        if self.detector.dark_prob + self.channel.background_click_prob >= 1.0:
+            raise ConfigError("detector.dark_prob + channel.background_click_prob must be < 1, got "
+                              f"{self.detector.dark_prob} + {self.channel.background_click_prob}")
+
+    @property
+    def receiver(self) -> DetectorModel:
+        """The detector every route takes: background light clicks a detector as a dark count does."""
+        return replace(self.detector, dark_prob=self.detector.dark_prob + self.channel.background_click_prob)
 
     def e_det(self, source: SourceConfig) -> float:
         if self.e_misalignment is not None:

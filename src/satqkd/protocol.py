@@ -115,28 +115,20 @@ class TallyTable:
 # analytic route
 
 
-def _click_prob(det: DetectorModel, background_click_prob: float) -> float:
-    """Per-detector probability of a dark or background firing in one gate."""
-    p_d = det.dark_prob + background_click_prob
-    if p_d >= 1.0:
-        raise DomainError("dark_prob + background_click_prob must be < 1")
-    return p_d
-
-
 def _expected_counts(source: SourceConfig, total_loss_db: ArrayLike, det: DetectorModel, e_det: float,
-                     n_pulses: ArrayLike, background_click_prob: float, mus: Optional[ArrayLike] = None,
-                     emit: Optional[ArrayLike] = None, p_z: Optional[ArrayLike] = None) -> np.ndarray:
+                     n_pulses: ArrayLike, mus: Optional[ArrayLike] = None, emit: Optional[ArrayLike] = None,
+                     p_z: Optional[ArrayLike] = None) -> np.ndarray:
     """Expected ([point,] class, basis, count) counts of the closed-form WCP model; no point axis for one point.
 
     A cell's sent pulses times the class gain Q_k = 1 - (1 - Y0) exp(-eta
     mu_k) are detected, those times the receiver's probability of the
     cell's basis sifted, and those times the error rate E_k, with E_k Q_k =
     e0 Y0 + e_det (1 - exp(-eta mu_k)), errors; Y0 is the probability any
-    of the four gated detectors fires on darks or background. total_loss_db
-    is a scalar or a 1-D array with one loss per point, and n_pulses
-    broadcasts against the points. mus and emit, (class[, point]) arrays in
-    source order, and p_z, the sender's Z-basis probability ([point]),
-    replace the source's.
+    of the four gated detectors makes a noise click, each with probability
+    det.dark_prob. total_loss_db is a scalar or a 1-D array with one loss
+    per point, and n_pulses broadcasts against the points. mus and emit,
+    (class[, point]) arrays in source order, and p_z, the sender's Z-basis
+    probability ([point]), replace the source's.
     """
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
@@ -149,7 +141,7 @@ def _expected_counts(source: SourceConfig, total_loss_db: ArrayLike, det: Detect
     if emit is None:
         emit = [c.emit_probability for c in classes]
     p_z = np.asarray(source.basis_probability_z if p_z is None else p_z, dtype=float)
-    y0 = 1.0 - (1.0 - _click_prob(det, background_click_prob)) ** N_DETECTORS
+    y0 = 1.0 - (1.0 - det.dark_prob) ** N_DETECTORS
     eta = transmittance_from_db(losses + source.insertion_loss_db) * det.efficiency
     decay = each(math.exp, -eta * np.asarray(mus, dtype=float))
     gains = 1.0 - (1.0 - y0) * decay
@@ -179,7 +171,6 @@ def analytic_tallies(
     det: DetectorModel,
     e_det: float,
     n_pulses: ArrayLike,
-    background_click_prob: float = 0.0,
 ) -> TallyTable:
     """Expected-value tallies (fractional counts) of the closed-form model.
 
@@ -188,7 +179,7 @@ def analytic_tallies(
     """
     if np.shape(total_loss_db) != np.shape(n_pulses):
         raise DomainError("total_loss_db and n_pulses must be scalars or 1-D arrays of equal length")
-    counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses, background_click_prob)
+    counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses)
     if counts.ndim > 3:  # the axis-0 sum of a 2-D or larger array adds the segments one by one, in order
         counts = counts.sum(axis=0)
     # add.accumulate adds left to right, so both sums add the segments in order as a loop from 0.0 does
@@ -209,7 +200,6 @@ def _simulate_shard(
     e_det: float,
     n_pulses: ArrayLike,
     seed_seq: np.random.SeedSequence,
-    background_click_prob: float,
 ) -> TallyTable:
     """Monte Carlo of one shard, drawn as counts with no per-pulse arrays.
 
@@ -222,7 +212,6 @@ def _simulate_shard(
     have the same distribution as a pulse-by-pulse simulation.
     """
     rng = np.random.default_rng(seed_seq)
-    p_d = _click_prob(det, background_click_prob)
     losses, counts = np.atleast_1d(total_loss_db), np.atleast_1d(n_pulses)
     classes = source.intensity_classes
     # cell 2k: class k rectilinear, 2k + 1: class k diagonal
@@ -233,7 +222,7 @@ def _simulate_shard(
     lam = eta_channel[:, None] * np.repeat([c.mu for c in classes], 2)  # (segment, cell)
 
     sent = rng.multinomial(counts, cell_p / cell_p.sum())
-    levels = outcome_probabilities(lam * det.efficiency, p_same, e_det, p_d)  # (segment, cell, level)
+    levels = outcome_probabilities(lam * det.efficiency, p_same, e_det, det.dark_prob)  # (segment, cell, level)
     # levels drawn from the last (sifted error) to the first (missed), so that numpy takes the
     # missed pulses, nearly all of them, as the remainder and each small level keeps its precision
     drawn = rng.multinomial(sent, levels[..., ::-1]).sum(axis=0)
@@ -253,7 +242,6 @@ def simulate_block(
     seed: int,
     shards: int = 1,
     workers: int = 1,
-    background_click_prob: float = 0.0,
 ) -> TallyTable:
     """Monte Carlo of one transmission block.
 
@@ -282,9 +270,7 @@ def simulate_block(
     seqs = np.random.SeedSequence(seed).spawn(shards)
 
     def run(i: int) -> TallyTable:
-        return _simulate_shard(
-            source, losses, det, e_det, sizes[i], seqs[i], background_click_prob
-        )
+        return _simulate_shard(source, losses, det, e_det, sizes[i], seqs[i])
 
     if workers <= 1 or shards == 1:
         parts = [run(i) for i in range(shards)]
@@ -546,7 +532,6 @@ def key_from_fixed_loss(
     sec: SecurityParams,
     duration_s: float,
     regime: str = "asymptotic",
-    background_click_prob: float = 0.0,
     mus: Optional[ArrayLike] = None,
     emit: Optional[ArrayLike] = None,
     p_z: Optional[ArrayLike] = None,
@@ -562,7 +547,7 @@ def key_from_fixed_loss(
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise DomainError(f"duration must be finite and > 0 s, got {duration_s}")
     n_pulses = duration_s * source.repetition_rate_hz
-    counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses, background_click_prob, mus, emit, p_z)
+    counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses, mus, emit, p_z)
     labels = tuple(c.label for c in source.intensity_classes)
     rows = [c.mu for c in source.intensity_classes] if mus is None else np.asarray(mus, dtype=float)
     return _key_from_counts(labels, counts, rows, n_pulses / source.repetition_rate_hz, sec, regime)
@@ -578,7 +563,6 @@ def integrate_pass(
     regime: str = "finite",
     mode: str = "analytic",
     seed: Optional[int] = None,
-    background_click_prob: float = 0.0,
 ) -> Tuple[KeyResult, TallyTable]:
     """Accumulate tallies over a pass, then compute bounds and key once on the pool.
 
@@ -594,13 +578,12 @@ def integrate_pass(
     losses = np.asarray(losses_db, dtype=float)
     pulses = source.repetition_rate_hz * np.asarray(durations_s, dtype=float)
     if mode == "analytic":
-        pooled = analytic_tallies(source, losses, det, e_det, pulses, background_click_prob)
+        pooled = analytic_tallies(source, losses, det, e_det, pulses)
     else:
         counts = np.rint(pulses).astype(np.int64)
         pooled = TallyTable.zeros(source)
         if counts.sum():
-            pooled = simulate_block(source, losses, det, e_det, counts, seed=seed,
-                                    background_click_prob=background_click_prob)
+            pooled = simulate_block(source, losses, det, e_det, counts, seed=seed)
     if pooled.total_pulses <= 0:
         reason = ("no whole pulse sent above the minimum elevation" if losses.size
                   else "pass never rises above the minimum elevation")

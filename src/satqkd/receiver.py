@@ -28,7 +28,10 @@ class DetectorModel:
     """Receiver detection parameters.
 
     efficiency and dark_prob are documented defaults for a generic
-    free-space BB84 receiver, not measured values.
+    free-space BB84 receiver, not measured values. Every route reads
+    dark_prob as the probability that one detector makes a noise click in
+    one gate, from dark counts and background light alike; RunConfig.receiver
+    adds the channel's background light to it.
     """
 
     efficiency: float = 0.5

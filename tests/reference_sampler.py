@@ -210,7 +210,6 @@ def reference_pass(
     seed: int,
     step_s: float = 1.0,
     excess_loss_db: float = 0.0,
-    background_click_prob: float = 0.0,
 ) -> TallyTable:
     t0, t1 = (profile.times_s[0], profile.times_s[-1]) if len(profile.times_s) else (0.0, 0.0)
     pooled = TallyTable.zeros(source)
@@ -226,7 +225,6 @@ def reference_pass(
             seg = simulate_block(
                 source, loss, det, e_det, int(round(n)),
                 seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(seg_index,)).generate_state(1)[0]),
-                background_click_prob=background_click_prob,
             )
             pooled.counts += seg.counts
             pooled.total_pulses += seg.total_pulses

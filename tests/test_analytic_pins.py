@@ -13,6 +13,7 @@ is compared with ==.
 import contextlib
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from satqkd.channel import synthesize_pass
@@ -46,9 +47,9 @@ def analytic_results() -> dict:
     results = {}
     for name, (culmination, regime, excess, background) in PASSES.items():
         profile = synthesize_pass(culmination, 500e3, min_elevation_deg=10.0, step_s=1.0)
+        receiver = replace(cfg, channel=replace(cfg.channel, background_click_prob=background)).receiver
         key, tally = integrate_pass(
-            *profile.segments(1.0, excess), src, cfg.detector, cfg.e_det(src), cfg.security,
-            regime=regime, background_click_prob=background,
+            *profile.segments(1.0, excess), src, receiver, cfg.e_det(src), cfg.security, regime=regime,
         )
         results[name] = {"key": key.to_dict(), "tally": tally.to_dict()}
     results["keyrate"] = _cli(CLI_RUNS["keyrate"])["rows"]

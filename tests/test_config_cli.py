@@ -734,3 +734,83 @@ def test_cli_spectrum_band_flags_need_a_finite_pair(capsys, tmp_path, band):
     code, out, err = run_cli(capsys, "analyze-spectrum", str(path), *band)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "config"
+
+
+# every command that keys, with the flags that make its report deterministic
+NOISE_RUNS = {
+    "simulate": ["simulate", "--seed", "4"],
+    "keyrate": ["keyrate", "--regime", "finite", "--sweep", "30:45:5"],
+    "pass_analytic": ["pass"],
+    "pass_mc": ["pass", "--mode", "mc", "--seed", "9"],
+    "optimize": ["optimize", "--loss-db", "30", "--mu-points", "5"],
+}
+
+
+@pytest.mark.parametrize("dark,background", [(1e-7, 5e-7), (1e-7, 3e-6)])
+@pytest.mark.parametrize("run", sorted(NOISE_RUNS))
+def test_cli_every_command_takes_dark_and_background_as_one_noise(capsys, config_path, tmp_path, run, dark,
+                                                                 background):
+    # background light clicks a detector as a dark count does: (dark d, background b) is (d + b, 0);
+    # optimize once keyed as if there were no background
+    argv = NOISE_RUNS[run]
+    reports = []
+    for name, d, b in (("split", dark, background), ("folded", dark + background, 0.0)):
+        data = pass_mode_data(config_path) if argv[0] == "pass" else yaml.safe_load(config_path.read_text())
+        data["detector"]["dark_prob"] = d
+        data["channel"]["background_click_prob"] = b
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(data))
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        report.pop("config", None)  # the echo shows each config's own keys
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_cli_dark_plus_background_of_one_is_config_error_at_load(capsys, config_path, tmp_path):
+    data = yaml.safe_load(config_path.read_text())
+    data["detector"]["dark_prob"] = 0.6
+    data["channel"]["background_click_prob"] = 0.6
+    path = tmp_path / "noisy.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with pytest.raises(ConfigError, match="detector.dark_prob \\+ channel.background_click_prob must be < 1"):
+        load_run_config(path)
+    for command in ("simulate", "keyrate", "optimize"):
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "config"
+        assert "detector.dark_prob" in report["message"] and "channel.background_click_prob" in report["message"]
+
+
+def test_cli_block_pulses_past_int64_is_config_error(capsys, config_path, tmp_path):
+    # 2**63 pulses once raised OverflowError where the Monte Carlo counts them in int64
+    data = yaml.safe_load(config_path.read_text())
+    data["block_pulses"] = 2**63 - 1
+    assert parse_run_config(data).block_pulses == 2**63 - 1
+    data["block_pulses"] = 2**63
+    path = tmp_path / "huge_block.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--loss-db", "30")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and "block_pulses must be in [1, 2**63 - 1]" in report["message"]
+
+
+@pytest.mark.parametrize("argv,sub", [
+    (["keyrate", "--sweep", "40:40:1"], ""),
+    (["simulate", "--loss-db", "40"], "sub"),
+], ids=["file", "under_a_file"])
+def test_cli_out_dir_that_cannot_be_a_directory_is_config_error(capsys, config_path, tmp_path, argv, sub):
+    # an existing file once raised FileExistsError, and a path under one printed the report, then
+    # raised NotADirectoryError
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out_dir = str(afile / sub)  # afile itself when sub is ""
+    code, out, err = run_cli(capsys, *argv, "--config", str(config_path), "--out-dir", out_dir)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    report = json.loads(line)
+    assert report["error"] == "config" and f"--out-dir {out_dir}" in report["message"]
+    assert afile.read_text() == ""

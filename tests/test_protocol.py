@@ -99,16 +99,17 @@ def test_analytic_segments_pool_exactly_as_a_loop_over_them(source, detector, e_
     # over eight segments numpy's 1-D sum is pairwise; the pooled tally must still add in order
     losses = np.linspace(20.0, 60.0, 41).tolist()
     pulses = [1e8 - 1e6 * k for k in range(41)]
-    pooled = analytic_tallies(source, losses, detector, e_det, pulses, 2e-6)
+    det = replace(detector, dark_prob=detector.dark_prob + 2e-6)  # with background light
+    pooled = analytic_tallies(source, losses, det, e_det, pulses)
     counts = total = elapsed = 0.0
     for loss, n in zip(losses, pulses):
-        seg = analytic_tallies(source, loss, detector, e_det, n, 2e-6)
+        seg = analytic_tallies(source, loss, det, e_det, n)
         counts, total, elapsed = counts + seg.counts, total + seg.total_pulses, elapsed + seg.elapsed_s
     assert pooled.counts.tolist() == counts.tolist()
     assert (pooled.total_pulses, pooled.elapsed_s) == (total, elapsed)
-    per_segment = _expected_counts(source, losses, detector, e_det, pulses, 2e-6)
+    per_segment = _expected_counts(source, losses, det, e_det, pulses)
     for i, (loss, n) in enumerate(zip(losses, pulses)):
-        assert per_segment[i].tolist() == _expected_counts(source, loss, detector, e_det, n, 2e-6).tolist()
+        assert per_segment[i].tolist() == _expected_counts(source, loss, det, e_det, n).tolist()
 
 
 def test_analytic_tallies_reject_mismatched_segments(source, detector, e_det):
@@ -219,7 +220,7 @@ def test_analytic_sifts_each_sender_basis_with_the_receivers_probability_of_it(s
     # sifted with pz_r and an X cell's with 1 - pz_r, also when the sender's p_Z differs
     det = DetectorModel(basis_probability_z=pz_r)
     counts = _expected_counts(replace(source, basis_probability_z=0.9), np.array([0.0, 20.0, 40.0]), det,
-                              e_det, 1e9, 0.0)
+                              e_det, 1e9)
     np.testing.assert_array_equal(counts[..., SIFTED], counts[..., DETECTED] * [pz_r, 1.0 - pz_r])
 
 
@@ -328,9 +329,8 @@ def mu_pairs(draw):
 @example(mus=(0.30000000000000004, 0.3), loss_db=40.0, dark_prob=1e-7, background=0.0, ed=0.0079)
 def test_decoy_bounds_sound_on_analytic_route(mus, loss_db, dark_prob, background, ed):
     """The bounds never pass the photon-number-resolved truth, for near-equal intensities too."""
-    det = DetectorModel(dark_prob=dark_prob)
-    b = key_from_fixed_loss(source_with_mus(*mus), loss_db, det, ed, SecurityParams(), 1.0,
-                            background_click_prob=background).bounds
+    det = DetectorModel(dark_prob=dark_prob + background)  # background light clicks as darks do
+    b = key_from_fixed_loss(source_with_mus(*mus), loss_db, det, ed, SecurityParams(), 1.0).bounds
     eta = 10.0 ** (-loss_db / 10.0) * det.efficiency
     y0 = 1.0 - (1.0 - dark_prob - background) ** 4
     y1_true, e1_true = true_single_photon(eta, y0, ed)
@@ -486,8 +486,8 @@ def test_key_batch_is_finite_or_domain_error_and_each_point_keys_as_alone(
     """Any detector, background, duration, class probabilities and p_Z: every key is finite and >= 0
     or the call raises DomainError, and each point of a batch gets exactly its one-point key."""
     base = default_source()
-    det = DetectorModel(efficiency=efficiency, dark_prob=dark_prob, basis_probability_z=receiver_p_z)
-    args = (det, intrinsic_qber(MEASURED_EXTINCTION), SecurityParams(), duration, regime, background)
+    det = DetectorModel(efficiency=efficiency, dark_prob=dark_prob + background, basis_probability_z=receiver_p_z)
+    args = (det, intrinsic_qber(MEASURED_EXTINCTION), SecurityParams(), duration, regime)
     alone = []
     for params, loss in points:
         try:
@@ -649,12 +649,11 @@ def test_integrate_pass_mc_mode_deterministic(source, detector, e_det, security)
         integrate_pass(*segments, small, detector, e_det, security, mode="mc")
 
 
-def test_both_routes_reject_dark_plus_background_of_one(source, e_det):
-    det = DetectorModel(dark_prob=0.6)
-    with pytest.raises(DomainError, match="dark_prob \\+ background_click_prob"):
-        analytic_tallies(source, 40.0, det, e_det, 1e9, background_click_prob=0.6)
-    with pytest.raises(DomainError, match="dark_prob \\+ background_click_prob"):
-        simulate_block(source, 40.0, det, e_det, 1000, seed=1, background_click_prob=0.6)
+def test_no_route_can_take_a_noise_click_probability_of_one():
+    # the routes read dark_prob as the whole noise, which RunConfig folds the background into and
+    # refuses at a sum >= 1; a detector cannot hold such a value either
+    with pytest.raises(DomainError, match="dark_prob must be in \\[0,1\\)"):
+        DetectorModel(dark_prob=1.2)
 
 
 @pytest.mark.parametrize("losses", [[20.0, math.nan], [math.inf, 30.0], [20.0, -1.0]])

@@ -74,11 +74,12 @@ REGIMES = {
 def test_sampler_matches_reference_distribution(regime, source, e_det):
     loss, det, background, pz = REGIMES[regime]
     source = replace(source, basis_probability_z=pz)
+    noisy = replace(det, dark_prob=det.dark_prob + background)  # the reference adds the background itself
     n = 100_000
     new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(SEEDS):
-        fast = _simulate_shard(source, loss, det, e_det, n, np.random.SeedSequence([1, s]), background)
+        fast = _simulate_shard(source, loss, noisy, e_det, n, np.random.SeedSequence([1, s]))
         slow = reference_shard(source, loss, det, e_det, n, np.random.SeedSequence([2, s]), background)
         fast.validate()
         new += outcome_counts(fast)
@@ -98,7 +99,7 @@ def test_sampler_matches_reference_per_cell_at_zero_loss(source, e_det):
     new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(8):
-        new += outcome_counts(_simulate_shard(source, 0.0, det, e_det, 50_000, np.random.SeedSequence([3, s]), 0.0))
+        new += outcome_counts(_simulate_shard(source, 0.0, det, e_det, 50_000, np.random.SeedSequence([3, s])))
         ref += outcome_counts(reference_shard(source, 0.0, det, e_det, 50_000, np.random.SeedSequence([4, s]), 0.0))
     assert new.reshape(-1, 4)[:, 1:].sum() > 50_000
     stat, dof = homogeneity_chi2(new, ref)
@@ -107,7 +108,7 @@ def test_sampler_matches_reference_per_cell_at_zero_loss(source, e_det):
 
 def test_sampler_vacuum_and_no_darks(source, e_det):
     det = DetectorModel(dark_prob=0.0)
-    tally = _simulate_shard(source, 20.0, det, e_det, 200_000, np.random.SeedSequence(9), 0.0)
+    tally = _simulate_shard(source, 20.0, det, e_det, 200_000, np.random.SeedSequence(9))
     tally.validate()
     for label, by_basis in zip(tally.labels, tally.counts.tolist()):
         for values in by_basis:
@@ -122,7 +123,7 @@ def test_sampler_vacuum_and_no_darks(source, e_det):
 
 def test_sampler_slices_at_zero_loss(source, detector, e_det):
     n = 60_000
-    tally = _simulate_shard(source, 0.0, detector, e_det, n, np.random.SeedSequence(10), 0.0)
+    tally = _simulate_shard(source, 0.0, detector, e_det, n, np.random.SeedSequence(10))
     tally.validate()
     assert tally.counts[..., SENT].sum() == n
     gains = expected_gains(source, 0.0, detector, e_det)
@@ -192,8 +193,8 @@ PINNED_BLOCKS = [
 @pytest.mark.parametrize("case, cells", PINNED_BLOCKS)
 def test_simulate_block_reproduces_pinned_tallies(source, e_det, case, cells):
     seed, shards, loss, n, dark, background = case
-    tally = simulate_block(source, loss, DetectorModel(dark_prob=dark), e_det, n,
-                           seed=seed, shards=shards, background_click_prob=background)
+    tally = simulate_block(source, loss, DetectorModel(dark_prob=dark + background), e_det, n,
+                           seed=seed, shards=shards)
     names = ("decoy/X", "decoy/Z", "signal/X", "signal/Z", "vacuum/X", "vacuum/Z")
     expected = {
         "total_pulses": float(n),
