@@ -89,10 +89,7 @@ def cmd_simulate(args) -> dict:
     total_length = 0.0
     total_rate = 0.0
     for i, src in enumerate(cfg.sources):
-        tally = simulate_block(
-            src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses,
-            seed=cfg.seed + i, shards=cfg.shards, workers=args.workers,
-        )
+        tally = simulate_block(src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses, seed=cfg.seed + i)
         result = key_from_tally(src, tally, cfg.security, args.regime)
         total_length += result.secret_key_length
         total_rate += result.secret_key_rate
@@ -281,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo block simulation and key extraction")
     common(p, seed=True, loss_db=True)
     p.add_argument("--regime", choices=["asymptotic", "finite"], default="finite")
-    p.add_argument("--workers", type=int, default=1, help="threads; changes only the speed")
+    p.add_argument("--workers", type=int, choices=[1], default=1,
+                   help="only 1: each source's block is one Monte Carlo draw")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("keyrate", help="analytic key-rate sweep over channel loss")

@@ -83,7 +83,7 @@ class RunConfig:
     security: SecurityParams = field(default_factory=SecurityParams)
     block_pulses: int = 10_000_000
     seed: int = 1
-    shards: int = 1
+    shards: int = 1  # only 1, which every report records; the key is to go (ROADMAP.md item 1)
     e_misalignment: float | None = None  # None: use intrinsic_qber of each source
 
     def __post_init__(self):
@@ -93,8 +93,9 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.block_pulses < 2**63:  # the Monte Carlo counts pulses in int64
             raise ConfigError(f"block_pulses must be in [1, 2**63 - 1], got {self.block_pulses}")
-        if self.shards < 1:
-            raise ConfigError("shards must be >= 1")
+        if self.shards != 1:
+            raise ConfigError(f"shards must be 1, got {self.shards}: the Monte Carlo draws each source's block "
+                              "as one stream, and the key stays only until it goes with ROADMAP.md item 1")
         if self.e_misalignment is not None and not 0.0 <= self.e_misalignment <= 0.5:
             raise ConfigError("e_misalignment must be in [0, 0.5]")
         if self.detector.dark_prob + self.channel.background_click_prob >= 1.0:

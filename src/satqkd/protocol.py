@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -88,17 +87,6 @@ class TallyTable:
     def zeros(cls, source: SourceConfig) -> "TallyTable":
         labels = tuple(c.label for c in source.intensity_classes)
         return cls(labels, np.zeros((len(labels), len(BASES), len(COUNTS))))
-
-    def by_class(self) -> np.ndarray:
-        """(class, count) array: the counts summed over the sender basis."""
-        return self.counts.sum(axis=1)
-
-    def validate(self):
-        if not (np.diff(self.counts, axis=-1) <= 0).all():
-            raise DomainError("inconsistent tally: every cell needs errors <= sifted <= detected <= sent")
-        sent = self.counts[..., SENT].sum()
-        if abs(sent - self.total_pulses) > 1e-6 * max(1.0, self.total_pulses):
-            raise DomainError("per-cell sent counts do not sum to total pulses")
 
     def to_dict(self) -> dict:
         """Deterministic, JSON-ready form (sorted keys)."""
@@ -175,15 +163,19 @@ def analytic_tallies(
     """Expected-value tallies (fractional counts) of the closed-form model.
 
     total_loss_db and n_pulses are scalars, or matching 1-D arrays with one
-    entry per segment of a pass, pooled into one tally.
+    entry per segment of a pass, pooled into one tally. A pulse count is
+    finite and >= 0, and need not be whole.
     """
     if np.shape(total_loss_db) != np.shape(n_pulses):
         raise DomainError("total_loss_db and n_pulses must be scalars or 1-D arrays of equal length")
+    pulses = np.asarray(n_pulses, dtype=float)
+    if not (np.isfinite(pulses) & (pulses >= 0)).all():
+        raise DomainError(f"n_pulses must be finite and >= 0, got {n_pulses}")
     counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses)
     if counts.ndim > 3:  # the axis-0 sum of a 2-D or larger array adds the segments one by one, in order
         counts = counts.sum(axis=0)
     # add.accumulate adds left to right, so both sums add the segments in order as a loop from 0.0 does
-    pulses = np.concatenate(([0.0], np.ravel(np.asarray(n_pulses, dtype=float))))
+    pulses = np.concatenate(([0.0], np.ravel(pulses)))
     total_pulses = np.add.accumulate(pulses)[-1].item()
     elapsed_s = np.add.accumulate(pulses / source.repetition_rate_hz)[-1].item()
     return TallyTable(tuple(c.label for c in source.intensity_classes), counts, total_pulses, elapsed_s)
@@ -193,7 +185,7 @@ def analytic_tallies(
 # Monte Carlo route
 
 
-def _simulate_shard(
+def _draw_block(
     source: SourceConfig,
     total_loss_db: ArrayLike,
     det: DetectorModel,
@@ -201,7 +193,7 @@ def _simulate_shard(
     n_pulses: ArrayLike,
     seed_seq: np.random.SeedSequence,
 ) -> TallyTable:
-    """Monte Carlo of one shard, drawn as counts with no per-pulse arrays.
+    """Monte Carlo of one block from one rng stream, drawn as counts with no per-pulse arrays.
 
     total_loss_db and n_pulses are scalars or matching 1-D arrays, one entry
     per segment of a pass; the tally pools all segments. Per segment one
@@ -229,7 +221,7 @@ def _simulate_shard(
     # a pulse at level j counts as detected, sifted and an error up to j, so the running sums
     # from the last level give errors, sifted, detected and sent
     cells = np.cumsum(drawn, axis=-1)[..., ::-1].reshape(len(classes), 2, len(COUNTS)).astype(float)
-    total = int(counts.sum())
+    total = float(counts.sum())
     return TallyTable(tuple(c.label for c in classes), cells, total, total / source.repetition_rate_hz)
 
 
@@ -240,45 +232,31 @@ def simulate_block(
     e_det: float,
     n_pulses: ArrayLike,
     seed: int,
-    shards: int = 1,
-    workers: int = 1,
 ) -> TallyTable:
     """Monte Carlo of one transmission block.
 
     total_loss_db and n_pulses are scalars, or matching 1-D arrays that give
     the loss and pulse count of each segment of a pass, pooled into one
-    tally. Results are a deterministic function of (seed, shards): each shard
-    takes its share of every segment, draws from an independently derived
-    rng stream, and the shard counts are added in shard order, so the worker
-    count never changes the outcome.
+    tally. Each count is a whole number, and the block holds between 1 and
+    2**63 - 1 pulses. The tally is a deterministic function of seed: one rng
+    stream, the first child of SeedSequence(seed), draws every segment.
     """
     losses = np.atleast_1d(np.asarray(total_loss_db, dtype=float))
-    counts = np.atleast_1d(np.asarray(n_pulses, dtype=np.int64))
+    counts = np.atleast_1d(np.asarray(n_pulses))
+    if counts.dtype.kind != "i":  # floats, and Python ints past int64, which numpy holds as uint64 or objects
+        values = counts.astype(float)
+        if not (np.isfinite(values) & (values >= 0) & (values < 2.0**63) & (values == np.floor(values))).all():
+            raise DomainError(f"n_pulses must be whole numbers in [0, 2**63), got {n_pulses}")
+    counts = counts.astype(np.int64)
     if losses.ndim != 1 or losses.shape != counts.shape:
         raise DomainError("total_loss_db and n_pulses must be scalars or 1-D arrays of equal length")
     if not np.all(np.isfinite(losses) & (losses >= 0)):
         raise DomainError(f"losses must be finite and >= 0 dB, got {total_loss_db}")
-    n_total = int(counts.sum())
-    if (counts < 0).any() or n_total < 1:
-        raise DomainError("n_pulses must be >= 1 (>= 0 per segment)")
-    if shards < 1:
-        raise DomainError("shards must be >= 1")
+    if (counts < 0).any() or not 1 <= sum(counts.tolist()) < 2**63:
+        raise DomainError("n_pulses must be >= 0 per segment, and their sum in [1, 2**63 - 1]")
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
-    # shard i takes one more pulse of a segment when i < the segment's remainder
-    sizes = counts // shards + (np.arange(shards)[:, None] < counts % shards)
-    seqs = np.random.SeedSequence(seed).spawn(shards)
-
-    def run(i: int) -> TallyTable:
-        return _simulate_shard(source, losses, det, e_det, sizes[i], seqs[i])
-
-    if workers <= 1 or shards == 1:
-        parts = [run(i) for i in range(shards)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(shards)))
-    counts = np.sum([p.counts for p in parts], axis=0)
-    return TallyTable(parts[0].labels, counts, float(n_total), n_total / source.repetition_rate_hz)
+    return _draw_block(source, losses, det, e_det, counts, np.random.SeedSequence(seed).spawn(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +286,6 @@ class DecoyBounds:
     e1_upper: Optional[ArrayLike]
     y0_estimate: ArrayLike
     reason: Optional[ArrayLike]
-
-    @property
-    def degenerate(self) -> ArrayLike:
-        return np.not_equal(self.reason, None)
 
 
 def decoy_bounds(

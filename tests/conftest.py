@@ -5,7 +5,8 @@ import pytest
 import yaml
 
 from satqkd.config import default_source, to_dict
-from satqkd.protocol import SecurityParams
+from satqkd.errors import DomainError
+from satqkd.protocol import SENT, SecurityParams
 from satqkd.receiver import DetectorModel
 from satqkd.source import ExtinctionSet, intrinsic_qber
 
@@ -21,6 +22,26 @@ class FixedLossModel:
 
     def __call__(self, elevation_deg):
         return np.full(np.shape(elevation_deg), self.loss_db)
+
+
+def by_class(tally) -> np.ndarray:
+    """(class, count) array of a TallyTable: its counts summed over the sender basis."""
+    return tally.counts.sum(axis=1)
+
+
+def validate_tally(tally):
+    """Raise DomainError unless every cell has errors <= sifted <= detected <= sent and the sent counts
+    sum to the tally's total pulses."""
+    if not (np.diff(tally.counts, axis=-1) <= 0).all():
+        raise DomainError("inconsistent tally: every cell needs errors <= sifted <= detected <= sent")
+    sent = tally.counts[..., SENT].sum()
+    if abs(sent - tally.total_pulses) > 1e-6 * max(1.0, tally.total_pulses):
+        raise DomainError("per-cell sent counts do not sum to total pulses")
+
+
+def degenerate(bounds):
+    """Where DecoyBounds are degenerate: where they carry a reason."""
+    return np.not_equal(bounds.reason, None)
 
 
 def save_run_config(cfg, path):

@@ -3,7 +3,7 @@
 measure_batch samples the receiver model of satqkd.receiver pulse by pulse:
 every detector port, dark count and double click is drawn per pulse.
 
-reference_shard is the pulse-by-pulse Monte Carlo of satqkd 0.1.0. Every
+reference_block is the pulse-by-pulse Monte Carlo of satqkd 0.1.0. Every
 pulse draws its class, sender basis, bit, emitted photons and channel
 survivors, and measure_batch runs on all of them. It is slow (a few
 Mpulse/s) but has no shortcuts, so the active-pulse sampler is checked
@@ -164,7 +164,7 @@ def synthesized_elevations(max_elevation_deg: float, orbit_altitude_m: float, mi
     return np.clip([elevation_from_central_angle(g, r) for g in gammas], 0.0, 90.0)
 
 
-def reference_shard(
+def reference_block(
     source: SourceConfig,
     total_loss_db: float,
     det: DetectorModel,

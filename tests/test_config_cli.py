@@ -35,7 +35,6 @@ def config_path(tmp_path):
     cfg = default_run_config()
     cfg.sources = cfg.sources[:1]
     cfg.block_pulses = 200_000
-    cfg.shards = 8
     path = tmp_path / "run.yaml"
     save_run_config(cfg, path)
     return path
@@ -814,3 +813,33 @@ def test_cli_out_dir_that_cannot_be_a_directory_is_config_error(capsys, config_p
     report = json.loads(line)
     assert report["error"] == "config" and f"--out-dir {out_dir}" in report["message"]
     assert afile.read_text() == ""
+
+
+@pytest.mark.parametrize("shards", [0, 2, 100_000])
+def test_cli_shards_other_than_one_is_config_error(capsys, config_path, tmp_path, shards):
+    # each source's block is one Monte Carlo stream; shards: 100000 once cost 38 s of shard set-up
+    data = yaml.safe_load(config_path.read_text())
+    data["shards"] = shards
+    path = tmp_path / "sharded.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--loss-db", "30")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and f"shards must be 1, got {shards}" in report["message"]
+
+
+def test_cli_simulate_workers_other_than_one_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers: invalid choice: 2" in capsys.readouterr().err
+
+
+def test_cli_simulate_takes_the_benchmark_argv(capsys, config_path):
+    # the benchmark writes shards: 1 and passes --workers 1; both still mean the one stream per source
+    data = yaml.safe_load(config_path.read_text())
+    assert data["shards"] == 1
+    argv = ["simulate", "--config", str(config_path), "--seed", "3", "--loss-db", "35", "--regime", "finite"]
+    code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+    assert code == 0 and json.loads(out)["shards"] == 1
+    assert run_cli(capsys, *argv) == (0, out, "")

@@ -1,6 +1,8 @@
-"""The package holds no test-only API: every public name of ``src/satqkd`` has a caller in the package."""
+"""The package holds no test-only API: every public name and every public class member of
+``src/satqkd`` has a caller in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import satqkd
@@ -26,8 +28,18 @@ def names_used(node: ast.AST) -> set:
     return used
 
 
+def package_modules() -> list:
+    """The syntax trees of the package's modules, __init__.py left out: it only re-exports."""
+    return [ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+
+
+def attributes_read(node: ast.AST) -> Counter:
+    """How often a node reads each attribute name, as obj.name."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def test_every_public_name_has_a_caller_in_the_package():
-    modules = [ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    modules = package_modules()
     defined, used = [], set()
     for tree in modules:
         for node in tree.body:
@@ -44,3 +56,19 @@ def test_every_public_name_has_a_caller_in_the_package():
     uncalled = [name for name in defined if name not in used and name not in library_only]
     assert not uncalled, f"public names with no caller in the package: {uncalled}"
     assert not library_only & used, "a LIBRARY_ONLY name has a caller in the package now"
+
+
+def test_every_public_member_is_read_by_the_package():
+    # a public method or property (classmethods and staticmethods too) that package code never
+    # reads as an attribute, outside its own body, serves only the tests
+    modules = package_modules()
+    reads = sum((attributes_read(tree) for tree in modules), Counter())
+    unread = [
+        f"{cls.name}.{member.name}"
+        for tree in modules
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+        and reads[member.name] == attributes_read(member)[member.name]
+    ]
+    assert not unread, f"public class members that no package code reads: {unread}"

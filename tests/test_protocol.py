@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -32,7 +31,7 @@ from satqkd.protocol import (
 from satqkd.receiver import DetectorModel
 from satqkd.source import IntensityLabel, intrinsic_qber
 
-from conftest import MEASURED_EXTINCTION, FixedLossModel
+from conftest import MEASURED_EXTINCTION, FixedLossModel, by_class, degenerate, validate_tally
 from reference_sampler import elevation_at, enumerated_cells, reference_loss
 
 
@@ -53,7 +52,7 @@ def true_single_photon(eta, y0, ed):
 def class_rates(tally):
     """{label: (gain, error rate)} of a tally: detections per pulse sent, errors per sifted detection."""
     return {label: (detected / sent, errors / sifted if sifted else E0)
-            for label, (sent, detected, sifted, errors) in zip(tally.labels, tally.by_class().tolist())}
+            for label, (sent, detected, sifted, errors) in zip(tally.labels, by_class(tally).tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +147,9 @@ def test_simulate_block_infinite_loss_no_darks(source, e_det):
 
 def test_simulate_block_matches_analytic(source, detector, e_det):
     n = 2_000_000
-    tally = simulate_block(source, 25.0, detector, e_det, n, seed=13, shards=4)
-    expected = analytic_tallies(source, 25.0, detector, e_det, n).by_class().tolist()
-    for (sent, detected, sifted, errors), (m, d, s, r) in zip(tally.by_class().tolist(), expected):
+    tally = simulate_block(source, 25.0, detector, e_det, n, seed=13)
+    expected = by_class(analytic_tallies(source, 25.0, detector, e_det, n)).tolist()
+    for (sent, detected, sifted, errors), (m, d, s, r) in zip(by_class(tally).tolist(), expected):
         q = d / m
         sigma = math.sqrt(sent * q * (1 - q))
         assert abs(detected - sent * q) < 5 * sigma
@@ -182,21 +181,14 @@ def test_simulate_block_rejects_zero_pulses(source, detector, e_det):
         simulate_block(source, 40.0, detector, e_det, 0, seed=1)
 
 
-def test_simulate_deterministic_across_workers(source, detector, e_det):
-    kw = dict(n_pulses=300_000, seed=21, shards=8)
-    a = simulate_block(source, 30.0, detector, e_det, workers=1, **kw)
-    b = simulate_block(source, 30.0, detector, e_det, workers=8, **kw)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # sifting
 
 
 def test_sift_keeps_same_basis_only(source, detector, e_det):
     tally = simulate_block(source, 20.0, detector, e_det, 500_000, seed=3)
-    tally.validate()
-    for _, detected, n_k, m_k in tally.by_class().tolist():
+    validate_tally(tally)
+    for _, detected, n_k, m_k in by_class(tally).tolist():
         assert m_k <= n_k <= detected
         if detected > 200:
             # symmetric 50/50 bases: about half of detections survive sifting
@@ -209,8 +201,8 @@ def test_sift_zero_when_all_wrong_basis():
     # one class, signal; cell [0, 0] is its rectilinear basis
     t = TallyTable((IntensityLabel.SIGNAL,), np.zeros((1, 2, 4)), total_pulses=100, elapsed_s=1.0)
     t.counts[0, 0] = 100, 40, 0, 0
-    t.validate()
-    _, _, sifted, errors = t.by_class()[0]
+    validate_tally(t)
+    _, _, sifted, errors = by_class(t)[0]
     assert (sifted, errors) == (0, 0)
 
 
@@ -244,7 +236,7 @@ def test_tally_validate_rejects_inconsistent():
     t = TallyTable((IntensityLabel.SIGNAL,), np.zeros((1, 2, 4)), total_pulses=10, elapsed_s=1.0)
     t.counts[0, 0] = 10, 5, 6, 0
     with pytest.raises(DomainError):
-        t.validate()
+        validate_tally(t)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +279,7 @@ def test_decoy_bounds_sandwich_grid():
                 q_s, e_s = poisson_rates(0.3, eta, y0, ed)
                 q_d, e_d = poisson_rates(0.5, eta, y0, ed)
                 b = decoy_bounds(0.5, 0.3, q_d, q_s, y0, e_d * q_d, e_s * q_s)
-                if b.degenerate:
+                if degenerate(b):
                     continue
                 y1_true, e1_true = true_single_photon(eta, y0, ed)
                 if b.y1_lower > y1_true + 1e-12 or b.e1_upper < e1_true - 1e-12:
@@ -335,7 +327,7 @@ def test_decoy_bounds_sound_on_analytic_route(mus, loss_db, dark_prob, backgroun
     y0 = 1.0 - (1.0 - dark_prob - background) ** 4
     y1_true, e1_true = true_single_photon(eta, y0, ed)
     assert b.y1_lower <= y1_true
-    if not b.degenerate:
+    if not degenerate(b):
         assert b.e1_upper >= e1_true
 
 
@@ -352,7 +344,7 @@ def test_high_loss_bound_lost_in_rounding_blames_no_intensities(source, e_det, s
     # mu 0.3 and 0.5 are far apart; with no darks Y1 falls to ~1e-8, near its own rounding error
     det = DetectorModel(dark_prob=0.0)
     result = key_from_fixed_loss(source, loss_db, det, e_det, security, 300.0, "finite")
-    assert result.secret_key_length == 0.0 and result.bounds.degenerate
+    assert result.secret_key_length == 0.0 and degenerate(result.bounds)
     assert result.reason == Y1_LOST_IN_ROUNDING and "mu" not in result.reason
 
 
@@ -672,19 +664,51 @@ def test_simulate_block_rejects_bad_segment_counts(source, detector, e_det, loss
         simulate_block(source, losses, detector, e_det, counts, seed=1)
 
 
-def test_simulate_block_segments_split_across_shards(source, detector, e_det):
-    kw = dict(total_loss_db=[20.0, 35.0, 50.0], n_pulses=[70_001, 0, 29_999], seed=5, shards=3)
-    a = simulate_block(source, det=detector, e_det=e_det, workers=1, **kw)
-    b = simulate_block(source, det=detector, e_det=e_det, workers=3, **kw)
-    assert a.to_dict() == b.to_dict()
-    a.validate()
+@pytest.mark.parametrize("n_pulses", [
+    2.7,  # was drawn as 2 pulses
+    1e19,  # past int64: was a raw OverflowError
+    2**63,
+    math.nan,  # was a raw ValueError
+    math.inf,
+    -5,
+    [1e6, -1e6],
+    [1e6, 2.5],
+    [2**62, 2**62],  # each fits int64, their sum does not
+], ids=["fraction", "1e19", "2**63", "nan", "inf", "negative", "negative_segment", "fractional_segment",
+        "sum_past_int64"])
+def test_simulate_block_rejects_a_pulse_count_that_is_not_a_whole_int64(source, detector, e_det, n_pulses):
+    losses = [30.0] * len(n_pulses) if isinstance(n_pulses, list) else 30.0
+    with pytest.raises(DomainError, match="n_pulses"):
+        simulate_block(source, losses, detector, e_det, n_pulses, seed=1)
+
+
+def test_simulate_block_takes_a_whole_float_count_as_that_many_pulses(source, detector, e_det):
+    assert simulate_block(source, 30.0, detector, e_det, 1000.0, seed=1).to_dict() == \
+        simulate_block(source, 30.0, detector, e_det, 1000, seed=1).to_dict()
+
+
+@pytest.mark.parametrize("n_pulses", [
+    -5.0,
+    math.nan,  # was keyed, and failed as a decoy bound that "overflows a float"
+    math.inf,  # was an uncaught RuntimeWarning
+    [1e6, -1e6],  # was a tally with 0 pulses sent and 10.8 detected
+], ids=["negative", "nan", "inf", "negative_segment"])
+def test_analytic_tallies_rejects_a_negative_or_non_finite_pulse_count(source, detector, e_det, n_pulses):
+    losses = [30.0] * len(n_pulses) if isinstance(n_pulses, list) else 30.0
+    with pytest.raises(DomainError, match="n_pulses"):
+        analytic_tallies(source, losses, detector, e_det, n_pulses)
+
+
+def test_simulate_block_pools_segments_with_an_empty_one(source, detector, e_det):
+    a = simulate_block(source, [20.0, 35.0, 50.0], detector, e_det, [70_001, 0, 29_999], seed=5)
+    validate_tally(a)
     assert a.total_pulses == 100_000
     assert a.elapsed_s == 100_000 / source.repetition_rate_hz
 
 
 def test_simulate_block_one_segment_array_equals_scalar(source, detector, e_det):
-    scalar = simulate_block(source, 25.0, detector, e_det, 200_000, seed=3, shards=2)
-    array = simulate_block(source, np.array([25.0]), detector, e_det, np.array([200_000]), seed=3, shards=2)
+    scalar = simulate_block(source, 25.0, detector, e_det, 200_000, seed=3)
+    array = simulate_block(source, np.array([25.0]), detector, e_det, np.array([200_000]), seed=3)
     assert array.to_dict() == scalar.to_dict()
 
 
@@ -713,7 +737,7 @@ def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, secu
                           loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
     small = replace(source, repetition_rate_hz=1e3)
     mc, tally = integrate_pass(*profile.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
-    tally.validate()
+    validate_tally(tally)
     assert tally.total_pulses == 1000 + 1000 + 0
     assert tally.counts[..., SENT].sum() == 2000
     analytic, _ = integrate_pass(*profile.segments(1.0), small, detector, e_det, security)

@@ -9,6 +9,7 @@ from satqkd.protocol import analytic_tallies
 from satqkd.receiver import OUTCOME_LEVELS, DetectorModel, outcome_probabilities
 from satqkd.source import PolarizationState
 
+from conftest import by_class
 from reference_sampler import enumerated_levels, measure_batch
 
 
@@ -156,7 +157,7 @@ def test_outcome_law_gain_is_the_analytic_gain(source):
     det = DetectorModel(dark_prob=3e-6)
     for loss in np.linspace(0.0, 60.0, 13).tolist():
         eta = transmittance_from_db(loss + source.insertion_loss_db) * det.efficiency
-        by_class = analytic_tallies(source, loss, det, 0.02, 1.0).by_class().tolist()
-        for cls, (sent, detected, _, _) in zip(source.intensity_classes, by_class):
+        rows = by_class(analytic_tallies(source, loss, det, 0.02, 1.0)).tolist()
+        for cls, (sent, detected, _, _) in zip(source.intensity_classes, rows):
             levels = outcome_probabilities(eta * cls.mu, 0.5, 0.02, det.dark_prob)
             assert levels[1:].sum() == pytest.approx(detected / sent, rel=1e-9), (loss, cls.label)

@@ -21,14 +21,15 @@ from satqkd.channel import PassProfile
 from satqkd.protocol import (
     SENT,
     SecurityParams,
-    _simulate_shard,
+    _draw_block,
     analytic_tallies,
     integrate_pass,
     simulate_block,
 )
 from satqkd.receiver import DetectorModel
 
-from reference_sampler import reference_pass, reference_shard
+from conftest import by_class, validate_tally
+from reference_sampler import reference_pass, reference_block
 
 SEEDS = 36
 Z_LIMIT = 4.0  # one-sided normal quantile, p ~ 3e-5
@@ -53,7 +54,7 @@ def homogeneity_chi2(a: np.ndarray, b: np.ndarray):
 def expected_gains(source, loss, det, e_det) -> list:
     """Each class's gain, detections per pulse sent, in the analytic tally (source order)."""
     return [detected / sent for sent, detected, _, _ in
-            analytic_tallies(source, loss, det, e_det, 1.0).by_class().tolist()]
+            by_class(analytic_tallies(source, loss, det, e_det, 1.0)).tolist()]
 
 
 def outcome_counts(tally) -> np.ndarray:
@@ -79,9 +80,9 @@ def test_sampler_matches_reference_distribution(regime, source, e_det):
     new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(SEEDS):
-        fast = _simulate_shard(source, loss, noisy, e_det, n, np.random.SeedSequence([1, s]))
-        slow = reference_shard(source, loss, det, e_det, n, np.random.SeedSequence([2, s]), background)
-        fast.validate()
+        fast = _draw_block(source, loss, noisy, e_det, n, np.random.SeedSequence([1, s]))
+        slow = reference_block(source, loss, det, e_det, n, np.random.SeedSequence([2, s]), background)
+        validate_tally(fast)
         new += outcome_counts(fast)
         ref += outcome_counts(slow)
     assert new.sum() == ref.sum() == SEEDS * n
@@ -99,8 +100,8 @@ def test_sampler_matches_reference_per_cell_at_zero_loss(source, e_det):
     new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(8):
-        new += outcome_counts(_simulate_shard(source, 0.0, det, e_det, 50_000, np.random.SeedSequence([3, s])))
-        ref += outcome_counts(reference_shard(source, 0.0, det, e_det, 50_000, np.random.SeedSequence([4, s]), 0.0))
+        new += outcome_counts(_draw_block(source, 0.0, det, e_det, 50_000, np.random.SeedSequence([3, s])))
+        ref += outcome_counts(reference_block(source, 0.0, det, e_det, 50_000, np.random.SeedSequence([4, s]), 0.0))
     assert new.reshape(-1, 4)[:, 1:].sum() > 50_000
     stat, dof = homogeneity_chi2(new, ref)
     assert chi2_z(stat, dof) < Z_LIMIT, (stat, dof)
@@ -108,8 +109,8 @@ def test_sampler_matches_reference_per_cell_at_zero_loss(source, e_det):
 
 def test_sampler_vacuum_and_no_darks(source, e_det):
     det = DetectorModel(dark_prob=0.0)
-    tally = _simulate_shard(source, 20.0, det, e_det, 200_000, np.random.SeedSequence(9))
-    tally.validate()
+    tally = _draw_block(source, 20.0, det, e_det, 200_000, np.random.SeedSequence(9))
+    validate_tally(tally)
     for label, by_basis in zip(tally.labels, tally.counts.tolist()):
         for values in by_basis:
             sent, detected, _, _ = values
@@ -123,11 +124,11 @@ def test_sampler_vacuum_and_no_darks(source, e_det):
 
 def test_sampler_slices_at_zero_loss(source, detector, e_det):
     n = 60_000
-    tally = _simulate_shard(source, 0.0, detector, e_det, n, np.random.SeedSequence(10))
-    tally.validate()
+    tally = _draw_block(source, 0.0, detector, e_det, n, np.random.SeedSequence(10))
+    validate_tally(tally)
     assert tally.counts[..., SENT].sum() == n
     gains = expected_gains(source, 0.0, detector, e_det)
-    for q, (sent, detected, _, _) in zip(gains, tally.by_class().tolist()):
+    for q, (sent, detected, _, _) in zip(gains, by_class(tally).tolist()):
         assert abs(detected - sent * q) < 5 * math.sqrt(sent * q * (1 - q)) + 1
 
 
@@ -136,11 +137,11 @@ def test_sampler_full_pass_block_at_40db(source, detector, e_det):
     t0 = time.perf_counter()
     tally = simulate_block(source, 40.0, detector, e_det, n, seed=11)
     assert time.perf_counter() - t0 < 30.0
-    tally.validate()
+    validate_tally(tally)
     cell_sent = tally.counts[..., SENT].ravel().tolist()
     assert sum(int(s) for s in cell_sent) == n and all(s == int(s) for s in cell_sent)
     gains = expected_gains(source, 40.0, detector, e_det)
-    for q, (sent, detected, _, _) in zip(gains, tally.by_class().tolist()):
+    for q, (sent, detected, _, _) in zip(gains, by_class(tally).tolist()):
         assert abs(detected - sent * q) < 5 * math.sqrt(sent * q * (1 - q))
 
 
@@ -158,7 +159,7 @@ def test_pooled_pass_matches_per_segment_reference(source, e_det):
         _, pooled = integrate_pass(losses, durations, source, det, e_det, SecurityParams(), mode="mc",
                                    seed=1000 + s)
         slow = reference_pass(profile, source, det, e_det, seed=2000 + s)
-        pooled.validate()
+        validate_tally(pooled)
         assert pooled.total_pulses == slow.total_pulses == 300_000
         new += outcome_counts(pooled)
         ref += outcome_counts(slow)
@@ -167,34 +168,33 @@ def test_pooled_pass_matches_per_segment_reference(source, e_det):
     assert chi2_z(stat, dof) < Z_LIMIT, (stat, dof)
 
 
-# simulate_block tallies per (seed, shards, loss dB, pulses, dark_prob, background): the cells
-# decoy/X, decoy/Z, signal/X, signal/Z, vacuum/X, vacuum/Z, each as (sent, detected, sifted,
-# errors). The sent counts were recorded before a block could hold several segments; detected,
-# sifted and errors were re-recorded at the commit after e3e76a3, where the Monte Carlo began to
-# draw each cell's outcome counts from receiver.outcome_probabilities.
+# simulate_block tallies per (seed, loss dB, pulses, dark_prob, background): the cells decoy/X,
+# decoy/Z, signal/X, signal/Z, vacuum/X, vacuum/Z, each as (sent, detected, sifted, errors). The
+# first case was recorded at 3be4b91, where the Monte Carlo began to draw each cell's outcome counts
+# from receiver.outcome_probabilities; the others at 9c2cc56, the last commit that split a block
+# into shards, with one shard: the one stream that simulate_block draws.
 PINNED_BLOCKS = [
-    ((0, 1, 25.0, 200_000, 1e-7, 0.0),
+    ((0, 25.0, 200_000, 1e-7, 0.0),
      [(25109, 19, 9, 0), (24717, 16, 9, 0), (69826, 25, 18, 0), (70387, 35, 23, 1),
       (4978, 0, 0, 0), (4983, 0, 0, 0)]),
-    ((1, 3, 25.0, 200_000, 1e-7, 0.0),
-     [(24915, 17, 11, 0), (25060, 19, 8, 0), (69740, 31, 13, 0), (70278, 30, 11, 0),
-      (5007, 0, 0, 0), (5000, 0, 0, 0)]),
-    ((7, 4, 35.0, 300_000, 1e-4, 1e-5),
-     [(37257, 18, 8, 1), (37463, 14, 9, 3), (104953, 37, 20, 11), (105556, 52, 26, 7),
-      (7373, 4, 2, 0), (7398, 0, 0, 0)]),
-    ((42, 2, 0.0, 50_000, 1e-7, 0.0),
-     [(6262, 1394, 674, 8), (6290, 1389, 708, 4), (17200, 2404, 1212, 11), (17631, 2340, 1155, 8),
-      (1319, 0, 0, 0), (1298, 0, 0, 0)]),
-    ((5, 5, 30.0, 3, 1e-7, 0.0),
-     [(1, 0, 0, 0), (0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)]),
+    ((1, 25.0, 200_000, 1e-7, 0.0),
+     [(25265, 18, 13, 0), (24840, 21, 10, 0), (69603, 28, 15, 0), (70350, 32, 12, 0),
+      (4940, 0, 0, 0), (5002, 0, 0, 0)]),
+    ((7, 35.0, 300_000, 1e-4, 1e-5),
+     [(37500, 19, 8, 3), (37803, 22, 11, 5), (105218, 58, 31, 16), (104671, 55, 30, 12),
+      (7434, 6, 3, 1), (7374, 0, 0, 0)]),
+    ((42, 0.0, 50_000, 1e-7, 0.0),
+     [(6282, 1323, 669, 6), (6296, 1370, 697, 3), (17283, 2359, 1189, 9), (17549, 2340, 1164, 9),
+      (1326, 0, 0, 0), (1264, 0, 0, 0)]),
+    ((5, 30.0, 3, 1e-7, 0.0),
+     [(1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)]),
 ]
 
 
 @pytest.mark.parametrize("case, cells", PINNED_BLOCKS)
 def test_simulate_block_reproduces_pinned_tallies(source, e_det, case, cells):
-    seed, shards, loss, n, dark, background = case
-    tally = simulate_block(source, loss, DetectorModel(dark_prob=dark + background), e_det, n,
-                           seed=seed, shards=shards)
+    seed, loss, n, dark, background = case
+    tally = simulate_block(source, loss, DetectorModel(dark_prob=dark + background), e_det, n, seed=seed)
     names = ("decoy/X", "decoy/Z", "signal/X", "signal/Z", "vacuum/X", "vacuum/Z")
     expected = {
         "total_pulses": float(n),
@@ -210,13 +210,13 @@ def test_pooled_segments_match_analytic_gains(source, detector, e_det):
     # segment's own loss must set its photon counts, not a loss shared by the block
     losses, counts = [0.0, 30.0], [300_000, 300_000]
     tally = simulate_block(source, losses, detector, e_det, counts, seed=12)
-    tally.validate()
-    by_class = dict(zip(tally.labels, tally.by_class().tolist()))
+    validate_tally(tally)
+    per_class = dict(zip(tally.labels, by_class(tally).tolist()))
     for k, cls in enumerate(source.intensity_classes):
         gains = [expected_gains(source, loss, detector, e_det)[k] for loss in losses]
         sent = [n * cls.emit_probability for n in counts]
         expected = sum(m * q for m, q in zip(sent, gains))
         sigma = math.sqrt(sum(m * q * (1 - q) for m, q in zip(sent, gains)))
-        cell_sent, cell_detected, _, _ = by_class[cls.label]
+        cell_sent, cell_detected, _, _ = per_class[cls.label]
         assert abs(cell_sent - sum(sent)) < 5 * math.sqrt(sum(counts))
         assert abs(cell_detected - expected) < 5 * sigma + 1, (cls.label, cell_detected, expected)
