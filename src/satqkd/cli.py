@@ -48,7 +48,7 @@ def _make_out_dir(out_dir: Optional[str]):
 
 
 def _emit(report: dict, out_dir: Optional[str]):
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
+    text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if out_dir:
         (Path(out_dir) / "report.json").write_text(text + "\n")
@@ -178,15 +178,12 @@ def cmd_optimize(args) -> dict:
         cfg.e_det(cfg.sources[0]), cfg.security, regime=args.regime,
         duration_s=args.duration,
     )
-    if result.table:
-        header = list(result.table[0].keys())
-        _write_csv(args.out_dir, "optimize_grid.csv", header,
-                   ([row[h] for h in header] for row in result.table))
+    _write_csv(args.out_dir, "optimize_grid.csv", list(result.table), zip(*result.table.values()))
     return {
         "command": "optimize",
         "best_params": result.best_params,
         "best_key_length_bits": result.best_key_length,
-        "grid_points": len(result.table),
+        "grid_points": len(result.table["key_length_bits"]),
     }
 
 
@@ -228,7 +225,7 @@ def cmd_report_distinguishability(args) -> dict:
     for src in cfg.sources:
         rows = distinguishability_report(src, temp_c=args.temp)
         columns = list(rows[0])  # every row has the same keys
-        _write_csv(args.out_dir, f"distinguishability_{int(src.wavelength_label_nm)}nm.csv", columns,
+        _write_csv(args.out_dir, f"distinguishability_{src.wavelength_label_nm:g}nm.csv", columns,
                    ([r[k] for k in columns] for r in rows))
         worst = max(rows, key=lambda r: r["score"])  # the first of equal scores
         reports.append({"wavelength_nm": src.wavelength_label_nm, "pairs": rows,

@@ -89,6 +89,10 @@ class RunConfig:
     def __post_init__(self):
         if not 1 <= len(self.sources) <= 2:
             raise ConfigError("need one or two source blocks")
+        labels = [f"{src.wavelength_label_nm:g}" for src in self.sources]  # as the CSV file names print them
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"sources: wavelength_label_nm {labels[0]} names both sources; "
+                              "each source needs its own label, which names its CSV files")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.block_pulses < 2**63:  # the Monte Carlo counts pulses in int64

@@ -13,9 +13,8 @@ import numpy as np
 
 
 def each(fn, x):
-    """fn of every element of x, in Python floats: an array of x's shape, or a numpy scalar for a scalar."""
-    if not isinstance(x, np.ndarray):
-        return np.float64(fn(float(x)))
+    """fn of every element of x, in Python floats: an array of x's shape, 0-d for a scalar."""
+    x = np.asarray(x, dtype=float)
     return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 

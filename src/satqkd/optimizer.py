@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class SearchSpace:
 class OptimizeResult:
     best_params: Dict[str, float]
     best_key_length: float
-    table: List[dict]  # one row per evaluated grid point
+    table: Dict[str, list]  # column name -> one entry per evaluated grid point
 
 
 def optimize(
@@ -101,10 +101,9 @@ def optimize(
     mus, emit = (np.array(column)[:, feasible] for column in zip(*rows))
     result = key_from_fixed_loss(base_source, total_loss_db, det, e_det, sec, duration_s, regime,
                                  mus=mus, emit=emit, p_z=pz[feasible])
-    lengths = result.secret_key_length.tolist()
-    columns = [grid[n][feasible].tolist() for n in names]
-    table = [dict(zip(names + ["key_length_bits", "key_rate_bps"], row))
-             for row in zip(*columns, lengths, result.secret_key_rate.tolist())]
+    table = {n: grid[n][feasible].tolist() for n in names}
+    table["key_length_bits"] = result.secret_key_length.tolist()
+    table["key_rate_bps"] = result.secret_key_rate.tolist()
     best = int(np.argmax(result.secret_key_length))
-    return OptimizeResult(best_params={n: c[best] for n, c in zip(names, columns)},
-                          best_key_length=lengths[best], table=table)
+    return OptimizeResult(best_params={n: table[n][best] for n in names},
+                          best_key_length=table["key_length_bits"][best], table=table)

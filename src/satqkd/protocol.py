@@ -31,33 +31,16 @@ from .source import Basis, IntensityLabel, SourceConfig
 E0 = 0.5  # error rate of background/dark clicks (random bits)
 
 
-# The key kernel takes one point or a batch of points: a batch is a float64 array with one
-# entry per point, one point a numpy float64 scalar. Scalar arithmetic is as cheap as Python's
-# but, like an array's, gives inf or NaN where Python's would raise; and np.float64 is a
-# Python float, so a one-point result prints and compares as one.
-
-
-def _points(*values) -> list:
-    """The values as float64 of one broadcast shape: arrays for a batch, numpy scalars for one point."""
-    if any(isinstance(v, np.ndarray) and v.ndim for v in values):
-        return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
-    return [v if type(v) is np.float64 else np.float64(v) for v in values]  # None gives NaN
-
-
-def _where(cond, a, b):
-    """np.where, without its cost for one point."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
-
-
-def _any(mask) -> bool:
-    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+def _points(*values) -> tuple:
+    """The values as float64 arrays of one broadcast shape, 0-d for one point; None reads as NaN."""
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
 
 
 def binary_entropy(x: ArrayLike):
     outside = (x <= 0.0) | (x >= 1.0)  # NaN is inside: it gives NaN
-    x_in = _where(outside, 0.5, x)
+    x_in = np.where(outside, 0.5, x)
     h = -x_in * each(math.log2, x_in) - (1.0 - x_in) * each(math.log2, 1.0 - x_in)
-    return _where(outside, 0.0, h)
+    return np.where(outside, 0.0, h)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +260,11 @@ MAX_EXP_ARG = math.log(sys.float_info.max)  # the largest x whose math.exp(x) do
 class DecoyBounds:
     """Bounds on the single-photon yield and error rate.
 
-    Each field is a scalar for one point and an array for a batch of
-    points. reason says why a bound is degenerate and is None exactly where
-    the bound holds; e1_upper is None where it is degenerate.
+    Each field is an array for a batch of points. One point runs through
+    the same lines as 0-d arrays, and each field is unwrapped once, so it
+    holds a float, a str or None. reason says why a bound is degenerate
+    and is None exactly where the bound holds; e1_upper is None where it
+    is degenerate.
     """
 
     y1_lower: ArrayLike
@@ -306,13 +291,13 @@ def decoy_bounds(
     bounded on its own.
     """
     mu_a, mu_b, q_a, q_b, y0, eq_a, eq_b = _points(mu_a, mu_b, q_a, q_b, q_vacuum, eq_a, eq_b)
-    if _any((mu_a <= 0) | (mu_b <= 0) | (mu_a == mu_b)):
+    if ((mu_a <= 0) | (mu_b <= 0) | (mu_a == mu_b)).any():
         raise DomainError("need two distinct positive non-vacuum intensities")
     a_hi = mu_a > mu_b
-    mu_hi, mu_lo, q_hi, q_lo, eq_lo = (_where(a_hi, x, y) for x, y in
+    mu_hi, mu_lo, q_hi, q_lo, eq_lo = (np.where(a_hi, x, y) for x, y in
                                        ((mu_a, mu_b), (mu_b, mu_a), (q_a, q_b), (q_b, q_a), (eq_b, eq_a)))
     overflow = mu_hi > MAX_EXP_ARG  # math.exp overflows past it, and the square may: neither is taken there
-    lo, hi = _where(overflow, 0.0, mu_lo), _where(overflow, 0.0, mu_hi)
+    lo, hi = np.where(overflow, 0.0, mu_lo), np.where(overflow, 0.0, mu_hi)
     exp_lo, exp_hi, lo2, hi2 = each(math.exp, lo), each(math.exp, hi), each(square, lo), each(square, hi)
     with np.errstate(all="ignore"):
         denominator = mu_hi * mu_lo - lo2
@@ -320,12 +305,12 @@ def decoy_bounds(
         y1 = prefactor * (q_lo * exp_lo - q_hi * exp_hi * (lo2 / hi2) - ((hi2 - lo2) / hi2) * y0)
         lost = (denominator == 0.0) | (hi2 == 0.0)  # mu_hi * mu_lo rounds to mu_lo**2
         unbounded = overflow | ~(lost | np.isfinite(y1))
-        if _any(unbounded):
+        if unbounded.any():
             k = int(np.argmax(np.ravel(unbounded)))
             raise DomainError(f"no finite decoy bound for intensities {np.ravel(mu_lo)[k]} and "
                               f"{np.ravel(mu_hi)[k]}: it overflows a float")
-        y1 = _where(y1 < 0.0, 0.0, y1)  # max(y1, 0.0), then min(y1, 1.0), as Python's max and min
-        y1 = _where(1.0 < y1, 1.0, y1)
+        y1 = np.where(y1 < 0.0, 0.0, y1)  # max(y1, 0.0), then min(y1, 1.0), as Python's max and min
+        y1 = np.where(1.0 < y1, 1.0, y1)
         zero = y1 * mu_lo <= 0.0  # y1 = 0, or so small that y1 * mu_lo underflows
         # The gains are probabilities known to about an ulp of 1 and each bracket term takes up
         # to 8 roundings, so the bracket is known to 8 ulps of e^mu_lo + e^mu_hi + 2 (the y0
@@ -334,10 +319,10 @@ def decoy_bounds(
         lost = lost | ~(zero | (rounding <= Y1_ROUNDING_TOLERANCE * y1))
         degenerate = lost | zero
         e1 = (eq_lo * exp_lo - E0 * y0) / (y1 * mu_lo)
-    e1 = _where(e1 < 0.0, 0.0, e1)
-    e1 = _where(1.0 < e1, 1.0, e1)
-    return DecoyBounds(_where(degenerate, 0.0, y1), _where(degenerate, None, e1), y0,
-                       _where(lost, Y1_LOST_IN_ROUNDING, _where(zero, Y1_ZERO, None)))
+    e1 = np.where(e1 < 0.0, 0.0, e1)
+    e1 = np.where(1.0 < e1, 1.0, e1)
+    reason = np.where(lost, Y1_LOST_IN_ROUNDING, np.where(zero, Y1_ZERO, None))
+    return DecoyBounds(np.where(degenerate, 0.0, y1)[()], np.where(degenerate, None, e1)[()], y0[()], reason[()])
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +356,7 @@ class SiftedStats:
 
 @dataclass(frozen=True)
 class KeyResult:
-    """Key of one point (scalar fields) or of a batch of points (array fields)."""
+    """Key of a batch of points (array fields) or of one point (float, str or None fields)."""
 
     sifted_bits: ArrayLike
     qber_signal: ArrayLike
@@ -420,8 +405,8 @@ def key_length(
         stats.n_signal, stats.errors_signal, stats.detected_signal, stats.sent_signal, stats.mu_signal,
         stats.elapsed_s, bounds.y1_lower, bounds.e1_upper)  # e1_upper None: NaN
     with np.errstate(all="ignore"):  # the points that make no key may divide by zero
-        e_sig = _where(n > 0, errors / n, E0)
-        q_sig = _where(sent > 0, detected / sent, 0.0)
+        e_sig = np.where(n > 0, errors / n, E0)
+        q_sig = np.where(sent > 0, detected / sent, 0.0)
         # expected sifted single-photon count, scaled by the observed sifted fraction
         s1 = n * (mu * each(math.exp, -mu) * y1) / q_sig
         ec_cost = sec.f_ec * n * binary_entropy(e_sig)
@@ -452,14 +437,14 @@ def key_length(
             )
         zero, reason = False, None
         for holds, why in reversed(zero_keys):  # so the first that holds writes its reason last
-            zero, reason = zero | holds, _where(holds, why, reason)
-        length = _where(zero | (length < 0.0), 0.0, length)  # max(length, 0.0), as Python's max
-        rate = _where(elapsed > 0, length / elapsed, 0.0)
-        if _any(length * 0.0 + rate * 0.0 != 0.0):  # x * 0.0 is 0 for a finite x, NaN for inf or NaN
+            zero, reason = zero | holds, np.where(holds, why, reason)
+        length = np.where(zero | (length < 0.0), 0.0, length)  # max(length, 0.0), as Python's max
+        rate = np.where(elapsed > 0, length / elapsed, 0.0)
+        if (length * 0.0 + rate * 0.0 != 0.0).any():  # x * 0.0 is 0 for a finite x, NaN for inf or NaN
             raise DomainError("secret key length or rate is not finite: "
                               "the statistics or bounds hold a NaN or an infinity")
-    reason = _where(zero, reason, _where(length > 0, None, "negative key length clamped to 0"))
-    return KeyResult(n, e_sig, bounds, length, rate, regime, reason)
+    reason = np.where(zero, reason, np.where(length > 0, None, "negative key length clamped to 0"))
+    return KeyResult(n[()], e_sig[()], bounds, length[()], rate[()], regime, reason[()])
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,8 @@ class SourceConfig:
     insertion_loss_db: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 < self.wavelength_label_nm < math.inf:
+            raise DomainError(f"wavelength_label_nm must be finite and > 0, got {self.wavelength_label_nm}")
         if self.repetition_rate_hz <= 0 or self.repetition_rate_hz > MAX_TRIGGER_HZ:
             raise DomainError(
                 f"repetition_rate_hz must be in (0, {MAX_TRIGGER_HZ:g}], got {self.repetition_rate_hz:g}"

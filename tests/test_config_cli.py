@@ -25,6 +25,7 @@ from satqkd.config import (
     to_dict,
 )
 from satqkd.errors import ConfigError
+from satqkd.protocol import key_from_tally
 from satqkd.source import IntensityLabel
 
 from conftest import save_run_config
@@ -262,10 +263,54 @@ def test_cli_distinguishability_csv_holds_the_report_pairs_in_column_order(capsy
     sources = json.loads(out)["sources"]
     assert len(sources) == 2
     for src in sources:
-        with open(out_dir / f"distinguishability_{int(src['wavelength_nm'])}nm.csv", newline="") as fh:
+        with open(out_dir / f"distinguishability_{src['wavelength_nm']:g}nm.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == DISTINGUISHABILITY_COLUMNS
         assert rows == [[str(pair[k]) for k in header] for pair in src["pairs"]]
+
+
+def test_cli_distinguishability_writes_one_csv_per_label_that_shares_an_integer_part(capsys, tmp_path):
+    cfg = default_run_config()
+    second = cfg.sources[1]
+    slow_h = replace(second.diode_profiles[0], trigger_delay_ps=300.0)  # so the two tables differ
+    cfg.sources = (cfg.sources[0], replace(second, wavelength_label_nm=785.4,
+                                           diode_profiles=(slow_h, *second.diode_profiles[1:])))
+    path = tmp_path / "labels.yaml"
+    save_run_config(cfg, path)
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "report-distinguishability", "--config", str(path), "--out-dir", str(out_dir))
+    assert code == 0
+    sources = json.loads(out)["sources"]
+    assert sources[0]["worst_pair"] != sources[1]["worst_pair"]
+    assert sorted(p.name for p in out_dir.glob("*.csv")) == ["distinguishability_785.4nm.csv",
+                                                             "distinguishability_785nm.csv"]
+    for src, name in zip(sources, ["785", "785.4"]):
+        with open(out_dir / f"distinguishability_{name}nm.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows == [[str(pair[k]) for k in header] for pair in src["pairs"]]
+
+
+def test_cli_two_sources_with_one_label_is_config_error(capsys, tmp_path):
+    cfg = default_run_config()
+    cfg.sources = (cfg.sources[0], replace(cfg.sources[1], wavelength_label_nm=785.0))
+    path = tmp_path / "same_label.yaml"
+    save_run_config(cfg, path)
+    code, out, err = run_cli(capsys, "report-distinguishability", "--config", str(path))
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and "wavelength_label_nm 785 names both sources" in report["message"]
+
+
+def test_cli_report_holding_an_array_fails_instead_of_printing_a_string(capsys, config_path, monkeypatch):
+    # a 0-d array that leaked out of the key kernel must not reach the report as a string
+    def leaky_key(*args, **kwargs):
+        result = key_from_tally(*args, **kwargs)
+        return replace(result, secret_key_length=np.asarray(result.secret_key_length))
+
+    monkeypatch.setattr("satqkd.cli.key_from_tally", leaky_key)
+    with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+        main(["simulate", "--config", str(config_path)])
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_distinguishability_tie_reports_the_first_pair(capsys, tmp_path):
@@ -428,6 +473,8 @@ WRONG_VALUES = [
     (SOURCE + ["diode_profiles", 0, "reference_current_ma"], 60.0,
      f"{WHERE}.diode_profiles[0]: unknown keys ['reference_current_ma']"),
     (FWHMS, {"signal": 900.0}, f"{WHERE}: diode H has no pulse_fwhm_by_class_ps.decoy"),
+    (SOURCE + ["wavelength_label_nm"], -5.0, f"{WHERE}: wavelength_label_nm must be finite and > 0, got -5.0"),
+    (SOURCE + ["wavelength_label_nm"], 0.0, f"{WHERE}: wavelength_label_nm must be finite and > 0, got 0.0"),
 ]
 
 

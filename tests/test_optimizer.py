@@ -41,7 +41,7 @@ def test_best_dominates_paper_intensity_pair(source, detector, e_det, security):
     # the grid contains (mu_signal 0.3, mu_decoy 0.5)
     baseline = key_from_fixed_loss(source, 40.0, detector, e_det, security, 1.0)
     assert result.best_key_length >= baseline.secret_key_length - 1e-9
-    assert result.best_key_length >= max(r["key_length_bits"] for r in result.table)
+    assert result.best_key_length >= max(result.table["key_length_bits"])
 
 
 def test_optimum_mu_signal_brackets_design_choice(source, detector, e_det, security):
@@ -75,7 +75,7 @@ def test_empty_effective_grid_raises(source, detector, e_det, security):
 def test_basis_bias_axis_supported(source, detector, e_det, security):
     space = SearchSpace(axes={"basis_probability_z": Axis(0.3, 0.7, 5)})
     result = run(space, source, detector, e_det, security)
-    assert len(result.table) == 5
+    assert len(result.table["key_length_bits"]) == 5
 
 
 def reference_grid(space, base, loss, detector, e_det, security, regime="asymptotic", duration_s=1.0):
@@ -111,7 +111,7 @@ def test_grid_equals_one_point_keys_of_each_feasible_combination(source, detecto
     result = optimize(space, source, loss, detector, e_det, security, regime=regime, duration_s=300.0)
     reference = reference_grid(space, source, loss, detector, e_det, security, regime, 300.0)
     assert 0 < len(reference) < 5 * 3 * 4 * 3 * 5
-    assert result.table == reference
+    assert result.table == {k: [row[k] for row in reference] for k in reference[0]}
     # the first listed combination wins ties: at 70 dB every key is 0 and the first row is best
     best = max(reference, key=lambda row: row["key_length_bits"])
     assert result.best_params == {k: v for k, v in best.items() if k in space.axes}

@@ -376,10 +376,15 @@ def make_stats(eta, y0, ed, n_total, p_sig=0.7, mu_sig=0.3, sift_p=0.5, rep=1e8)
     )
 
 
-def bounds_for(eta, y0, ed):
+def bounds_args(eta, y0, ed) -> tuple:
+    """decoy_bounds' arguments at the closed-form rates of a 0.5 decoy and a 0.3 signal."""
     q_s, e_s = poisson_rates(0.3, eta, y0, ed)
     q_d, e_d = poisson_rates(0.5, eta, y0, ed)
-    return decoy_bounds(0.5, 0.3, q_d, q_s, y0, e_d * q_d, e_s * q_s)
+    return 0.5, 0.3, q_d, q_s, y0, e_d * q_d, e_s * q_s
+
+
+def bounds_for(eta, y0, ed):
+    return decoy_bounds(*bounds_args(eta, y0, ed))
 
 
 def test_key_length_zero_at_half_qber(security):
@@ -507,6 +512,50 @@ def test_key_batch_is_finite_or_domain_error_and_each_point_keys_as_alone(
             one.secret_key_length, one.secret_key_rate, one.reason)
         assert (batch.sifted_bits[i], batch.qber_signal[i]) == (one.sifted_bits, one.qber_signal)
         assert (batch.bounds.y1_lower[i], batch.bounds.e1_upper[i]) == (one.bounds.y1_lower, one.bounds.e1_upper)
+
+
+def key_fields(key, i=None) -> list:
+    """Every number and reason of a KeyResult; of its point i when it holds a batch."""
+    values = [key.sifted_bits, key.qber_signal, key.bounds.y1_lower, key.bounds.e1_upper, key.bounds.y0_estimate,
+              key.bounds.reason, key.secret_key_length, key.secret_key_rate, key.reason]
+    return values if i is None else [v[i] for v in values]
+
+
+@pytest.mark.parametrize("regime", ["asymptotic", "finite"])
+@pytest.mark.parametrize("loss", [30.0, 70.0])  # a key, and a key of 0 with its reason
+def test_one_point_entry_points_return_scalars_equal_to_their_point_in_a_batch(
+        source, detector, e_det, security, loss, regime):
+    duration = 10.0
+    pulses = duration * source.repetition_rate_hz
+    analytic = analytic_tallies(source, loss, detector, e_det, pulses)
+    mc = simulate_block(source, loss, detector, e_det, int(pulses), seed=3)
+    batch = key_from_fixed_loss(source, np.array([loss, 40.0]), detector, e_det, security, duration, regime)
+    # a tally whose counts carry a leading point axis keys as a batch
+    mc_batch = key_from_tally(source, replace(mc, counts=np.stack([analytic.counts, mc.counts])), security, regime)
+    pass_args = ([loss], [duration], source, detector, e_det, security, regime)
+    ones = [
+        (key_from_fixed_loss(source, loss, detector, e_det, security, duration, regime), batch, 0),
+        (key_from_tally(source, analytic, security, regime), batch, 0),
+        (integrate_pass(*pass_args)[0], batch, 0),
+        (key_from_tally(source, mc, security, regime), mc_batch, 1),
+        (integrate_pass(*pass_args, mode="mc", seed=3)[0], mc_batch, 1),
+    ]
+    for one, many, i in ones:
+        values = key_fields(one)
+        assert not any(isinstance(v, np.ndarray) for v in values)
+        assert values == key_fields(many, i)
+
+
+def test_decoy_bounds_of_one_point_are_scalars_equal_to_their_point_in_a_batch():
+    # (eta, y0, e_det): bounds that hold, and bounds lost in their rounding error
+    rows = [bounds_args(*point) for point in [(1e-3, 1e-6, 0.01), (1e-12, 0.0, 0.01), (1e-9, 1e-3, 0.01)]]
+    batch = decoy_bounds(*(np.array(column) for column in zip(*rows)))
+    assert list(batch.reason) == [None, Y1_LOST_IN_ROUNDING, None]
+    for i, row in enumerate(rows):
+        one = decoy_bounds(*row)
+        values = [one.y1_lower, one.e1_upper, one.y0_estimate, one.reason]
+        assert not any(isinstance(v, np.ndarray) for v in values)
+        assert values == [batch.y1_lower[i], batch.e1_upper[i], batch.y0_estimate[i], batch.reason[i]]
 
 
 def test_key_length_rejects_non_finite_statistics(security):
