@@ -21,7 +21,7 @@ from .exact import each, square
 EARTH_RADIUS_M = 6371e3
 EARTH_MU_M3_S2 = 3.986004418e14  # standard gravitational parameter
 
-MIN_DIVERGENCE_RAD = 17e-6  # output-optics input tolerance floor
+DIVERGENCE_HALF_ANGLE_RAD = 17e-6  # far-field half angle of the transmitter's output optics
 MAX_PASS_STEPS = 1_000_000  # steps of one pass walk: 1 ms steps over a pass of up to 1000 s
 
 
@@ -59,13 +59,13 @@ def slant_range_m(elevation_deg: ArrayLike, altitude_m: float):
 class ElevationLossModel:
     """Default elevation -> loss map: beam spreading at slant range plus airmass term.
 
-    With the default 17 urad divergence and a 1 m receiver this gives roughly
-    40 dB near 10 degrees elevation for a 500 km orbit. The model takes one
-    elevation or an array of them and gives a loss of the same shape.
+    With the 17 urad divergence of DIVERGENCE_HALF_ANGLE_RAD and a 1 m receiver
+    this gives roughly 40 dB near 10 degrees elevation for a 500 km orbit. The
+    model takes one elevation or an array of them and gives a loss of the same
+    shape.
     """
 
     altitude_m: float = 500e3
-    divergence_half_angle_rad: float = MIN_DIVERGENCE_RAD
     receiver_diameter_m: float = 1.0
     zenith_atmospheric_db: float = 1.0
 
@@ -74,10 +74,6 @@ class ElevationLossModel:
             raise DomainError(f"zenith_atmospheric_db must be finite and >= 0, got {self.zenith_atmospheric_db}")
         if not (math.isfinite(self.receiver_diameter_m) and self.receiver_diameter_m > 0):
             raise DomainError(f"receiver_diameter_m must be finite and > 0, got {self.receiver_diameter_m}")
-        if not (math.isfinite(self.divergence_half_angle_rad)
-                and self.divergence_half_angle_rad >= MIN_DIVERGENCE_RAD):
-            raise DomainError(f"divergence_half_angle_rad must be finite and >= {MIN_DIVERGENCE_RAD:g}, "
-                              f"got {self.divergence_half_angle_rad}")
         if not (math.isfinite(self.altitude_m) and self.altitude_m > 0):
             raise DomainError(f"orbit altitude must be finite and > 0 m, got {self.altitude_m}")
 
@@ -85,7 +81,7 @@ class ElevationLossModel:
         el = np.asarray(elevation_deg, dtype=float)
         if (el <= 0).any():
             raise DomainError("elevation must be > 0 for the loss model")
-        spreading = beam_spreading_loss_db(slant_range_m(el, self.altitude_m), self.divergence_half_angle_rad,
+        spreading = beam_spreading_loss_db(slant_range_m(el, self.altitude_m), DIVERGENCE_HALF_ANGLE_RAD,
                                            self.receiver_diameter_m)
         airmass = 1.0 / np.sin(np.radians(el))
         loss = spreading + self.zenith_atmospheric_db * airmass
@@ -108,8 +104,8 @@ class PassProfile:
     def __post_init__(self):
         t = np.asarray(self.times_s, dtype=float)
         el = np.asarray(self.elevations_deg, dtype=float)
-        if t.shape != el.shape or t.ndim != 1:
-            raise DomainError("times and elevations must be 1-D and equal length")
+        if t.shape != el.shape or t.ndim != 1 or not t.size:
+            raise DomainError("times and elevations must be 1-D, non-empty and of equal length")
         if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
             raise DomainError("times must be finite and strictly increasing")
         if not np.all((el >= 0) & (el <= 90)):  # false for NaN too
@@ -119,53 +115,29 @@ class PassProfile:
 
     @property
     def duration_s(self) -> float:
-        if len(self.times_s) < 2:
-            return 0.0
         return float(self.times_s[-1] - self.times_s[0])
 
     def segments(self, step_s: float, excess_loss_db: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
         """Loss (dB, excess included) and duration (s) of each step of the pass above the minimum elevation.
 
-        The pass is walked from its first to its last sample in steps of step_s,
-        the last one cut short. A step takes the elevation at its midpoint (all
-        midpoints are interpolated in one call) and is dropped when that lies
-        below the minimum elevation. A step that would cut the pass into more
-        than MAX_PASS_STEPS steps, or that is too small to move the pass clock,
-        raises DomainError.
+        The pass is walked from its first to its last sample in steps of step_s:
+        step k starts at t0 + k * step_s, counted rather than accumulated, and the
+        last one is cut short to end at the last sample. A step takes the
+        elevation at its midpoint (all midpoints are interpolated in one call)
+        and is dropped when that lies below the minimum elevation. A step that
+        would cut the pass into more than MAX_PASS_STEPS steps raises DomainError.
         """
         if not (math.isfinite(step_s) and step_s > 0):
             raise DomainError(f"step must be finite and > 0 s, got {step_s}")
         ts = self.times_s
-        t0, t1 = (ts[0], ts[-1]) if len(ts) else (0.0, 0.0)
+        t0, t1 = ts[0], ts[-1]
         if (t1 - t0) / step_s > MAX_PASS_STEPS:
             raise DomainError(f"step {step_s:g} s cuts the {t1 - t0:g} s pass into more than "
                               f"{MAX_PASS_STEPS} steps")
-        # The whole steps. add.accumulate adds left to right, so clock[k] is t0 plus k steps rounded
-        # as t += step rounds them. A sum advances by at least half a step unless it stalls, so
-        # twice the nominal count of clock readings always reaches the last whole step.
-        clock = np.full(2 * int((t1 - t0) / step_s) + 2, step_s)
-        clock[0] = t0
-        np.add.accumulate(clock, out=clock)
-        cut = ~(step_s <= t1 - clock[:-1])  # from here on the step would reach past t1
-        n_whole = int(cut.argmax()) if cut.any() else len(cut)
-        stalled = np.flatnonzero(clock[1:n_whole + 1] == clock[:n_whole])
-        if stalled.size:
-            raise DomainError(f"step {step_s:g} s is too small to advance the pass clock at "
-                              f"t = {clock[stalled[0]]:.17g} s")
-        starts, steps = [clock[:n_whole]], [np.full(n_whole, step_s)]
-        t = clock[n_whole].item()
-        while t < t1:  # the last step, cut short to end at t1; rounding can leave a second, tiny one
-            dt = min(step_s, t1 - t)
-            if t + dt == t:  # below half an ulp of t
-                raise DomainError(f"step {step_s:g} s is too small to advance the pass clock at t = {t:.17g} s")
-            starts.append([t])
-            steps.append([dt])
-            t += dt
-        starts, steps = np.concatenate(starts), np.concatenate(steps)
-        if not steps.size:
-            return np.empty(0), np.empty(0)
+        starts = t0 + step_s * np.arange(math.ceil((t1 - t0) / step_s))
+        steps = np.minimum(step_s, t1 - starts)  # a start that rounds onto t1 gives a step <= 0
         elevations = np.interp(starts + steps / 2.0, ts, self.elevations_deg)
-        keep = elevations >= self.min_elevation_deg  # every midpoint lies in [t0, t1]
+        keep = (steps > 0) & (elevations >= self.min_elevation_deg)
         losses = self.loss_model(elevations[keep]) + excess_loss_db
         return losses, steps[keep]
 

@@ -20,6 +20,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .analysis import estimate_fwhm, estimate_spectrum, load_histogram_csv, load_spectrum_csv
 from .config import RunConfig, default_run_config, load_run_config, to_dict
@@ -88,8 +90,9 @@ def cmd_simulate(args) -> dict:
     per_source = []
     total_length = 0.0
     total_rate = 0.0
-    for i, src in enumerate(cfg.sources):
-        tally = simulate_block(src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses, seed=cfg.seed + i)
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sources))  # one independent stream per source
+    for src, stream in zip(cfg.sources, streams):
+        tally = simulate_block(src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses, seed=stream)
         result = key_from_tally(src, tally, cfg.security, args.regime)
         total_length += result.secret_key_length
         total_rate += result.secret_key_rate
@@ -143,10 +146,13 @@ def cmd_pass(args) -> dict:
     segments = profile.segments(args.step, cfg.channel.excess_loss_db)  # shared by every source
     per_source = []
     total = 0.0
-    for i, src in enumerate(cfg.sources):
+    # one independent stream per source; the analytic pass draws none, and so never loads numpy.random
+    streams = (np.random.SeedSequence(cfg.seed).spawn(len(cfg.sources)) if args.mode == "mc"
+               else [None] * len(cfg.sources))
+    for src, stream in zip(cfg.sources, streams):
         result, tally = integrate_pass(
             *segments, src, cfg.receiver, cfg.e_det(src), cfg.security,
-            regime=args.regime, mode=args.mode, seed=cfg.seed + i,
+            regime=args.regime, mode=args.mode, seed=stream,
         )
         total += result.secret_key_length
         per_source.append(
@@ -234,7 +240,7 @@ def cmd_report_distinguishability(args) -> dict:
 
 
 def _sweep_spec(text: str) -> list:
-    """The losses lo, lo + step, ... up to hi of a LO:HI:STEP sweep; at most MAX_SWEEP_POINTS of them."""
+    """The losses lo + k * step, k = 0, 1, ..., up to hi of a LO:HI:STEP sweep; at most MAX_SWEEP_POINTS of them."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must be lo:hi:step")
@@ -243,16 +249,10 @@ def _sweep_spec(text: str) -> list:
         raise argparse.ArgumentTypeError("sweep lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("sweep needs hi >= lo and step > 0")
-    losses = []
-    loss = lo
-    while loss <= hi + 1e-9:
-        if len(losses) == MAX_SWEEP_POINTS:
-            raise argparse.ArgumentTypeError(f"sweep has more than {MAX_SWEEP_POINTS} points")
-        if loss + step == loss:
-            raise argparse.ArgumentTypeError(f"sweep step {step:g} is too small to move the loss from {loss:g}")
-        losses.append(loss)
-        loss += step
-    return losses
+    last = (hi + 1e-9 - lo) / step  # the last k, as a float: it can be too large for an int, or inf
+    if last >= MAX_SWEEP_POINTS:
+        raise argparse.ArgumentTypeError(f"sweep has more than {MAX_SWEEP_POINTS} points")
+    return (lo + step * np.arange(math.floor(last) + 1)).tolist()
 
 
 @functools.cache

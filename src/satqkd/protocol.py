@@ -214,7 +214,7 @@ def simulate_block(
     det: DetectorModel,
     e_det: float,
     n_pulses: ArrayLike,
-    seed: int,
+    seed: int | np.random.SeedSequence,
 ) -> TallyTable:
     """Monte Carlo of one transmission block.
 
@@ -222,7 +222,10 @@ def simulate_block(
     the loss and pulse count of each segment of a pass, pooled into one
     tally. Each count is a whole number, and the block holds between 1 and
     2**63 - 1 pulses. The tally is a deterministic function of seed: one rng
-    stream, the first child of SeedSequence(seed), draws every segment.
+    stream draws every segment, seed itself when it is a SeedSequence, else
+    the first child of SeedSequence(seed). So child i of SeedSequence(s)
+    gives source i of a run a stream independent of every other source's,
+    and child 0 draws what the int seed s draws.
     """
     losses = np.atleast_1d(np.asarray(total_loss_db, dtype=float))
     counts = np.atleast_1d(np.asarray(n_pulses))
@@ -239,7 +242,9 @@ def simulate_block(
         raise DomainError("n_pulses must be >= 0 per segment, and their sum in [1, 2**63 - 1]")
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
-    return _draw_block(source, losses, det, e_det, counts, np.random.SeedSequence(seed).spawn(1)[0])
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed).spawn(1)[0]
+    return _draw_block(source, losses, det, e_det, counts, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +526,7 @@ def integrate_pass(
     sec: SecurityParams,
     regime: str = "finite",
     mode: str = "analytic",
-    seed: Optional[int] = None,
+    seed: int | np.random.SeedSequence | None = None,
 ) -> Tuple[KeyResult, TallyTable]:
     """Accumulate tallies over a pass, then compute bounds and key once on the pool.
 

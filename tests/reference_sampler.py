@@ -11,7 +11,8 @@ against it in distribution.
 
 reference_pass is the Monte Carlo pass loop of satqkd before the whole pass
 became one draw: one simulate_block call per segment, each with its own seed
-spawned from the pass seed, and the segment tallies added one by one.
+spawned from the pass seed, and the segment tallies added one by one. It
+walks the pass as PassProfile.segments does, step k from t0 + k * step_s.
 elevation_at gives it a pass's elevation one time at a time.
 
 enumerated_levels is measure_batch's per-pulse outcome law by exact
@@ -31,6 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from satqkd.channel import (
+    DIVERGENCE_HALF_ANGLE_RAD,
     EARTH_MU_M3_S2,
     EARTH_RADIUS_M,
     ElevationLossModel,
@@ -133,7 +135,7 @@ def reference_loss(model: ElevationLossModel, elevation_deg: float) -> float:
     re = EARTH_RADIUS_M
     r = re + model.altitude_m
     slant_range = math.sqrt(r**2 - (re * math.cos(el)) ** 2) - re * math.sin(el)
-    spot_diameter = 2.0 * slant_range * model.divergence_half_angle_rad
+    spot_diameter = 2.0 * slant_range * DIVERGENCE_HALF_ANGLE_RAD
     ratio = (model.receiver_diameter_m / spot_diameter) ** 2
     geometric = 0.0 if ratio >= 1.0 else -10.0 * math.log10(ratio)
     airmass = 1.0 / math.sin(math.radians(elevation_deg))
@@ -211,10 +213,9 @@ def reference_pass(
     step_s: float = 1.0,
     excess_loss_db: float = 0.0,
 ) -> TallyTable:
-    t0, t1 = (profile.times_s[0], profile.times_s[-1]) if len(profile.times_s) else (0.0, 0.0)
+    t0, t1 = profile.times_s[0], profile.times_s[-1]
     pooled = TallyTable.zeros(source)
-    seg_index = 0
-    t = t0
+    seg_index, t = 0, t0  # step seg_index starts at t0 + seg_index * step_s
     while t < t1:
         dt = min(step_s, t1 - t)
         mid = t + dt / 2.0
@@ -229,8 +230,8 @@ def reference_pass(
             pooled.counts += seg.counts
             pooled.total_pulses += seg.total_pulses
             pooled.elapsed_s += seg.elapsed_s
-        t += dt
         seg_index += 1
+        t = t0 + seg_index * step_s
     return pooled
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from satqkd.channel import (
@@ -59,11 +59,6 @@ def test_geometric_loss_doubling_range_adds_6db():
     assert far - near == pytest.approx(20 * math.log10(2), abs=1e-9)
 
 
-def test_geometry_enforces_divergence_floor():
-    with pytest.raises(DomainError, match="divergence"):
-        ElevationLossModel(divergence_half_angle_rad=10e-6, receiver_diameter_m=0.7)
-
-
 @given(
     r=st.floats(100e3, 2000e3),
     dr=st.floats(1.0, 500e3),
@@ -97,11 +92,11 @@ def test_elevation_loss_model_roughly_40db_low_elevation():
 
 @pytest.mark.parametrize("bad", [
     dict(zenith_atmospheric_db=-5.0), dict(zenith_atmospheric_db=math.nan), dict(receiver_diameter_m=0.0),
-    dict(receiver_diameter_m=math.inf), dict(divergence_half_angle_rad=10e-6), dict(altitude_m=0.0),
+    dict(receiver_diameter_m=math.inf), dict(altitude_m=0.0),
     dict(altitude_m=-500e3),
 ])
 def test_elevation_loss_model_checks_its_settings(bad):
-    with pytest.raises(DomainError, match="zenith_atmospheric_db|receiver_diameter_m|divergence|orbit altitude"):
+    with pytest.raises(DomainError, match="zenith_atmospheric_db|receiver_diameter_m|orbit altitude"):
         ElevationLossModel(**bad)
 
 
@@ -216,6 +211,25 @@ def test_segments_sample_midpoints_and_skip_low_elevation():
     assert losses.tolist() == [40.0] * 4 and durations.tolist() == pytest.approx([3.0, 3.0, 3.0, 1.0])
     low = PassProfile(times_s=[0.0, 10.0], elevations_deg=[5.0, 5.0], loss_model=FixedLossModel(40.0))
     assert [a.size for a in low.segments(1.0)] == [0, 0]
+
+
+@given(
+    t0=st.floats(0.0, 1.7e9),
+    step=st.floats(1e-3, 300.0),
+    steps=st.floats(1e-3, 1e4),
+)
+def test_segments_cover_the_pass_to_within_two_ulps(t0, step, steps):
+    # step k starts at t0 + k * step, so no rounding builds up over the walk, at any start time
+    t1 = t0 + step * steps
+    assume(t1 > t0)
+    profile = PassProfile(times_s=[t0, t1], elevations_deg=[30.0, 30.0], loss_model=FixedLossModel(40.0))
+    _, durations = profile.segments(step)
+    assert abs(math.fsum(durations.tolist()) - (t1 - t0)) <= 2 * math.ulp(t1)
+
+
+def test_pass_profile_needs_a_sample():
+    with pytest.raises(DomainError, match="non-empty"):
+        PassProfile(times_s=[], elevations_deg=[], loss_model=FixedLossModel())
 
 
 def test_segments_continuous_over_span():

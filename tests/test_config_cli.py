@@ -149,6 +149,43 @@ def test_cli_simulate_different_seed_differs(capsys, config_path):
     assert json.loads(out_a)["sources"][0]["tally"] != json.loads(out_b)["sources"][0]["tally"]
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--loss-db", "30"], ["pass", "--mode", "mc"]],
+                         ids=["simulate", "pass_mc"])
+def test_cli_sources_draw_independent_streams(capsys, tmp_path, argv):
+    # source i draws child i of SeedSequence(seed): seed 1's second source and seed 2's first,
+    # two sources that differ only in their wavelength label, draw different streams
+    data = to_dict(default_run_config())
+    data["block_pulses"] = 200_000
+    if argv[0] == "pass":
+        data["channel"] = {"mode": "pass", "pass": {"max_elevation_deg": 60.0, "step_s": 2.0}}
+    path = tmp_path / "two_sources.yaml"
+    path.write_text(yaml.safe_dump(data))
+    tallies = {}
+    for seed in (1, 2):
+        code, out, _ = run_cli(capsys, *argv, "--config", str(path), "--seed", str(seed))
+        assert code == 0
+        tallies[seed] = [source["tally"] for source in json.loads(out)["sources"]]
+    assert tallies[1][1]["total_pulses"] == tallies[2][0]["total_pulses"]
+    assert tallies[1][1] != tallies[2][0]
+
+
+def test_cli_analytic_commands_leave_numpy_random_unloaded(config_path, tmp_path):
+    # importing numpy.random adds about 6 MiB to the peak RSS of a run that draws nothing
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(pass_mode_data(config_path)))
+    script = (
+        "import contextlib, io, sys\n"
+        "from satqkd.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['keyrate']), main(['pass', '--config', {str(path)!r}]),\n"
+        "             main(['optimize', '--loss-db', '38', '--mu-points', '5'])]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                          env=child_env())
+    assert proc.stdout.split() == ["[0,", "0,", "0]", "False"], proc.stderr
+
+
 def test_cli_pass_command(capsys, config_path, tmp_path):
     data = yaml.safe_load(config_path.read_text())
     data["channel"] = {
@@ -507,6 +544,12 @@ def test_cli_pass_step_not_finite_and_positive_is_domain_error(capsys, config_pa
     assert report["error"] == "domain" and "step must be finite and > 0" in report["message"]
 
 
+def child_env() -> dict:
+    """The environment of a child Python process that imports this satqkd."""
+    path = os.pathsep.join(filter(None, [str(Path(satqkd.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_cli_bounded(*argv, seconds: float = 60.0):
     """The CLI in a child process under a time limit and a 2 GiB address-space limit.
 
@@ -516,9 +559,8 @@ def run_cli_bounded(*argv, seconds: float = 60.0):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    path = os.pathsep.join(filter(None, [str(Path(satqkd.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "satqkd.cli", *argv], capture_output=True, text=True,
-                          timeout=seconds, preexec_fn=limit_memory, env=dict(os.environ, PYTHONPATH=path))
+                          timeout=seconds, preexec_fn=limit_memory, env=child_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -532,19 +574,21 @@ def test_cli_pass_step_over_the_step_cap_is_domain_error(config_path, tmp_path):
     assert report["error"] == "domain" and "into more than 1000000 steps" in report["message"]
 
 
-def test_cli_pass_step_that_cannot_move_the_clock_is_domain_error(config_path, tmp_path):
-    # at t = 1e6 s half an ulp is 5.8e-11 s: a 5e-11 s step leaves t as it is, while the
-    # 1e-5 s pass holds only 2e5 such steps, under the step cap
+def test_cli_pass_step_below_half_an_ulp_of_the_clock_walks_the_pass(config_path, tmp_path):
+    # at t = 1e6 s half an ulp is 5.8e-11 s, so t + 5e-11 == t; step k starts at t0 + k * 5e-11,
+    # and the 2e5 steps cover the 1e-5 s pass
     csv = tmp_path / "late_pass.csv"
-    csv.write_text("time_s,elevation_deg\n1000000.0,30.0\n1000000.00001,31.0\n")
+    t0, t1 = 1000000.0, 1000000.00001
+    csv.write_text(f"time_s,elevation_deg\n{t0!r},30.0\n{t1!r},31.0\n")
     data = pass_mode_data(config_path)
     data["channel"]["pass"] = {"csv_path": str(csv)}
     path = tmp_path / "late_pass.yaml"
     path.write_text(yaml.safe_dump(data))
     code, out, err = run_cli_bounded("pass", "--config", str(path), "--step", "5e-11")
-    assert code == 4 and out == ""
-    report = json.loads(err)
-    assert report["error"] == "domain" and "too small to advance the pass clock" in report["message"]
+    assert code == 0 and err == ""
+    for src, report in zip(data["sources"], json.loads(out)["sources"]):
+        rate = src["repetition_rate_hz"]
+        assert report["tally"]["total_pulses"] == pytest.approx(rate * (t1 - t0), abs=rate * 2 * math.ulp(t1))
 
 
 # (sweep, text of the refusal): unbounded walks that would fill memory, and walks that key nothing
@@ -552,7 +596,7 @@ BAD_SWEEPS = [
     ("nan:60:1", "must be finite"), ("0:nan:1", "must be finite"), ("0:60:nan", "must be finite"),
     ("0:inf:1", "must be finite"),
     ("0:1e6:1e-9", "more than 1000000 points"),
-    ("1e17:1e17:1", "too small to move the loss from 1e+17"),  # 1e17 + 1 == 1e17
+    ("0:1e308:1e-300", "more than 1000000 points"),  # (hi - lo) / step overflows to inf
 ]
 
 
@@ -561,6 +605,13 @@ def test_cli_sweep_not_finite_or_unbounded_is_usage_error(sweep, message):
     code, out, err = run_cli_bounded("keyrate", f"--sweep={sweep}")
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_cli_sweep_step_below_an_ulp_of_lo_is_one_row():
+    # 1e17 + 1 == 1e17, so the sweep is the one loss lo
+    code, out, _ = run_cli_bounded("keyrate", "--sweep=1e17:1e17:1")
+    assert code == 0
+    assert [row["loss_db"] for row in json.loads(out)["rows"]] == [1e17]
 
 
 def test_cli_optimize_grid_over_the_cap_is_domain_error():

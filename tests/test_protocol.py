@@ -649,16 +649,21 @@ def test_integrate_pass_pooling_beats_per_segment_keys(source, detector, e_det, 
 
 
 def per_step_segments(profile, step_s, excess_loss_db, loss):
-    """(losses, durations) of a pass walked with one elevation_at and one loss call per step."""
+    """(losses, durations) of a pass walked with one elevation_at and one loss call per step.
+
+    Step k starts at t0 + k * step_s.
+    """
     losses, durations = [], []
-    t = profile.times_s[0]
-    while t < profile.times_s[-1]:
-        dt = min(step_s, profile.times_s[-1] - t)
+    t0, t1 = profile.times_s[0], profile.times_s[-1]
+    k, t = 0, t0
+    while t < t1:
+        dt = min(step_s, t1 - t)
         el = elevation_at(profile, t + dt / 2.0)
         if el is not None and el >= profile.min_elevation_deg:
             losses.append(loss(el) + excess_loss_db)
             durations.append(dt)
-        t += dt
+        k += 1
+        t = t0 + k * step_s
     return losses, durations
 
 
