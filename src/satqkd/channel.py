@@ -7,6 +7,7 @@ which is accurate enough to reproduce the familiar "several minutes above
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -14,7 +15,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .analysis import load_two_column_csv
 from .errors import DomainError, FileFormatError
 from .exact import each, square
 
@@ -147,6 +147,36 @@ def _central_angle_from_elevation(elevation_deg: float, orbit_radius_m: float) -
     return math.acos((EARTH_RADIUS_M / orbit_radius_m) * math.cos(el)) - el
 
 
+def _pass_window(max_elevation_deg: float, orbit_altitude_m: float, min_elevation_deg: float,
+                 step_s: float) -> Tuple[float, float, float, int]:
+    """(orbit radius, angular rate, culmination central angle, n_half) of a checked synthesized pass.
+
+    The pass is sampled at 2 * n_half + 1 times step_s apart, centred on the
+    culmination; a step that gives more than MAX_PASS_STEPS samples, or too
+    few to leave the culmination, raises DomainError.
+    """
+    if not min_elevation_deg < max_elevation_deg <= 90.0:
+        raise DomainError("need min_elevation < max_elevation <= 90")
+    if not (math.isfinite(orbit_altitude_m) and orbit_altitude_m > 0):
+        raise DomainError(f"orbit altitude must be finite and > 0 m, got {orbit_altitude_m}")
+    if not (math.isfinite(step_s) and step_s > 0):
+        raise DomainError(f"step must be finite and > 0 s, got {step_s}")
+    r = EARTH_RADIUS_M + orbit_altitude_m
+    omega = math.sqrt(EARTH_MU_M3_S2 / r**3)  # orbital angular rate, rad/s
+    gamma_max = _central_angle_from_elevation(max_elevation_deg, r)  # at culmination
+    gamma_min = _central_angle_from_elevation(min_elevation_deg, r)  # at the horizon cut
+    # cos(gamma(t)) = cos(gamma_max) * cos(omega t)
+    half_span = math.acos(min(1.0, math.cos(gamma_min) / math.cos(gamma_max))) / omega
+    if 2.0 * half_span / step_s > MAX_PASS_STEPS:
+        raise DomainError(f"step {step_s:g} s cuts the {2.0 * half_span:g} s pass into more than "
+                          f"{MAX_PASS_STEPS} samples")
+    n_half = int(math.floor(half_span / step_s))
+    if n_half == 0:
+        raise DomainError(f"step_s {step_s:g} s is longer than half the {2.0 * half_span:g} s pass, "
+                          "which it would sample only at its culmination")
+    return r, omega, gamma_max, n_half
+
+
 def synthesize_pass(
     max_elevation_deg: float,
     orbit_altitude_m: float,
@@ -160,24 +190,9 @@ def synthesize_pass(
     approach corresponds to the culmination elevation; sampling stops at
     min_elevation on both sides.
     """
-    if not min_elevation_deg < max_elevation_deg <= 90.0:
-        raise DomainError("need min_elevation < max_elevation <= 90")
-    if orbit_altitude_m <= 0:
-        raise DomainError("orbit altitude must be > 0")
-    if not (math.isfinite(step_s) and step_s > 0):
-        raise DomainError(f"step must be finite and > 0 s, got {step_s}")
-    r = EARTH_RADIUS_M + orbit_altitude_m
-    omega = math.sqrt(EARTH_MU_M3_S2 / r**3)  # orbital angular rate, rad/s
-    gamma_max = _central_angle_from_elevation(max_elevation_deg, r)  # at culmination
-    gamma_min = _central_angle_from_elevation(min_elevation_deg, r)  # at the horizon cut
-    # cos(gamma(t)) = cos(gamma_max) * cos(omega t)
-    half_span = math.acos(min(1.0, math.cos(gamma_min) / math.cos(gamma_max))) / omega
+    r, omega, gamma_max, n_half = _pass_window(max_elevation_deg, orbit_altitude_m, min_elevation_deg, step_s)
     if loss_model is None:
         loss_model = ElevationLossModel(altitude_m=orbit_altitude_m)
-    if 2.0 * half_span / step_s > MAX_PASS_STEPS:
-        raise DomainError(f"step {step_s:g} s cuts the {2.0 * half_span:g} s pass into more than "
-                          f"{MAX_PASS_STEPS} samples")
-    n_half = int(math.floor(half_span / step_s))
     offsets = np.arange(-n_half, n_half + 1) * step_s
     gammas = np.arccos(np.cos(gamma_max) * np.cos(omega * offsets))
     # the elevation at central angle gamma, atan2 taken from math for its rounding; 90 at gamma 0
@@ -196,6 +211,8 @@ def synthesize_pass(
 def load_pass_csv(path, loss_model: Callable[[np.ndarray], np.ndarray],
                   min_elevation_deg: float = 10.0) -> PassProfile:
     """Read a (time_s, elevation_deg) two-column CSV into a PassProfile."""
+    from .analysis import load_two_column_csv  # only here: a command that reads no CSV never loads analysis
+
     times, els = load_two_column_csv(path, "time_s", "elevation_deg")
     if len(times) < 2:
         raise FileFormatError(f"{path}: need at least 2 samples")
@@ -209,7 +226,8 @@ class PassSpec:
 
     A (time_s, elevation_deg) CSV when csv_path is set, else a synthesized
     circular-orbit pass. Either way an ElevationLossModel at the orbit
-    altitude maps elevation to loss.
+    altitude maps elevation to loss. Every setting is checked on
+    construction; a synthesized pass is sampled only by profile.
     """
 
     csv_path: str | None = None
@@ -220,20 +238,29 @@ class PassSpec:
     zenith_atmospheric_db: float = 1.0
     receiver_diameter_m: float = 1.0
 
-    def profile(self) -> PassProfile:
-        loss_model = ElevationLossModel(
+    def __post_init__(self):
+        if not self.min_elevation_deg >= 0:
+            raise DomainError(f"min_elevation_deg must be >= 0, got {self.min_elevation_deg}")
+        self.loss_model()  # checks the loss model's settings
+        if self.csv_path is None:
+            _pass_window(self.max_elevation_deg, self.orbit_altitude_m, self.min_elevation_deg, self.step_s)
+
+    def loss_model(self) -> ElevationLossModel:
+        return ElevationLossModel(
             altitude_m=self.orbit_altitude_m,
             zenith_atmospheric_db=self.zenith_atmospheric_db,
             receiver_diameter_m=self.receiver_diameter_m,
         )
+
+    def profile(self) -> PassProfile:
         if self.csv_path is not None:
-            return load_pass_csv(self.csv_path, loss_model, min_elevation_deg=self.min_elevation_deg)
+            return load_pass_csv(self.csv_path, self.loss_model(), min_elevation_deg=self.min_elevation_deg)
         return synthesize_pass(
             max_elevation_deg=self.max_elevation_deg,
             orbit_altitude_m=self.orbit_altitude_m,
             min_elevation_deg=self.min_elevation_deg,
             step_s=self.step_s,
-            loss_model=loss_model,
+            loss_model=self.loss_model(),
         )
 
 
@@ -241,7 +268,8 @@ class PassSpec:
 class ChannelConfig:
     """Downlink loss configuration: a fixed budget or an elevation-dependent pass.
 
-    In pass mode the pass profile is built from pass_spec once, on construction.
+    In pass mode the pass profile is built from pass_spec on its first read;
+    a CSV pass is read on construction, so that a bad file fails every command.
     """
 
     mode: str  # "fixed" or "pass"
@@ -249,7 +277,6 @@ class ChannelConfig:
     excess_loss_db: float = 0.0
     background_click_prob: float = 0.0  # per gate and detector; RunConfig.receiver adds it to dark_prob
     pass_spec: PassSpec | None = field(default=None, metadata={"key": "pass"})  # 'pass' is a keyword
-    pass_profile: PassProfile | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("fixed", "pass"):
@@ -263,4 +290,10 @@ class ChannelConfig:
         if self.mode == "pass":
             if self.pass_spec is None:
                 raise DomainError("pass mode requires a 'pass' block")
-            object.__setattr__(self, "pass_profile", self.pass_spec.profile())
+            if self.pass_spec.csv_path is not None:
+                self.pass_profile  # read now, so that a bad file fails every command
+
+    @functools.cached_property
+    def pass_profile(self) -> PassProfile | None:
+        """The pass profile of a pass-mode channel, None in fixed mode."""
+        return self.pass_spec.profile() if self.mode == "pass" else None

@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analysis import estimate_fwhm, estimate_spectrum, load_histogram_csv, load_spectrum_csv
 from .config import RunConfig, default_run_config, load_run_config, to_dict
 from .errors import ConfigError, FileFormatError, SatQkdError
 from .optimizer import Axis, SearchSpace, optimize
@@ -194,6 +193,8 @@ def cmd_optimize(args) -> dict:
 
 
 def cmd_analyze_histogram(args) -> dict:
+    from .analysis import estimate_fwhm, load_histogram_csv  # only the analyze commands load analysis
+
     series = load_histogram_csv(args.file)
     est = estimate_fwhm(series)
     return {
@@ -213,6 +214,8 @@ def cmd_analyze_spectrum(args) -> dict:
     if args.band_center is not None and not (math.isfinite(args.band_center)
                                              and 0.0 <= args.band_halfwidth < math.inf):
         raise ConfigError("--band-center must be finite and --band-halfwidth finite and >= 0")
+    from .analysis import estimate_spectrum, load_spectrum_csv
+
     series = load_spectrum_csv(args.file)
     est = estimate_spectrum(series, band_center_nm=args.band_center, band_halfwidth_nm=args.band_halfwidth)
     return {

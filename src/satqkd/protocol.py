@@ -511,6 +511,9 @@ def key_from_fixed_loss(
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise DomainError(f"duration must be finite and > 0 s, got {duration_s}")
     n_pulses = duration_s * source.repetition_rate_hz
+    if not math.isfinite(n_pulses):
+        raise DomainError(f"duration {duration_s:g} s at {source.repetition_rate_hz:g} Hz sends more pulses "
+                          "than a float holds")
     counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses, mus, emit, p_z)
     labels = tuple(c.label for c in source.intensity_classes)
     rows = [c.mu for c in source.intensity_classes] if mus is None else np.asarray(mus, dtype=float)

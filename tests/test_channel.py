@@ -179,6 +179,13 @@ def test_synthesize_pass_rejects_bad_elevations():
         synthesize_pass(10.0, 500e3, min_elevation_deg=10.0)
 
 
+@pytest.mark.parametrize("altitude_m", [0.0, -1.0, math.nan, math.inf])
+def test_synthesize_pass_rejects_altitude_not_finite_and_positive(altitude_m):
+    # inf divided by a zero orbital rate, and nan failed converting the sample count to an int
+    with pytest.raises(DomainError, match="orbit altitude must be finite and > 0 m"):
+        synthesize_pass(60.0, altitude_m)
+
+
 @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
 def test_synthesize_pass_rejects_step_not_finite_and_positive(step):
     with pytest.raises(DomainError, match="step must be finite and > 0"):
@@ -188,6 +195,14 @@ def test_synthesize_pass_rejects_step_not_finite_and_positive(step):
 def test_synthesize_pass_rejects_more_samples_than_the_step_cap():
     with pytest.raises(DomainError, match="into more than 1000000 samples"):
         synthesize_pass(60.0, 500e3, step_s=1e-4)
+
+
+@pytest.mark.parametrize("culmination,step", [(60.0, 1e300), (10.0001, 1.0)])
+def test_synthesize_pass_rejects_a_step_longer_than_half_the_pass(culmination, step):
+    # such a step samples only the culmination, and the pass read as never rising
+    with pytest.raises(DomainError, match=r"step_s .* is longer than half the .* s pass"):
+        synthesize_pass(culmination, 500e3, step_s=step)
+    assert len(synthesize_pass(10.5, 500e3, step_s=1.0).times_s) == 91  # the shortest pass keyed anywhere
 
 
 def test_segments_sample_midpoints_and_skip_low_elevation():

@@ -16,7 +16,8 @@ import pytest
 import yaml
 
 import satqkd
-from satqkd import config
+from satqkd import channel, config
+from satqkd.channel import synthesize_pass
 from satqkd.cli import main
 from satqkd.config import (
     default_run_config,
@@ -184,6 +185,67 @@ def test_cli_analytic_commands_leave_numpy_random_unloaded(config_path, tmp_path
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
                           env=child_env())
     assert proc.stdout.split() == ["[0,", "0,", "0]", "False"], proc.stderr
+
+
+def run_in_child(*argvs) -> list:
+    """[exit codes, whether satqkd.analysis is loaded] after CLI calls in one fresh child process."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from satqkd.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {[list(a) for a in argvs]!r}]\n"
+        "print(json.dumps([codes, 'satqkd.analysis' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_commands_that_read_no_csv_leave_analysis_unloaded(config_path, tmp_path):
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(pass_mode_data(config_path)))
+    config, passes = ["--config", str(config_path)], ["--config", str(path)]
+    argvs = (["simulate", *config], ["keyrate", *passes], ["pass", *passes],
+             ["optimize", "--loss-db", "38", "--mu-points", "5", *passes], ["report-distinguishability", *config])
+    assert run_in_child(*argvs) == [[0] * 5, False]
+
+
+@pytest.mark.parametrize("command", ["analyze-histogram", "analyze-spectrum", "keyrate"])
+def test_cli_commands_that_read_a_csv_load_analysis(config_path, tmp_path, command):
+    if command == "keyrate":  # a CSV pass is read when its config loads
+        csv_path = tmp_path / "pass.csv"
+        csv_path.write_text("time_s,elevation_deg\n0,10\n100,40\n200,10\n")
+        data = yaml.safe_load(config_path.read_text())
+        data["channel"] = {"mode": "pass", "pass": {"csv_path": str(csv_path)}}
+        path = tmp_path / "csv_pass.yaml"
+        path.write_text(yaml.safe_dump(data))
+        argv = [command, "--config", str(path)]
+    else:
+        header = "time_ps,counts" if command == "analyze-histogram" else "wavelength_nm,intensity"
+        argv = [command, str(gaussian_csv(tmp_path / "series.csv", header))]
+    assert run_in_child(argv) == [[0], True]
+
+
+@pytest.mark.parametrize("argv,calls", [
+    ([], 0), (["keyrate"], 0), (["optimize", "--loss-db", "38", "--mu-points", "3"], 0), (["pass"], 1),
+], ids=["load", "keyrate", "optimize", "pass"])
+def test_synthesized_pass_is_sampled_only_by_the_pass_command(capsys, config_path, tmp_path, monkeypatch,
+                                                                argv, calls):
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(pass_mode_data(config_path)))
+    sampled = []
+
+    def counted(*args, **kwargs):
+        sampled.append(args)
+        return synthesize_pass(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "synthesize_pass", counted)
+    if argv:
+        assert run_cli(capsys, *argv, "--config", str(path))[0] == 0
+    else:
+        load_run_config(path)
+    assert len(sampled) == calls
 
 
 def test_cli_pass_command(capsys, config_path, tmp_path):
@@ -641,14 +703,15 @@ def test_cli_loss_override_drops_pass_block(capsys, config_path, tmp_path):
         "mode": "fixed", "fixed_loss_db": 30.0, "excess_loss_db": 0.0, "background_click_prob": 0.0}
 
 
-def test_cli_pass_csv_error_is_file_format_error(capsys, config_path, tmp_path):
+@pytest.mark.parametrize("command", ["pass", "keyrate"])  # a CSV pass is read when the config loads
+def test_cli_pass_csv_error_is_file_format_error(capsys, config_path, tmp_path, command):
     bad_csv = tmp_path / "pass.csv"
     bad_csv.write_text("t,el\n0,10\n1,11\n")
     data = yaml.safe_load(config_path.read_text())
     data["channel"] = {"mode": "pass", "pass": {"csv_path": str(bad_csv)}}
     path = tmp_path / "csv_pass.yaml"
     path.write_text(yaml.safe_dump(data))
-    code, out, err = run_cli(capsys, "pass", "--config", str(path))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "file-format"
 
@@ -718,12 +781,13 @@ def test_cli_missing_config_file_is_config_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "config" and "cannot read" in json.loads(err)["message"]
 
 
-def test_cli_missing_pass_csv_is_file_format_error(capsys, config_path, tmp_path):
+@pytest.mark.parametrize("command", ["pass", "keyrate"])
+def test_cli_missing_pass_csv_is_file_format_error(capsys, config_path, tmp_path, command):
     data = yaml.safe_load(config_path.read_text())
     data["channel"] = {"mode": "pass", "pass": {"csv_path": str(tmp_path / "missing.csv")}}
     path = tmp_path / "missing_csv_pass.yaml"
     path.write_text(yaml.safe_dump(data))
-    code, out, err = run_cli(capsys, "pass", "--config", str(path))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "file-format" and "cannot read" in json.loads(err)["message"]
 
@@ -760,7 +824,8 @@ def test_cli_non_finite_analysis_value_is_file_format_error(capsys, tmp_path, co
     assert report["error"] == "file-format" and "values must be finite and >= 0" in report["message"]
 
 
-def test_cli_pass_csv_with_nan_elevation_is_config_error(capsys, config_path, tmp_path):
+@pytest.mark.parametrize("command", ["pass", "keyrate"])
+def test_cli_pass_csv_with_nan_elevation_is_config_error(capsys, config_path, tmp_path, command):
     # the NaN sample once dropped the steps around it and keyed the rest of the pass
     csv_path = tmp_path / "pass.csv"
     csv_path.write_text("time_s,elevation_deg\n0,5\n100,40\n200,nan\n300,40\n400,5\n")
@@ -768,7 +833,7 @@ def test_cli_pass_csv_with_nan_elevation_is_config_error(capsys, config_path, tm
     data["channel"] = {"mode": "pass", "pass": {"csv_path": str(csv_path)}}
     path = tmp_path / "nan_pass.yaml"
     path.write_text(yaml.safe_dump(data))
-    code, out, err = run_cli(capsys, "pass", "--config", str(path))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 2 and out == ""
     report = json.loads(err)
     assert report["error"] == "config" and "elevations must be in [0, 90] degrees" in report["message"]
@@ -779,6 +844,16 @@ def test_cli_pass_csv_with_nan_elevation_is_config_error(capsys, config_path, tm
     ("receiver_diameter_m", 0.0, "receiver_diameter_m must be finite and > 0"),
     ("receiver_diameter_m", -1.0, "receiver_diameter_m must be finite and > 0"),
     ("orbit_altitude_m", 0.0, "orbit altitude must be finite and > 0"),
+    ("max_elevation_deg", 5.0, "need min_elevation < max_elevation <= 90"),
+    ("max_elevation_deg", 95.0, "need min_elevation < max_elevation <= 90"),
+    ("step_s", 0.0, "step must be finite and > 0 s"),
+    ("step_s", -1.0, "step must be finite and > 0 s"),
+    ("step_s", 1e-4, "into more than 1000000 samples"),
+    # a step longer than half the pass sampled only the culmination, a pass reported as never rising
+    ("step_s", 1e300, "step_s 1e+300 s is longer than half the"),
+    ("max_elevation_deg", 10.0001, "step_s 2 s is longer than half the"),
+    # the samples were clipped to 0 degrees: keyrate ran, and pass failed in the loss model
+    ("min_elevation_deg", -5.0, "min_elevation_deg must be >= 0"),
 ])
 @pytest.mark.parametrize("command", ["keyrate", "pass"])
 def test_cli_bad_loss_model_setting_is_config_error_naming_its_key(capsys, config_path, tmp_path, key, value,
@@ -792,6 +867,30 @@ def test_cli_bad_loss_model_setting_is_config_error_naming_its_key(capsys, confi
     assert code == 2 and out == ""
     report = json.loads(err)
     assert report["error"] == "config" and message in report["message"]
+
+
+@pytest.mark.parametrize("command", ["keyrate", "pass"])
+def test_cli_min_elevation_of_zero_keys_the_pass_down_to_the_horizon(capsys, config_path, tmp_path, command):
+    data = pass_mode_data(config_path)
+    data["channel"]["pass"]["min_elevation_deg"] = 0.0
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 0 and err == ""
+    if command == "pass":
+        assert json.loads(out)["combined_key_length_bits"] > 0
+
+
+@pytest.mark.parametrize("argv", [["keyrate", "--sweep", "40:40:1", "--duration", "1e301"],
+                                  ["optimize", "--loss-db", "40", "--mu-points", "3", "--duration", "1e308"]],
+                         ids=["keyrate", "optimize"])
+def test_cli_duration_whose_pulse_count_overflows_is_domain_error(capsys, argv):
+    # duration_s * repetition_rate_hz was inf: a RuntimeWarning, then a decoy bound blamed the intensities
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    (line,) = err.splitlines()
+    report = json.loads(line)
+    assert report["error"] == "domain" and "duration" in report["message"]
 
 
 @pytest.mark.parametrize("bound", [["--mu-min", "-1"], ["--mu-min", "0"], ["--mu-max", "-0.5", "--mu-min", "-1"]])
