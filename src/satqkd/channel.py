@@ -147,6 +147,12 @@ def _central_angle_from_elevation(elevation_deg: float, orbit_radius_m: float) -
     return math.acos((EARTH_RADIUS_M / orbit_radius_m) * math.cos(el)) - el
 
 
+def _check_min_elevation(min_elevation_deg: float) -> None:
+    """A pass is cut at a minimum elevation >= 0: the loss model takes no elevation <= 0."""
+    if not min_elevation_deg >= 0:  # false for NaN too
+        raise DomainError(f"min_elevation_deg must be >= 0, got {min_elevation_deg}")
+
+
 def _pass_window(max_elevation_deg: float, orbit_altitude_m: float, min_elevation_deg: float,
                  step_s: float) -> Tuple[float, float, float, int]:
     """(orbit radius, angular rate, culmination central angle, n_half) of a checked synthesized pass.
@@ -155,6 +161,7 @@ def _pass_window(max_elevation_deg: float, orbit_altitude_m: float, min_elevatio
     culmination; a step that gives more than MAX_PASS_STEPS samples, or too
     few to leave the culmination, raises DomainError.
     """
+    _check_min_elevation(min_elevation_deg)
     if not min_elevation_deg < max_elevation_deg <= 90.0:
         raise DomainError("need min_elevation < max_elevation <= 90")
     if not (math.isfinite(orbit_altitude_m) and orbit_altitude_m > 0):
@@ -239,8 +246,7 @@ class PassSpec:
     receiver_diameter_m: float = 1.0
 
     def __post_init__(self):
-        if not self.min_elevation_deg >= 0:
-            raise DomainError(f"min_elevation_deg must be >= 0, got {self.min_elevation_deg}")
+        _check_min_elevation(self.min_elevation_deg)
         self.loss_model()  # checks the loss model's settings
         if self.csv_path is None:
             _pass_window(self.max_elevation_deg, self.orbit_altitude_m, self.min_elevation_deg, self.step_s)

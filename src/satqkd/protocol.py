@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -58,11 +58,12 @@ class TallyTable:
 
     counts[k, b, j] is count COUNTS[j] of the pulses of class labels[k]
     (source order) sent in basis BASES[b]. The analytic route gives
-    expected, fractional counts, so the array is float64.
+    expected, fractional counts, so the array is float64; for a batch of
+    points it puts a point axis first, and every point sends total_pulses.
     """
 
     labels: Tuple[IntensityLabel, ...]
-    counts: np.ndarray  # (class, basis, count)
+    counts: np.ndarray  # ([point,] class, basis, count)
     total_pulses: float = 0.0
     elapsed_s: float = 0.0
 
@@ -86,54 +87,50 @@ class TallyTable:
 # analytic route
 
 
-def _expected_counts(source: SourceConfig, total_loss_db: ArrayLike, det: DetectorModel, e_det: float,
-                     n_pulses: ArrayLike, mus: Optional[ArrayLike] = None, emit: Optional[ArrayLike] = None,
+def _expected_counts(source: SourceConfig, total_loss_db: np.ndarray, det: DetectorModel, e_det: float,
+                     n_pulses: np.ndarray, mus: Optional[ArrayLike] = None, emit: Optional[ArrayLike] = None,
                      p_z: Optional[ArrayLike] = None) -> np.ndarray:
-    """Expected ([point,] class, basis, count) counts of the closed-form WCP model; no point axis for one point.
+    """Expected ([point,] class, basis, count) counts of the closed-form WCP model, summed over the segments.
 
     A cell's sent pulses times the class gain Q_k = 1 - (1 - Y0) exp(-eta
     mu_k) are detected, those times the receiver's probability of the
     cell's basis sifted, and those times the error rate E_k, with E_k Q_k =
     e0 Y0 + e_det (1 - exp(-eta mu_k)), errors; Y0 is the probability any
     of the four gated detectors makes a noise click, each with probability
-    det.dark_prob. total_loss_db is a scalar or a 1-D array with one loss
-    per point, and n_pulses broadcasts against the points. mus and emit,
-    (class[, point]) arrays in source order, and p_z, the sender's Z-basis
-    probability ([point]), replace the source's.
+    det.dark_prob. total_loss_db is a ([point,] segment) grid and n_pulses
+    holds one count per segment. mus and emit, (class[, point]) arrays in
+    source order, and p_z, the sender's Z-basis probability ([point]),
+    replace the source's; the counts have a point axis when any of them or
+    the grid has one.
     """
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
-    losses = np.asarray(total_loss_db, dtype=float)
-    if losses.ndim > 1:
-        raise DomainError("total_loss_db must be a scalar or a 1-D array")
     classes = source.intensity_classes
-    if mus is None:
-        mus = np.reshape([c.mu for c in classes], (len(classes),) + (1,) * losses.ndim)
-    if emit is None:
-        emit = [c.emit_probability for c in classes]
+
+    def per_class(rows: ArrayLike) -> np.ndarray:  # (class[, point]) -> ([point,] 1, class, 1)
+        return np.moveaxis(np.asarray(rows, dtype=float), 0, -1)[..., None, :, None]
+
+    mus = per_class([c.mu for c in classes] if mus is None else mus)
+    emit = per_class([c.emit_probability for c in classes] if emit is None else emit)
     p_z = np.asarray(source.basis_probability_z if p_z is None else p_z, dtype=float)
     y0 = 1.0 - (1.0 - det.dark_prob) ** N_DETECTORS
-    eta = transmittance_from_db(losses + source.insertion_loss_db) * det.efficiency
-    decay = each(math.exp, -eta * np.asarray(mus, dtype=float))
+    eta = transmittance_from_db(total_loss_db + source.insertion_loss_db) * det.efficiency
+    decay = each(math.exp, -eta[..., None, None] * mus)  # ([point,] segment, class, 1)
     gains = 1.0 - (1.0 - y0) * decay
     with np.errstate(divide="ignore", invalid="ignore"):
         error_rates = np.where(gains > 0, (E0 * y0 + e_det * (1.0 - decay)) / gains, E0)
-
-    def per_class(rows: ArrayLike) -> np.ndarray:  # (class[, point]) -> ([point, ]class, 1)
-        return np.asarray(rows, dtype=float).T[..., None]
-
-    p_basis = np.array([p_z, 1.0 - p_z]).T[..., None, :]
-    sent = np.asarray(n_pulses, dtype=float)[..., None, None] * per_class(emit) * p_basis
+    p_basis = np.moveaxis(np.array([p_z, 1.0 - p_z]), 0, -1)[..., None, None, :]  # ([point,] 1, 1, basis)
+    sent = n_pulses[:, None, None] * emit * p_basis
     pz_r = det.basis_probability_z
     sift = np.array([pz_r, 1.0 - pz_r])  # a detection is sifted when the receiver picks the sender's basis
-    gains, error_rates = per_class(gains), per_class(error_rates)
     # each count is the one before it times a factor: sent Q_k, then the sift fraction, then E_k
     factors = np.empty(np.broadcast_shapes(sent.shape, gains.shape, sift.shape) + (len(COUNTS),))
     factors[..., SENT] = sent
     factors[..., DETECTED] = gains
     factors[..., SIFTED] = sift
     factors[..., ERRORS] = error_rates
-    return np.cumprod(factors, axis=-1)
+    # the sum over the segment axis, which is not the last, adds the segments one by one, in order
+    return np.cumprod(factors, axis=-1).sum(axis=-4)
 
 
 def analytic_tallies(
@@ -142,23 +139,31 @@ def analytic_tallies(
     det: DetectorModel,
     e_det: float,
     n_pulses: ArrayLike,
+    mus: Optional[ArrayLike] = None,
+    emit: Optional[ArrayLike] = None,
+    p_z: Optional[ArrayLike] = None,
 ) -> TallyTable:
-    """Expected-value tallies (fractional counts) of the closed-form model.
+    """Expected-value tallies (fractional counts) of the closed-form model, pooled over the segments of a pass.
 
-    total_loss_db and n_pulses are scalars, or matching 1-D arrays with one
-    entry per segment of a pass, pooled into one tally. A pulse count is
-    finite and >= 0, and need not be whole.
+    total_loss_db is a ([point,] segment) grid of losses and n_pulses a 1-D
+    array with each segment's pulse count; a scalar loss and count are one
+    segment. A pulse count is finite and >= 0, and need not be whole. mus,
+    emit and p_z replace the source's intensities, emit probabilities and
+    sender Z-basis probability: (class[, point]) arrays in source order and
+    a ([point]) array. Every point is pooled on its own, and a batch gives
+    counts with a leading point axis; the points send the same pulses, so
+    total_pulses and elapsed_s hold for each.
     """
-    if np.shape(total_loss_db) != np.shape(n_pulses):
-        raise DomainError("total_loss_db and n_pulses must be scalars or 1-D arrays of equal length")
-    pulses = np.asarray(n_pulses, dtype=float)
+    losses, pulses = np.asarray(total_loss_db, dtype=float), np.asarray(n_pulses, dtype=float)
+    if losses.ndim > 2 or losses.shape[-1:] != pulses.shape:
+        raise DomainError("total_loss_db must be a scalar or a ([point,] segment) grid, its segment axis "
+                          "and n_pulses of equal length")
     if not (np.isfinite(pulses) & (pulses >= 0)).all():
         raise DomainError(f"n_pulses must be finite and >= 0, got {n_pulses}")
-    counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses)
-    if counts.ndim > 3:  # the axis-0 sum of a 2-D or larger array adds the segments one by one, in order
-        counts = counts.sum(axis=0)
+    pulses = np.atleast_1d(pulses)
+    counts = _expected_counts(source, np.atleast_1d(losses), det, e_det, pulses, mus, emit, p_z)
     # add.accumulate adds left to right, so both sums add the segments in order as a loop from 0.0 does
-    pulses = np.concatenate(([0.0], np.ravel(pulses)))
+    pulses = np.concatenate(([0.0], pulses))
     total_pulses = np.add.accumulate(pulses)[-1].item()
     elapsed_s = np.add.accumulate(pulses / source.repetition_rate_hz)[-1].item()
     return TallyTable(tuple(c.label for c in source.intensity_classes), counts, total_pulses, elapsed_s)
@@ -166,46 +171,6 @@ def analytic_tallies(
 
 # ---------------------------------------------------------------------------
 # Monte Carlo route
-
-
-def _draw_block(
-    source: SourceConfig,
-    total_loss_db: ArrayLike,
-    det: DetectorModel,
-    e_det: float,
-    n_pulses: ArrayLike,
-    seed_seq: np.random.SeedSequence,
-) -> TallyTable:
-    """Monte Carlo of one block from one rng stream, drawn as counts with no per-pulse arrays.
-
-    total_loss_db and n_pulses are scalars or matching 1-D arrays, one entry
-    per segment of a pass; the tally pools all segments. Per segment one
-    multinomial draw splits the pulses into (class, sender basis) cells, and
-    per (segment, cell) a second one splits the cell's pulses over the four
-    outcome levels of receiver.outcome_probabilities. Pulses are independent
-    and each lands in a level with exactly those probabilities, so the counts
-    have the same distribution as a pulse-by-pulse simulation.
-    """
-    rng = np.random.default_rng(seed_seq)
-    losses, counts = np.atleast_1d(total_loss_db), np.atleast_1d(n_pulses)
-    classes = source.intensity_classes
-    # cell 2k: class k rectilinear, 2k + 1: class k diagonal
-    cell_p = np.outer([c.emit_probability for c in classes],
-                      [source.basis_probability_z, 1.0 - source.basis_probability_z]).ravel()
-    p_same = np.tile([det.basis_probability_z, 1.0 - det.basis_probability_z], len(classes))
-    eta_channel = transmittance_from_db(losses + source.insertion_loss_db)
-    lam = eta_channel[:, None] * np.repeat([c.mu for c in classes], 2)  # (segment, cell)
-
-    sent = rng.multinomial(counts, cell_p / cell_p.sum())
-    levels = outcome_probabilities(lam * det.efficiency, p_same, e_det, det.dark_prob)  # (segment, cell, level)
-    # levels drawn from the last (sifted error) to the first (missed), so that numpy takes the
-    # missed pulses, nearly all of them, as the remainder and each small level keeps its precision
-    drawn = rng.multinomial(sent, levels[..., ::-1]).sum(axis=0)
-    # a pulse at level j counts as detected, sifted and an error up to j, so the running sums
-    # from the last level give errors, sifted, detected and sent
-    cells = np.cumsum(drawn, axis=-1)[..., ::-1].reshape(len(classes), 2, len(COUNTS)).astype(float)
-    total = float(counts.sum())
-    return TallyTable(tuple(c.label for c in classes), cells, total, total / source.repetition_rate_hz)
 
 
 def simulate_block(
@@ -216,7 +181,7 @@ def simulate_block(
     n_pulses: ArrayLike,
     seed: int | np.random.SeedSequence,
 ) -> TallyTable:
-    """Monte Carlo of one transmission block.
+    """Monte Carlo of one transmission block, drawn as counts with no per-pulse arrays.
 
     total_loss_db and n_pulses are scalars, or matching 1-D arrays that give
     the loss and pulse count of each segment of a pass, pooled into one
@@ -226,6 +191,13 @@ def simulate_block(
     the first child of SeedSequence(seed). So child i of SeedSequence(s)
     gives source i of a run a stream independent of every other source's,
     and child 0 draws what the int seed s draws.
+
+    Per segment one multinomial draw splits the pulses into (class, sender
+    basis) cells, and per (segment, cell) a second one splits the cell's
+    pulses over the four outcome levels of receiver.outcome_probabilities.
+    Pulses are independent and each lands in a level with exactly those
+    probabilities, so the counts have the same distribution as a
+    pulse-by-pulse simulation.
     """
     losses = np.atleast_1d(np.asarray(total_loss_db, dtype=float))
     counts = np.atleast_1d(np.asarray(n_pulses))
@@ -244,7 +216,25 @@ def simulate_block(
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed).spawn(1)[0]
-    return _draw_block(source, losses, det, e_det, counts, seed)
+    rng = np.random.default_rng(seed)
+    classes = source.intensity_classes
+    # cell 2k: class k rectilinear, 2k + 1: class k diagonal
+    cell_p = np.outer([c.emit_probability for c in classes],
+                      [source.basis_probability_z, 1.0 - source.basis_probability_z]).ravel()
+    p_same = np.tile([det.basis_probability_z, 1.0 - det.basis_probability_z], len(classes))
+    eta_channel = transmittance_from_db(losses + source.insertion_loss_db)
+    lam = eta_channel[:, None] * np.repeat([c.mu for c in classes], 2)  # (segment, cell)
+
+    sent = rng.multinomial(counts, cell_p / cell_p.sum())
+    levels = outcome_probabilities(lam * det.efficiency, p_same, e_det, det.dark_prob)  # (segment, cell, level)
+    # levels drawn from the last (sifted error) to the first (missed), so that numpy takes the
+    # missed pulses, nearly all of them, as the remainder and each small level keeps its precision
+    drawn = rng.multinomial(sent, levels[..., ::-1]).sum(axis=0)
+    # a pulse at level j counts as detected, sifted and an error up to j, so the running sums
+    # from the last level give errors, sifted, detected and sent
+    cells = np.cumsum(drawn, axis=-1)[..., ::-1].reshape(len(classes), 2, len(COUNTS)).astype(float)
+    total = float(counts.sum())
+    return TallyTable(tuple(c.label for c in classes), cells, total, total / source.repetition_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +446,19 @@ def key_length(
 # the key of a count array
 
 
-def _key_from_counts(labels: Tuple[IntensityLabel, ...], counts: np.ndarray, mus: Sequence,
-                     elapsed_s: ArrayLike, sec: SecurityParams, regime: str) -> KeyResult:
-    """Key of ([point,] class, basis, count) counts; no point axis for one point.
+def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams, regime: str,
+                   mus: Optional[ArrayLike] = None) -> KeyResult:
+    """Key of a pooled tally; counts with a leading point axis key each point on its own, as a batch.
 
-    labels are one signal, one decoy and one vacuum class, as SourceConfig
-    requires, and mus holds one row per class in source order, a scalar or
-    one entry per point. The 2-decoy bounds take each class's observed gain
-    (detections per pulse sent) and error rate (errors per sifted detection);
-    the key formula takes the signal class's counts.
+    The tally's labels are one signal, one decoy and one vacuum class, as
+    SourceConfig requires. mus, one row per class in source order, each a
+    scalar or one entry per point, replaces the source's intensities. The
+    2-decoy bounds take each class's observed gain (detections per pulse
+    sent) and error rate (errors per sifted detection); the key formula
+    takes the signal class's counts.
     """
+    labels, counts = tally.labels, tally.counts
+    mus = [source.intensity(label).mu for label in labels] if mus is None else np.asarray(mus, dtype=float)
     by_class = counts[..., 0, :] + counts[..., 1, :]  # ([point,] class, count): the sum over the bases
     sent, detected, sifted, errors = np.ascontiguousarray(by_class.T)  # each (class[, point])
     empty = (sent <= 0).reshape(len(labels), -1).any(axis=1)
@@ -478,14 +471,8 @@ def _key_from_counts(labels: Tuple[IntensityLabel, ...], counts: np.ndarray, mus
     bounds = decoy_bounds(mus[a], mus[b], gains[a], gains[b], gains[labels.index(IntensityLabel.VACUUM)],
                           error_gains[a], error_gains[b])
     k = labels.index(IntensityLabel.SIGNAL)
-    return key_length(SiftedStats(sifted[k], errors[k], detected[k], sent[k], mus[k], elapsed_s),
+    return key_length(SiftedStats(sifted[k], errors[k], detected[k], sent[k], mus[k], tally.elapsed_s),
                       bounds, sec, regime)
-
-
-def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams, regime: str) -> KeyResult:
-    """Key of a pooled tally."""
-    mus = [source.intensity(label).mu for label in tally.labels]
-    return _key_from_counts(tally.labels, tally.counts, mus, tally.elapsed_s, sec, regime)
 
 
 def key_from_fixed_loss(
@@ -500,7 +487,7 @@ def key_from_fixed_loss(
     emit: Optional[ArrayLike] = None,
     p_z: Optional[ArrayLike] = None,
 ) -> KeyResult:
-    """Analytic key at a fixed channel loss, for one point or a batch: the key of the expected counts.
+    """Analytic key at a fixed channel loss, for one point or a batch: the key of a pass of one segment.
 
     total_loss_db is a scalar or a 1-D array with one loss per point. mus and
     emit, (class, point) arrays in source order, and p_z, one per point,
@@ -514,10 +501,9 @@ def key_from_fixed_loss(
     if not math.isfinite(n_pulses):
         raise DomainError(f"duration {duration_s:g} s at {source.repetition_rate_hz:g} Hz sends more pulses "
                           "than a float holds")
-    counts = _expected_counts(source, total_loss_db, det, e_det, n_pulses, mus, emit, p_z)
-    labels = tuple(c.label for c in source.intensity_classes)
-    rows = [c.mu for c in source.intensity_classes] if mus is None else np.asarray(mus, dtype=float)
-    return _key_from_counts(labels, counts, rows, n_pulses / source.repetition_rate_hz, sec, regime)
+    losses = np.asarray(total_loss_db, dtype=float)[..., None]  # ([point,] segment)
+    tally = analytic_tallies(source, losses, det, e_det, [n_pulses], mus, emit, p_z)
+    return key_from_tally(source, tally, sec, regime, mus)
 
 
 def integrate_pass(
@@ -535,7 +521,8 @@ def integrate_pass(
 
     losses_db and durations_s give the loss and duration of each segment of
     the pass, as PassProfile.segments returns them; a segment sends the
-    source's repetition rate times its duration in pulses. Either mode takes
+    source's repetition rate times its duration in pulses, which the MC
+    rounds so that the pass sends its total rounded. Either mode takes
     every segment in one call: analytic_tallies or simulate_block.
     """
     if mode not in ("analytic", "mc"):
@@ -547,7 +534,8 @@ def integrate_pass(
     if mode == "analytic":
         pooled = analytic_tallies(source, losses, det, e_det, pulses)
     else:
-        counts = np.rint(pulses).astype(np.int64)
+        # a segment sends what the rounded running total gains: rounding each on its own would bias the total
+        counts = np.diff(np.rint(np.cumsum(pulses)), prepend=0.0).astype(np.int64)
         pooled = TallyTable.zeros(source)
         if counts.sum():
             pooled = simulate_block(source, losses, det, e_det, counts, seed=seed)

@@ -179,6 +179,13 @@ def test_synthesize_pass_rejects_bad_elevations():
         synthesize_pass(10.0, 500e3, min_elevation_deg=10.0)
 
 
+@pytest.mark.parametrize("min_elevation", [-5.0, math.nan])
+def test_synthesize_pass_refuses_a_negative_min_elevation_as_a_config_does(min_elevation):
+    # it once sampled the pass down to the horizon, and segments then failed in the loss model
+    with pytest.raises(DomainError, match=f"min_elevation_deg must be >= 0, got {min_elevation}"):
+        synthesize_pass(60.0, 500e3, min_elevation_deg=min_elevation)
+
+
 @pytest.mark.parametrize("altitude_m", [0.0, -1.0, math.nan, math.inf])
 def test_synthesize_pass_rejects_altitude_not_finite_and_positive(altitude_m):
     # inf divided by a zero orbital rate, and nan failed converting the sample count to an int

@@ -19,7 +19,6 @@ from satqkd.protocol import (
     SiftedStats,
     Y1_LOST_IN_ROUNDING,
     TallyTable,
-    _expected_counts,
     analytic_tallies,
     decoy_bounds,
     integrate_pass,
@@ -106,9 +105,11 @@ def test_analytic_segments_pool_exactly_as_a_loop_over_them(source, detector, e_
         counts, total, elapsed = counts + seg.counts, total + seg.total_pulses, elapsed + seg.elapsed_s
     assert pooled.counts.tolist() == counts.tolist()
     assert (pooled.total_pulses, pooled.elapsed_s) == (total, elapsed)
-    per_segment = _expected_counts(source, losses, det, e_det, pulses)
+    # each segment's counts, taken alone out of the 41-segment call, are its counts as a pass of one segment
     for i, (loss, n) in enumerate(zip(losses, pulses)):
-        assert per_segment[i].tolist() == _expected_counts(source, loss, det, e_det, n).tolist()
+        only_i = np.where(np.arange(len(pulses)) == i, pulses, 0.0)
+        assert analytic_tallies(source, losses, det, e_det, only_i).counts.tolist() == \
+            analytic_tallies(source, loss, det, e_det, n).counts.tolist()
 
 
 def test_analytic_tallies_reject_mismatched_segments(source, detector, e_det):
@@ -128,11 +129,12 @@ def test_analytic_pass_and_fixed_loss_key_take_one_analytic_call(source, detecto
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(protocol, name, counting)
+    # a second analytic path would show as a call to neither, or as a second call
     integrate_pass(*synthesize_pass(60.0, 500e3).segments(1.0), source, detector, e_det, security)
     assert sorted(calls) == ["_expected_counts", "analytic_tallies"]
     calls.clear()
-    key_from_fixed_loss(source, 40.0, detector, e_det, security, 1.0)
-    assert calls == ["_expected_counts"]
+    key_from_fixed_loss(source, np.array([40.0, 45.0]), detector, e_det, security, 1.0)
+    assert sorted(calls) == ["_expected_counts", "analytic_tallies"]
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +213,8 @@ def test_analytic_sifts_each_sender_basis_with_the_receivers_probability_of_it(s
     # the receiver measures in Z with pz_r whatever the sender sent: a Z cell's detections are
     # sifted with pz_r and an X cell's with 1 - pz_r, also when the sender's p_Z differs
     det = DetectorModel(basis_probability_z=pz_r)
-    counts = _expected_counts(replace(source, basis_probability_z=0.9), np.array([0.0, 20.0, 40.0]), det,
-                              e_det, 1e9)
+    counts = analytic_tallies(replace(source, basis_probability_z=0.9), np.array([[0.0], [20.0], [40.0]]), det,
+                              e_det, [1e9]).counts
     np.testing.assert_array_equal(counts[..., SIFTED], counts[..., DETECTED] * [pz_r, 1.0 - pz_r])
 
 
@@ -460,6 +462,15 @@ def source_at(base, mu_signal, mu_decoy, p_signal, p_decoy, p_z):
     return replace(base, intensity_classes=classes, basis_probability_z=p_z)
 
 
+def overrides_at(base, points):
+    """(mus, emit, p_z) of source_at's parameters per point: (class, point) rows in source order, one p_z a point."""
+    mu_s, mu_d, p_s, p_d, p_z = (np.array(column) for column in zip(*points))
+    by_label = {IntensityLabel.SIGNAL: (mu_s, p_s), IntensityLabel.DECOY: (mu_d, p_d),
+                IntensityLabel.VACUUM: (np.zeros_like(mu_s), 1.0 - p_s - p_d)}
+    mus, emit = (np.array([by_label[c.label][j] for c in base.intensity_classes]) for j in (0, 1))
+    return mus, emit, p_z
+
+
 @st.composite
 def source_points(draw):
     """(mu_signal, mu_decoy, p_signal, p_decoy, p_z) of a valid source; the vacuum class keeps >= 1e-4."""
@@ -494,10 +505,7 @@ def test_key_batch_is_finite_or_domain_error_and_each_point_keys_as_alone(
     for one in filter(None, alone):
         for value in (one.secret_key_length, one.secret_key_rate):
             assert math.isfinite(value) and value >= 0.0
-    mu_s, mu_d, p_s, p_d, p_z = (np.array(column) for column in zip(*(params for params, _ in points)))
-    by_label = {IntensityLabel.SIGNAL: (mu_s, p_s), IntensityLabel.DECOY: (mu_d, p_d),
-                IntensityLabel.VACUUM: (np.zeros_like(mu_s), 1.0 - p_s - p_d)}
-    mus, emit = (np.array([by_label[c.label][j] for c in base.intensity_classes]) for j in (0, 1))
+    mus, emit, p_z = overrides_at(base, [params for params, _ in points])
     try:
         batch = key_from_fixed_loss(base, np.array([loss for _, loss in points]), *args,
                                     mus=mus, emit=emit, p_z=p_z)
@@ -544,6 +552,38 @@ def test_one_point_entry_points_return_scalars_equal_to_their_point_in_a_batch(
         values = key_fields(one)
         assert not any(isinstance(v, np.ndarray) for v in values)
         assert values == key_fields(many, i)
+
+
+# (mu_signal, mu_decoy, p_signal, p_decoy, p_z, excess loss dB) of the points of a batched pass
+GRID_POINTS = [(0.3, 0.5, 0.7, 0.25, 0.5, 0.0), (0.8, 0.05, 0.9, 0.05, 0.6, 0.0), (0.5, 0.1, 0.6, 0.3, 0.3, 3.0),
+               (0.3, 0.5, 0.7, 0.25, 0.5, 25.0)]
+
+
+def test_analytic_tallies_row_of_a_point_segment_grid_equals_that_point_alone(source, detector, e_det):
+    losses, durations = synthesize_pass(60.0, 500e3).segments(1.0)
+    grid = losses + np.array([point[-1] for point in GRID_POINTS])[:, None]  # (point, segment)
+    pulses = source.repetition_rate_hz * durations
+    mus, emit, p_z = overrides_at(source, [point[:-1] for point in GRID_POINTS])
+    batch = analytic_tallies(source, grid, detector, e_det, pulses, mus, emit, p_z)
+    assert batch.counts.shape == (len(GRID_POINTS), 3, 2, len(COUNTS))
+    for p in range(len(GRID_POINTS)):
+        alone = analytic_tallies(source, grid[p], detector, e_det, pulses, mus[:, p], emit[:, p], p_z[p])
+        assert batch.counts[p].tolist() == alone.counts.tolist()
+        assert (batch.total_pulses, batch.elapsed_s) == (alone.total_pulses, alone.elapsed_s)
+
+
+@pytest.mark.parametrize("regime", ["asymptotic", "finite"])
+def test_batched_pass_key_equals_a_loop_over_integrate_pass(source, detector, e_det, security, regime):
+    losses, durations = synthesize_pass(60.0, 500e3).segments(1.0)
+    grid = losses + np.array([point[-1] for point in GRID_POINTS])[:, None]
+    mus, emit, p_z = overrides_at(source, [point[:-1] for point in GRID_POINTS])
+    tally = analytic_tallies(source, grid, detector, e_det, source.repetition_rate_hz * durations, mus, emit, p_z)
+    batch = key_from_tally(source, tally, security, regime, mus)
+    assert batch.secret_key_length[-1] == 0.0 < batch.secret_key_length[0]  # 25 dB more leaves no key
+    for p, point in enumerate(GRID_POINTS):
+        one, _ = integrate_pass(grid[p], durations, source_at(source, *point[:-1]), detector, e_det, security,
+                                regime)
+        assert key_fields(one) == key_fields(batch, p)
 
 
 def test_decoy_bounds_of_one_point_are_scalars_equal_to_their_point_in_a_batch():
@@ -802,6 +842,19 @@ def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, secu
     mc, tally = integrate_pass(*short.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
     assert tally.to_dict() == ZERO_TALLY and mc.secret_key_length == 0.0
     assert "no whole pulse" in mc.reason
+
+
+@pytest.mark.parametrize("step", [0.0017, 0.0014, 0.0006, 0.0003])
+def test_integrate_pass_mc_sends_the_rounded_total_at_a_fractional_step(source, detector, e_det, security, step):
+    # 1.7, 1.4, 0.6 and 0.3 pulses a step at 1 kHz: rounding each step on its own sent 2, 1, 1 and 0
+    profile = PassProfile(times_s=[0.0, 10.0], elevations_deg=[60.0, 60.0],
+                          loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
+    small = replace(source, repetition_rate_hz=1e3)
+    losses, durations = profile.segments(step)
+    _, tally = integrate_pass(losses, durations, small, detector, e_det, security, mode="mc", seed=3)
+    validate_tally(tally)
+    assert tally.total_pulses == np.rint((small.repetition_rate_hz * durations).sum()) == 10_000
+    assert tally.counts[..., SENT].sum() == 10_000
 
 
 def test_analytic_tallies_add_pulses_and_time_in_segment_order(source, detector, e_det):

@@ -21,7 +21,6 @@ from satqkd.channel import PassProfile
 from satqkd.protocol import (
     SENT,
     SecurityParams,
-    _draw_block,
     analytic_tallies,
     integrate_pass,
     simulate_block,
@@ -80,7 +79,7 @@ def test_sampler_matches_reference_distribution(regime, source, e_det):
     new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(SEEDS):
-        fast = _draw_block(source, loss, noisy, e_det, n, np.random.SeedSequence([1, s]))
+        fast = simulate_block(source, loss, noisy, e_det, n, seed=np.random.SeedSequence([1, s]))
         slow = reference_block(source, loss, det, e_det, n, np.random.SeedSequence([2, s]), background)
         validate_tally(fast)
         new += outcome_counts(fast)
@@ -100,7 +99,8 @@ def test_sampler_matches_reference_per_cell_at_zero_loss(source, e_det):
     new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(8):
-        new += outcome_counts(_draw_block(source, 0.0, det, e_det, 50_000, np.random.SeedSequence([3, s])))
+        drawn = simulate_block(source, 0.0, det, e_det, 50_000, seed=np.random.SeedSequence([3, s]))
+        new += outcome_counts(drawn)
         ref += outcome_counts(reference_block(source, 0.0, det, e_det, 50_000, np.random.SeedSequence([4, s]), 0.0))
     assert new.reshape(-1, 4)[:, 1:].sum() > 50_000
     stat, dof = homogeneity_chi2(new, ref)
@@ -109,7 +109,7 @@ def test_sampler_matches_reference_per_cell_at_zero_loss(source, e_det):
 
 def test_sampler_vacuum_and_no_darks(source, e_det):
     det = DetectorModel(dark_prob=0.0)
-    tally = _draw_block(source, 20.0, det, e_det, 200_000, np.random.SeedSequence(9))
+    tally = simulate_block(source, 20.0, det, e_det, 200_000, seed=np.random.SeedSequence(9))
     validate_tally(tally)
     for label, by_basis in zip(tally.labels, tally.counts.tolist()):
         for values in by_basis:
@@ -124,7 +124,7 @@ def test_sampler_vacuum_and_no_darks(source, e_det):
 
 def test_sampler_slices_at_zero_loss(source, detector, e_det):
     n = 60_000
-    tally = _draw_block(source, 0.0, detector, e_det, n, np.random.SeedSequence(10))
+    tally = simulate_block(source, 0.0, detector, e_det, n, seed=np.random.SeedSequence(10))
     validate_tally(tally)
     assert tally.counts[..., SENT].sum() == n
     gains = expected_gains(source, 0.0, detector, e_det)
