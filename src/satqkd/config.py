@@ -19,6 +19,10 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
 import yaml
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError
+from yaml.events import AliasEvent, MappingStartEvent, ScalarEvent, SequenceEndEvent, SequenceStartEvent, StreamEndEvent
+from yaml.nodes import ScalarNode
 
 from .channel import ChannelConfig
 from .errors import ConfigError, DomainError, open_or_raise
@@ -161,7 +165,7 @@ def from_dict(tp, data, where: str):
     """
     if tp is float:
         if type(data) not in (float, int):  # a bool is no number here
-            raise ConfigError(f"{where}: expected a number, got {data!r}")
+            raise ConfigError(f"{where}: expected a number, got {data!r}{_text_number_hint(data)}")
         if not math.isfinite(data):
             raise ConfigError(f"{where}: expected a finite number, got {data!r}")
         return float(data)
@@ -210,6 +214,18 @@ def from_dict(tp, data, where: str):
     raise TypeError(f"{where}: no YAML form for {tp!r}")
 
 
+def _text_number_hint(data) -> str:
+    """Why a str that float() reads as a finite number is no number here; empty for any other value."""
+    if type(data) is str:
+        try:
+            if math.isfinite(float(data)):
+                return (" (YAML 1.1 reads it as text: write it with a decimal point and a signed exponent, "
+                        "e.g. 1.0e-7)")
+        except ValueError:
+            pass
+    return ""
+
+
 def to_dict(obj):
     """The YAML form of a config value, the inverse of from_dict; a field that is None is left out."""
     if type(obj) in (float, int, str):
@@ -232,14 +248,147 @@ def parse_run_config(data: dict) -> RunConfig:
     return from_dict(RunConfig, data, "config")
 
 
-# libyaml's parser when PyYAML is built with it: the same objects as the pure-Python one, ~8x faster
+# libyaml's parser when PyYAML is built with it, ~8x faster than the pure-Python one
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+_TAG = "tag:yaml.org,2002:"
+_STR, _FLOAT, _MAP, _SEQ, _MERGE, _VALUE = (_TAG + t for t in ("str", "float", "map", "seq", "merge", "value"))
+_DECIMAL = frozenset("0123456789.eE+-")  # a float tag on only these: float() reads it as SafeLoader does
+_NO_KEY = object()  # a mapping frame waiting for its next key
+_IN_LIST = object()  # the key slot of a list frame
+_MERGE_KEY = object()  # the key <<: merge the value's mappings in
+_VALUE_KEY = object()  # the key =, which SafeLoader reads as the str "="
+_KEY_TOKENS = {_MERGE: _MERGE_KEY, _VALUE: _VALUE_KEY}  # tags a plain scalar may have only as a key
+
+
+def _read_yaml(stream):
+    """The one YAML document of stream as SafeLoader builds it, read in one pass over YAML_LOADER's events.
+
+    No node graph is built and no generic constructor runs over it: a str
+    and a plain decimal float are made here, and every other scalar by the
+    loader's own construct_object, so ints, bools, nulls, .nan and explicit
+    tags come out as SafeLoader makes them. An alias is the anchor's object,
+    << merges as SafeLoader's flatten_mapping does (a mapping's own keys win,
+    then earlier mappings of a merge list) and = as a key is a str. A
+    collection tag other than !!map and !!seq is a YAMLError, and so is
+    every input SafeLoader refuses; an empty stream gives None.
+    """
+    loader = YAML_LOADER(stream)
+    try:
+        get_event, resolve = loader.get_event, loader.resolve
+        get_event()  # StreamStartEvent
+        event = get_event()
+        if event.__class__ is StreamEndEvent:
+            return None
+        document_mark = event.start_mark
+        tags = {}  # (value, implicit) -> resolved tag of an untagged scalar, or float for a plain decimal one
+        anchors = {}  # name -> (object, start mark)
+        stack = []  # open collections: [container, key or _NO_KEY (_IN_LIST in a list), merged mappings, start mark]
+        event = get_event()
+        while True:
+            cls = event.__class__
+            if cls is ScalarEvent:
+                value, tag = event.value, event.tag
+                if tag is None or tag == "!":
+                    seen = (value, event.implicit)
+                    tag = tags.get(seen)
+                    if tag is None:
+                        tag = resolve(ScalarNode, value, event.implicit)
+                        tags[seen] = tag = float if tag == _FLOAT and _DECIMAL.issuperset(value) else tag
+                if tag is float:
+                    value = float(value)
+                elif tag == _STR:
+                    pass
+                elif tag in _KEY_TOKENS and stack and stack[-1][1] is _NO_KEY:
+                    value = _KEY_TOKENS[tag]
+                else:
+                    node = ScalarNode(tag, value, event.start_mark, event.end_mark, style=event.style)
+                    try:
+                        value = loader.construct_object(node, deep=True)
+                    except (ValueError, LookupError, AttributeError) as exc:  # SafeLoader lets these out:
+                        # int() of !!int abc, !!bool maybe's dict lookup, !!timestamp abc's failed match
+                        raise ConstructorError(
+                            None, None, f"cannot read {value!r} as {tag}: {exc!r}", event.start_mark) from exc
+                if event.anchor is not None:
+                    _anchor(anchors, event, value)
+            elif cls is MappingStartEvent or cls is SequenceStartEvent:
+                is_map = cls is MappingStartEvent
+                if event.tag not in (None, "!", _MAP if is_map else _SEQ):
+                    raise ConstructorError(
+                        None, None, f"found unsupported collection tag {event.tag!r}", event.start_mark)
+                container = {} if is_map else []
+                stack.append([container, _NO_KEY if is_map else _IN_LIST, [], event.start_mark])
+                if event.anchor is not None:
+                    _anchor(anchors, event, container)
+                event = get_event()
+                continue
+            elif cls is AliasEvent:
+                try:
+                    value = anchors[event.anchor][0]
+                except KeyError:
+                    raise ComposerError(
+                        None, None, f"found undefined alias {event.anchor!r}", event.start_mark) from None
+                if (value is _MERGE_KEY or value is _VALUE_KEY) and stack[-1][1] is not _NO_KEY:
+                    raise ConstructorError(
+                        None, None, "found an alias of a << or = key outside a key", event.start_mark)
+            elif cls is SequenceEndEvent:
+                value = stack.pop()[0]
+            else:  # MappingEndEvent
+                value, _, merged, _ = stack.pop()
+                if merged:  # merged keys come first, and a later mapping overrides an earlier one
+                    own = value.copy()
+                    value.clear()
+                    for mapping in merged:
+                        value.update(mapping)
+                    value.update(own)
+            if not stack:
+                break
+            frame = stack[-1]
+            container, key = frame[0], frame[1]
+            if key is _IN_LIST:
+                container.append(value)
+            elif key is _NO_KEY:
+                if value.__class__ is dict or value.__class__ is list:
+                    raise ConstructorError(
+                        "while constructing a mapping", frame[3], "found unhashable key", event.start_mark)
+                frame[1] = value
+            else:
+                frame[1] = _NO_KEY
+                if key is _VALUE_KEY:
+                    container["="] = value
+                elif key is not _MERGE_KEY:
+                    container[key] = value
+                elif value.__class__ is dict:
+                    frame[2].append(value)
+                elif value.__class__ is list and all(m.__class__ is dict for m in value):
+                    frame[2].extend(reversed(value))  # the first mapping of a merge list wins
+                else:
+                    raise ConstructorError(
+                        "while constructing a mapping", frame[3],
+                        "expected a mapping or list of mappings for merging", event.start_mark)
+            event = get_event()
+        get_event()  # DocumentEndEvent
+        event = get_event()
+        if event.__class__ is not StreamEndEvent:
+            raise ComposerError("expected a single document in the stream", document_mark,
+                                              "but found another document", event.start_mark)
+        return value
+    finally:
+        loader.dispose()
+
+
+def _anchor(anchors: dict, event, value) -> None:
+    """Name value by event's anchor; an anchor named twice in a document is a YAMLError."""
+    if event.anchor in anchors:
+        raise ComposerError(f"found duplicate anchor {event.anchor!r}; first occurrence",
+                                          anchors[event.anchor][1], "second occurrence", event.start_mark)
+    anchors[event.anchor] = value, event.start_mark
 
 
 def load_run_config(path) -> RunConfig:
     with open_or_raise(path, ConfigError) as fh:
         try:
-            data = yaml.load(fh, Loader=YAML_LOADER)
+            data = _read_yaml(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):

@@ -15,7 +15,7 @@ import numpy as np
 def each(fn, x):
     """fn of every element of x, in Python floats: an array of x's shape, 0-d for a scalar."""
     x = np.asarray(x, dtype=float)
-    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def square(x: float) -> float:

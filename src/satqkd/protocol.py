@@ -73,7 +73,10 @@ class TallyTable:
         return cls(labels, np.zeros((len(labels), len(BASES), len(COUNTS))))
 
     def to_dict(self) -> dict:
-        """Deterministic, JSON-ready form (sorted keys)."""
+        """Deterministic, JSON-ready form (sorted keys) of a one-point tally."""
+        if self.counts.ndim != 3:
+            raise DomainError(f"TallyTable.to_dict: counts of shape {self.counts.shape} have a point axis; "
+                              "report one point's (class, basis, count) counts at a time")
         cells = {
             f"{label.value}/{basis.value}": dict(zip(COUNTS, self.counts[k, b].tolist()))
             for k, label in enumerate(self.labels)

@@ -593,6 +593,19 @@ def test_cli_wrong_yaml_value_is_config_error_naming_its_path(capsys, config_pat
     assert message in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("text,hint", [("1e-7", True), ("1E+3", True), ("'0.5'", True), ("abc", False), ("nan", False)])
+def test_cli_number_that_yaml_reads_as_text_gets_the_exponent_rule(capsys, config_path, tmp_path, text, hint):
+    path = tmp_path / "text_number.yaml"
+    path.write_text(config_path.read_text().replace("background_click_prob: 0.0", f"background_click_prob: {text}"))
+    assert f"background_click_prob: {text}" in path.read_text()
+    code, out, err = run_cli(capsys, "optimize", "--config", str(path), "--loss-db", "40", "--mu-points", "3")
+    assert code == 2 and out == ""
+    message = json.loads(err)["message"]
+    assert message.startswith("config.channel.background_click_prob: expected a number, got ")
+    rule = " (YAML 1.1 reads it as text: write it with a decimal point and a signed exponent, e.g. 1.0e-7)"
+    assert message.endswith(rule) == hint
+
+
 BAD_SPANS = ["0", "-1", "nan", "inf"]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from satqkd.channel import ElevationLossModel, PassProfile, synthesize_pass, transmittance_from_db
 from satqkd.config import default_source
 from satqkd.errors import DomainError
+from satqkd.exact import each, square
 from satqkd.protocol import (
     COUNTS,
     DETECTED,
@@ -869,3 +870,24 @@ def test_analytic_tallies_add_pulses_and_time_in_segment_order(source, detector,
 def test_analytic_rates_rejects_nan_loss(source, detector, e_det):
     with pytest.raises(DomainError):
         analytic_tallies(source, math.nan, detector, e_det, 1e9)
+
+
+@pytest.mark.parametrize("points", [2, 3])
+def test_tally_to_dict_refuses_a_point_axis(source, detector, e_det, points):
+    tally = analytic_tallies(source, np.linspace(30.0, 40.0, points)[:, None], detector, e_det, [1e8])
+    assert tally.counts.shape == (points, 3, 2, 4)
+    with pytest.raises(DomainError, match="point axis"):
+        tally.to_dict()
+
+
+@pytest.mark.parametrize("fn", [math.exp, math.log2, square], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("x", [
+    np.array(0.7), np.array([]), np.zeros((0, 3)),
+    np.array([0.5, 2.0, math.inf, math.nan, 1e-300, 700.0]),
+    np.array([[0.25, 3.5, 1e-5], [math.nan, 8.0, math.inf]]),
+], ids=["0-d", "empty", "empty-2d", "1-d", "2-d"])
+def test_each_is_the_python_float_of_every_element(fn, x):
+    listed = np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    got = each(fn, x)
+    assert got.dtype == listed.dtype and got.shape == listed.shape
+    assert got.tobytes() == listed.tobytes()  # bit for bit, NaN included
