@@ -10,13 +10,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .errors import DomainError, FileFormatError
 from .exact import each, square
+
+if TYPE_CHECKING:  # numpy.typing costs an import that no run needs
+    from numpy.typing import ArrayLike
 
 EARTH_RADIUS_M = 6371e3
 EARTH_MU_M3_S2 = 3.986004418e14  # standard gravitational parameter

@@ -17,6 +17,7 @@ import math
 import sys
 import warnings
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +27,7 @@ from . import __version__
 from .config import RunConfig, default_run_config, load_run_config, to_dict
 from .errors import ConfigError, FileFormatError, SatQkdError
 from .optimizer import Axis, SearchSpace, optimize
-from .protocol import integrate_pass, key_from_fixed_loss, key_from_tally, simulate_block
+from .protocol import TallyTable, integrate_pass, key_from_fixed_loss, key_from_tally, simulate_block
 from .source import distinguishability_report
 
 EXIT_CONFIG = 2
@@ -48,8 +49,83 @@ def _make_out_dir(out_dir: Optional[str]):
             raise ConfigError(f"--out-dir {out_dir}: cannot make the directory: {exc.strerror}") from exc
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float.__repr__ -> json's text
+
+
+def _key_text(key) -> str:
+    """A dict key that is not a str as json converts it to one."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        text = float.__repr__(key)
+        return _NON_FINITE.get(text, text)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(value, newline: str, put):
+    """Put the text of value, nested at the indent that newline ends in, piece by piece."""
+    if isinstance(value, float):  # float and its subclasses, such as np.float64
+        text = float.__repr__(value)
+        put(_NON_FINITE.get(text, text))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            put(sep + encode_basestring_ascii(key if key.__class__ is str else _key_text(key)) + ": ")
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):  # int and its subclasses but bool
+        put(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def json_text(value) -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True), written in one pass.
+
+    json's indented encoder is its pure-Python generator, about twice as
+    slow. Keys, numbers, strings and the TypeError of a value json cannot
+    encode are json's; a report holds no reference cycle, which json would
+    refuse with a ValueError.
+    """
+    pieces = []
+    _write_json(value, "\n", pieces.append)
+    return "".join(pieces)
+
+
 def _emit(report: dict, out_dir: Optional[str]):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json_text(report)
     print(text)
     if out_dir:
         (Path(out_dir) / "report.json").write_text(text + "\n")
@@ -86,13 +162,18 @@ def _total_fixed_loss(cfg: RunConfig) -> float:
 def cmd_simulate(args) -> dict:
     cfg = _load_config(args)
     loss = _total_fixed_loss(cfg)
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sources))  # one independent stream per source
+    tallies = [simulate_block(src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses, seed=stream)
+               for src, stream in zip(cfg.sources, streams)]
+    # every source is a point of one batch key; each point gets the key it gets alone
+    batch = TallyTable.stack(tallies)
+    mus = [[src.intensity(label).mu for src in cfg.sources] for label in batch.labels]
+    keys = key_from_tally(cfg.sources[0], batch, cfg.security, args.regime, mus)
     per_source = []
     total_length = 0.0
     total_rate = 0.0
-    streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sources))  # one independent stream per source
-    for src, stream in zip(cfg.sources, streams):
-        tally = simulate_block(src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses, seed=stream)
-        result = key_from_tally(src, tally, cfg.security, args.regime)
+    for i, (src, tally) in enumerate(zip(cfg.sources, tallies)):
+        result = keys.point(i)
         total_length += result.secret_key_length
         total_rate += result.secret_key_rate
         per_source.append(

@@ -271,7 +271,8 @@ def _read_yaml(stream):
     << merges as SafeLoader's flatten_mapping does (a mapping's own keys win,
     then earlier mappings of a merge list) and = as a key is a str. A
     collection tag other than !!map and !!seq is a YAMLError, and so is
-    every input SafeLoader refuses; an empty stream gives None.
+    every input SafeLoader refuses; an empty stream gives None. A scalar
+    tagged ! resolves as a plain one with either loader, as SafeLoader's.
     """
     loader = YAML_LOADER(stream)
     try:
@@ -281,7 +282,7 @@ def _read_yaml(stream):
         if event.__class__ is StreamEndEvent:
             return None
         document_mark = event.start_mark
-        tags = {}  # (value, implicit) -> resolved tag of an untagged scalar, or float for a plain decimal one
+        tags = {}  # (value, implicit) -> resolved tag of an untagged or ! scalar, or float for a plain decimal one
         anchors = {}  # name -> (object, start mark)
         stack = []  # open collections: [container, key or _NO_KEY (_IN_LIST in a list), merged mappings, start mark]
         event = get_event()
@@ -290,10 +291,11 @@ def _read_yaml(stream):
             if cls is ScalarEvent:
                 value, tag = event.value, event.tag
                 if tag is None or tag == "!":
-                    seen = (value, event.implicit)
+                    # PyYAML's parser reads a ! scalar as a plain one; libyaml does not when it is empty
+                    seen = (value, event.implicit if tag is None else (True, False))
                     tag = tags.get(seen)
                     if tag is None:
-                        tag = resolve(ScalarNode, value, event.implicit)
+                        tag = resolve(ScalarNode, value, seen[1])
                         tags[seen] = tag = float if tag == _FLOAT and _DECIMAL.issuperset(value) else tag
                 if tag is float:
                     value = float(value)

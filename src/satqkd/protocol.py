@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .channel import transmittance_from_db
 from .errors import DomainError
@@ -28,12 +27,26 @@ from .exact import each, square
 from .receiver import DetectorModel, N_DETECTORS, outcome_probabilities
 from .source import Basis, IntensityLabel, SourceConfig
 
+if TYPE_CHECKING:  # numpy.typing costs an import that no run needs
+    from numpy.typing import ArrayLike
+
 E0 = 0.5  # error rate of background/dark clicks (random bits)
 
 
 def _points(*values) -> tuple:
     """The values as float64 arrays of one broadcast shape, 0-d for one point; None reads as NaN."""
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+
+
+def _refuse_empty_class(labels: Tuple[IntensityLabel, ...], sent: np.ndarray):
+    """DomainError naming the first class, in label order, of the first point whose class sent no pulse.
+
+    sent is (class[, point]). Points come before classes, so a batch fails
+    as keying its points one by one fails.
+    """
+    empty = (sent <= 0).reshape(len(labels), -1).T.ravel()  # each point's classes in turn
+    if empty.any():
+        raise DomainError(f"no pulses sent in class {labels[int(np.argmax(empty)) % len(labels)].value}")
 
 
 def binary_entropy(x: ArrayLike):
@@ -60,17 +73,36 @@ class TallyTable:
     (source order) sent in basis BASES[b]. The analytic route gives
     expected, fractional counts, so the array is float64; for a batch of
     points it puts a point axis first, and every point sends total_pulses.
+    elapsed_s holds for every point, or is a ([point]) array when the points
+    send at different repetition rates.
     """
 
     labels: Tuple[IntensityLabel, ...]
     counts: np.ndarray  # ([point,] class, basis, count)
     total_pulses: float = 0.0
-    elapsed_s: float = 0.0
+    elapsed_s: ArrayLike = 0.0
 
     @classmethod
     def zeros(cls, source: SourceConfig) -> "TallyTable":
         labels = tuple(c.label for c in source.intensity_classes)
         return cls(labels, np.zeros((len(labels), len(BASES), len(COUNTS))))
+
+    @classmethod
+    def stack(cls, tallies: Sequence["TallyTable"]) -> "TallyTable":
+        """One-point tallies as the points of one batch, in order, each with its classes in the first's order.
+
+        The tallies send the same total_pulses, and each point keeps its
+        elapsed_s. A class that sent no pulse is refused here, as keying
+        the tallies one by one would refuse it: once a tally's classes are
+        reordered, the batch no longer knows which of its classes came first.
+        """
+        labels = tallies[0].labels
+        for tally in tallies:
+            _refuse_empty_class(tally.labels, tally.counts[..., SENT].sum(axis=-1))
+        if any(tally.total_pulses != tallies[0].total_pulses for tally in tallies):
+            raise DomainError("the tallies of a batch must send the same total_pulses")
+        counts = np.stack([tally.counts[[tally.labels.index(label) for label in labels]] for tally in tallies])
+        return cls(labels, counts, tallies[0].total_pulses, np.array([tally.elapsed_s for tally in tallies]))
 
     def to_dict(self) -> dict:
         """Deterministic, JSON-ready form (sorted keys) of a one-point tally."""
@@ -270,6 +302,10 @@ class DecoyBounds:
     y0_estimate: ArrayLike
     reason: Optional[ArrayLike]
 
+    def point(self, i: int) -> "DecoyBounds":
+        """Point i of a batch, with the values and types a one-point call gives."""
+        return DecoyBounds(self.y1_lower[i], self.e1_upper[i], self.y0_estimate[i], self.reason[i])
+
 
 def decoy_bounds(
     mu_a: ArrayLike,
@@ -377,6 +413,11 @@ class KeyResult:
             "reason": self.reason,
         }
 
+    def point(self, i: int) -> "KeyResult":
+        """Point i of a batch, with the values and types a one-point call gives."""
+        return KeyResult(self.sifted_bits[i], self.qber_signal[i], self.bounds.point(i), self.secret_key_length[i],
+                         self.secret_key_rate[i], self.regime, self.reason[i])
+
 
 def key_length(
     stats: SiftedStats,
@@ -464,9 +505,7 @@ def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams,
     mus = [source.intensity(label).mu for label in labels] if mus is None else np.asarray(mus, dtype=float)
     by_class = counts[..., 0, :] + counts[..., 1, :]  # ([point,] class, count): the sum over the bases
     sent, detected, sifted, errors = np.ascontiguousarray(by_class.T)  # each (class[, point])
-    empty = (sent <= 0).reshape(len(labels), -1).any(axis=1)
-    if empty.any():
-        raise DomainError(f"no pulses sent in class {labels[int(np.argmax(empty))].value}")
+    _refuse_empty_class(labels, sent)
     gains = detected / sent
     with np.errstate(divide="ignore", invalid="ignore"):
         error_gains = np.where(sifted > 0, errors / sifted, E0) * gains

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .errors import DomainError
+
+if TYPE_CHECKING:  # numpy.typing costs an import that no run needs
+    from numpy.typing import ArrayLike
 
 N_DETECTORS = 4  # H, V, D, A
 

@@ -1,5 +1,7 @@
 import contextlib
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import math
@@ -7,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+import typing
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +29,7 @@ from satqkd.config import (
     to_dict,
 )
 from satqkd.errors import ConfigError
-from satqkd.protocol import key_from_tally
+from satqkd.protocol import KeyResult, key_from_tally, simulate_block
 from satqkd.source import IntensityLabel
 
 from conftest import save_run_config
@@ -227,6 +230,37 @@ def test_cli_commands_that_read_a_csv_load_analysis(config_path, tmp_path, comma
     assert run_in_child(argv) == [[0], True]
 
 
+def test_no_run_loads_numpy_typing(config_path, tmp_path):
+    # numpy never imports numpy.typing itself; the package names ArrayLike in annotations only
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(pass_mode_data(config_path)))
+    script = (
+        "import contextlib, io, sys\n"
+        "from satqkd.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['simulate', '--config', {str(config_path)!r}]),\n"
+        f"             main(['pass', '--config', {str(path)!r}, '--mode', 'mc', '--seed', '3']), main(['keyrate'])]\n"
+        "print(codes, 'numpy.typing' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                          env=child_env())
+    assert proc.stdout.split() == ["[0,", "0,", "0]", "False"], proc.stderr
+
+
+def test_no_schema_class_names_array_like():
+    # the config schema evaluates its classes' annotations, where ArrayLike, imported for type checkers
+    # only, would be a NameError
+    seen, todo = set(), [config.RunConfig]
+    while todo:
+        tp = todo.pop()
+        todo += typing.get_args(tp)
+        if dataclasses.is_dataclass(tp) and tp not in seen:
+            seen.add(tp)
+            assert not any("ArrayLike" in str(a) for a in inspect.get_annotations(tp).values()), tp
+            todo += [hint for _, hint in config._schema(tp)[0].values()]
+    assert {config.RunConfig, satqkd.SourceConfig, channel.PassSpec, satqkd.DetectorModel} <= seen
+
+
 @pytest.mark.parametrize("argv,calls", [
     ([], 0), (["keyrate"], 0), (["optimize", "--loss-db", "38", "--mu-points", "3"], 0), (["pass"], 1),
 ], ids=["load", "keyrate", "optimize", "pass"])
@@ -401,15 +435,90 @@ def test_cli_two_sources_with_one_label_is_config_error(capsys, tmp_path):
 
 
 def test_cli_report_holding_an_array_fails_instead_of_printing_a_string(capsys, config_path, monkeypatch):
-    # a 0-d array that leaked out of the key kernel must not reach the report as a string
-    def leaky_key(*args, **kwargs):
-        result = key_from_tally(*args, **kwargs)
+    # a 0-d array that leaked into a source's key must not reach the report as a string
+    point = KeyResult.point
+
+    def leaky_point(self, i):
+        result = point(self, i)
         return replace(result, secret_key_length=np.asarray(result.secret_key_length))
 
-    monkeypatch.setattr("satqkd.cli.key_from_tally", leaky_key)
+    monkeypatch.setattr(KeyResult, "point", leaky_point)
     with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
         main(["simulate", "--config", str(config_path)])
     assert capsys.readouterr().out == ""
+
+
+def two_source_config(tmp_path, block_pulses: int):
+    """The default two sources, the second at half the repetition rate, other intensities and its classes
+    in reverse order; the path of its YAML."""
+    cfg = default_run_config()
+    second = cfg.sources[1]
+    mus = {IntensityLabel.SIGNAL: 0.4, IntensityLabel.DECOY: 0.15, IntensityLabel.VACUUM: 0.0}
+    classes = tuple(replace(c, mu=mus[c.label]) for c in reversed(second.intensity_classes))
+    cfg.sources = (cfg.sources[0], replace(second, repetition_rate_hz=50e6, intensity_classes=classes))
+    cfg.block_pulses = block_pulses
+    path = tmp_path / "two_sources.yaml"
+    save_run_config(cfg, path)
+    return path
+
+
+def typed(fields: dict) -> dict:
+    return {k: (type(v), v) for k, v in fields.items()}
+
+
+@pytest.mark.parametrize("regime", ["asymptotic", "finite"])
+def test_cli_simulate_keys_each_source_as_a_loop_of_one_point_keys(capsys, tmp_path, monkeypatch, regime):
+    path = two_source_config(tmp_path, 10**10)
+    cfg = load_run_config(path)
+    reports = []
+    monkeypatch.setattr("satqkd.cli._emit", lambda report, out_dir: reports.append(report))
+    keyed = zero = 0
+    for seed in (1, 7, 11):
+        for loss in (25.0, 33.3, 41.0, 55.0, 70.0):
+            assert main(["simulate", "--config", str(path), "--seed", str(seed), "--loss-db", str(loss),
+                         "--regime", regime]) == 0
+            streams = np.random.SeedSequence(seed).spawn(2)
+            for src, stream, block in zip(cfg.sources, streams, reports.pop()["sources"]):
+                tally = simulate_block(src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses, seed=stream)
+                assert typed(block["key"]) == typed(key_from_tally(src, tally, cfg.security, regime).to_dict())
+                assert block["tally"] == tally.to_dict()
+                length = block["key"]["secret_key_length_bits"]
+                keyed += length > 0
+                zero += length == 0 and loss >= 55.0
+    assert keyed and zero == 12  # some keys, and none at 55 and 70 dB
+
+
+@pytest.mark.parametrize("block_pulses,seed,label", [(1, 1, "decoy"), (1, 3, "decoy"), (3, 5, "vacuum")])
+def test_cli_simulate_names_the_empty_class_that_keying_source_by_source_names(
+        capsys, tmp_path, block_pulses, seed, label):
+    # checked class by class over both sources, seeds 1 and 3 would name signal
+    cfg = default_run_config()
+    cfg.block_pulses = block_pulses
+    path = tmp_path / "tiny_block.yaml"
+    save_run_config(cfg, path)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--seed", str(seed))
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "domain", "message": f"no pulses sent in class {label}"}
+
+
+def test_cli_stdout_of_every_command_is_the_indented_sorted_json_dump(capsys, tmp_path, config_path):
+    passes = tmp_path / "pass.yaml"
+    passes.write_text(yaml.safe_dump(pass_mode_data(config_path)))
+    two = two_source_config(tmp_path, 200_000)
+    argvs = [
+        ["simulate", "--config", str(two), "--loss-db", "30"],
+        ["keyrate", "--sweep", "0:70:5"],
+        ["pass", "--config", str(passes)],
+        ["pass", "--config", str(passes), "--mode", "mc", "--seed", "3"],
+        ["optimize", "--loss-db", "38", "--mu-points", "4"],
+        ["analyze-histogram", str(gaussian_csv(tmp_path / "histogram.csv", "time_ps,counts"))],
+        ["analyze-spectrum", str(gaussian_csv(tmp_path / "spectrum.csv", "wavelength_nm,intensity"))],
+        ["report-distinguishability", "--config", str(two)],
+    ]
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv[0]
 
 
 def test_cli_distinguishability_tie_reports_the_first_pair(capsys, tmp_path):

@@ -555,6 +555,48 @@ def test_one_point_entry_points_return_scalars_equal_to_their_point_in_a_batch(
         assert values == key_fields(many, i)
 
 
+def filled_tally(source, sent_by_class) -> TallyTable:
+    """A one-point tally of source whose classes, in source order, sent the given pulses, half per basis."""
+    counts = np.zeros((len(sent_by_class), 2, len(COUNTS)))
+    counts[..., SENT] = np.array(sent_by_class, dtype=float)[:, None] / 2.0
+    counts[..., DETECTED] = counts[..., SENT] / 10.0
+    return TallyTable(tuple(c.label for c in source.intensity_classes), counts, float(sum(sent_by_class)), 1.0)
+
+
+def empty_class_message(call) -> str:
+    with pytest.raises(DomainError, match="no pulses sent in class") as info:
+        call()
+    return str(info.value)
+
+
+def test_batch_names_the_empty_class_of_its_first_point_that_has_one(source, security):
+    # class-major, the batch would name signal, which only the second point lacks
+    first, second = filled_tally(source, [10, 0, 10]), filled_tally(source, [0, 10, 10])
+    tally = replace(first, counts=np.stack([first.counts, second.counts]))
+    assert empty_class_message(lambda: key_from_tally(source, tally, security, "finite")) == (
+        "no pulses sent in class decoy")
+
+
+def test_stack_names_the_empty_class_a_loop_over_differently_ordered_tallies_names(source, security):
+    reordered = replace(source, intensity_classes=tuple(reversed(source.intensity_classes)))  # vacuum first
+    tallies = [filled_tally(source, [10, 10, 10]), filled_tally(reordered, [0, 0, 10])]
+    loop = empty_class_message(lambda: [key_from_tally(s, t, security, "finite")
+                                        for s, t in zip([source, reordered], tallies)])
+    assert loop == empty_class_message(lambda: TallyTable.stack(tallies)) == "no pulses sent in class vacuum"
+
+
+def test_stack_puts_every_tally_in_the_first_tallys_class_order(source, security):
+    reordered = replace(source, intensity_classes=tuple(reversed(source.intensity_classes)), repetition_rate_hz=1e6)
+    first, second = filled_tally(source, [10, 20, 30]), filled_tally(reordered, [5, 25, 30])
+    second = replace(second, elapsed_s=60 / reordered.repetition_rate_hz)
+    tally = TallyTable.stack([first, second])
+    assert tally.labels == first.labels and tally.total_pulses == 60.0
+    assert tally.counts[1].tolist() == second.counts[::-1].tolist()
+    assert tally.elapsed_s.tolist() == [1.0, 6e-5]
+    with pytest.raises(DomainError, match="same total_pulses"):
+        TallyTable.stack([first, filled_tally(source, [10, 20, 31])])
+
+
 # (mu_signal, mu_decoy, p_signal, p_decoy, p_z, excess loss dB) of the points of a batched pass
 GRID_POINTS = [(0.3, 0.5, 0.7, 0.25, 0.5, 0.0), (0.8, 0.05, 0.9, 0.05, 0.6, 0.0), (0.5, 0.1, 0.6, 0.3, 0.3, 3.0),
                (0.3, 0.5, 0.7, 0.25, 0.5, 25.0)]
