@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, FileFormatError, open_or_raise
+from .record import record
 
 
 def _validate_series(x: np.ndarray, y: np.ndarray, what: str):
@@ -29,7 +29,7 @@ def _validate_series(x: np.ndarray, y: np.ndarray, what: str):
         raise DomainError(f"{what}: values must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class HistogramSeries:
     """TCSPC arrival-time histogram: (time_ps, counts)."""
 
@@ -42,7 +42,7 @@ class HistogramSeries:
         _validate_series(self.time_ps, self.counts, "histogram")
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumSeries:
     """Optical spectrum: (wavelength_nm, intensity)."""
 
@@ -55,7 +55,7 @@ class SpectrumSeries:
         _validate_series(self.wavelength_nm, self.intensity, "spectrum")
 
 
-@dataclass(frozen=True)
+@record
 class FwhmEstimate:
     peak_x: float
     fwhm: float
@@ -64,7 +64,7 @@ class FwhmEstimate:
     multi_peak: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumEstimate:
     center: float
     fwhm: float

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, FileFormatError
 from .exact import each, square
+from .record import record
 
 if TYPE_CHECKING:  # numpy.typing costs an import that no run needs
     from numpy.typing import ArrayLike
@@ -57,7 +58,7 @@ def slant_range_m(elevation_deg: ArrayLike, altitude_m: float):
     return d if d.ndim else float(d)
 
 
-@dataclass(frozen=True)
+@record
 class ElevationLossModel:
     """Default elevation -> loss map: beam spreading at slant range plus airmass term.
 
@@ -90,7 +91,7 @@ class ElevationLossModel:
         return loss if loss.ndim else float(loss)
 
 
-@dataclass(frozen=True)
+@record
 class PassProfile:
     """Time-ordered elevation samples of one satellite pass above a ground station.
 
@@ -229,7 +230,7 @@ def load_pass_csv(path, loss_model: Callable[[np.ndarray], np.ndarray],
                        min_elevation_deg=min_elevation_deg)
 
 
-@dataclass(frozen=True)
+@record
 class PassSpec:
     """The ``pass`` block of a pass-mode channel: where its pass profile comes from.
 
@@ -272,7 +273,7 @@ class PassSpec:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ChannelConfig:
     """Downlink loss configuration: a fixed budget or an elevation-dependent pass.
 

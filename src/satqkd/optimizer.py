@@ -8,13 +8,13 @@ bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
 from .errors import DomainError
 from .protocol import DetectorModel, SecurityParams, key_from_fixed_loss
+from .record import record
 from .source import IntensityLabel, SourceConfig
 
 # parameters the grid may sweep, in tie-break priority order, each with the open interval it lies in
@@ -25,8 +25,10 @@ SWEEPABLE = tuple(DOMAINS)
 MAX_GRID_POINTS = 1_000_000  # points of one search grid, as many as the steps of one pass walk
 
 
-@dataclass(frozen=True)
+@record
 class Axis:
+    """One swept parameter: points values from lower to upper, both ends included."""
+
     lower: float
     upper: float
     points: int
@@ -41,8 +43,10 @@ class Axis:
         return np.linspace(self.lower, self.upper, self.points)
 
 
-@dataclass(frozen=True)
+@record
 class SearchSpace:
+    """The grid of a search: one Axis per swept parameter, each inside its parameter's domain."""
+
     axes: Dict[str, Axis]
 
     def __post_init__(self):
@@ -59,8 +63,10 @@ class SearchSpace:
             raise DomainError(f"search grid has more than {MAX_GRID_POINTS} points")
 
 
-@dataclass(frozen=True)
+@record
 class OptimizeResult:
+    """The best grid point, its key length, and the table of every feasible point that was keyed."""
+
     best_params: Dict[str, float]
     best_key_length: float
     table: Dict[str, list]  # column name -> one entry per evaluated grid point

@@ -25,6 +25,7 @@ from .channel import transmittance_from_db
 from .errors import DomainError
 from .exact import each, square
 from .receiver import DetectorModel, N_DETECTORS, outcome_probabilities
+from .record import record
 from .source import Basis, IntensityLabel, SourceConfig
 
 if TYPE_CHECKING:  # numpy.typing costs an import that no run needs
@@ -286,7 +287,7 @@ Y1_ZERO = "degenerate decoy bound (Y1 lower bound is 0)"
 MAX_EXP_ARG = math.log(sys.float_info.max)  # the largest x whose math.exp(x) does not overflow
 
 
-@dataclass(frozen=True)
+@record
 class DecoyBounds:
     """Bounds on the single-photon yield and error rate.
 
@@ -363,8 +364,14 @@ def decoy_bounds(
 # key length
 
 
-@dataclass(frozen=True)
+@record
 class SecurityParams:
+    """Finite-key security parameters: the secrecy and correctness epsilons and the error-correction efficiency.
+
+    f_ec is the leak of error correction relative to the Shannon limit,
+    so it is at least 1.
+    """
+
     eps_secrecy: float = 1e-9
     eps_correctness: float = 1e-15
     f_ec: float = 1.16
@@ -372,11 +379,11 @@ class SecurityParams:
     def __post_init__(self):
         if not 0.0 < self.eps_secrecy < 1.0 or not 0.0 < self.eps_correctness < 1.0:
             raise DomainError("epsilons must be in (0,1)")
-        if self.f_ec < 1.0:
-            raise DomainError("f_ec must be >= 1")
+        if not 1.0 <= self.f_ec < math.inf:  # false for NaN too
+            raise DomainError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
 
-@dataclass(frozen=True)
+@record
 class SiftedStats:
     """Signal-class statistics feeding the key formula; scalars, or arrays with one entry per point."""
 
@@ -388,7 +395,7 @@ class SiftedStats:
     elapsed_s: ArrayLike
 
 
-@dataclass(frozen=True)
+@record
 class KeyResult:
     """Key of a batch of points (array fields) or of one point (float, str or None fields)."""
 

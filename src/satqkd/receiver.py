@@ -13,12 +13,12 @@ chance of each outcome of one pulse in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
+from .record import record
 
 if TYPE_CHECKING:  # numpy.typing costs an import that no run needs
     from numpy.typing import ArrayLike
@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # numpy.typing costs an import that no run needs
 N_DETECTORS = 4  # H, V, D, A
 
 
-@dataclass(frozen=True)
+@record
 class DetectorModel:
     """Receiver detection parameters.
 

@@ -15,11 +15,12 @@ import itertools
 import math
 import warnings
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from enum import Enum
 from typing import Optional
 
 from .errors import DomainError, OverlapUndefinedError
+from .record import record
 
 # FWHM of a Gaussian = 2*sqrt(2*ln2) * sigma
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -47,7 +48,7 @@ class IntensityLabel(Enum):
     VACUUM = "vacuum"
 
 
-@dataclass(frozen=True)
+@record
 class IntensityClass:
     """One decoy-state intensity level of the source."""
 
@@ -64,7 +65,7 @@ class IntensityClass:
             raise DomainError(f"emit_probability must be in [0,1], got {self.emit_probability}")
 
 
-@dataclass(frozen=True)
+@record
 class ExtinctionSet:
     """Per-state extinction ratios (min/max counts through a rotating analyzer)."""
 
@@ -82,7 +83,7 @@ class ExtinctionSet:
         return (self.er_h, self.er_v, self.er_d, self.er_a)
 
 
-@dataclass(frozen=True)
+@record
 class FilterSpec:
     """Spectral bandpass filter in front of the output optics."""
 
@@ -97,7 +98,7 @@ class FilterSpec:
             raise DomainError(f"unknown filter shape {self.shape!r}")
 
 
-@dataclass(frozen=True)
+@record
 class DiodeProfile:
     """Emission characteristics of one polarization diode."""
 
@@ -117,7 +118,7 @@ class DiodeProfile:
                 raise DomainError(f"pulse FWHM for {label.value} must be finite and > 0")
 
 
-@dataclass(frozen=True)
+@record
 class SourceConfig:
     """Full description of one wavelength half of the transmitter."""
 
@@ -133,14 +134,14 @@ class SourceConfig:
     def __post_init__(self):
         if not 0.0 < self.wavelength_label_nm < math.inf:
             raise DomainError(f"wavelength_label_nm must be finite and > 0, got {self.wavelength_label_nm}")
-        if self.repetition_rate_hz <= 0 or self.repetition_rate_hz > MAX_TRIGGER_HZ:
+        if not 0.0 < self.repetition_rate_hz <= MAX_TRIGGER_HZ:  # false for NaN too
             raise DomainError(
                 f"repetition_rate_hz must be in (0, {MAX_TRIGGER_HZ:g}], got {self.repetition_rate_hz:g}"
             )
         if not 0.0 < self.basis_probability_z < 1.0:
             raise DomainError("basis_probability_z must be in (0,1)")
-        if self.insertion_loss_db < 0:
-            raise DomainError("insertion_loss_db must be >= 0")
+        if not 0.0 <= self.insertion_loss_db < math.inf:
+            raise DomainError(f"insertion_loss_db must be finite and >= 0, got {self.insertion_loss_db}")
         total_p = sum(c.emit_probability for c in self.intensity_classes)
         if abs(total_p - 1.0) > 1e-9:
             raise DomainError(f"emit probabilities must sum to 1, got {total_p}")

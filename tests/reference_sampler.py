@@ -17,7 +17,10 @@ elevation_at gives it a pass's elevation one time at a time.
 
 enumerated_levels is measure_batch's per-pulse outcome law by exact
 enumeration of photon numbers, port clicks and dark patterns, and
-enumerated_cells the expected tally that law gives a block.
+enumerated_cells the expected tally that law gives a block. Given the law of
+exactly n arriving photons (photon_number_law), enumerated_levels gives the
+outcome law of n photons, and n_photon_yield_and_error the n-photon yield
+Y_n and error rate e_n that the decoy bounds estimate.
 
 reference_loss and synthesized_elevations are the pass geometry of satqkd
 before it took arrays: ElevationLossModel's loss at one elevation, and the
@@ -41,7 +44,7 @@ from satqkd.channel import (
     transmittance_from_db,
 )
 from satqkd.errors import DomainError
-from satqkd.protocol import TallyTable, simulate_block
+from satqkd.protocol import E0, TallyTable, simulate_block
 from satqkd.receiver import N_DETECTORS, OUTCOME_LEVELS, DetectorModel
 from satqkd.source import SourceConfig
 
@@ -247,29 +250,47 @@ def binomial_pmf(p: float) -> np.ndarray:
     return np.where(NS[None, :] <= NS[:, None], pmf, 0.0)
 
 
-def signal_clicks(lam: float, eta_det: float, p_one: float) -> dict:
-    """P(photon click on port 0, photon click on port 1) of the measured basis.
+def poisson_pmf(lam: float) -> np.ndarray:
+    """P(n) of n ~ Poisson(lam), for n < N_MAX."""
+    return np.array([math.exp(-lam) * lam**n / math.factorial(n) for n in range(N_MAX)])
 
-    Photon number n ~ Poisson(lam) arrives, m ~ Binomial(n, eta_det) are
-    detected and k ~ Binomial(m, p_one) of them project onto bit 1.
+
+def photon_number_law(n: int) -> np.ndarray:
+    """The law of exactly n arriving photons, as signal_clicks takes a photon-number law."""
+    return np.eye(N_MAX)[n]
+
+
+def signal_clicks(photons, eta_det: float, p_wrong: float) -> dict:
+    """P(photon click on the sent bit's port, photon click on the other port) of the measured basis.
+
+    photons is the arriving photon number's Poisson mean, or its law: an
+    array whose entry n is P(n photons arrive), n < N_MAX. Of the n photons
+    that arrive, m ~ Binomial(n, eta_det) are detected and
+    k ~ Binomial(m, p_wrong) of them project onto the other port. p_wrong is
+    taken as it is, not as 1 minus a probability, so a flip probability far
+    below an ulp of 1 keeps its own digits.
     """
-    poisson = np.array([math.exp(-lam) * lam**n / math.factorial(n) for n in range(N_MAX)])
-    joint = poisson[:, None, None] * binomial_pmf(eta_det)[:, :, None] * binomial_pmf(p_one)[None, :, :]
+    law = poisson_pmf(photons) if np.ndim(photons) == 0 else np.asarray(photons, dtype=float)
+    joint = law[:, None, None] * binomial_pmf(eta_det)[:, :, None] * binomial_pmf(p_wrong)[None, :, :]
     m, k = np.meshgrid(NS, NS, indexing="ij")
     joint = joint.sum(axis=0)  # (m, k)
-    return {(c0, c1): float(joint[((k < m) == c0) & ((k > 0) == c1)].sum())
-            for c0, c1 in itertools.product((False, True), repeat=2)}
+    return {(right, wrong): float(joint[((k < m) == right) & ((k > 0) == wrong)].sum())
+            for right, wrong in itertools.product((False, True), repeat=2)}
 
 
-def enumerated_levels(lam, eta_det, flip, p_d, p_z, sender_z) -> np.ndarray:
+def enumerated_levels(photons, eta_det, flip, p_d, p_z, sender_z) -> np.ndarray:
     """P(each outcome level) summed over both sent bits, both receiver bases,
-    the photon-click pairs and the 16 dark patterns, by measure_batch's rules."""
+    the photon-click pairs and the 16 dark patterns, by measure_batch's rules.
+
+    photons is the arriving photon number's Poisson mean or its law, as
+    signal_clicks takes it.
+    """
     levels = np.zeros(len(OUTCOME_LEVELS))
     for sent_bit, meas_z in itertools.product((0, 1), (True, False)):
         same = meas_z == sender_z
-        p_one = (1.0 - flip if sent_bit else flip) if same else 0.5
         weight = 0.5 * (p_z if meas_z else 1.0 - p_z)
-        for (s0, s1), p_sig in signal_clicks(lam, eta_det, p_one).items():
+        for (right, wrong), p_sig in signal_clicks(photons, eta_det, flip if same else 0.5).items():
+            s0, s1 = (wrong, right) if sent_bit else (right, wrong)  # the clicks on ports 0 and 1
             for darks in itertools.product((False, True), repeat=4):  # Z0, Z1, X0, X1
                 p = weight * p_sig * math.prod(p_d if d else 1.0 - p_d for d in darks)
                 z0, z1 = (meas_z and s0) or darks[0], (meas_z and s1) or darks[1]
@@ -287,6 +308,18 @@ def enumerated_levels(lam, eta_det, flip, p_d, p_z, sender_z) -> np.ndarray:
                 else:
                     levels[2 if int(c1) == sent_bit else 3] += p
     return levels
+
+
+def n_photon_yield_and_error(n: int, eta_det, flip, p_d, p_z, sender_z) -> tuple:
+    """(Y_n, e_n) of the receiver model when exactly n photons arrive.
+
+    Y_n is the probability of a detection and e_n the error rate of the
+    sifted detections (errors per sifted detection, as the tallies count
+    them); with nothing sifted e_n is E0, a random bit.
+    """
+    _, detected_only, right, wrong = enumerated_levels(photon_number_law(n), eta_det, flip, p_d, p_z, sender_z)
+    sifted = right + wrong
+    return detected_only + sifted, wrong / sifted if sifted > 0 else E0
 
 
 def enumerated_cells(source: SourceConfig, total_loss_db: float, det: DetectorModel, e_det: float,

@@ -247,6 +247,24 @@ def test_no_run_loads_numpy_typing(config_path, tmp_path):
     assert proc.stdout.split() == ["[0,", "0,", "0]", "False"], proc.stderr
 
 
+def test_import_compiles_no_methods_but_those_of_the_mutable_dataclasses():
+    # @dataclass compiles its methods from generated source (co_filename "<string>") on every import;
+    # the frozen classes are records, whose methods are compiled once with satqkd.record
+    script = (
+        "import inspect, json, sys\n"
+        "import satqkd.cli\n"
+        "found = sorted({cls.__qualname__ for name, module in list(sys.modules.items()) if name.startswith('satqkd')\n"
+        "                for cls in vars(module).values() if isinstance(cls, type) and cls.__module__ == name\n"
+        "                for member in vars(cls).values()\n"
+        "                if getattr(getattr(inspect.unwrap(member), '__code__', None), 'co_filename', '') == '<string>'})\n"
+        "print(json.dumps(found))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["RunConfig", "TallyTable"]
+
+
 def test_no_schema_class_names_array_like():
     # the config schema evaluates its classes' annotations, where ArrayLike, imported for type checkers
     # only, would be a NameError

@@ -653,6 +653,16 @@ def test_key_length_rejects_non_finite_statistics(security):
         key_length(batch, bounds, security, "finite")
 
 
+@pytest.mark.parametrize("f_ec", [
+    math.inf,  # keyed 0 bits: "negative key length clamped to 0"
+    math.nan,  # failed as statistics that "hold a NaN"
+    0.99,
+])
+def test_security_params_reject_non_finite_or_small_f_ec(f_ec):
+    with pytest.raises(DomainError, match="f_ec"):
+        SecurityParams(f_ec=f_ec)
+
+
 def test_decoy_bounds_reject_intensity_whose_exp_overflows():
     with pytest.raises(DomainError, match="no finite decoy bound"):
         decoy_bounds(800.0, 0.3, 1.0, 1e-3, 0.0, 1e-3, 1e-5)

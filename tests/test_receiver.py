@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satqkd.channel import transmittance_from_db
 from satqkd.errors import DomainError
@@ -10,7 +12,14 @@ from satqkd.receiver import OUTCOME_LEVELS, DetectorModel, outcome_probabilities
 from satqkd.source import PolarizationState
 
 from conftest import by_class
-from reference_sampler import enumerated_levels, measure_batch
+from reference_sampler import (
+    N_MAX,
+    enumerated_levels,
+    measure_batch,
+    n_photon_yield_and_error,
+    photon_number_law,
+    poisson_pmf,
+)
 
 
 def ideal_detector(**kw):
@@ -140,6 +149,33 @@ def test_outcome_law_matches_exact_enumeration(sender_z, p_z, p_d):
     for i, (lam_i, eta_i, flip_i) in enumerate(points):
         got = outcome_probabilities(lam_i * eta_i, p_same, flip_i, p_d)
         np.testing.assert_allclose(got, expected[i], rtol=1e-10, atol=0.0, err_msg=str(points[i]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(1e-6, 2.0), eta_det=st.floats(0.05, 1.0), flip=st.floats(0.0, 0.5),
+       p_d=st.sampled_from([0.0, 1e-7, 1e-4, 0.05]), p_z=st.floats(0.05, 0.95), sender_z=st.booleans())
+def test_outcome_law_is_the_poisson_mixture_of_the_n_photon_laws(lam, eta_det, flip, p_d, p_z, sender_z):
+    # sum_n e^-lam lam^n / n! P(level | n arriving photons) is the law of Poisson(lam) arriving photons
+    per_n = np.array([enumerated_levels(photon_number_law(n), eta_det, flip, p_d, p_z, sender_z)
+                      for n in range(N_MAX)])
+    weights = poisson_pmf(lam)
+    got = outcome_probabilities(lam * eta_det, p_z if sender_z else 1.0 - p_z, flip, p_d)
+    np.testing.assert_allclose(weights @ per_n, got, rtol=1e-9, atol=1e-300)
+    # and Y_n is the detected share of the n-photon law
+    yields = np.array([n_photon_yield_and_error(n, eta_det, flip, p_d, p_z, sender_z)[0] for n in range(N_MAX)])
+    np.testing.assert_allclose(weights @ yields, got[1:].sum(), rtol=1e-9, atol=1e-300)
+
+
+def test_n_photon_yield_and_error_at_known_points():
+    # nothing arrives: only darks click, and a sifted dark is a random bit
+    p_d = 1e-3
+    y0, e0 = n_photon_yield_and_error(0, 0.5, 0.01, p_d, 0.5, True)
+    assert y0 == pytest.approx(1.0 - (1.0 - p_d) ** 4, rel=1e-12) and e0 == pytest.approx(0.5, rel=1e-12)
+    # one photon, no darks: detected with the detector efficiency; sifted ones err with the flip
+    # probability, since only a photon measured in the sender's basis is sifted
+    y1, e1 = n_photon_yield_and_error(1, 0.6, 0.02, 0.0, 0.3, False)
+    assert y1 == pytest.approx(0.6, rel=1e-12) and e1 == pytest.approx(0.02, rel=1e-12)
+    assert n_photon_yield_and_error(0, 0.6, 0.02, 0.0, 0.3, False) == (0.0, 0.5)
 
 
 def test_outcome_law_broadcasts_and_sums_to_one():

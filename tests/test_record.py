@@ -1,0 +1,238 @@
+"""satqkd.record against dataclasses: every record class behaves as ``@dataclass(frozen=True)`` does.
+
+Each record class is checked against a twin that ``dataclasses.make_dataclass``
+builds with frozen=True from the same fields, the same __post_init__ and the
+same other members: construction, argument errors, ``==``, hash, repr, the
+signature, __doc__, __match_args__, the frozen errors, replace, deepcopy and
+pickle must agree.
+"""
+
+import ast
+import copy
+import dataclasses
+import importlib
+import inspect
+import pickle
+import pkgutil
+import textwrap
+from dataclasses import FrozenInstanceError, InitVar, KW_ONLY, field
+from unittest.mock import ANY
+
+import numpy as np
+import pytest
+
+import satqkd
+from satqkd.analysis import HistogramSeries, SpectrumSeries, estimate_fwhm, estimate_spectrum
+from satqkd.channel import ChannelConfig, ElevationLossModel, PassSpec
+from satqkd.config import default_source
+from satqkd.optimizer import Axis, SearchSpace, optimize
+from satqkd.protocol import SecurityParams, SiftedStats, key_from_fixed_loss
+from satqkd.receiver import DetectorModel
+from satqkd.record import record
+
+# the mutable dataclasses, which callers assign to
+PLAIN_DATACLASSES = {"RunConfig", "TallyTable"}
+
+
+@record
+class Node:
+    name: str
+    children: list = field(default_factory=list, hash=False)
+    weight: float = field(default=1.0, compare=False)
+    tag: str = field(default="", repr=False, hash=False, metadata={"key": "label"})
+
+
+def _histogram():
+    x = np.arange(9.0)
+    return HistogramSeries(x, np.exp(-((x - 4.0) ** 2) / 4.0))
+
+
+def _spectrum():
+    x = np.linspace(770.0, 785.0, 31)
+    return SpectrumSeries(x, np.exp(-((x - 777.5) ** 2) / 2.0))
+
+
+def _key():
+    return key_from_fixed_loss(default_source(), 30.0, DetectorModel(), 0.01, SecurityParams(), 1.0)
+
+
+def _search_space():
+    return SearchSpace({"mu_signal": Axis(0.2, 0.6, 3)})
+
+
+# one instance of each record class of the package, as the package builds it
+SAMPLES = {
+    "IntensityClass": lambda: default_source().intensity_classes[0],
+    "ExtinctionSet": lambda: default_source().extinction,
+    "FilterSpec": lambda: default_source().filter,
+    "DiodeProfile": lambda: default_source().diode_profiles[0],
+    "SourceConfig": default_source,
+    "DetectorModel": DetectorModel,
+    "SecurityParams": SecurityParams,
+    "ElevationLossModel": ElevationLossModel,
+    "PassSpec": lambda: PassSpec(max_elevation_deg=60.0),
+    "PassProfile": lambda: PassSpec(max_elevation_deg=60.0).profile(),
+    "ChannelConfig": lambda: ChannelConfig(mode="pass", pass_spec=PassSpec(max_elevation_deg=60.0)),
+    "DecoyBounds": lambda: _key().bounds,
+    "SiftedStats": lambda: SiftedStats(1e4, 120.0, 2e4, 7e7, 0.3, 1.0),
+    "KeyResult": _key,
+    "Axis": lambda: Axis(0.2, 0.6, 3),
+    "SearchSpace": _search_space,
+    "OptimizeResult": lambda: optimize(_search_space(), default_source(), 30.0, DetectorModel(), 0.01,
+                                       SecurityParams()),
+    "HistogramSeries": _histogram,
+    "SpectrumSeries": _spectrum,
+    "FwhmEstimate": lambda: estimate_fwhm(_histogram()),
+    "SpectrumEstimate": lambda: estimate_spectrum(_spectrum(), 777.5, 1.0),
+}
+
+
+def package_dataclasses() -> dict:
+    """{name: class} of every dataclass that a module of the package defines."""
+    found = {}
+    for info in pkgutil.iter_modules(satqkd.__path__):
+        module = importlib.import_module(f"satqkd.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
+                found[obj.__name__] = obj
+    return found
+
+
+def is_record(cls) -> bool:
+    return cls.__init__.__module__ == record.__module__
+
+
+RECORDS = {name: cls for name, cls in package_dataclasses().items() if is_record(cls)}
+
+
+def written_doc(cls):
+    """The docstring written in the class body, None when there is none."""
+    return ast.get_docstring(ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0], clean=False)
+
+
+def twin(cls):
+    """The class that @dataclass(frozen=True) makes of cls's fields and members."""
+    members = {name: value for name, value in vars(cls).items()
+               if not name.startswith("__") or name in ("__post_init__", "__call__")}
+    specs = [(f.name, f.type, field(default=f.default, default_factory=f.default_factory, repr=f.repr,
+                                    hash=f.hash, compare=f.compare, metadata=f.metadata))
+             for f in dataclasses.fields(cls)]
+    namespace = {**members, "__doc__": written_doc(cls), "__module__": cls.__module__}
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=True)
+
+
+def outcome(fn):
+    """("ok", fn()) or (the exception's type, its message)."""
+    try:
+        return "ok", fn()
+    except Exception as exc:  # noqa: BLE001 - any exception is an outcome to compare
+        return type(exc), str(exc)
+
+
+def behaviour(cls, args) -> dict:
+    """What cls does, built from the field values args: each result or error, by what was done."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    kwargs = dict(zip(names, args))
+    a, b = cls(*args), cls(**kwargs)
+    other = names[0]
+    done = {
+        "by position": lambda: repr(cls(*args)),
+        "by keyword": lambda: repr(cls(**kwargs)),
+        "from defaults": lambda: repr(cls(**{name: kwargs[name] for name in required})),
+        "missing one": lambda: repr(cls(*args[:len(required) - 1])),
+        "missing all": lambda: repr(cls()),
+        "unknown": lambda: repr(cls(*args, not_a_field=1)),
+        "repeated": lambda: repr(cls(*args, **{other: args[0]})),
+        "too many": lambda: repr(cls(*args, None)),
+        "==": lambda: a == b,
+        "!=": lambda: a != b,
+        "== other type": lambda: a == args,
+        "== what any value equals": lambda: a == ANY,  # True only if a's __eq__ leaves it to ANY's
+        "hash": lambda: hash(a) == hash(b),
+        "hash value": lambda: hash(a),
+        "repr": lambda: repr(a),
+        "signature": lambda: str(inspect.signature(cls)),
+        "doc": lambda: cls.__doc__,
+        "match args": lambda: cls.__match_args__,
+        "fields": lambda: [(f.name, f.type, f.default, f.default_factory, f.init, f.repr, f.hash, f.compare,
+                            f.metadata, f.kw_only) for f in dataclasses.fields(cls)],
+        "set field": lambda: setattr(a, other, args[0]),
+        "delete field": lambda: delattr(a, other),
+        "set other": lambda: setattr(a, "not_a_field", 1),
+        "delete other": lambda: delattr(a, "not_a_field"),
+        "replace": lambda: repr(dataclasses.replace(a, **{other: args[0]})),
+        "deepcopy": lambda: repr(copy.deepcopy(a)),
+        "deepcopy ==": lambda: copy.deepcopy(a) == a,
+    }
+    return {what: outcome(fn) for what, fn in done.items()}
+
+
+def assert_behaves_as_frozen_dataclass(cls, sample):
+    args = tuple(getattr(sample, f.name) for f in dataclasses.fields(cls))
+    expected = twin(cls)
+    assert inspect.signature(cls) == inspect.signature(expected)
+    assert behaviour(cls, args) == behaviour(expected, args)
+    copied = pickle.loads(pickle.dumps(sample))
+    assert type(copied) is cls and repr(copied) == repr(sample)
+    assert outcome(lambda: copied == sample) == outcome(lambda: copy.deepcopy(sample) == sample)
+
+
+def test_every_frozen_class_of_the_package_is_a_record_with_a_sample():
+    assert set(package_dataclasses()) - set(RECORDS) == PLAIN_DATACLASSES
+    assert set(RECORDS) == set(SAMPLES)
+    assert len(RECORDS) == 21
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_record_behaves_as_a_frozen_dataclass(name):
+    cls = RECORDS[name]
+    sample = SAMPLES[name]()
+    assert type(sample) is cls
+    assert_behaves_as_frozen_dataclass(cls, sample)
+
+
+def test_record_field_options_behave_as_a_frozen_dataclass():
+    # default_factory, and fields left out of repr, of == or of the hash
+    assert_behaves_as_frozen_dataclass(Node, Node("a", [Node("b")], 2.0, "t"))
+    expected = twin(Node)
+    for cls in (Node, expected):
+        assert cls("a").children == [] and cls("a").children is not cls("a").children
+        assert cls("a", weight=2.0) == cls("a") and cls("a") != cls("b")
+        assert hash(cls("a", tag="x")) == hash(cls("a", tag="y"))
+    # a record that holds itself
+    loop, twin_loop = Node("a"), expected("a")
+    loop.children.append(loop)
+    twin_loop.children.append(twin_loop)
+    assert repr(loop) == repr(twin_loop) == "Node(name='a', children=[...], weight=1.0)"
+
+
+def test_record_without_a_docstring_gets_the_doc_dataclass_writes():
+    assert Node.__doc__ == "Node(name: str, children: list = <factory>, weight: float = 1.0, tag: str = '')"
+    assert all(written_doc(cls) is not None for name, cls in RECORDS.items()
+               if name not in ("FwhmEstimate", "SpectrumEstimate"))
+
+
+def test_record_subclass_may_set_its_own_attributes():
+    # the frozen __setattr__ refuses every attribute of the record's own class, and a subclass's fields
+    for base in (Node, twin(Node)):
+        sub = type("Sub", (base,), {})("a")
+        sub.note = 1
+        assert sub.note == 1
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'name'"):
+            sub.name = "b"
+        assert sub != base("a")
+
+
+@pytest.mark.parametrize("annotations, body, refused", [
+    ({"x": int}, {"x": field(default=0, init=False)}, "init=False"),
+    ({"x": int, "y": InitVar[int]}, {"x": 0, "y": 0}, "InitVar"),
+    ({"x": int}, {"x": field(default=0, kw_only=True)}, "kw_only"),
+    ({"_": KW_ONLY, "x": int}, {"x": 0}, "kw_only"),
+    ({"x": int}, {"x": 0, "__eq__": lambda self, other: True}, "__eq__"),
+    ({"x": int}, {"x": 0, "__repr__": lambda self: ""}, "__repr__"),
+])
+def test_record_refuses_what_it_does_not_implement(annotations, body, refused):
+    with pytest.raises(TypeError, match=refused):
+        record(type("C", (), {"__annotations__": annotations, **body}))

@@ -303,3 +303,18 @@ def test_diode_profile_rejects_nan_pulse_fwhm():
 def test_filter_spec_rejects_non_finite_center_or_width(center, fwhm):
     with pytest.raises(DomainError, match="center_nm and fwhm_nm"):
         FilterSpec(center, fwhm)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("insertion_loss_db", math.inf),  # keyed 0 bits: "single-photon error bound >= 0.5"
+    ("insertion_loss_db", math.nan),  # failed as a loss "must be >= 0 dB, got nan"
+    ("insertion_loss_db", -1.0),
+    ("repetition_rate_hz", math.nan),  # failed as a block that "sends more pulses than a float holds"
+    ("repetition_rate_hz", math.inf),
+    ("repetition_rate_hz", 0.0),
+])
+def test_source_config_rejects_non_finite_or_out_of_range_rate_and_loss(source, field, value):
+    from dataclasses import replace
+
+    with pytest.raises(DomainError, match=field):
+        replace(source, **{field: value})
