@@ -124,20 +124,33 @@ def json_text(value) -> str:
     return "".join(pieces)
 
 
+def _write_out_file(out_dir: str, name: str, write, newline: Optional[str] = None):
+    """Call write on out_dir/name, opened for text; a file that cannot be written is a config error."""
+    try:
+        with open(Path(out_dir) / name, "w", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {out_dir}: cannot write {name}: {exc.strerror}") from exc
+
+
 def _emit(report: dict, out_dir: Optional[str]):
+    """Print the report, once --out-dir's report.json holds it: a failed write prints nothing."""
     text = json_text(report)
-    print(text)
     if out_dir:
-        (Path(out_dir) / "report.json").write_text(text + "\n")
+        _write_out_file(out_dir, "report.json", lambda fh: fh.write(text + "\n"))
+    print(text)
 
 
 def _write_csv(out_dir: Optional[str], name: str, header, rows):
     if not out_dir:
         return
-    with open(Path(out_dir) / name, "w", newline="") as fh:
+
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+    _write_out_file(out_dir, name, write, newline="")
 
 
 def _load_config(args) -> RunConfig:
@@ -148,7 +161,7 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)  # checked by RunConfig, as a YAML seed is
     if getattr(args, "loss_db", None) is not None:
-        cfg.channel = replace(cfg.channel, mode="fixed", fixed_loss_db=args.loss_db, pass_spec=None)
+        cfg = replace(cfg, channel=replace(cfg.channel, mode="fixed", fixed_loss_db=args.loss_db, pass_spec=None))
     return cfg
 
 
@@ -418,7 +431,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             _make_out_dir(args.out_dir)
-            report = args.func(args)
+            _emit(args.func(args), args.out_dir)
         except SatQkdError as exc:
             error = exc
     for warning in caught:
@@ -427,7 +440,6 @@ def main(argv=None) -> int:
         name, code = next((name, code) for kind, name, code in ERROR_EXITS if isinstance(error, kind))
         _diagnostic(error=name, message=str(error))
         return code
-    _emit(report, args.out_dir)
     return 0
 
 

@@ -15,7 +15,7 @@ import math
 import types
 import typing
 from collections.abc import Mapping, Sequence
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, field, fields, is_dataclass, replace
 from enum import Enum
 
 import yaml
@@ -28,6 +28,7 @@ from .channel import ChannelConfig
 from .errors import ConfigError, DomainError, open_or_raise
 from .receiver import DetectorModel
 from .protocol import SecurityParams
+from .record import record
 from .source import (
     DiodeProfile,
     ExtinctionSet,
@@ -79,8 +80,17 @@ def default_source(wavelength_nm: float = 785.0, repetition_rate_hz: float = 100
     )
 
 
-@dataclass
+@record
 class RunConfig:
+    """A whole run: one or two sources, the channel, the detector, the security parameters and the Monte Carlo.
+
+    Each source needs its own wavelength label, which names its CSV files.
+    The detector's dark-click probability plus the channel's background
+    one stays below 1. e_misalignment, when given, replaces every source's
+    intrinsic QBER. The checks run at construction; dataclasses.replace
+    makes a changed copy and runs them again.
+    """
+
     sources: Sequence[SourceConfig]
     channel: ChannelConfig
     detector: DetectorModel = field(default_factory=DetectorModel)

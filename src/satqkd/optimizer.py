@@ -8,6 +8,7 @@ bit-identical.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict
 
 import numpy as np
@@ -27,7 +28,7 @@ MAX_GRID_POINTS = 1_000_000  # points of one search grid, as many as the steps o
 
 @record
 class Axis:
-    """One swept parameter: points values from lower to upper, both ends included."""
+    """One swept parameter: points values from lower to upper, both ends included; points is a whole number."""
 
     lower: float
     upper: float
@@ -36,6 +37,10 @@ class Axis:
     def __post_init__(self):
         if not self.lower < self.upper:
             raise DomainError("axis lower must be < upper")
+        try:
+            operator.index(self.points)  # an int or numpy integer; a float, even 3.0, is no count of points
+        except TypeError:
+            raise DomainError(f"axis points must be a whole number, got {self.points!r}") from None
         if self.points < 2:
             raise DomainError("axis needs >= 2 grid points")
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,7 +65,7 @@ COUNTS = ("sent", "detected", "sifted", "errors")
 SENT, DETECTED, SIFTED, ERRORS = range(len(COUNTS))
 
 
-@dataclass
+@record
 class TallyTable:
     """Sufficient statistics of a block per intensity class and sender basis.
 
@@ -123,52 +122,6 @@ class TallyTable:
 # analytic route
 
 
-def _expected_counts(source: SourceConfig, total_loss_db: np.ndarray, det: DetectorModel, e_det: float,
-                     n_pulses: np.ndarray, mus: Optional[ArrayLike] = None, emit: Optional[ArrayLike] = None,
-                     p_z: Optional[ArrayLike] = None) -> np.ndarray:
-    """Expected ([point,] class, basis, count) counts of the closed-form WCP model, summed over the segments.
-
-    A cell's sent pulses times the class gain Q_k = 1 - (1 - Y0) exp(-eta
-    mu_k) are detected, those times the receiver's probability of the
-    cell's basis sifted, and those times the error rate E_k, with E_k Q_k =
-    e0 Y0 + e_det (1 - exp(-eta mu_k)), errors; Y0 is the probability any
-    of the four gated detectors makes a noise click, each with probability
-    det.dark_prob. total_loss_db is a ([point,] segment) grid and n_pulses
-    holds one count per segment. mus and emit, (class[, point]) arrays in
-    source order, and p_z, the sender's Z-basis probability ([point]),
-    replace the source's; the counts have a point axis when any of them or
-    the grid has one.
-    """
-    if not 0.0 <= e_det <= 0.5:
-        raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
-    classes = source.intensity_classes
-
-    def per_class(rows: ArrayLike) -> np.ndarray:  # (class[, point]) -> ([point,] 1, class, 1)
-        return np.moveaxis(np.asarray(rows, dtype=float), 0, -1)[..., None, :, None]
-
-    mus = per_class([c.mu for c in classes] if mus is None else mus)
-    emit = per_class([c.emit_probability for c in classes] if emit is None else emit)
-    p_z = np.asarray(source.basis_probability_z if p_z is None else p_z, dtype=float)
-    y0 = 1.0 - (1.0 - det.dark_prob) ** N_DETECTORS
-    eta = transmittance_from_db(total_loss_db + source.insertion_loss_db) * det.efficiency
-    decay = each(math.exp, -eta[..., None, None] * mus)  # ([point,] segment, class, 1)
-    gains = 1.0 - (1.0 - y0) * decay
-    with np.errstate(divide="ignore", invalid="ignore"):
-        error_rates = np.where(gains > 0, (E0 * y0 + e_det * (1.0 - decay)) / gains, E0)
-    p_basis = np.moveaxis(np.array([p_z, 1.0 - p_z]), 0, -1)[..., None, None, :]  # ([point,] 1, 1, basis)
-    sent = n_pulses[:, None, None] * emit * p_basis
-    pz_r = det.basis_probability_z
-    sift = np.array([pz_r, 1.0 - pz_r])  # a detection is sifted when the receiver picks the sender's basis
-    # each count is the one before it times a factor: sent Q_k, then the sift fraction, then E_k
-    factors = np.empty(np.broadcast_shapes(sent.shape, gains.shape, sift.shape) + (len(COUNTS),))
-    factors[..., SENT] = sent
-    factors[..., DETECTED] = gains
-    factors[..., SIFTED] = sift
-    factors[..., ERRORS] = error_rates
-    # the sum over the segment axis, which is not the last, adds the segments one by one, in order
-    return np.cumprod(factors, axis=-1).sum(axis=-4)
-
-
 def analytic_tallies(
     source: SourceConfig,
     total_loss_db: ArrayLike,
@@ -179,7 +132,14 @@ def analytic_tallies(
     emit: Optional[ArrayLike] = None,
     p_z: Optional[ArrayLike] = None,
 ) -> TallyTable:
-    """Expected-value tallies (fractional counts) of the closed-form model, pooled over the segments of a pass.
+    """Expected-value tallies (fractional counts) of the closed-form WCP model, pooled over the segments of a pass.
+
+    A cell's sent pulses times the class gain Q_k = 1 - (1 - Y0) exp(-eta
+    mu_k) are detected, those times the receiver's probability of the
+    cell's basis sifted, and those times the error rate E_k, with E_k Q_k =
+    e0 Y0 + e_det (1 - exp(-eta mu_k)), errors; Y0 is the probability any
+    of the four gated detectors makes a noise click, each with probability
+    det.dark_prob.
 
     total_loss_db is a ([point,] segment) grid of losses and n_pulses a 1-D
     array with each segment's pulse count; a scalar loss and count are one
@@ -187,8 +147,9 @@ def analytic_tallies(
     emit and p_z replace the source's intensities, emit probabilities and
     sender Z-basis probability: (class[, point]) arrays in source order and
     a ([point]) array. Every point is pooled on its own, and a batch gives
-    counts with a leading point axis; the points send the same pulses, so
-    total_pulses and elapsed_s hold for each.
+    counts with a leading point axis when any of them or the grid has one;
+    the points send the same pulses, so total_pulses and elapsed_s hold for
+    each.
     """
     losses, pulses = np.asarray(total_loss_db, dtype=float), np.asarray(n_pulses, dtype=float)
     if losses.ndim > 2 or losses.shape[-1:] != pulses.shape:
@@ -196,13 +157,40 @@ def analytic_tallies(
                           "and n_pulses of equal length")
     if not (np.isfinite(pulses) & (pulses >= 0)).all():
         raise DomainError(f"n_pulses must be finite and >= 0, got {n_pulses}")
-    pulses = np.atleast_1d(pulses)
-    counts = _expected_counts(source, np.atleast_1d(losses), det, e_det, pulses, mus, emit, p_z)
+    if not 0.0 <= e_det <= 0.5:
+        raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
+    losses, pulses = np.atleast_1d(losses), np.atleast_1d(pulses)
+    classes = source.intensity_classes
+
+    def per_class(rows: ArrayLike) -> np.ndarray:  # (class[, point]) -> ([point,] 1, class, 1)
+        return np.moveaxis(np.asarray(rows, dtype=float), 0, -1)[..., None, :, None]
+
+    mus = per_class([c.mu for c in classes] if mus is None else mus)
+    emit = per_class([c.emit_probability for c in classes] if emit is None else emit)
+    p_z = np.asarray(source.basis_probability_z if p_z is None else p_z, dtype=float)
+    y0 = 1.0 - (1.0 - det.dark_prob) ** N_DETECTORS
+    eta = transmittance_from_db(losses + source.insertion_loss_db) * det.efficiency
+    decay = each(math.exp, -eta[..., None, None] * mus)  # ([point,] segment, class, 1)
+    gains = 1.0 - (1.0 - y0) * decay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error_rates = np.where(gains > 0, (E0 * y0 + e_det * (1.0 - decay)) / gains, E0)
+    p_basis = np.moveaxis(np.array([p_z, 1.0 - p_z]), 0, -1)[..., None, None, :]  # ([point,] 1, 1, basis)
+    sent = pulses[:, None, None] * emit * p_basis
+    pz_r = det.basis_probability_z
+    sift = np.array([pz_r, 1.0 - pz_r])  # a detection is sifted when the receiver picks the sender's basis
+    # each count is the one before it times a factor: sent Q_k, then the sift fraction, then E_k
+    factors = np.empty(np.broadcast_shapes(sent.shape, gains.shape, sift.shape) + (len(COUNTS),))
+    factors[..., SENT] = sent
+    factors[..., DETECTED] = gains
+    factors[..., SIFTED] = sift
+    factors[..., ERRORS] = error_rates
+    # the sum over the segment axis, which is not the last, adds the segments one by one, in order
+    counts = np.cumprod(factors, axis=-1).sum(axis=-4)
     # add.accumulate adds left to right, so both sums add the segments in order as a loop from 0.0 does
     pulses = np.concatenate(([0.0], pulses))
     total_pulses = np.add.accumulate(pulses)[-1].item()
     elapsed_s = np.add.accumulate(pulses / source.repetition_rate_hz)[-1].item()
-    return TallyTable(tuple(c.label for c in source.intensity_classes), counts, total_pulses, elapsed_s)
+    return TallyTable(tuple(c.label for c in classes), counts, total_pulses, elapsed_s)
 
 
 # ---------------------------------------------------------------------------

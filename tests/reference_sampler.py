@@ -217,7 +217,9 @@ def reference_pass(
     excess_loss_db: float = 0.0,
 ) -> TallyTable:
     t0, t1 = profile.times_s[0], profile.times_s[-1]
-    pooled = TallyTable.zeros(source)
+    # the segments are added up here, in order, and make one tally at the end
+    empty = TallyTable.zeros(source)
+    counts, total_pulses, elapsed_s = empty.counts, 0.0, 0.0
     seg_index, t = 0, t0  # step seg_index starts at t0 + seg_index * step_s
     while t < t1:
         dt = min(step_s, t1 - t)
@@ -230,12 +232,12 @@ def reference_pass(
                 source, loss, det, e_det, int(round(n)),
                 seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(seg_index,)).generate_state(1)[0]),
             )
-            pooled.counts += seg.counts
-            pooled.total_pulses += seg.total_pulses
-            pooled.elapsed_s += seg.elapsed_s
+            counts += seg.counts
+            total_pulses += seg.total_pulses
+            elapsed_s += seg.elapsed_s
         seg_index += 1
         t = t0 + seg_index * step_s
-    return pooled
+    return TallyTable(empty.labels, counts, total_pulses, elapsed_s)
 
 
 N_MAX = 40  # arriving photons summed over; the Poisson tail past it is below 1e-40 at lambda 1.5

@@ -2,6 +2,7 @@ import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from satqkd.errors import DomainError
@@ -19,6 +20,19 @@ def test_single_point_axis_rejected():
         Axis(0.3, 0.3, 1)
     with pytest.raises(DomainError):
         Axis(0.5, 0.3, 5)
+
+
+@pytest.mark.parametrize("points", [math.nan, 2.5, 3.0, "3", None])
+def test_axis_points_that_are_no_whole_number_rejected(points):
+    # each once constructed, and optimize then raised numpy's TypeError
+    with pytest.raises(DomainError, match=f"axis points must be a whole number, got {points!r}"):
+        Axis(0.1, 0.5, points)
+
+
+def test_axis_takes_a_numpy_integer_point_count(source, detector, e_det, security):
+    spaces = [SearchSpace(axes={"mu_signal": Axis(0.1, 0.4, points)}) for points in (np.int64(4), 4)]
+    numpy_count, int_count = (run(space, source, detector, e_det, security) for space in spaces)
+    assert numpy_count == int_count and len(numpy_count.table["mu_signal"]) == 4
 
 
 def test_unknown_parameter_rejected():

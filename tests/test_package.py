@@ -72,3 +72,22 @@ def test_every_public_member_is_read_by_the_package():
         and reads[member.name] == attributes_read(member)[member.name]
     ]
     assert not unread, f"public class members that no package code reads: {unread}"
+
+
+def builds_dataclasses(tree: ast.AST) -> bool:
+    """Whether a module imports dataclass or make_dataclass from dataclasses, or reads either off the module."""
+    builders = {"dataclass", "make_dataclass"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            if any(alias.name in builders for alias in node.names):
+                return True
+        elif (isinstance(node, ast.Attribute) and node.attr in builders
+              and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"):
+            return True
+    return False
+
+
+def test_only_record_builds_dataclasses():
+    # every class of the package is built one way: by satqkd.record, the one caller of dataclasses.dataclass
+    builders = [path.name for path in sorted(PACKAGE.glob("*.py")) if builds_dataclasses(ast.parse(path.read_text()))]
+    assert builders == ["record.py"]

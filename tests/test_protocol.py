@@ -124,18 +124,19 @@ def test_analytic_pass_and_fixed_loss_key_take_one_analytic_call(source, detecto
     from satqkd import protocol
 
     calls = []
-    for name in ("_expected_counts", "analytic_tallies"):
-        def counting(*args, _real=getattr(protocol, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+    real = protocol.analytic_tallies
 
-        monkeypatch.setattr(protocol, name, counting)
-    # a second analytic path would show as a call to neither, or as a second call
+    def counting(*args, **kwargs):
+        calls.append("analytic_tallies")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "analytic_tallies", counting)
+    # a second analytic path would show as no call, or as a second call
     integrate_pass(*synthesize_pass(60.0, 500e3).segments(1.0), source, detector, e_det, security)
-    assert sorted(calls) == ["_expected_counts", "analytic_tallies"]
+    assert calls == ["analytic_tallies"]
     calls.clear()
     key_from_fixed_loss(source, np.array([40.0, 45.0]), detector, e_det, security, 1.0)
-    assert sorted(calls) == ["_expected_counts", "analytic_tallies"]
+    assert calls == ["analytic_tallies"]
 
 
 # ---------------------------------------------------------------------------

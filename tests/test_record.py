@@ -24,15 +24,11 @@ import pytest
 import satqkd
 from satqkd.analysis import HistogramSeries, SpectrumSeries, estimate_fwhm, estimate_spectrum
 from satqkd.channel import ChannelConfig, ElevationLossModel, PassSpec
-from satqkd.config import default_source
+from satqkd.config import default_run_config, default_source
 from satqkd.optimizer import Axis, SearchSpace, optimize
-from satqkd.protocol import SecurityParams, SiftedStats, key_from_fixed_loss
+from satqkd.protocol import SecurityParams, SiftedStats, key_from_fixed_loss, simulate_block
 from satqkd.receiver import DetectorModel
 from satqkd.record import record
-
-# the mutable dataclasses, which callers assign to
-PLAIN_DATACLASSES = {"RunConfig", "TallyTable"}
-
 
 @record
 class Node:
@@ -73,6 +69,8 @@ SAMPLES = {
     "PassSpec": lambda: PassSpec(max_elevation_deg=60.0),
     "PassProfile": lambda: PassSpec(max_elevation_deg=60.0).profile(),
     "ChannelConfig": lambda: ChannelConfig(mode="pass", pass_spec=PassSpec(max_elevation_deg=60.0)),
+    "RunConfig": default_run_config,
+    "TallyTable": lambda: simulate_block(default_source(), 30.0, DetectorModel(), 0.01, 10_000, seed=1),
     "DecoyBounds": lambda: _key().bounds,
     "SiftedStats": lambda: SiftedStats(1e4, 120.0, 2e4, 7e7, 0.3, 1.0),
     "KeyResult": _key,
@@ -180,9 +178,8 @@ def assert_behaves_as_frozen_dataclass(cls, sample):
 
 
 def test_every_frozen_class_of_the_package_is_a_record_with_a_sample():
-    assert set(package_dataclasses()) - set(RECORDS) == PLAIN_DATACLASSES
-    assert set(RECORDS) == set(SAMPLES)
-    assert len(RECORDS) == 21
+    assert set(package_dataclasses()) == set(RECORDS) == set(SAMPLES)
+    assert len(RECORDS) == 23
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
