@@ -27,7 +27,7 @@ from . import __version__
 from .config import RunConfig, default_run_config, load_run_config, to_dict
 from .errors import ConfigError, FileFormatError, SatQkdError
 from .optimizer import Axis, SearchSpace, optimize
-from .protocol import TallyTable, integrate_pass, key_from_fixed_loss, key_from_tally, simulate_block
+from .protocol import empty_pass_reason, fixed_loss_tally, key_tallies, pass_tally, simulate_block
 from .source import distinguishability_report
 
 EXIT_CONFIG = 2
@@ -172,39 +172,31 @@ def _total_fixed_loss(cfg: RunConfig) -> float:
     return cfg.channel.fixed_loss_db + cfg.channel.excess_loss_db
 
 
+def _source_blocks(sources, keys, batch):
+    """Each source's report block, from its point of a join and of the join's keys, and the sums of their key
+    lengths and rates, which start at 0 and add the sources in order."""
+    source_keys = [keys.point(i) for i in range(len(sources))]
+    blocks = [{"wavelength_nm": src.wavelength_label_nm, "tally": batch.point(i).to_dict(), "key": key.to_dict()}
+              for i, (src, key) in enumerate(zip(sources, source_keys))]
+    return blocks, sum(key.secret_key_length for key in source_keys), sum(key.secret_key_rate for key in source_keys)
+
+
 def cmd_simulate(args) -> dict:
     cfg = _load_config(args)
     loss = _total_fixed_loss(cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sources))  # one independent stream per source
     tallies = [simulate_block(src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses, seed=stream)
                for src, stream in zip(cfg.sources, streams)]
-    # every source is a point of one batch key; each point gets the key it gets alone
-    batch = TallyTable.stack(tallies)
-    mus = [[src.intensity(label).mu for src in cfg.sources] for label in batch.labels]
-    keys = key_from_tally(cfg.sources[0], batch, cfg.security, args.regime, mus)
-    per_source = []
-    total_length = 0.0
-    total_rate = 0.0
-    for i, (src, tally) in enumerate(zip(cfg.sources, tallies)):
-        result = keys.point(i)
-        total_length += result.secret_key_length
-        total_rate += result.secret_key_rate
-        per_source.append(
-            {
-                "wavelength_nm": src.wavelength_label_nm,
-                "tally": tally.to_dict(),
-                "key": result.to_dict(),
-            }
-        )
+    blocks, length, rate = _source_blocks(cfg.sources, *key_tallies(cfg.sources, tallies, cfg.security, args.regime))
     return {
         "command": "simulate",
         "loss_db": loss,
         "seed": cfg.seed,
         "shards": cfg.shards,
         "regime": args.regime,
-        "sources": per_source,
-        "combined_key_length_bits": total_length,
-        "combined_key_rate_bps": total_rate,
+        "sources": blocks,
+        "combined_key_length_bits": length,
+        "combined_key_rate_bps": rate,
         "config": to_dict(cfg),
     }
 
@@ -213,12 +205,11 @@ def cmd_keyrate(args) -> dict:
     cfg = _load_config(args)
     losses = args.sweep
     total_losses = [loss + cfg.channel.excess_loss_db for loss in losses]
-    # one call per source over the whole sweep; the sum starts at 0 and adds the sources in order
-    rates = sum(
-        key_from_fixed_loss(src, total_losses, cfg.receiver, cfg.e_det(src), cfg.security,
-                            duration_s=args.duration, regime=args.regime).secret_key_rate
-        for src in cfg.sources
-    ).tolist()
+    tallies = [fixed_loss_tally(src, total_losses, cfg.receiver, cfg.e_det(src), args.duration)
+               for src in cfg.sources]
+    keys, _ = key_tallies(cfg.sources, tallies, cfg.security, args.regime)
+    # a row per source; the sum starts at 0 and adds the sources in order
+    rates = sum(keys.secret_key_rate.reshape(len(cfg.sources), -1)).tolist()
     losses = [round(loss, 12) for loss in losses]
     _write_csv(args.out_dir, "keyrate_vs_loss.csv", ["loss_db", "key_rate_bps"], zip(losses, rates))
     return {
@@ -237,32 +228,22 @@ def cmd_pass(args) -> dict:
         raise ConfigError("pass command requires a channel in pass mode")
     profile = cfg.channel.pass_profile
     segments = profile.segments(args.step, cfg.channel.excess_loss_db)  # shared by every source
-    per_source = []
-    total = 0.0
     # one independent stream per source; the analytic pass draws none, and so never loads numpy.random
     streams = (np.random.SeedSequence(cfg.seed).spawn(len(cfg.sources)) if args.mode == "mc"
                else [None] * len(cfg.sources))
-    for src, stream in zip(cfg.sources, streams):
-        result, tally = integrate_pass(
-            *segments, src, cfg.receiver, cfg.e_det(src), cfg.security,
-            regime=args.regime, mode=args.mode, seed=stream,
-        )
-        total += result.secret_key_length
-        per_source.append(
-            {"wavelength_nm": src.wavelength_label_nm, "key": result.to_dict(),
-             "tally": tally.to_dict()}
-        )
-    _write_csv(
-        args.out_dir, "pass_elevation.csv", ["time_s", "elevation_deg"],
-        zip(profile.times_s, profile.elevations_deg),
-    )
+    tallies = [pass_tally(*segments, src, cfg.receiver, cfg.e_det(src), args.mode, stream)
+               for src, stream in zip(cfg.sources, streams)]
+    keys, batch = key_tallies(cfg.sources, tallies, cfg.security, args.regime, empty_pass_reason(segments[0]))
+    blocks, length, _ = _source_blocks(cfg.sources, keys, batch)
+    _write_csv(args.out_dir, "pass_elevation.csv", ["time_s", "elevation_deg"],
+               zip(profile.times_s, profile.elevations_deg))
     return {
         "command": "pass",
         "duration_s": profile.duration_s,
         "regime": args.regime,
         "mode": args.mode,
-        "sources": per_source,
-        "combined_key_length_bits": total,
+        "sources": blocks,
+        "combined_key_length_bits": length,
     }
 
 
@@ -280,6 +261,7 @@ def cmd_optimize(args) -> dict:
     _write_csv(args.out_dir, "optimize_grid.csv", list(result.table), zip(*result.table.values()))
     return {
         "command": "optimize",
+        "wavelength_nm": cfg.sources[0].wavelength_label_nm,  # the source searched: only the first
         "best_params": result.best_params,
         "best_key_length_bits": result.best_key_length,
         "grid_points": len(result.table["key_length_bits"]),

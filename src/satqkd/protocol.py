@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,14 +73,14 @@ class TallyTable:
     counts[k, b, j] is count COUNTS[j] of the pulses of class labels[k]
     (source order) sent in basis BASES[b]. The analytic route gives
     expected, fractional counts, so the array is float64; for a batch of
-    points it puts a point axis first, and every point sends total_pulses.
-    elapsed_s holds for every point, or is a ([point]) array when the points
-    send at different repetition rates.
+    points it puts a point axis first. total_pulses and elapsed_s hold for
+    every point, or are ([point]) arrays when the points send different
+    pulses or at different repetition rates, as the points of a join do.
     """
 
     labels: Tuple[IntensityLabel, ...]
     counts: np.ndarray  # ([point,] class, basis, count)
-    total_pulses: float = 0.0
+    total_pulses: ArrayLike = 0.0
     elapsed_s: ArrayLike = 0.0
 
     @classmethod
@@ -89,20 +90,26 @@ class TallyTable:
 
     @classmethod
     def stack(cls, tallies: Sequence["TallyTable"]) -> "TallyTable":
-        """One-point tallies as the points of one batch, in order, each with its classes in the first's order.
+        """The points of the tallies, each of one point or a batch, as the points of one batch, in order.
 
-        The tallies send the same total_pulses, and each point keeps its
-        elapsed_s. A class that sent no pulse is refused here, as keying
-        the tallies one by one would refuse it: once a tally's classes are
-        reordered, the batch no longer knows which of its classes came first.
+        Every point takes the first tally's class order and keeps its own
+        total_pulses and elapsed_s. A class that sent no pulse, in a point
+        that sent some, is refused here, as keying the tallies one by one
+        would refuse it: once a tally's classes are reordered, the batch no
+        longer knows which of its classes came first.
         """
-        labels = tallies[0].labels
+        labels, counts, totals, elapsed = tallies[0].labels, [], [], []
         for tally in tallies:
-            _refuse_empty_class(tally.labels, tally.counts[..., SENT].sum(axis=-1))
-        if any(tally.total_pulses != tallies[0].total_pulses for tally in tallies):
-            raise DomainError("the tallies of a batch must send the same total_pulses")
-        counts = np.stack([tally.counts[[tally.labels.index(label) for label in labels]] for tally in tallies])
-        return cls(labels, counts, tallies[0].total_pulses, np.array([tally.elapsed_s for tally in tallies]))
+            points = tally.counts.reshape(-1, *tally.counts.shape[-3:])  # (point, class, basis, count)
+            totals.append(np.full(len(points), tally.total_pulses, dtype=float))
+            elapsed.append(np.full(len(points), tally.elapsed_s, dtype=float))
+            _refuse_empty_class(tally.labels, points[totals[-1] > 0, :, :, SENT].sum(axis=-1).T)
+            counts.append(points[:, [tally.labels.index(label) for label in labels]])
+        return cls(labels, np.concatenate(counts), np.concatenate(totals), np.concatenate(elapsed))
+
+    def point(self, i: int) -> "TallyTable":
+        """Point i of a join (stack), whose total_pulses and elapsed_s are per point, as a one-point tally."""
+        return TallyTable(self.labels, self.counts[i], self.total_pulses[i], self.elapsed_s[i])
 
     def to_dict(self) -> dict:
         """Deterministic, JSON-ready form (sorted keys) of a one-point tally."""
@@ -512,25 +519,43 @@ def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams,
                       bounds, sec, regime)
 
 
-def key_from_fixed_loss(
-    source: SourceConfig,
-    total_loss_db: ArrayLike,
-    det: DetectorModel,
-    e_det: float,
-    sec: SecurityParams,
-    duration_s: float,
-    regime: str = "asymptotic",
-    mus: Optional[ArrayLike] = None,
-    emit: Optional[ArrayLike] = None,
-    p_z: Optional[ArrayLike] = None,
-) -> KeyResult:
-    """Analytic key at a fixed channel loss, for one point or a batch: the key of a pass of one segment.
+def key_tallies(sources: Sequence[SourceConfig], tallies: Sequence[TallyTable], sec: SecurityParams, regime: str,
+                empty_reason: Optional[str] = None) -> Tuple[KeyResult, TallyTable]:
+    """The keys of the points of the sources' joined tallies, made in one key_from_tally call, and the join.
 
-    total_loss_db is a scalar or a 1-D array with one loss per point. mus and
-    emit, (class, point) arrays in source order, and p_z, one per point,
-    replace the source's intensities, emit probabilities and sender Z-basis
-    probability point by point. Every point is keyed on its own and gets the
-    numbers it gets alone; a batch gives a KeyResult of arrays.
+    tallies[i] is sources[i]'s, of one point or a batch (TallyTable.stack),
+    and each of its points is keyed with that source's intensities, so every
+    point gets the key it gets alone. A point that sent no pulse is not
+    keyed: its key is 0, with empty_reason as its reason and its bounds'.
+    """
+    batch = TallyTable.stack(tallies)
+    sizes = [tally.counts[..., 0, 0, 0].size for tally in tallies]  # each tally's points
+    mus = np.repeat([[src.intensity(label).mu for src in sources] for label in batch.labels], sizes, axis=1)
+    keyed = batch.total_pulses > 0
+    sending = TallyTable(batch.labels, batch.counts[keyed], batch.total_pulses[keyed], batch.elapsed_s[keyed])
+    keys = key_from_tally(sources[0], sending, sec, regime, mus[:, keyed])
+    if keyed.all():
+        return keys, batch
+    empty = KeyResult(0.0, E0, DecoyBounds(0.0, None, 0.0, empty_reason), 0.0, 0.0, regime, empty_reason)
+
+    def spread(field):  # the keyed points' values of the field, and the empty key's at every other point
+        values = np.full(keyed.shape, attrgetter(field)(empty), dtype=object)
+        values[keyed] = attrgetter(field)(keys)
+        return values
+
+    bounds = DecoyBounds(*map(spread, ("bounds.y1_lower", "bounds.e1_upper", "bounds.y0_estimate", "bounds.reason")))
+    return KeyResult(spread("sifted_bits"), spread("qber_signal"), bounds, spread("secret_key_length"),
+                     spread("secret_key_rate"), regime, spread("reason")), batch
+
+
+def fixed_loss_tally(source: SourceConfig, total_loss_db: ArrayLike, det: DetectorModel, e_det: float,
+                     duration_s: float, mus: Optional[ArrayLike] = None, emit: Optional[ArrayLike] = None,
+                     p_z: Optional[ArrayLike] = None) -> TallyTable:
+    """Analytic tally of duration_s at a fixed channel loss, for one point or a batch: that of a pass of one segment.
+
+    total_loss_db is a scalar or a 1-D array with one loss per point. mus,
+    emit and p_z replace the source's figures point by point, as in
+    analytic_tallies.
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise DomainError(f"duration must be finite and > 0 s, got {duration_s}")
@@ -539,28 +564,26 @@ def key_from_fixed_loss(
         raise DomainError(f"duration {duration_s:g} s at {source.repetition_rate_hz:g} Hz sends more pulses "
                           "than a float holds")
     losses = np.asarray(total_loss_db, dtype=float)[..., None]  # ([point,] segment)
-    tally = analytic_tallies(source, losses, det, e_det, [n_pulses], mus, emit, p_z)
+    return analytic_tallies(source, losses, det, e_det, [n_pulses], mus, emit, p_z)
+
+
+def key_from_fixed_loss(source: SourceConfig, total_loss_db: ArrayLike, det: DetectorModel, e_det: float,
+                        sec: SecurityParams, duration_s: float, regime: str = "asymptotic",
+                        mus: Optional[ArrayLike] = None, emit: Optional[ArrayLike] = None,
+                        p_z: Optional[ArrayLike] = None) -> KeyResult:
+    """Analytic key of fixed_loss_tally: each point gets the numbers it gets alone, a batch a KeyResult of arrays."""
+    tally = fixed_loss_tally(source, total_loss_db, det, e_det, duration_s, mus, emit, p_z)
     return key_from_tally(source, tally, sec, regime, mus)
 
 
-def integrate_pass(
-    losses_db: ArrayLike,
-    durations_s: ArrayLike,
-    source: SourceConfig,
-    det: DetectorModel,
-    e_det: float,
-    sec: SecurityParams,
-    regime: str = "finite",
-    mode: str = "analytic",
-    seed: int | np.random.SeedSequence | None = None,
-) -> Tuple[KeyResult, TallyTable]:
-    """Accumulate tallies over a pass, then compute bounds and key once on the pool.
+def pass_tally(losses_db: ArrayLike, durations_s: ArrayLike, source: SourceConfig, det: DetectorModel, e_det: float,
+               mode: str = "analytic", seed: int | np.random.SeedSequence | None = None) -> TallyTable:
+    """One source's tally of a pass, pooled over its segments in one analytic_tallies or simulate_block call.
 
     losses_db and durations_s give the loss and duration of each segment of
     the pass, as PassProfile.segments returns them; a segment sends the
     source's repetition rate times its duration in pulses, which the MC
-    rounds so that the pass sends its total rounded. Either mode takes
-    every segment in one call: analytic_tallies or simulate_block.
+    rounds so that the pass sends its total rounded.
     """
     if mode not in ("analytic", "mc"):
         raise DomainError(f"unknown pass-integration mode {mode!r}")
@@ -569,16 +592,22 @@ def integrate_pass(
     losses = np.asarray(losses_db, dtype=float)
     pulses = source.repetition_rate_hz * np.asarray(durations_s, dtype=float)
     if mode == "analytic":
-        pooled = analytic_tallies(source, losses, det, e_det, pulses)
-    else:
-        # a segment sends what the rounded running total gains: rounding each on its own would bias the total
-        counts = np.diff(np.rint(np.cumsum(pulses)), prepend=0.0).astype(np.int64)
-        pooled = TallyTable.zeros(source)
-        if counts.sum():
-            pooled = simulate_block(source, losses, det, e_det, counts, seed=seed)
-    if pooled.total_pulses <= 0:
-        reason = ("no whole pulse sent above the minimum elevation" if losses.size
-                  else "pass never rises above the minimum elevation")
-        empty = DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=0.0, reason=reason)
-        return KeyResult(0.0, E0, empty, 0.0, 0.0, regime, reason), pooled
-    return key_from_tally(source, pooled, sec, regime), pooled
+        return analytic_tallies(source, losses, det, e_det, pulses)
+    # a segment sends what the rounded running total gains: rounding each on its own would bias the total
+    counts = np.diff(np.rint(np.cumsum(pulses)), prepend=0.0).astype(np.int64)
+    return simulate_block(source, losses, det, e_det, counts, seed=seed) if counts.sum() else TallyTable.zeros(source)
+
+
+def empty_pass_reason(losses_db: ArrayLike) -> str:
+    """Why a source that sends no pulse over a pass of these segment losses has no key."""
+    return ("no whole pulse sent above the minimum elevation" if np.size(losses_db)
+            else "pass never rises above the minimum elevation")
+
+
+def integrate_pass(losses_db: ArrayLike, durations_s: ArrayLike, source: SourceConfig, det: DetectorModel,
+                   e_det: float, sec: SecurityParams, regime: str = "finite", mode: str = "analytic",
+                   seed: int | np.random.SeedSequence | None = None) -> Tuple[KeyResult, TallyTable]:
+    """One source's pass keyed once on its pool: key_tallies of its pass_tally, as a pass of several sources keys."""
+    tally = pass_tally(losses_db, durations_s, source, det, e_det, mode, seed)
+    keys, _ = key_tallies([source], [tally], sec, regime, empty_pass_reason(losses_db))
+    return keys.point(0), tally

@@ -1,14 +1,14 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 import yaml
 
-from satqkd.config import default_source, to_dict
+from satqkd.config import default_run_config, default_source, to_dict
 from satqkd.errors import DomainError
 from satqkd.protocol import SENT, SecurityParams
 from satqkd.receiver import DetectorModel
-from satqkd.source import ExtinctionSet, intrinsic_qber
+from satqkd.source import ExtinctionSet, IntensityLabel, intrinsic_qber
 
 # extinction ratios measured on the 785 nm module (H, V, D, A)
 MEASURED_EXTINCTION = ExtinctionSet(er_h=0.61e-3, er_v=0.35e-3, er_d=1.3e-2, er_a=1.8e-2)
@@ -42,6 +42,21 @@ def validate_tally(tally):
 def degenerate(bounds):
     """Where DecoyBounds are degenerate: where they carry a reason."""
     return np.not_equal(bounds.reason, None)
+
+
+def two_source_run_config(block_pulses: int):
+    """The default two sources, the second unlike the first in every figure a key reads.
+
+    The second sends at half the repetition rate, with other intensities, its classes in reverse order,
+    a 1.5 dB insertion loss and other extinction ratios, so another e_det.
+    """
+    cfg = default_run_config()
+    second = cfg.sources[1]
+    mus = {IntensityLabel.SIGNAL: 0.4, IntensityLabel.DECOY: 0.15, IntensityLabel.VACUUM: 0.0}
+    classes = tuple(replace(c, mu=mus[c.label]) for c in reversed(second.intensity_classes))
+    second = replace(second, repetition_rate_hz=50e6, intensity_classes=classes, insertion_loss_db=1.5,
+                     extinction=ExtinctionSet(er_h=2.0e-3, er_v=1.1e-3, er_d=2.4e-2, er_a=3.0e-2))
+    return replace(cfg, sources=(cfg.sources[0], second), block_pulses=block_pulses)
 
 
 def save_run_config(cfg, path):

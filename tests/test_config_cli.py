@@ -19,7 +19,7 @@ import pytest
 import yaml
 
 import satqkd
-from satqkd import channel, config
+from satqkd import channel, config, protocol
 from satqkd.channel import synthesize_pass
 from satqkd.cli import main
 from satqkd.config import (
@@ -28,11 +28,11 @@ from satqkd.config import (
     parse_run_config,
     to_dict,
 )
-from satqkd.errors import ConfigError
-from satqkd.protocol import KeyResult, key_from_tally, simulate_block
+from satqkd.errors import ConfigError, DomainError
+from satqkd.protocol import COUNTS, KeyResult, key_from_fixed_loss, key_from_tally, pass_tally, simulate_block
 from satqkd.source import IntensityLabel
 
-from conftest import save_run_config
+from conftest import save_run_config, two_source_run_config
 
 
 @pytest.fixture
@@ -467,21 +467,34 @@ def test_cli_report_holding_an_array_fails_instead_of_printing_a_string(capsys, 
 
 
 def two_source_config(tmp_path, block_pulses: int):
-    """The default two sources, the second at half the repetition rate, other intensities and its classes
-    in reverse order; the path of its YAML."""
-    cfg = default_run_config()
-    second = cfg.sources[1]
-    mus = {IntensityLabel.SIGNAL: 0.4, IntensityLabel.DECOY: 0.15, IntensityLabel.VACUUM: 0.0}
-    classes = tuple(replace(c, mu=mus[c.label]) for c in reversed(second.intensity_classes))
-    cfg = replace(cfg, sources=(cfg.sources[0], replace(second, repetition_rate_hz=50e6, intensity_classes=classes)),
-                  block_pulses=block_pulses)
+    """The YAML path of conftest's two_source_run_config."""
     path = tmp_path / "two_sources.yaml"
-    save_run_config(cfg, path)
+    save_run_config(two_source_run_config(block_pulses), path)
     return path
 
 
 def typed(fields: dict) -> dict:
     return {k: (type(v), v) for k, v in fields.items()}
+
+
+def two_source_pass_config(tmp_path, rates=(None, None)):
+    """The YAML path of conftest's two sources over a 60-degree pass at 500 km; a rate not None replaces that
+    source's repetition rate."""
+    data = to_dict(two_source_run_config(1000))
+    data["channel"] = {"mode": "pass", "pass": {"max_elevation_deg": 60.0}}
+    for src, rate in zip(data["sources"], rates):
+        src["repetition_rate_hz"] = src["repetition_rate_hz"] if rate is None else rate
+    path = tmp_path / "two_sources_pass.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    return path
+
+
+def count_key_calls(monkeypatch) -> list:
+    """The list that the tally of every later protocol.key_from_tally call is appended to."""
+    calls = []
+    real = protocol.key_from_tally
+    monkeypatch.setattr(protocol, "key_from_tally", lambda *args: calls.append(args[1]) or real(*args))
+    return calls
 
 
 @pytest.mark.parametrize("regime", ["asymptotic", "finite"])
@@ -490,11 +503,14 @@ def test_cli_simulate_keys_each_source_as_a_loop_of_one_point_keys(capsys, tmp_p
     cfg = load_run_config(path)
     reports = []
     monkeypatch.setattr("satqkd.cli._emit", lambda report, out_dir: reports.append(report))
+    calls = count_key_calls(monkeypatch)
     keyed = zero = 0
     for seed in (1, 7, 11):
         for loss in (25.0, 33.3, 41.0, 55.0, 70.0):
             assert main(["simulate", "--config", str(path), "--seed", str(seed), "--loss-db", str(loss),
                          "--regime", regime]) == 0
+            assert len(calls) == 1  # both sources in one key call
+            calls.clear()
             streams = np.random.SeedSequence(seed).spawn(2)
             for src, stream, block in zip(cfg.sources, streams, reports.pop()["sources"]):
                 tally = simulate_block(src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses, seed=stream)
@@ -504,6 +520,99 @@ def test_cli_simulate_keys_each_source_as_a_loop_of_one_point_keys(capsys, tmp_p
                 keyed += length > 0
                 zero += length == 0 and loss >= 55.0
     assert keyed and zero == 12  # some keys, and none at 55 and 70 dB
+
+
+@pytest.mark.parametrize("regime", ["asymptotic", "finite"])
+@pytest.mark.parametrize("mode", ["analytic", "mc"])
+def test_cli_pass_keys_each_source_as_a_loop_of_one_point_keys(capsys, tmp_path, monkeypatch, mode, regime):
+    path = two_source_pass_config(tmp_path)
+    cfg = load_run_config(path)
+    reports = []
+    monkeypatch.setattr("satqkd.cli._emit", lambda report, out_dir: reports.append(report))
+    calls = count_key_calls(monkeypatch)
+    for step in (1.0, 0.7):
+        for seed in ((3, 8) if mode == "mc" else (None,)):
+            argv = ["pass", "--config", str(path), "--mode", mode, "--regime", regime, "--step", str(step)]
+            assert main(argv + (["--seed", str(seed)] if seed else [])) == 0
+            assert len(calls) == 1  # both sources in one key call
+            calls.clear()
+            report = reports.pop()
+            segments = cfg.channel.pass_profile.segments(step, cfg.channel.excess_loss_db)
+            streams = np.random.SeedSequence(seed).spawn(2) if seed else [None, None]
+            total = 0.0
+            for src, stream, block in zip(cfg.sources, streams, report["sources"]):
+                tally = pass_tally(*segments, src, cfg.receiver, cfg.e_det(src), mode, stream)
+                key = key_from_tally(src, tally, cfg.security, regime)
+                assert typed(block["key"]) == typed(key.to_dict())
+                assert block["tally"] == tally.to_dict()
+                assert key.secret_key_length > 0
+                total += key.secret_key_length
+            assert report["combined_key_length_bits"] == total
+
+
+@pytest.mark.parametrize("regime", ["asymptotic", "finite"])
+def test_cli_keyrate_sums_the_one_point_keys_of_each_source(capsys, tmp_path, monkeypatch, regime):
+    path = two_source_config(tmp_path, 1000)
+    cfg = load_run_config(path)
+    calls = count_key_calls(monkeypatch)
+    code, out, _ = run_cli(capsys, "keyrate", "--config", str(path), "--sweep", "0:60:0.5", "--regime", regime,
+                           "--duration", "100")
+    assert code == 0 and len(calls) == 1  # both sources over every loss in one key call
+    rows = json.loads(out)["rows"]
+    losses = (0.5 * np.arange(121)).tolist()
+    assert [row["loss_db"] for row in rows] == losses
+    both = 0
+    for row, loss in zip(rows, losses):
+        rates = [key_from_fixed_loss(src, loss, cfg.receiver, cfg.e_det(src), cfg.security, 100.0,
+                                     regime).secret_key_rate for src in cfg.sources]
+        assert row["key_rate_bps"] == 0.0 + rates[0] + rates[1]
+        both += rates[0] > 0 and rates[1] > 0
+    assert 0 < both < len(rows)
+
+
+def test_cli_pass_source_that_sends_no_whole_pulse_keys_nothing_and_the_other_as_alone(capsys, tmp_path):
+    # at 1e-4 Hz the second source sends 0.04 pulses over the pass, which the MC rounds to none
+    path = two_source_pass_config(tmp_path, (None, 1e-4))
+    code, out, _ = run_cli(capsys, "pass", "--config", str(path), "--mode", "mc", "--seed", "3")
+    assert code == 0
+    report = json.loads(out)
+    first, second = report["sources"]
+    reason = "no whole pulse sent above the minimum elevation"
+    assert second["key"] == {"sifted_bits": 0.0, "qber_signal": 0.5, "y1_lower": 0.0, "e1_upper": None,
+                             "y0_estimate": 0.0, "secret_key_length_bits": 0.0, "secret_key_rate_bps": 0.0,
+                             "regime": "finite", "reason": reason}
+    cells = {f"{label}/{basis}": dict.fromkeys(COUNTS, 0.0)
+             for label in ("decoy", "signal", "vacuum") for basis in ("X", "Z")}
+    assert second["tally"] == {"total_pulses": 0.0, "elapsed_s": 0.0, "cells": cells}
+    # the first source draws child 0 of the seed's streams whatever the number of sources
+    data = yaml.safe_load(path.read_text())
+    data["sources"] = data["sources"][:1]
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    code, out, _ = run_cli(capsys, "pass", "--config", str(path), "--mode", "mc", "--seed", "3")
+    assert code == 0
+    assert json.loads(out)["sources"] == [first] and first["key"]["secret_key_length_bits"] > 0
+    assert report["combined_key_length_bits"] == first["key"]["secret_key_length_bits"]
+
+
+# (repetition rates, seed): 4 or 9 pulses per source, or 436 and 2, so that the first class to send none lies
+# in the first source or in the second
+TINY_PASSES = [((0.01, 0.01), 1), ((0.01, 0.01), 2), ((1.0, 0.005), 1), ((1.0, 0.005), 2), ((0.02, 0.02), 1),
+               ((0.02, 0.02), 2)]
+
+
+@pytest.mark.parametrize("rates,seed", TINY_PASSES)
+def test_cli_pass_names_the_empty_class_that_keying_source_by_source_names(capsys, tmp_path, rates, seed):
+    path = two_source_pass_config(tmp_path, rates)
+    cfg = load_run_config(path)
+    segments = cfg.channel.pass_profile.segments(1.0, cfg.channel.excess_loss_db)
+    streams = np.random.SeedSequence(seed).spawn(2)
+    with pytest.raises(DomainError, match="no pulses sent in class") as loop:
+        for src, stream in zip(cfg.sources, streams):
+            key_from_tally(src, pass_tally(*segments, src, cfg.receiver, cfg.e_det(src), "mc", stream),
+                           cfg.security, "finite")
+    code, out, err = run_cli(capsys, "pass", "--config", str(path), "--mode", "mc", "--seed", str(seed))
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "domain", "message": str(loop.value)}
 
 
 @pytest.mark.parametrize("block_pulses,seed,label", [(1, 1, "decoy"), (1, 3, "decoy"), (3, 5, "vacuum")])

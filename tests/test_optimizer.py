@@ -133,7 +133,7 @@ def test_grid_equals_one_point_keys_of_each_feasible_combination(source, detecto
 
 
 def test_grid_and_sweep_make_one_key_call(source, detector, e_det, security, monkeypatch, capsys):
-    from satqkd import cli, optimizer
+    from satqkd import cli, optimizer, protocol
 
     calls = []
     real = optimizer.key_from_fixed_loss
@@ -143,11 +143,12 @@ def test_grid_and_sweep_make_one_key_call(source, detector, e_det, security, mon
         return real(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "key_from_fixed_loss", counting)
-    monkeypatch.setattr(cli, "key_from_fixed_loss", counting)
     run(SearchSpace(axes={"mu_signal": Axis(0.1, 0.9, 9), "mu_decoy": Axis(0.1, 0.9, 9)}),
         source, detector, e_det, security)
     assert calls == [40.0]
-    calls.clear()
+    keyed = []
+    real_tally_key = protocol.key_from_tally
+    monkeypatch.setattr(protocol, "key_from_tally", lambda *args: keyed.append(args[1]) or real_tally_key(*args))
     assert cli.main(["keyrate", "--sweep", "20:30:0.5"]) == 0
     capsys.readouterr()
-    assert len(calls) == 2 and all(len(c) == 21 for c in calls)  # one call per default source
+    assert [tally.counts.shape[0] for tally in keyed] == [2 * 21]  # one call: both default sources, 21 losses each

@@ -26,6 +26,7 @@ from satqkd.protocol import (
     key_from_fixed_loss,
     key_from_tally,
     key_length,
+    key_tallies,
     simulate_block,
 )
 from satqkd.receiver import DetectorModel
@@ -588,14 +589,48 @@ def test_stack_names_the_empty_class_a_loop_over_differently_ordered_tallies_nam
 
 def test_stack_puts_every_tally_in_the_first_tallys_class_order(source, security):
     reordered = replace(source, intensity_classes=tuple(reversed(source.intensity_classes)), repetition_rate_hz=1e6)
-    first, second = filled_tally(source, [10, 20, 30]), filled_tally(reordered, [5, 25, 30])
-    second = replace(second, elapsed_s=60 / reordered.repetition_rate_hz)
+    first, second = filled_tally(source, [10, 20, 30]), filled_tally(reordered, [5, 25, 31])
+    second = replace(second, elapsed_s=61 / reordered.repetition_rate_hz)
     tally = TallyTable.stack([first, second])
-    assert tally.labels == first.labels and tally.total_pulses == 60.0
+    assert tally.labels == first.labels
     assert tally.counts[1].tolist() == second.counts[::-1].tolist()
-    assert tally.elapsed_s.tolist() == [1.0, 6e-5]
-    with pytest.raises(DomainError, match="same total_pulses"):
-        TallyTable.stack([first, filled_tally(source, [10, 20, 31])])
+    # every point keeps its own total_pulses and elapsed_s, and point(i) gives tally i back
+    assert tally.total_pulses.tolist() == [60.0, 61.0] and tally.elapsed_s.tolist() == [1.0, 6.1e-5]
+    assert tally.point(0).to_dict() == first.to_dict() and tally.point(1).to_dict() == second.to_dict()
+
+
+def test_stack_joins_batches_point_by_point(source):
+    # a batch of two points that share their total_pulses, then one point that sent none
+    first, second = filled_tally(source, [10, 20, 30]), filled_tally(source, [1, 2, 3])
+    batch = replace(first, counts=np.stack([first.counts, second.counts]))
+    empty = TallyTable.zeros(source)
+    tally = TallyTable.stack([batch, empty])
+    assert tally.counts.shape == (3, 3, 2, len(COUNTS))
+    assert tally.total_pulses.tolist() == [60.0, 60.0, 0.0] and tally.elapsed_s.tolist() == [1.0, 1.0, 0.0]
+    assert [tally.point(i).counts.tolist() for i in range(3)] == [
+        first.counts.tolist(), second.counts.tolist(), empty.counts.tolist()]
+
+
+@pytest.mark.parametrize("regime", ["asymptotic", "finite"])
+def test_key_tallies_keys_every_point_as_alone_and_no_point_that_sent_nothing(source, detector, e_det, security,
+                                                                              regime):
+    # a batch of two losses, a tally that sent nothing, and a source with other intensities in reverse class order
+    other = source_at(source, 0.6, 0.1, 0.8, 0.15, 0.5)
+    other = replace(other, intensity_classes=tuple(reversed(other.intensity_classes)))
+    tallies = [analytic_tallies(source, [[30.0], [45.0]], detector, e_det, [1e9]), TallyTable.zeros(source),
+               simulate_block(other, 33.0, detector, e_det, 10**9, seed=5)]
+    keys, batch = key_tallies([source, source, other], tallies, security, regime, "sent nothing")
+    alone = [key_from_tally(source, analytic_tallies(source, [loss], detector, e_det, [1e9]), security, regime)
+             for loss in (30.0, 45.0)] + [None, key_from_tally(other, tallies[2], security, regime)]
+    empty = [0.0, E0, 0.0, None, 0.0, "sent nothing", 0.0, 0.0, "sent nothing"]  # key_fields of an unkeyed point
+    for i, one in enumerate(alone):
+        assert key_fields(keys, i) == (empty if one is None else key_fields(one))
+    assert keys.secret_key_length[0] > 0 and keys.secret_key_length[3] > 0
+    assert batch.point(2).to_dict() == tallies[1].to_dict() and batch.point(3).to_dict() == tallies[2].to_dict()
+    # with no point that sent a pulse, every point gets the empty key
+    none_sent, _ = key_tallies([source, other], [TallyTable.zeros(source), TallyTable.zeros(other)], security, regime,
+                               "sent nothing")
+    assert key_fields(none_sent, 0) == key_fields(none_sent, 1) == empty
 
 
 # (mu_signal, mu_decoy, p_signal, p_decoy, p_z, excess loss dB) of the points of a batched pass
