@@ -6,6 +6,7 @@ from .channel import (
     ChannelConfig,
     ElevationLossModel,
     PassProfile,
+    sampled_pass,
     synthesize_pass,
     transmittance_from_db,
 )

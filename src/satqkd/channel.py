@@ -91,58 +91,74 @@ class ElevationLossModel:
         return loss if loss.ndim else float(loss)
 
 
+def _check_walk(step_s: float, duration_s: float) -> None:
+    """A step must be finite and > 0 s and cut a pass of duration_s into at most MAX_PASS_STEPS steps."""
+    if not (math.isfinite(step_s) and step_s > 0):
+        raise DomainError(f"step must be finite and > 0 s, got {step_s}")
+    if duration_s / step_s > MAX_PASS_STEPS:
+        raise DomainError(f"step {step_s:g} s cuts the {duration_s:g} s pass into more than {MAX_PASS_STEPS} steps")
+
+
 @record
 class PassProfile:
-    """Time-ordered elevation samples of one satellite pass above a ground station.
+    """One satellite pass above a ground station: its window [start_s, end_s] and its elevation over time.
 
-    loss_model maps an array of elevations (degrees) to an array of losses
-    (dB) of the same shape; segments calls it once, on every kept step.
+    elevation maps an array of times (s) to the elevations (degrees) there,
+    and loss_model an array of elevations to an array of losses (dB) of the
+    same shape; walk and segments call each once, on every step.
     """
 
-    times_s: Sequence[float]
-    elevations_deg: Sequence[float]
+    start_s: float
+    end_s: float
+    elevation: Callable[[np.ndarray], np.ndarray]
     loss_model: Callable[[np.ndarray], np.ndarray]
     min_elevation_deg: float = 10.0
 
     def __post_init__(self):
-        t = np.asarray(self.times_s, dtype=float)
-        el = np.asarray(self.elevations_deg, dtype=float)
-        if t.shape != el.shape or t.ndim != 1 or not t.size:
-            raise DomainError("times and elevations must be 1-D, non-empty and of equal length")
-        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
-            raise DomainError("times must be finite and strictly increasing")
-        if not np.all((el >= 0) & (el <= 90)):  # false for NaN too
-            raise DomainError("elevations must be in [0, 90] degrees")
-        object.__setattr__(self, "times_s", t)
-        object.__setattr__(self, "elevations_deg", el)
+        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s) and self.start_s <= self.end_s):
+            raise DomainError(f"the pass window needs finite start_s <= end_s, got [{self.start_s}, {self.end_s}]")
 
     @property
     def duration_s(self) -> float:
-        return float(self.times_s[-1] - self.times_s[0])
+        return float(self.end_s - self.start_s)
 
-    def segments(self, step_s: float, excess_loss_db: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
-        """Loss (dB, excess included) and duration (s) of each step of the pass above the minimum elevation.
+    def walk(self, step_s: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Midpoint time (s), elevation (deg) and duration (s) of each step of the pass above the minimum elevation.
 
-        The pass is walked from its first to its last sample in steps of step_s:
-        step k starts at t0 + k * step_s, counted rather than accumulated, and the
-        last one is cut short to end at the last sample. A step takes the
-        elevation at its midpoint (all midpoints are interpolated in one call)
-        and is dropped when that lies below the minimum elevation. A step that
-        would cut the pass into more than MAX_PASS_STEPS steps raises DomainError.
+        Step k of the walk starts at start_s + k * step_s, counted rather than
+        accumulated, and the last one is cut short to end at end_s. A step
+        takes the elevation at its midpoint and is dropped when that lies below
+        the minimum elevation; a step that would cut the pass into more than
+        MAX_PASS_STEPS steps raises DomainError.
         """
-        if not (math.isfinite(step_s) and step_s > 0):
-            raise DomainError(f"step must be finite and > 0 s, got {step_s}")
-        ts = self.times_s
-        t0, t1 = ts[0], ts[-1]
-        if (t1 - t0) / step_s > MAX_PASS_STEPS:
-            raise DomainError(f"step {step_s:g} s cuts the {t1 - t0:g} s pass into more than "
-                              f"{MAX_PASS_STEPS} steps")
+        t0, t1 = self.start_s, self.end_s
+        _check_walk(step_s, t1 - t0)
         starts = t0 + step_s * np.arange(math.ceil((t1 - t0) / step_s))
         steps = np.minimum(step_s, t1 - starts)  # a start that rounds onto t1 gives a step <= 0
-        elevations = np.interp(starts + steps / 2.0, ts, self.elevations_deg)
+        midpoints = starts + steps / 2.0
+        elevations = self.elevation(midpoints)
         keep = (steps > 0) & (elevations >= self.min_elevation_deg)
-        losses = self.loss_model(elevations[keep]) + excess_loss_db
-        return losses, steps[keep]
+        return midpoints[keep], elevations[keep], steps[keep]
+
+    def segments(self, step_s: float, excess_loss_db: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+        """Loss (dB, excess included) and duration (s) of each step of the walk: the loss model is called once."""
+        _, elevations, durations = self.walk(step_s)
+        return self.loss_model(elevations) + excess_loss_db, durations
+
+
+def sampled_pass(times_s: Sequence[float], elevations_deg: Sequence[float],
+                 loss_model: Callable[[np.ndarray], np.ndarray], min_elevation_deg: float = 10.0) -> PassProfile:
+    """The pass through time-ordered (time, elevation) samples, linear between them, over their span."""
+    t = np.asarray(times_s, dtype=float)
+    el = np.asarray(elevations_deg, dtype=float)
+    if t.shape != el.shape or t.ndim != 1 or not t.size:
+        raise DomainError("times and elevations must be 1-D, non-empty and of equal length")
+    if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+        raise DomainError("times must be finite and strictly increasing")
+    if not np.all((el >= 0) & (el <= 90)):  # false for NaN too
+        raise DomainError("elevations must be in [0, 90] degrees")
+    return PassProfile(float(t[0]), float(t[-1]), functools.partial(np.interp, xp=t, fp=el), loss_model,
+                       min_elevation_deg)
 
 
 def _central_angle_from_elevation(elevation_deg: float, orbit_radius_m: float) -> float:
@@ -156,78 +172,61 @@ def _check_min_elevation(min_elevation_deg: float) -> None:
         raise DomainError(f"min_elevation_deg must be >= 0, got {min_elevation_deg}")
 
 
-def _pass_window(max_elevation_deg: float, orbit_altitude_m: float, min_elevation_deg: float,
-                 step_s: float) -> Tuple[float, float, float, int]:
-    """(orbit radius, angular rate, culmination central angle, n_half) of a checked synthesized pass.
+def _pass_window(max_elevation_deg: float, orbit_altitude_m: float,
+                 min_elevation_deg: float) -> Tuple[float, float, float, float]:
+    """(orbit radius, angular rate, culmination central angle, half span) of a checked synthesized pass.
 
-    The pass is sampled at 2 * n_half + 1 times step_s apart, centred on the
-    culmination; a step that gives more than MAX_PASS_STEPS samples, or too
-    few to leave the culmination, raises DomainError.
+    The pass rises to min_elevation half span seconds before its culmination
+    and sets to it half span seconds after.
     """
     _check_min_elevation(min_elevation_deg)
     if not min_elevation_deg < max_elevation_deg <= 90.0:
         raise DomainError("need min_elevation < max_elevation <= 90")
     if not (math.isfinite(orbit_altitude_m) and orbit_altitude_m > 0):
         raise DomainError(f"orbit altitude must be finite and > 0 m, got {orbit_altitude_m}")
-    if not (math.isfinite(step_s) and step_s > 0):
-        raise DomainError(f"step must be finite and > 0 s, got {step_s}")
     r = EARTH_RADIUS_M + orbit_altitude_m
     omega = math.sqrt(EARTH_MU_M3_S2 / r**3)  # orbital angular rate, rad/s
     gamma_max = _central_angle_from_elevation(max_elevation_deg, r)  # at culmination
     gamma_min = _central_angle_from_elevation(min_elevation_deg, r)  # at the horizon cut
-    # cos(gamma(t)) = cos(gamma_max) * cos(omega t)
+    # cos(gamma(t)) = cos(gamma_max) * cos(omega t), t from the culmination
     half_span = math.acos(min(1.0, math.cos(gamma_min) / math.cos(gamma_max))) / omega
-    if 2.0 * half_span / step_s > MAX_PASS_STEPS:
-        raise DomainError(f"step {step_s:g} s cuts the {2.0 * half_span:g} s pass into more than "
-                          f"{MAX_PASS_STEPS} samples")
-    n_half = int(math.floor(half_span / step_s))
-    if n_half == 0:
-        raise DomainError(f"step_s {step_s:g} s is longer than half the {2.0 * half_span:g} s pass, "
-                          "which it would sample only at its culmination")
-    return r, omega, gamma_max, n_half
+    return r, omega, gamma_max, half_span
 
 
-def synthesize_pass(
-    max_elevation_deg: float,
-    orbit_altitude_m: float,
-    min_elevation_deg: float = 10.0,
-    step_s: float = 1.0,
-    loss_model: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> PassProfile:
-    """Generate a symmetric elevation-vs-time profile for a circular-orbit pass.
+def _orbit_elevation_deg(times_s: np.ndarray, culmination_s: float, omega: float, cos_gamma_max: float,
+                         radius_ratio: float) -> np.ndarray:
+    """Elevation (deg) at each time of a circular-orbit pass: the closed form at central angle gamma(t)."""
+    gammas = np.arccos(cos_gamma_max * np.cos(omega * (times_s - culmination_s)))
+    # the elevation at central angle gamma, atan2 taken from math for its rounding; 90 at gamma 0
+    rise = (np.cos(gammas) - radius_ratio).tolist()
+    atan = np.array([math.atan2(y, x) for y, x in zip(rise, np.sin(gammas).tolist())])
+    return np.clip(np.where(gammas <= 0, 90.0, np.degrees(atan)), 0.0, 90.0)
+
+
+def synthesize_pass(max_elevation_deg: float, orbit_altitude_m: float, min_elevation_deg: float = 10.0,
+                    loss_model: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> PassProfile:
+    """The symmetric pass of a circular orbit, from its rise to min_elevation to its set.
 
     The satellite moves along a great-circle ground track whose closest
-    approach corresponds to the culmination elevation; sampling stops at
-    min_elevation on both sides.
+    approach corresponds to the culmination elevation; the pass clock starts
+    at the rise, and the elevation at any time is closed form.
     """
-    r, omega, gamma_max, n_half = _pass_window(max_elevation_deg, orbit_altitude_m, min_elevation_deg, step_s)
+    r, omega, gamma_max, half_span = _pass_window(max_elevation_deg, orbit_altitude_m, min_elevation_deg)
     if loss_model is None:
         loss_model = ElevationLossModel(altitude_m=orbit_altitude_m)
-    offsets = np.arange(-n_half, n_half + 1) * step_s
-    gammas = np.arccos(np.cos(gamma_max) * np.cos(omega * offsets))
-    # the elevation at central angle gamma, atan2 taken from math for its rounding; 90 at gamma 0
-    rise = (np.cos(gammas) - EARTH_RADIUS_M / r).tolist()
-    atan = np.array([math.atan2(y, x) for y, x in zip(rise, np.sin(gammas).tolist())])
-    elevations = np.where(gammas <= 0, 90.0, np.degrees(atan))
-    times = offsets + n_half * step_s  # start the pass clock at 0
-    return PassProfile(
-        times_s=times,
-        elevations_deg=np.clip(elevations, 0.0, 90.0),
-        loss_model=loss_model,
-        min_elevation_deg=min_elevation_deg,
-    )
+    elevation = functools.partial(_orbit_elevation_deg, culmination_s=half_span, omega=omega,
+                                  cos_gamma_max=math.cos(gamma_max), radius_ratio=EARTH_RADIUS_M / r)
+    return PassProfile(0.0, 2.0 * half_span, elevation, loss_model, min_elevation_deg)
 
 
-def load_pass_csv(path, loss_model: Callable[[np.ndarray], np.ndarray],
-                  min_elevation_deg: float = 10.0) -> PassProfile:
+def load_pass_csv(path, loss_model: Callable[[np.ndarray], np.ndarray], min_elevation_deg: float = 10.0) -> PassProfile:
     """Read a (time_s, elevation_deg) two-column CSV into a PassProfile."""
     from .analysis import load_two_column_csv  # only here: a command that reads no CSV never loads analysis
 
     times, els = load_two_column_csv(path, "time_s", "elevation_deg")
     if len(times) < 2:
         raise FileFormatError(f"{path}: need at least 2 samples")
-    return PassProfile(times_s=times, elevations_deg=els, loss_model=loss_model,
-                       min_elevation_deg=min_elevation_deg)
+    return sampled_pass(times, els, loss_model, min_elevation_deg)
 
 
 @record
@@ -236,8 +235,9 @@ class PassSpec:
 
     A (time_s, elevation_deg) CSV when csv_path is set, else a synthesized
     circular-orbit pass. Either way an ElevationLossModel at the orbit
-    altitude maps elevation to loss. Every setting is checked on
-    construction; a synthesized pass is sampled only by profile.
+    altitude maps elevation to loss, and step_s is the step of the pass's
+    walk. Every setting is checked on construction; a synthesized pass is
+    built only by profile.
     """
 
     csv_path: str | None = None
@@ -251,8 +251,10 @@ class PassSpec:
     def __post_init__(self):
         _check_min_elevation(self.min_elevation_deg)
         self.loss_model()  # checks the loss model's settings
+        span = 0.0  # a CSV pass's step is capped by ChannelConfig, which reads the file
         if self.csv_path is None:
-            _pass_window(self.max_elevation_deg, self.orbit_altitude_m, self.min_elevation_deg, self.step_s)
+            span = 2.0 * _pass_window(self.max_elevation_deg, self.orbit_altitude_m, self.min_elevation_deg)[-1]
+        _check_walk(self.step_s, span)
 
     def loss_model(self) -> ElevationLossModel:
         return ElevationLossModel(
@@ -264,13 +266,8 @@ class PassSpec:
     def profile(self) -> PassProfile:
         if self.csv_path is not None:
             return load_pass_csv(self.csv_path, self.loss_model(), min_elevation_deg=self.min_elevation_deg)
-        return synthesize_pass(
-            max_elevation_deg=self.max_elevation_deg,
-            orbit_altitude_m=self.orbit_altitude_m,
-            min_elevation_deg=self.min_elevation_deg,
-            step_s=self.step_s,
-            loss_model=self.loss_model(),
-        )
+        return synthesize_pass(self.max_elevation_deg, self.orbit_altitude_m, self.min_elevation_deg,
+                               self.loss_model())
 
 
 @record
@@ -278,7 +275,7 @@ class ChannelConfig:
     """Downlink loss configuration: a fixed budget or an elevation-dependent pass.
 
     In pass mode the pass profile is built from pass_spec on its first read;
-    a CSV pass is read on construction, so that a bad file fails every command.
+    a CSV pass is read, and its step capped, on construction.
     """
 
     mode: str  # "fixed" or "pass"
@@ -299,8 +296,8 @@ class ChannelConfig:
         if self.mode == "pass":
             if self.pass_spec is None:
                 raise DomainError("pass mode requires a 'pass' block")
-            if self.pass_spec.csv_path is not None:
-                self.pass_profile  # read now, so that a bad file fails every command
+            if self.pass_spec.csv_path is not None:  # read now, so that a bad file or step fails every command
+                _check_walk(self.pass_spec.step_s, self.pass_profile.duration_s)
 
     @functools.cached_property
     def pass_profile(self) -> PassProfile | None:

@@ -227,7 +227,8 @@ def cmd_pass(args) -> dict:
     if cfg.channel.mode != "pass":
         raise ConfigError("pass command requires a channel in pass mode")
     profile = cfg.channel.pass_profile
-    segments = profile.segments(args.step, cfg.channel.excess_loss_db)  # shared by every source
+    step = cfg.channel.pass_spec.step_s if args.step is None else args.step
+    segments = profile.segments(step, cfg.channel.excess_loss_db)  # shared by every source
     # one independent stream per source; the analytic pass draws none, and so never loads numpy.random
     streams = (np.random.SeedSequence(cfg.seed).spawn(len(cfg.sources)) if args.mode == "mc"
                else [None] * len(cfg.sources))
@@ -235,8 +236,8 @@ def cmd_pass(args) -> dict:
                for src, stream in zip(cfg.sources, streams)]
     keys, batch = key_tallies(cfg.sources, tallies, cfg.security, args.regime, empty_pass_reason(segments[0]))
     blocks, length, _ = _source_blocks(cfg.sources, keys, batch)
-    _write_csv(args.out_dir, "pass_elevation.csv", ["time_s", "elevation_deg"],
-               zip(profile.times_s, profile.elevations_deg))
+    if args.out_dir:  # the midpoint of each kept step, walked again only here
+        _write_csv(args.out_dir, "pass_elevation.csv", ["time_s", "elevation_deg"], zip(*profile.walk(step)[:2]))
     return {
         "command": "pass",
         "duration_s": profile.duration_s,
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--regime", choices=["asymptotic", "finite"], default="finite")
     p.add_argument("--mode", choices=["analytic", "mc"], default="analytic")
-    p.add_argument("--step", type=float, default=1.0, help="integration step in seconds")
+    p.add_argument("--step", type=float, help="walk step in seconds (default: the config's pass.step_s)")
     p.set_defaults(func=cmd_pass)
 
     p = sub.add_parser("optimize", help="grid search over source intensities")

@@ -12,7 +12,7 @@ against it in distribution.
 reference_pass is the Monte Carlo pass loop of satqkd before the whole pass
 became one draw: one simulate_block call per segment, each with its own seed
 spawned from the pass seed, and the segment tallies added one by one. It
-walks the pass as PassProfile.segments does, step k from t0 + k * step_s.
+walks the pass as PassProfile.walk does, step k from start_s + k * step_s.
 elevation_at gives it a pass's elevation one time at a time.
 
 enumerated_levels is measure_batch's per-pulse outcome law by exact
@@ -23,9 +23,9 @@ outcome law of n photons, and n_photon_yield_and_error the n-photon yield
 Y_n and error rate e_n that the decoy bounds estimate.
 
 reference_loss and synthesized_elevations are the pass geometry of satqkd
-before it took arrays: ElevationLossModel's loss at one elevation, and the
-elevations of a synthesized pass, one sample at a time, in scalar math.
-The array code of satqkd.channel must give exactly these numbers.
+in scalar math: ElevationLossModel's loss at one elevation, and the
+closed-form elevation of a synthesized pass, one time at a time. The array
+code of satqkd.channel must give exactly these numbers.
 """
 
 import itertools
@@ -123,11 +123,10 @@ def measure_batch(
 
 
 def elevation_at(profile: PassProfile, t: float):
-    """Linear interpolation of the pass elevation at time t; None outside the pass span."""
-    ts = profile.times_s
-    if len(ts) == 0 or t < ts[0] or t > ts[-1]:
+    """The pass elevation at time t, from the profile's elevation function; None outside the pass window."""
+    if not profile.start_s <= t <= profile.end_s:
         return None
-    return float(np.interp(t, ts, profile.elevations_deg))
+    return float(profile.elevation(np.array([t]))[0])
 
 
 def reference_loss(model: ElevationLossModel, elevation_deg: float) -> float:
@@ -155,17 +154,19 @@ def elevation_from_central_angle(gamma: float, orbit_radius_m: float) -> float:
     return math.degrees(el)
 
 
-def synthesized_elevations(max_elevation_deg: float, orbit_altitude_m: float, min_elevation_deg: float = 10.0,
-                           step_s: float = 1.0) -> np.ndarray:
-    """The elevation samples of synthesize_pass, one elevation_from_central_angle call per sample."""
+def synthesized_elevations(max_elevation_deg: float, orbit_altitude_m: float, times_s,
+                           min_elevation_deg: float = 10.0) -> np.ndarray:
+    """The elevations of synthesize_pass at times_s from its rise, one elevation_from_central_angle call per time.
+
+    cos(gamma(t)) = cos(gamma_max) * cos(omega (t - t_c)), where the culmination t_c lies half the pass
+    after the rise; numpy's arccos, since math.acos rounds differently.
+    """
     r = EARTH_RADIUS_M + orbit_altitude_m
     omega = math.sqrt(EARTH_MU_M3_S2 / r**3)
     gamma_max = _central_angle_from_elevation(max_elevation_deg, r)
     gamma_min = _central_angle_from_elevation(min_elevation_deg, r)
     half_span = math.acos(min(1.0, math.cos(gamma_min) / math.cos(gamma_max))) / omega
-    n_half = int(math.floor(half_span / step_s))
-    offsets = np.arange(-n_half, n_half + 1) * step_s
-    gammas = np.arccos(np.cos(gamma_max) * np.cos(omega * offsets))
+    gammas = [float(np.arccos(math.cos(gamma_max) * math.cos(omega * (t - half_span)))) for t in times_s]
     return np.clip([elevation_from_central_angle(g, r) for g in gammas], 0.0, 90.0)
 
 
@@ -216,7 +217,7 @@ def reference_pass(
     step_s: float = 1.0,
     excess_loss_db: float = 0.0,
 ) -> TallyTable:
-    t0, t1 = profile.times_s[0], profile.times_s[-1]
+    t0, t1 = profile.start_s, profile.end_s
     # the segments are added up here, in order, and make one tally at the end
     empty = TallyTable.zeros(source)
     counts, total_pulses, elapsed_s = empty.counts, 0.0, 0.0

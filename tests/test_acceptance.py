@@ -196,7 +196,7 @@ def test_acceptance_7_fwhm_estimator(report):
 def test_acceptance_8_pass_integration(report):
     t0 = time.perf_counter()
     profile = synthesize_pass(
-        90.0, 500e3, min_elevation_deg=10.0, step_s=1.0,
+        90.0, 500e3, min_elevation_deg=10.0,
         loss_model=ElevationLossModel(altitude_m=500e3),
     )
     minutes = profile.duration_s / 60.0

@@ -6,8 +6,10 @@ the tally and key of two analytic passes (one with background light and
 excess loss), a keyrate sweep and an optimize best. Two keyrate rates were
 re-recorded when the fixed-loss key began to read its bounds' gains and
 error rates from the expected counts: they moved by 1.0e-15 and 1.0e-14
-relative. Python floats survive a JSON round trip exactly, so every number
-is compared with ==.
+relative. The two passes were re-recorded when a synthesized pass became
+its closed-form elevation, walked over its exact rise-to-set window rather
+than over a grid of whole samples. Python floats survive a JSON round trip
+exactly, so every number is compared with ==.
 """
 
 import contextlib
@@ -46,7 +48,7 @@ def analytic_results() -> dict:
     src = cfg.sources[0]
     results = {}
     for name, (culmination, regime, excess, background) in PASSES.items():
-        profile = synthesize_pass(culmination, 500e3, min_elevation_deg=10.0, step_s=1.0)
+        profile = synthesize_pass(culmination, 500e3, min_elevation_deg=10.0)
         receiver = replace(cfg, channel=replace(cfg.channel, background_click_prob=background)).receiver
         key, tally = integrate_pass(
             *profile.segments(1.0, excess), src, receiver, cfg.e_det(src), cfg.security, regime=regime,

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satqkd.channel import (
     ChannelConfig,
     ElevationLossModel,
-    PassProfile,
+    PassSpec,
     beam_spreading_loss_db,
     load_pass_csv,
+    sampled_pass,
     slant_range_m,
     synthesize_pass,
     transmittance_from_db,
@@ -131,10 +132,10 @@ def test_loss_model_array_equals_scalar_reference(model):
 @pytest.mark.parametrize("altitude_m", [500e3, 800e3])
 def test_synthesized_elevations_equal_scalar_reference(altitude_m):
     for culmination in (10.5, 12.0, 17.3, 30.0, 45.0, 60.0, 75.0, 89.5, 90.0):
-        for step in (1.0, 0.37):
-            profile = synthesize_pass(culmination, altitude_m, step_s=step)
-            expected = synthesized_elevations(culmination, altitude_m, step_s=step)
-            assert profile.elevations_deg.tolist() == expected.tolist()
+        profile = synthesize_pass(culmination, altitude_m)
+        for step in (1.0, 0.7):
+            midpoints, elevations, _ = profile.walk(step)
+            assert elevations.tolist() == synthesized_elevations(culmination, altitude_m, midpoints).tolist()
 
 
 @pytest.mark.parametrize("step", [0.01, 0.7, 1.0, 13.0, 1e3])
@@ -150,25 +151,27 @@ def test_segments_call_the_loss_model_once(step):
 
 
 def test_synthesize_pass_duration_brackets_visibility_window():
-    profile = synthesize_pass(90.0, 500e3, min_elevation_deg=10.0, step_s=1.0)
+    profile = synthesize_pass(90.0, 500e3, min_elevation_deg=10.0)
     assert 4 * 60 <= profile.duration_s <= 12 * 60
 
 
 def test_synthesize_pass_symmetric_about_culmination():
-    profile = synthesize_pass(80.0, 500e3, min_elevation_deg=10.0, step_s=1.0)
-    els = np.asarray(profile.elevations_deg)
-    assert np.allclose(els, els[::-1], atol=1e-9)
-    assert els.max() == pytest.approx(80.0, abs=0.5)
+    profile = synthesize_pass(80.0, 500e3, min_elevation_deg=10.0)
+    culmination = profile.duration_s / 2.0
+    offsets = np.linspace(0.0, culmination, 101)
+    els = profile.elevation(culmination + offsets)
+    assert np.allclose(els, profile.elevation(culmination - offsets), atol=1e-9)
+    assert els[0] == pytest.approx(80.0, abs=1e-9) and els[-1] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_synthesize_pass_grazing_pass_short():
-    profile = synthesize_pass(10.5, 500e3, min_elevation_deg=10.0, step_s=1.0)
+    profile = synthesize_pass(10.5, 500e3, min_elevation_deg=10.0)
     assert profile.duration_s < 120
 
 
 def test_synthesize_pass_duration_shrinks_with_min_elevation():
     durations = [
-        synthesize_pass(90.0, 500e3, min_elevation_deg=el, step_s=1.0).duration_s
+        synthesize_pass(90.0, 500e3, min_elevation_deg=el).duration_s
         for el in (5.0, 10.0, 20.0, 40.0)
     ]
     assert all(a >= b for a, b in zip(durations, durations[1:]))
@@ -194,26 +197,56 @@ def test_synthesize_pass_rejects_altitude_not_finite_and_positive(altitude_m):
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
-def test_synthesize_pass_rejects_step_not_finite_and_positive(step):
+def test_pass_spec_and_walk_reject_step_not_finite_and_positive(step):
+    for spec in ({"max_elevation_deg": 60.0}, {"csv_path": "pass.csv"}):  # the CSV is read only by profile
+        with pytest.raises(DomainError, match="step must be finite and > 0"):
+            PassSpec(**spec, step_s=step)
     with pytest.raises(DomainError, match="step must be finite and > 0"):
-        synthesize_pass(60.0, 500e3, step_s=step)
+        synthesize_pass(60.0, 500e3).walk(step)
 
 
-def test_synthesize_pass_rejects_more_samples_than_the_step_cap():
-    with pytest.raises(DomainError, match="into more than 1000000 samples"):
-        synthesize_pass(60.0, 500e3, step_s=1e-4)
+def test_pass_spec_and_walk_reject_more_steps_than_the_step_cap(tmp_path):
+    with pytest.raises(DomainError, match="cuts the 436.374 s pass into more than 1000000 steps"):
+        PassSpec(max_elevation_deg=60.0, step_s=1e-4)
+    with pytest.raises(DomainError, match="cuts the 436.374 s pass into more than 1000000 steps"):
+        synthesize_pass(60.0, 500e3).walk(1e-4)
+    # a CSV pass's span is known once the file is read, which the channel does on construction
+    path = tmp_path / "pass.csv"
+    path.write_text("time_s,elevation_deg\n0,30\n1000,40\n")
+    with pytest.raises(DomainError, match="cuts the 1000 s pass into more than 1000000 steps"):
+        ChannelConfig(mode="pass", pass_spec=PassSpec(csv_path=str(path), step_s=1e-4))
 
 
-@pytest.mark.parametrize("culmination,step", [(60.0, 1e300), (10.0001, 1.0)])
-def test_synthesize_pass_rejects_a_step_longer_than_half_the_pass(culmination, step):
-    # such a step samples only the culmination, and the pass read as never rising
-    with pytest.raises(DomainError, match=r"step_s .* is longer than half the .* s pass"):
-        synthesize_pass(culmination, 500e3, step_s=step)
-    assert len(synthesize_pass(10.5, 500e3, step_s=1.0).times_s) == 91  # the shortest pass keyed anywhere
+@pytest.mark.parametrize("culmination,step", [(60.0, 1e300), (10.0001, 2.0)])
+def test_a_step_longer_than_the_pass_walks_it_in_one_step(culmination, step):
+    # once refused: the sample grid that a step longer than half the pass cut held only the culmination
+    profile = synthesize_pass(culmination, 500e3)
+    midpoints, elevations, durations = profile.walk(step)
+    assert durations.tolist() == [profile.duration_s] and midpoints.tolist() == [profile.duration_s / 2.0]
+    assert elevations.tolist() == pytest.approx([culmination], abs=1e-9)
+
+
+@settings(deadline=None)
+@given(
+    min_elevation=st.floats(0.0, 80.0),
+    height=st.floats(1e-6, 1.0),  # the culmination's share of the way from the minimum elevation to 90
+    altitude_m=st.floats(200e3, 2000e3),
+    step=st.sampled_from([1.0, 0.7, 13.0]),
+)
+def test_synthesized_pass_walks_its_exact_rise_to_set_window(min_elevation, height, altitude_m, step):
+    culmination = min_elevation + (90.0 - min_elevation) * height
+    assume(min_elevation < culmination <= 90.0)
+    profile = synthesize_pass(culmination, altitude_m, min_elevation_deg=min_elevation)
+    rise_set = profile.elevation(np.array([profile.start_s, profile.end_s]))
+    assert rise_set.tolist() == pytest.approx([min_elevation] * 2, abs=1e-6)
+    _, elevations, durations = profile.walk(step)
+    # no step of the window is dropped, and the steps cover it to a few ulps
+    assert abs(math.fsum(durations.tolist()) - profile.duration_s) <= 4 * math.ulp(profile.end_s)
+    assert np.all(elevations >= min_elevation)
 
 
 def test_segments_sample_midpoints_and_skip_low_elevation():
-    profile = PassProfile(
+    profile = sampled_pass(
         times_s=[0.0, 10.0, 20.0],
         elevations_deg=[20.0, 30.0, 20.0],
         loss_model=lambda el: 100.0 - el,
@@ -224,14 +257,14 @@ def test_segments_sample_midpoints_and_skip_low_elevation():
     losses, durations = profile.segments(5.0, excess_loss_db=1.5)  # elevations 22.5, 27.5, 27.5, 22.5
     assert losses.tolist() == pytest.approx([79.0, 74.0, 74.0, 79.0])
     assert durations.tolist() == [5.0] * 4
-    dipping = PassProfile(times_s=[0.0, 10.0, 20.0], elevations_deg=[20.0, 5.0, 20.0],
-                          loss_model=FixedLossModel(40.0), min_elevation_deg=10.0)
+    dipping = sampled_pass(times_s=[0.0, 10.0, 20.0], elevations_deg=[20.0, 5.0, 20.0],
+                           loss_model=FixedLossModel(40.0), min_elevation_deg=10.0)
     losses, durations = dipping.segments(5.0)  # midpoint elevations 16.25, 8.75, 8.75, 16.25
     assert losses.tolist() == [40.0, 40.0] and durations.tolist() == [5.0, 5.0]
-    const = PassProfile(times_s=[0.0, 10.0], elevations_deg=[30.0, 30.0], loss_model=FixedLossModel(40.0))
+    const = sampled_pass(times_s=[0.0, 10.0], elevations_deg=[30.0, 30.0], loss_model=FixedLossModel(40.0))
     losses, durations = const.segments(3.0)  # the last step is cut short
     assert losses.tolist() == [40.0] * 4 and durations.tolist() == pytest.approx([3.0, 3.0, 3.0, 1.0])
-    low = PassProfile(times_s=[0.0, 10.0], elevations_deg=[5.0, 5.0], loss_model=FixedLossModel(40.0))
+    low = sampled_pass(times_s=[0.0, 10.0], elevations_deg=[5.0, 5.0], loss_model=FixedLossModel(40.0))
     assert [a.size for a in low.segments(1.0)] == [0, 0]
 
 
@@ -244,18 +277,18 @@ def test_segments_cover_the_pass_to_within_two_ulps(t0, step, steps):
     # step k starts at t0 + k * step, so no rounding builds up over the walk, at any start time
     t1 = t0 + step * steps
     assume(t1 > t0)
-    profile = PassProfile(times_s=[t0, t1], elevations_deg=[30.0, 30.0], loss_model=FixedLossModel(40.0))
+    profile = sampled_pass(times_s=[t0, t1], elevations_deg=[30.0, 30.0], loss_model=FixedLossModel(40.0))
     _, durations = profile.segments(step)
     assert abs(math.fsum(durations.tolist()) - (t1 - t0)) <= 2 * math.ulp(t1)
 
 
 def test_pass_profile_needs_a_sample():
     with pytest.raises(DomainError, match="non-empty"):
-        PassProfile(times_s=[], elevations_deg=[], loss_model=FixedLossModel())
+        sampled_pass(times_s=[], elevations_deg=[], loss_model=FixedLossModel())
 
 
 def test_segments_continuous_over_span():
-    profile = synthesize_pass(90.0, 500e3, min_elevation_deg=10.0, step_s=5.0)
+    profile = synthesize_pass(90.0, 500e3, min_elevation_deg=10.0)
     losses, durations = profile.segments(profile.duration_s / 500)
     assert np.all(np.abs(np.diff(losses)) < 1.0)
     assert durations.sum() == pytest.approx(profile.duration_s)
@@ -263,7 +296,7 @@ def test_segments_continuous_over_span():
 
 def test_pass_profile_rejects_unsorted_times():
     with pytest.raises(DomainError):
-        PassProfile(times_s=[0.0, 0.0, 1.0], elevations_deg=[10, 20, 30], loss_model=FixedLossModel())
+        sampled_pass(times_s=[0.0, 0.0, 1.0], elevations_deg=[10, 20, 30], loss_model=FixedLossModel())
 
 
 def test_load_pass_csv_round_trip(tmp_path):
@@ -271,7 +304,7 @@ def test_load_pass_csv_round_trip(tmp_path):
     path.write_text("time_s,elevation_deg\n0,10\n10,45\n20,10\n")
     profile = load_pass_csv(path, FixedLossModel(40.0))
     assert profile.duration_s == 20.0
-    assert np.interp(5.0, profile.times_s, profile.elevations_deg) == pytest.approx(27.5)
+    assert profile.elevation(5.0) == pytest.approx(27.5)
 
 
 def test_load_pass_csv_rejects_bad_header(tmp_path):

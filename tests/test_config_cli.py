@@ -20,7 +20,7 @@ import yaml
 
 import satqkd
 from satqkd import channel, config, protocol
-from satqkd.channel import synthesize_pass
+from satqkd.channel import PassSpec, synthesize_pass
 from satqkd.cli import main
 from satqkd.config import (
     default_run_config,
@@ -103,6 +103,23 @@ def pass_mode_data(config_path) -> dict:
     return data
 
 
+def test_readme_pass_block_lists_every_pass_key_at_its_default(tmp_path):
+    # the documented block is the schema: merged into configs/default.yaml it loads as the default PassSpec
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("A pass-mode channel replaces the `channel` block with:\n\n```yaml\n")[1].split("```")[0]
+    channel = yaml.safe_load(block)["channel"]
+    defaults = {f.name: f.default for f in dataclasses.fields(PassSpec) if f.name != "csv_path"}
+    assert list(channel["pass"]) == list(defaults) and channel["pass"] == defaults
+    assert "\n    # csv_path: " in block  # the one key left commented out: setting it reads a CSV instead
+    data = yaml.safe_load((root / "configs" / "default.yaml").read_text())
+    data["channel"].update(channel)
+    path = tmp_path / "readme_pass.yaml"
+    path.write_text(yaml.safe_dump(data))
+    cfg = load_run_config(path)
+    assert cfg.channel.mode == "pass" and cfg.channel.pass_spec == PassSpec()
+
+
 def test_pass_mode_round_trip_lists_every_pass_field(tmp_path, config_path):
     data = pass_mode_data(config_path)
     cfg = parse_run_config(data)
@@ -114,7 +131,8 @@ def test_pass_mode_round_trip_lists_every_pass_field(tmp_path, config_path):
         "max_elevation_deg": 60.0, "orbit_altitude_m": 500e3, "min_elevation_deg": 10.0,
         "step_s": 2.0, "zenith_atmospheric_db": 1.0, "receiver_diameter_m": 1.0,
     }
-    np.testing.assert_array_equal(reloaded.channel.pass_profile.times_s, cfg.channel.pass_profile.times_s)
+    for reread, made in zip(reloaded.channel.pass_profile.walk(2.0), cfg.channel.pass_profile.walk(2.0)):
+        np.testing.assert_array_equal(reread, made)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,10 +1114,7 @@ def test_cli_pass_csv_with_nan_elevation_is_config_error(capsys, config_path, tm
     ("max_elevation_deg", 95.0, "need min_elevation < max_elevation <= 90"),
     ("step_s", 0.0, "step must be finite and > 0 s"),
     ("step_s", -1.0, "step must be finite and > 0 s"),
-    ("step_s", 1e-4, "into more than 1000000 samples"),
-    # a step longer than half the pass sampled only the culmination, a pass reported as never rising
-    ("step_s", 1e300, "step_s 1e+300 s is longer than half the"),
-    ("max_elevation_deg", 10.0001, "step_s 2 s is longer than half the"),
+    ("step_s", 1e-4, "into more than 1000000 steps"),
     # the samples were clipped to 0 degrees: keyrate ran, and pass failed in the loss model
     ("min_elevation_deg", -5.0, "min_elevation_deg must be >= 0"),
 ])
@@ -1115,6 +1130,49 @@ def test_cli_bad_loss_model_setting_is_config_error_naming_its_key(capsys, confi
     assert code == 2 and out == ""
     report = json.loads(err)
     assert report["error"] == "config" and message in report["message"]
+
+
+@pytest.mark.parametrize("key,value", [("step_s", 1e300), ("max_elevation_deg", 10.0001)])
+def test_cli_step_longer_than_half_the_pass_keys_its_exact_window(capsys, config_path, tmp_path, key, value):
+    # both were refused while a synthesized pass was a grid of samples step_s apart, since a step longer
+    # than half the pass left only the culmination; walked over the exact window, one step covers it
+    data = pass_mode_data(config_path)
+    data["channel"]["pass"][key] = value
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(data))
+    for command in ("keyrate", "pass"):
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 0 and err == ""
+    report = json.loads(out)
+    window = load_run_config(path).channel.pass_profile.duration_s
+    assert report["duration_s"] == window
+    for src, block in zip(data["sources"], report["sources"]):
+        pulses = src["repetition_rate_hz"] * window
+        assert block["tally"]["total_pulses"] == pulses
+        assert abs(block["tally"]["elapsed_s"] - window) <= 2 * math.ulp(window)  # pulses / rate
+
+
+def test_cli_pass_elevation_csv_lists_the_midpoint_of_each_kept_step(capsys, config_path, tmp_path):
+    dipping = tmp_path / "dipping.csv"  # its 9-degree sample drops the steps around it
+    dipping.write_text("time_s,elevation_deg\n0,5\n3.3,40\n10.1,9\n11,12\n")
+    for name, spec in (("synthesized", {"max_elevation_deg": 60.0, "step_s": 2.0}),
+                       ("sampled", {"csv_path": str(dipping), "step_s": 0.7})):
+        data = pass_mode_data(config_path)
+        data["channel"]["pass"] = spec
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out_dir = tmp_path / name
+        assert run_cli(capsys, "pass", "--config", str(path), "--out-dir", str(out_dir))[0] == 0
+        with open(out_dir / "pass_elevation.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        times, elevations = np.array(rows, dtype=float).T
+        profile = load_run_config(path).channel.pass_profile
+        losses, durations = profile.segments(spec["step_s"])
+        assert header == ["time_s", "elevation_deg"] and 0 < len(rows) == losses.size
+        assert profile.loss_model(elevations).tolist() == losses.tolist()
+        assert profile.elevation(times).tolist() == elevations.tolist()
+        assert np.all(times - durations / 2.0 >= profile.start_s) and np.all(times + durations / 2.0 <= profile.end_s)
+        assert np.all(np.diff(times) > 0)
 
 
 @pytest.mark.parametrize("command", ["keyrate", "pass"])

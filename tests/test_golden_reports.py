@@ -5,7 +5,9 @@ data/golden_reports.json maps each case of CASES to the exact stdout it printed 
 `simulate`, `pass` (analytic and mc, both regimes), `keyrate` and `optimize` on configs/default.yaml and on
 conftest's two distinct sources, plus a pass whose second source sends no whole pulse and a CSV pass that never
 rises above the minimum elevation. `optimize` has since
-named the source it searches; that one field is the only change allowed.
+named the source it searches; that one field is the only change allowed. The 11 cases of a synthesized pass
+were re-recorded when it became its closed-form elevation, walked over its exact rise-to-set window rather than
+over a grid of whole samples.
 
 To record the file again, when a report is meant to change, run from the repository root:
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from satqkd.channel import ElevationLossModel, PassProfile, synthesize_pass, transmittance_from_db
-from satqkd.config import default_source
+from satqkd.channel import ElevationLossModel, sampled_pass, synthesize_pass, transmittance_from_db
+from satqkd.config import default_run_config, default_source
 from satqkd.errors import DomainError
 from satqkd.exact import each, square
 from satqkd.protocol import (
@@ -728,7 +728,7 @@ ZERO_TALLY = {
 
 
 def test_integrate_pass_below_min_elevation(source, detector, e_det, security):
-    profile = PassProfile(
+    profile = sampled_pass(
         times_s=[0.0, 60.0, 120.0],
         elevations_deg=[3.0, 5.0, 3.0],
         loss_model=FixedLossModel(40.0),
@@ -742,7 +742,7 @@ def test_integrate_pass_below_min_elevation(source, detector, e_det, security):
 
 def test_integrate_pass_constant_loss_matches_fixed(source, detector, e_det, security):
     duration = 120.0
-    profile = PassProfile(
+    profile = sampled_pass(
         times_s=[0.0, duration],
         elevations_deg=[45.0, 45.0],
         loss_model=FixedLossModel(38.0),
@@ -756,25 +756,32 @@ def test_integrate_pass_constant_loss_matches_fixed(source, detector, e_det, sec
 
 
 def test_integrate_pass_pooling_beats_per_segment_keys(source, detector, e_det, security):
-    from satqkd.channel import synthesize_pass
-
-    profile = synthesize_pass(90.0, 500e3, min_elevation_deg=10.0, step_s=1.0)
+    profile = synthesize_pass(90.0, 500e3, min_elevation_deg=10.0)
     pooled, _ = integrate_pass(*profile.segments(1.0), source, detector, e_det, security, regime="finite")
     # split the pass into 30 s slices keyed independently
     per_segment = 0.0
-    t = profile.times_s[0]
-    while t < profile.times_s[-1]:
-        end = min(t + 30.0, profile.times_s[-1])
-        sliced = PassProfile(
-            times_s=[t, end],
-            elevations_deg=[elevation_at(profile, t), elevation_at(profile, end)],
-            loss_model=profile.loss_model,
-            min_elevation_deg=profile.min_elevation_deg,
-        )
+    t = profile.start_s
+    while t < profile.end_s:
+        end = min(t + 30.0, profile.end_s)
+        sliced = replace(profile, start_s=t, end_s=end)
         seg, _ = integrate_pass(*sliced.segments(1.0), source, detector, e_det, security, regime="finite")
         per_segment += seg.secret_key_length
         t = end
     assert pooled.secret_key_length >= per_segment
+
+
+@pytest.mark.parametrize("culmination", [30.0, 60.0, 90.0])
+def test_pass_key_at_1_s_steps_is_within_2e_6_of_the_0_01_s_walk(culmination):
+    # the walk covers the exact rise-to-set window, so a 1 s step no longer cuts the pass's ends: the
+    # 30-degree key fell 9.0e-4 short of the limit while the window was cut to whole samples
+    cfg = default_run_config()
+    src = cfg.sources[0]
+    profile = synthesize_pass(culmination, 500e3)
+    coarse, fine = (integrate_pass(*profile.segments(step), src, cfg.receiver, cfg.e_det(src), cfg.security,
+                                   regime="finite")[0].secret_key_length for step in (1.0, 0.01))
+    assert coarse == pytest.approx(fine, rel=2e-6)
+    if culmination == 60.0:
+        assert coarse == pytest.approx(886317.9, abs=0.5)
 
 
 def per_step_segments(profile, step_s, excess_loss_db, loss):
@@ -783,7 +790,7 @@ def per_step_segments(profile, step_s, excess_loss_db, loss):
     Step k starts at t0 + k * step_s.
     """
     losses, durations = [], []
-    t0, t1 = profile.times_s[0], profile.times_s[-1]
+    t0, t1 = profile.start_s, profile.end_s
     k, t = 0, t0
     while t < t1:
         dt = min(step_s, t1 - t)
@@ -800,8 +807,8 @@ def per_step_segments(profile, step_s, excess_loss_db, loss):
 def test_pass_segments_interpolate_as_one_call_per_step(step):
     # the exactness oracle of a whole pass: clock, midpoints and every loss against scalar math
     model = ElevationLossModel(altitude_m=600e3, zenith_atmospheric_db=0.7, receiver_diameter_m=0.8)
-    dipping = PassProfile(times_s=[0.0, 3.3, 10.1, 11.0], elevations_deg=[5.0, 40.0, 9.0, 12.0],
-                          loss_model=lambda el: 60.0 - el / 2.0, min_elevation_deg=10.0)
+    dipping = sampled_pass(times_s=[0.0, 3.3, 10.1, 11.0], elevations_deg=[5.0, 40.0, 9.0, 12.0],
+                           loss_model=lambda el: 60.0 - el / 2.0, min_elevation_deg=10.0)
     for profile, loss in ((synthesize_pass(75.0, 600e3, loss_model=model), lambda el: reference_loss(model, el)),
                           (dipping, dipping.loss_model)):
         losses, durations = profile.segments(step, 1.5)
@@ -809,7 +816,7 @@ def test_pass_segments_interpolate_as_one_call_per_step(step):
 
 
 def test_integrate_pass_mc_mode_deterministic(source, detector, e_det, security):
-    profile = PassProfile(
+    profile = sampled_pass(
         times_s=[0.0, 2.0],
         elevations_deg=[60.0, 60.0],
         loss_model=FixedLossModel(42.0),
@@ -906,8 +913,8 @@ def test_integrate_pass_mc_draws_all_segments_in_one_call(source, detector, e_de
         return real(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "simulate_block", counting)
-    profile = PassProfile(times_s=[0.0, 5.0], elevations_deg=[20.0, 70.0],
-                          loss_model=lambda el: 60.0 - el / 2.0, min_elevation_deg=10.0)
+    profile = sampled_pass(times_s=[0.0, 5.0], elevations_deg=[20.0, 70.0],
+                           loss_model=lambda el: 60.0 - el / 2.0, min_elevation_deg=10.0)
     small = replace(source, repetition_rate_hz=1e4)
     _, tally = integrate_pass(*profile.segments(1.0), small, detector, e_det, security, mode="mc", seed=2)
     assert len(calls) == 1 and list(calls[0]) == [10_000] * 5
@@ -916,8 +923,8 @@ def test_integrate_pass_mc_draws_all_segments_in_one_call(source, detector, e_de
 
 def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, security):
     # the last step is 0.4 ms long: 0.4 pulses at 1 kHz, which round to none
-    profile = PassProfile(times_s=[0.0, 2.0004], elevations_deg=[60.0, 60.0],
-                          loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
+    profile = sampled_pass(times_s=[0.0, 2.0004], elevations_deg=[60.0, 60.0],
+                           loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
     small = replace(source, repetition_rate_hz=1e3)
     mc, tally = integrate_pass(*profile.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
     validate_tally(tally)
@@ -926,8 +933,8 @@ def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, secu
     analytic, _ = integrate_pass(*profile.segments(1.0), small, detector, e_det, security)
     assert math.isfinite(mc.secret_key_length) and math.isfinite(analytic.secret_key_length)
     # a pass above the minimum elevation whose only step rounds to no pulse
-    short = PassProfile(times_s=[0.0, 0.0004], elevations_deg=[60.0, 60.0],
-                        loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
+    short = sampled_pass(times_s=[0.0, 0.0004], elevations_deg=[60.0, 60.0],
+                         loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
     mc, tally = integrate_pass(*short.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
     assert tally.to_dict() == ZERO_TALLY and mc.secret_key_length == 0.0
     assert "no whole pulse" in mc.reason
@@ -936,8 +943,8 @@ def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, secu
 @pytest.mark.parametrize("step", [0.0017, 0.0014, 0.0006, 0.0003])
 def test_integrate_pass_mc_sends_the_rounded_total_at_a_fractional_step(source, detector, e_det, security, step):
     # 1.7, 1.4, 0.6 and 0.3 pulses a step at 1 kHz: rounding each step on its own sent 2, 1, 1 and 0
-    profile = PassProfile(times_s=[0.0, 10.0], elevations_deg=[60.0, 60.0],
-                          loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
+    profile = sampled_pass(times_s=[0.0, 10.0], elevations_deg=[60.0, 60.0],
+                           loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
     small = replace(source, repetition_rate_hz=1e3)
     losses, durations = profile.segments(step)
     _, tally = integrate_pass(losses, durations, small, detector, e_det, security, mode="mc", seed=3)

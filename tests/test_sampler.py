@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satqkd.channel import PassProfile
+from satqkd.channel import sampled_pass
 from satqkd.protocol import (
     SENT,
     SecurityParams,
@@ -147,8 +147,8 @@ def test_sampler_full_pass_block_at_40db(source, detector, e_det):
 
 def test_pooled_pass_matches_per_segment_reference(source, e_det):
     # three 1 s steps whose midpoints sit at 20, 30 and 40 degrees, with loss in dB = elevation
-    profile = PassProfile(times_s=[0.0, 3.0], elevations_deg=[15.0, 45.0],
-                          loss_model=lambda el: el, min_elevation_deg=10.0)
+    profile = sampled_pass(times_s=[0.0, 3.0], elevations_deg=[15.0, 45.0],
+                           loss_model=lambda el: el, min_elevation_deg=10.0)
     source = replace(source, repetition_rate_hz=100_000)
     det = DetectorModel(dark_prob=1e-4)
     losses, durations = profile.segments(1.0)
