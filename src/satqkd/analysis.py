@@ -1,16 +1,16 @@
 """Characterization-data analysis: TCSPC pulse histograms and diode spectra.
 
-Both estimators share the same half-maximum-crossing algorithm: subtract
-the series minimum as baseline, find the unique global peak, and linearly
-interpolate to the half-max crossings on either side.
+Both are one Series, and one estimator serves both: subtract the series
+minimum as baseline, find the unique global peak, and linearly interpolate
+to the half-max crossings on either side. A spectrum's line center is the
+centroid between those crossings.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import warnings
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -18,45 +18,33 @@ from .errors import DomainError, FileFormatError, open_or_raise
 from .record import record
 
 
-def _validate_series(x: np.ndarray, y: np.ndarray, what: str):
-    if x.ndim != 1 or x.shape != y.shape:
-        raise DomainError(f"{what}: x and y must be 1-D and equal length")
-    if x.size < 5:
-        raise DomainError(f"{what}: need at least 5 points")
-    if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
-        raise DomainError(f"{what}: x values must be finite and strictly increasing")
-    if not np.all((y >= 0) & (y < np.inf)):  # false for NaN too
-        raise DomainError(f"{what}: values must be finite and >= 0")
-
-
 @record
-class HistogramSeries:
-    """TCSPC arrival-time histogram: (time_ps, counts)."""
+class Series:
+    """Values y >= 0 at finite, strictly increasing x: a TCSPC histogram's
+    (time_ps, counts) or a spectrum's (wavelength_nm, intensity)."""
 
-    time_ps: np.ndarray
-    counts: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "time_ps", np.asarray(self.time_ps, dtype=float))
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=float))
-        _validate_series(self.time_ps, self.counts, "histogram")
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        x, y = self.x, self.y
+        if x.ndim != 1 or x.shape != y.shape:
+            raise DomainError("series: x and y must be 1-D and equal length")
+        if x.size < 5:
+            raise DomainError("series: need at least 5 points")
+        if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+            raise DomainError("series: x values must be finite and strictly increasing")
+        if not np.all((y >= 0) & (y < np.inf)):  # false for NaN too
+            raise DomainError("series: values must be finite and >= 0")
 
 
 @record
-class SpectrumSeries:
-    """Optical spectrum: (wavelength_nm, intensity)."""
+class PeakEstimate:
+    """The global peak of a series and its full width between the half-max
+    crossings; multi_peak when a second peak rises above half of it."""
 
-    wavelength_nm: np.ndarray
-    intensity: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "wavelength_nm", np.asarray(self.wavelength_nm, dtype=float))
-        object.__setattr__(self, "intensity", np.asarray(self.intensity, dtype=float))
-        _validate_series(self.wavelength_nm, self.intensity, "spectrum")
-
-
-@record
-class FwhmEstimate:
     peak_x: float
     fwhm: float
     left_crossing: float
@@ -64,18 +52,10 @@ class FwhmEstimate:
     multi_peak: bool = False
 
 
-@record
-class SpectrumEstimate:
-    center: float
-    fwhm: float
-    left_crossing: float
-    right_crossing: float
-    in_band: Optional[bool] = None
-    multi_peak: bool = False
-
-
-def _half_max_crossings(x: np.ndarray, y: np.ndarray) -> Tuple[int, float, float, bool]:
-    """Peak index and interpolated half-max crossings of a baseline-subtracted series."""
+def estimate_peak(series: Series) -> PeakEstimate:
+    """Peak position and FWHM of a series via half-max crossings above its minimum."""
+    x = series.x
+    y = series.y - series.y.min()
     peak = int(np.argmax(y))
     ymax = y[peak]
     if ymax <= 0:
@@ -95,7 +75,7 @@ def _half_max_crossings(x: np.ndarray, y: np.ndarray) -> Tuple[int, float, float
             multi = True
             break
     if multi:
-        warnings.warn("secondary peak above 50% of the maximum; FWHM may be ambiguous", stacklevel=3)
+        warnings.warn("secondary peak above 50% of the maximum; FWHM may be ambiguous", stacklevel=2)
 
     def bracket(direction: int, level: float) -> Tuple[int, int, float]:
         """First bin pair straddling `level` walking outward, plus 2-point interp."""
@@ -147,55 +127,19 @@ def _half_max_crossings(x: np.ndarray, y: np.ndarray) -> Tuple[int, float, float
     elif idx.size > 1:
         amp = float(y[idx].mean())
     half = amp / 2.0
-    return peak, cross(-1, half), cross(+1, half), multi
+    left, right = cross(-1, half), cross(+1, half)
+    return PeakEstimate(peak_x=float(x[peak]), fwhm=right - left, left_crossing=left, right_crossing=right,
+                        multi_peak=multi)
 
 
-def estimate_fwhm(series: HistogramSeries) -> FwhmEstimate:
-    """Peak position and FWHM of a pulse histogram via half-max crossings."""
-    x = series.time_ps
-    y = series.counts - series.counts.min()
-    peak, left, right, multi = _half_max_crossings(x, y)
-    return FwhmEstimate(
-        peak_x=float(x[peak]),
-        fwhm=right - left,
-        left_crossing=left,
-        right_crossing=right,
-        multi_peak=multi,
-    )
-
-
-def estimate_spectrum(
-    series: SpectrumSeries,
-    band_center_nm: Optional[float] = None,
-    band_halfwidth_nm: Optional[float] = None,
-) -> SpectrumEstimate:
-    """Line center (intensity-weighted centroid inside the FWHM window) and FWHM.
-
-    When a band check is requested, in_band reports whether the centroid
-    falls within band_center +- band_halfwidth. A band needs both values, a
-    finite center and a finite half width >= 0.
-    """
-    if (band_center_nm is None) != (band_halfwidth_nm is None):
-        raise DomainError("band_center_nm and band_halfwidth_nm must be given together")
-    if band_center_nm is not None and not (math.isfinite(band_center_nm) and 0.0 <= band_halfwidth_nm < math.inf):
-        raise DomainError("band_center_nm must be finite and band_halfwidth_nm finite and >= 0")
-    x = series.wavelength_nm
-    y = series.intensity - series.intensity.min()
-    peak, left, right, multi = _half_max_crossings(x, y)
-    window = (x >= left) & (x <= right)
+def centroid(series: Series, estimate: PeakEstimate) -> float:
+    """The mean x between the estimate's crossings, weighted by y above the series minimum; its peak x if none."""
+    x = series.x
+    y = series.y - series.y.min()
+    window = (x >= estimate.left_crossing) & (x <= estimate.right_crossing)
     if not window.any():
-        window = np.zeros_like(x, dtype=bool)
-        window[peak] = True
-    center = float(np.sum(x[window] * y[window]) / np.sum(y[window]))
-    in_band = None if band_center_nm is None else abs(center - band_center_nm) <= band_halfwidth_nm
-    return SpectrumEstimate(
-        center=center,
-        fwhm=right - left,
-        left_crossing=left,
-        right_crossing=right,
-        in_band=in_band,
-        multi_peak=multi,
-    )
+        window = x == estimate.peak_x
+    return float(np.sum(x[window] * y[window]) / np.sum(y[window]))
 
 
 def load_two_column_csv(path, col_x: str, col_y: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -217,17 +161,10 @@ def load_two_column_csv(path, col_x: str, col_y: str) -> Tuple[np.ndarray, np.nd
     return np.asarray(xs), np.asarray(ys)
 
 
-def load_histogram_csv(path) -> HistogramSeries:
-    x, y = load_two_column_csv(path, "time_ps", "counts")
+def load_series(path, col_x: str, col_y: str) -> Series:
+    """The Series of a CSV's columns col_x,col_y; a series that fails validation is a FileFormatError."""
+    x, y = load_two_column_csv(path, col_x, col_y)
     try:
-        return HistogramSeries(time_ps=x, counts=y)
-    except DomainError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-
-
-def load_spectrum_csv(path) -> SpectrumSeries:
-    x, y = load_two_column_csv(path, "wavelength_nm", "intensity")
-    try:
-        return SpectrumSeries(wavelength_nm=x, intensity=y)
+        return Series(x, y)
     except DomainError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

@@ -270,10 +270,9 @@ def cmd_optimize(args) -> dict:
 
 
 def cmd_analyze_histogram(args) -> dict:
-    from .analysis import estimate_fwhm, load_histogram_csv  # only the analyze commands load analysis
+    from .analysis import estimate_peak, load_series  # only the analyze commands load analysis
 
-    series = load_histogram_csv(args.file)
-    est = estimate_fwhm(series)
+    est = estimate_peak(load_series(args.file, "time_ps", "counts"))
     return {
         "command": "analyze-histogram",
         "file": str(args.file),
@@ -291,16 +290,17 @@ def cmd_analyze_spectrum(args) -> dict:
     if args.band_center is not None and not (math.isfinite(args.band_center)
                                              and 0.0 <= args.band_halfwidth < math.inf):
         raise ConfigError("--band-center must be finite and --band-halfwidth finite and >= 0")
-    from .analysis import estimate_spectrum, load_spectrum_csv
+    from .analysis import centroid, estimate_peak, load_series
 
-    series = load_spectrum_csv(args.file)
-    est = estimate_spectrum(series, band_center_nm=args.band_center, band_halfwidth_nm=args.band_halfwidth)
+    series = load_series(args.file, "wavelength_nm", "intensity")
+    est = estimate_peak(series)
+    center = centroid(series, est)
     return {
         "command": "analyze-spectrum",
         "file": str(args.file),
-        "center_nm": est.center,
+        "center_nm": center,
         "fwhm_nm": est.fwhm,
-        "in_band": est.in_band,
+        "in_band": None if args.band_center is None else abs(center - args.band_center) <= args.band_halfwidth,
         "multi_peak": est.multi_peak,
     }
 

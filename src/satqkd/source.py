@@ -28,6 +28,7 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 MAX_TRIGGER_HZ = 200e6  # laser driver limit
 VALID_TEMP_RANGE_C = (0.0, 45.0)  # qualified window of the diodes' linear temperature drift, degC
 SPECTRAL_GRID_POINTS = 20001  # samples of a filtered spectral overlap integral
+STATE_WEIGHT = 0.25  # each of the four polarization states is prepared equally often; x0.25 is exact
 
 
 class Basis(Enum):
@@ -169,24 +170,15 @@ class SourceConfig:
         raise KeyError(label)
 
 
-def intrinsic_qber(ext: ExtinctionSet, weights: Optional[Sequence[float]] = None) -> float:
+def intrinsic_qber(ext: ExtinctionSet) -> float:
     """QBER contributed by imperfect polarization extinction.
 
     A state prepared with extinction ratio er leaks into the orthogonal
-    analyzer port with probability er/(1+er); the source QBER is the
-    weighted mean of that wrong-count fraction over the four states
-    (uniform weights by default).
+    analyzer port with probability er/(1+er); the source QBER is the mean
+    of that wrong-count fraction over the four states, each prepared a
+    quarter of the time.
     """
-    ers = ext.values()
-    if weights is None:
-        weights = (0.25, 0.25, 0.25, 0.25)
-    if len(weights) != 4:
-        raise DomainError("weights must have exactly 4 entries")
-    if any(w < 0 for w in weights):
-        raise DomainError("weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise DomainError(f"weights must sum to 1 within 1e-9, got {sum(weights)}")
-    return sum(w * er / (1.0 + er) for w, er in zip(weights, ers))
+    return STATE_WEIGHT * sum(er / (1.0 + er) for er in ext.values())
 
 
 def shifted_center(diode: DiodeProfile, temp_c: float) -> float:

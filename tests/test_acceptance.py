@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import satqkd
-from satqkd.analysis import HistogramSeries, estimate_fwhm
+from satqkd.analysis import Series, estimate_peak
 from satqkd.channel import ElevationLossModel, synthesize_pass
 from satqkd.config import default_source
 from satqkd.protocol import (
@@ -188,7 +188,7 @@ def test_acceptance_7_fwhm_estimator(report):
         for seed in range(100):
             rng = np.random.default_rng(seed)
             y = np.clip(clean * (1 + 0.01 * rng.standard_normal(x.size)), 0, None)
-            est = estimate_fwhm(HistogramSeries(time_ps=x, counts=y))
+            est = estimate_peak(Series(x, y))
             ok &= abs(est.fwhm - fwhm) <= 10.0
     report(7, "FWHM estimator", ok)
 

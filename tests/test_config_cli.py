@@ -1229,6 +1229,7 @@ def test_cli_negative_seed_is_config_error(capsys, config_path, tmp_path, input_
     ["--band-center", "777.5"], ["--band-halfwidth", "2.5"],
     ["--band-center", "777.5", "--band-halfwidth", "-1"], ["--band-center", "777.5", "--band-halfwidth", "nan"],
     ["--band-center", "777.5", "--band-halfwidth", "inf"], ["--band-center", "nan", "--band-halfwidth", "2.5"],
+    ["--band-center=-inf", "--band-halfwidth", "2.5"],  # "=": argparse takes a bare "-inf" for a flag
 ])
 def test_cli_spectrum_band_flags_need_a_finite_pair(capsys, tmp_path, band):
     # one flag alone once printed "in_band": null, and a negative half width made in_band always false

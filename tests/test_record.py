@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import satqkd
-from satqkd.analysis import HistogramSeries, SpectrumSeries, estimate_fwhm, estimate_spectrum
+from satqkd.analysis import Series, estimate_peak
 from satqkd.channel import ChannelConfig, ElevationLossModel, PassSpec
 from satqkd.config import default_run_config, default_source
 from satqkd.optimizer import Axis, SearchSpace, optimize
@@ -38,14 +38,9 @@ class Node:
     tag: str = field(default="", repr=False, hash=False, metadata={"key": "label"})
 
 
-def _histogram():
+def _series():
     x = np.arange(9.0)
-    return HistogramSeries(x, np.exp(-((x - 4.0) ** 2) / 4.0))
-
-
-def _spectrum():
-    x = np.linspace(770.0, 785.0, 31)
-    return SpectrumSeries(x, np.exp(-((x - 777.5) ** 2) / 2.0))
+    return Series(x, np.exp(-((x - 4.0) ** 2) / 4.0))
 
 
 def _key():
@@ -78,10 +73,8 @@ SAMPLES = {
     "SearchSpace": _search_space,
     "OptimizeResult": lambda: optimize(_search_space(), default_source(), 30.0, DetectorModel(), 0.01,
                                        SecurityParams()),
-    "HistogramSeries": _histogram,
-    "SpectrumSeries": _spectrum,
-    "FwhmEstimate": lambda: estimate_fwhm(_histogram()),
-    "SpectrumEstimate": lambda: estimate_spectrum(_spectrum(), 777.5, 1.0),
+    "Series": _series,
+    "PeakEstimate": lambda: estimate_peak(_series()),
 }
 
 
@@ -179,7 +172,7 @@ def assert_behaves_as_frozen_dataclass(cls, sample):
 
 def test_every_frozen_class_of_the_package_is_a_record_with_a_sample():
     assert set(package_dataclasses()) == set(RECORDS) == set(SAMPLES)
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 21
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
@@ -207,8 +200,7 @@ def test_record_field_options_behave_as_a_frozen_dataclass():
 
 def test_record_without_a_docstring_gets_the_doc_dataclass_writes():
     assert Node.__doc__ == "Node(name: str, children: list = <factory>, weight: float = 1.0, tag: str = '')"
-    assert all(written_doc(cls) is not None for name, cls in RECORDS.items()
-               if name not in ("FwhmEstimate", "SpectrumEstimate"))
+    assert all(written_doc(cls) is not None for cls in RECORDS.values())
 
 
 def test_record_subclass_may_set_its_own_attributes():

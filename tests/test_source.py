@@ -64,13 +64,6 @@ def test_intrinsic_qber_half_extinction_closed_form():
     assert intrinsic_qber(ExtinctionSet(0.5, 0.5, 0.5, 0.5)) == pytest.approx(1 / 3, abs=1e-12)
 
 
-def test_intrinsic_qber_rejects_bad_weights():
-    with pytest.raises(DomainError):
-        intrinsic_qber(MEASURED_EXTINCTION, weights=(0.5, 0.5, 0.5, 0.5))
-    with pytest.raises(DomainError):
-        intrinsic_qber(MEASURED_EXTINCTION, weights=(1.0, 0.0, 0.0))
-
-
 def test_extinction_set_rejects_out_of_range():
     with pytest.raises(DomainError):
         ExtinctionSet(1.0, 0, 0, 0)
