@@ -4,9 +4,9 @@ Covers the four polarization diodes, the signal/decoy/vacuum intensity
 classes, the extinction-ratio error budget, and the spectral/temporal
 emission profiles used for side-channel distinguishability diagnostics.
 
-Spectral lines and pulse envelopes are modeled as normalized Gaussians so
-every overlap metric has a closed form that can be cross-checked against a
-numeric-integration oracle.
+Spectral lines and pulse envelopes are modeled as normalized Gaussians so every
+overlap metric, filtered or not, has a closed form with no integration grid,
+cross-checked in the tests against a numeric-integration oracle.
 """
 
 from __future__ import annotations
@@ -27,8 +27,14 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 MAX_TRIGGER_HZ = 200e6  # laser driver limit
 VALID_TEMP_RANGE_C = (0.0, 45.0)  # qualified window of the diodes' linear temperature drift, degC
-SPECTRAL_GRID_POINTS = 20001  # samples of a filtered spectral overlap integral
 STATE_WEIGHT = 0.25  # each of the four polarization states is prepared equally often; x0.25 is exact
+
+
+def _finite(**values):
+    """Raise DomainError naming the first of the keyword values that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class Basis(Enum):
@@ -114,6 +120,8 @@ class DiodeProfile:
     def __post_init__(self):
         if not 0.0 < self.center_wavelength_nm < math.inf or not 0.0 < self.spectral_fwhm_nm < math.inf:
             raise DomainError("center_wavelength_nm and spectral_fwhm_nm must be finite and > 0")
+        _finite(temp_coefficient_nm_per_c=self.temp_coefficient_nm_per_c, reference_temp_c=self.reference_temp_c,
+                trigger_delay_ps=self.trigger_delay_ps)
         for label, fwhm in self.pulse_fwhm_by_class_ps.items():
             if label is not IntensityLabel.VACUUM and not 0.0 < fwhm < math.inf:
                 raise DomainError(f"pulse FWHM for {label.value} must be finite and > 0")
@@ -200,23 +208,25 @@ def shifted_center(diode: DiodeProfile, temp_c: float) -> float:
 
 
 def filter_transmission(center_nm: float, line_fwhm_nm: float, filt: FilterSpec) -> float:
-    """Fraction of a Gaussian line's power that passes the bandpass filter."""
+    """Fraction of a Gaussian line's power that passes the bandpass filter; a far tail stays > 0 (erfc, not erf)."""
+    _finite(center_nm=center_nm, line_fwhm_nm=line_fwhm_nm)
     if line_fwhm_nm < 0:
         raise DomainError("line_fwhm_nm must be >= 0")
-    half = filt.fwhm_nm / 2.0
-    if line_fwhm_nm == 0.0:
-        # delta line
+    half, sig_f = filt.fwhm_nm / 2.0, filt.fwhm_nm * FWHM_TO_SIGMA
+    if line_fwhm_nm == 0.0:  # delta line
         if filt.shape == "rectangular":
             return 1.0 if abs(center_nm - filt.center_nm) <= half else 0.0
-        sig_f = filt.fwhm_nm * FWHM_TO_SIGMA
         return math.exp(-((center_nm - filt.center_nm) ** 2) / (2.0 * sig_f**2))
     sig = line_fwhm_nm * FWHM_TO_SIGMA
     if filt.shape == "rectangular":
         a = (filt.center_nm - half - center_nm) / (sig * math.sqrt(2.0))
         b = (filt.center_nm + half - center_nm) / (sig * math.sqrt(2.0))
+        if a > 0.0:  # the band lies above the centre
+            return 0.5 * (math.erfc(a) - math.erfc(b))
+        if b < 0.0:  # the band lies below the centre
+            return 0.5 * (math.erfc(-b) - math.erfc(-a))
         return 0.5 * (math.erf(b) - math.erf(a))
     # gaussian filter with unit peak transmission
-    sig_f = filt.fwhm_nm * FWHM_TO_SIGMA
     s2 = sig**2 + sig_f**2
     return (sig_f / math.sqrt(s2)) * math.exp(-((center_nm - filt.center_nm) ** 2) / (2.0 * s2))
 
@@ -231,50 +241,38 @@ def _bhattacharyya_gaussians(c_a, s_a, c_b, s_b) -> float:
 def spectral_overlap(line_a: tuple, line_b: tuple, filt: Optional[FilterSpec] = None) -> float:
     """Bhattacharyya overlap of two Gaussian spectral lines, optionally filtered.
 
-    Each line is (center_nm, fwhm_nm). With a filter, both lines are clipped
-    by the filter transmission, renormalized, and the overlap integral is
-    evaluated numerically on SPECTRAL_GRID_POINTS points.
+    Each line is (center_nm, fwhm_nm). With a filter, both lines are clipped by the filter transmission T and
+    renormalized. The geometric mean of two normal densities is their unfiltered overlap BC0 times the density of
+    a line (c_m, f_m), so the filtered overlap is the closed form BC0 * T(c_m, f_m) / (sqrt(T_a) * sqrt(T_b)).
 
-    Raises OverlapUndefinedError when a filtered line has (numerically) zero
-    transmitted power.
+    Raises DomainError for a center or width that is not finite, OverlapUndefinedError when a filtered line
+    transmits no power.
     """
-    import numpy as np
-
     (c_a, f_a), (c_b, f_b) = line_a, line_b
+    _finite(center_a_nm=c_a, fwhm_a_nm=f_a, center_b_nm=c_b, fwhm_b_nm=f_b)
     if f_a <= 0 or f_b <= 0:
         raise DomainError("line FWHM must be > 0")
-    s_a, s_b = f_a * FWHM_TO_SIGMA, f_b * FWHM_TO_SIGMA
+    bc0 = _bhattacharyya_gaussians(c_a, f_a * FWHM_TO_SIGMA, c_b, f_b * FWHM_TO_SIGMA)
     if filt is None:
-        return min(1.0, _bhattacharyya_gaussians(c_a, s_a, c_b, s_b))
-
-    lo = min(c_a - 6 * s_a, c_b - 6 * s_b, filt.center_nm - filt.fwhm_nm)
-    hi = max(c_a + 6 * s_a, c_b + 6 * s_b, filt.center_nm + filt.fwhm_nm)
-    x = np.linspace(lo, hi, SPECTRAL_GRID_POINTS)
-    if filt.shape == "rectangular":
-        t = (np.abs(x - filt.center_nm) <= filt.fwhm_nm / 2.0).astype(float)
-    else:
-        sig_f = filt.fwhm_nm * FWHM_TO_SIGMA
-        t = np.exp(-((x - filt.center_nm) ** 2) / (2.0 * sig_f**2))
-    dens = []
-    for c, s in ((c_a, s_a), (c_b, s_b)):
-        p = np.exp(-((x - c) ** 2) / (2.0 * s**2)) * t
-        power = np.trapezoid(p, x)
-        if power <= 0.0 or not math.isfinite(power):
-            raise OverlapUndefinedError(
-                f"filtered line at {c} nm transmits no power through the filter"
-            )
-        dens.append(p / power)
-    bc = float(np.trapezoid(np.sqrt(dens[0] * dens[1]), x))
-    return min(1.0, bc)
+        return min(1.0, bc0)
+    t_a, t_b = filter_transmission(c_a, f_a, filt), filter_transmission(c_b, f_b, filt)
+    if min(t_a, t_b) <= 0.0:
+        raise OverlapUndefinedError(f"filtered line at {c_a if t_a <= 0 else c_b} nm transmits no power")
+    if (c_a, f_a) == (c_b, f_b):
+        return 1.0  # exactly, which the rounded closed form can miss by an ulp
+    f2 = f_a**2 + f_b**2
+    c_m, f_m = (c_a * f_b**2 + c_b * f_a**2) / f2, math.sqrt(2.0 * f_a**2 * f_b**2 / f2)
+    # a root of each throughput alone, so two tiny tails do not underflow as a product
+    return min(1.0, bc0 * filter_transmission(c_m, f_m, filt) / (math.sqrt(t_a) * math.sqrt(t_b)))
 
 
 def temporal_overlap(fwhm_a_ps: float, fwhm_b_ps: float, delay_ps: float) -> float:
     """Bhattacharyya overlap of two Gaussian pulse intensity profiles.
 
-    Equals 1 only for equal widths at zero relative delay and decreases
-    strictly with |delay|; an eavesdropper timing attack gets easier as this
-    drops below 1.
+    Equals 1 only for equal widths at zero relative delay and decreases strictly with |delay|; an eavesdropper
+    timing attack gets easier as this drops below 1. A width or delay that is not finite raises DomainError.
     """
+    _finite(fwhm_a_ps=fwhm_a_ps, fwhm_b_ps=fwhm_b_ps, delay_ps=delay_ps)
     if fwhm_a_ps <= 0 or fwhm_b_ps <= 0:
         raise DomainError("pulse FWHM must be > 0")
     s_a, s_b = fwhm_a_ps * FWHM_TO_SIGMA, fwhm_b_ps * FWHM_TO_SIGMA

@@ -685,28 +685,6 @@ def test_cli_distinguishability_tie_reports_the_first_pair(capsys, tmp_path):
         assert src["worst_pair"] == {k: pairs[0][k] for k in ("mode_a", "mode_b", "score")}
 
 
-DISTINGUISHABILITY_PINS = Path(__file__).with_name("data") / "distinguishability_pins.json"
-
-
-def test_cli_report_distinguishability_prints_pinned_stdout(capsys, tmp_path):
-    # data/distinguishability_pins.json holds the reports printed before the diode drive-current
-    # terms and the per-class pulse width were removed, for the default config and for the
-    # README's drift study: diodes with distinct temperature coefficients, at 30 degC
-    pinned = json.loads(DISTINGUISHABILITY_PINS.read_text())
-    drift = default_run_config()
-    drift = replace(drift, sources=tuple(
-        replace(src, diode_profiles=tuple(replace(d, temp_coefficient_nm_per_c=k)
-                                          for d, k in zip(src.diode_profiles, (0.03, 0.05, 0.07, 0.09))))
-        for src in drift.sources
-    ))
-    path = tmp_path / "drift.yaml"
-    save_run_config(drift, path)
-    for name, argv in (("default", []), ("drift_30degC", ["--config", str(path), "--temp", "30"])):
-        code, out, _ = run_cli(capsys, "report-distinguishability", *argv)
-        assert code == 0
-        assert out == json.dumps(pinned[name], indent=2, sort_keys=True) + "\n"
-
-
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_cli_non_finite_temperature_is_domain_error(capsys, value):
     code, out, err = run_cli(capsys, "report-distinguishability", f"--temp={value}")

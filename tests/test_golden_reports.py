@@ -8,7 +8,10 @@ rises above the minimum elevation. The `analyze-histogram` runs read a clean pul
 which warns; the `analyze-spectrum` runs read one spectrum without a band and against a band it falls in and one
 it misses, and a spectrum of two lines, which warns. Each case writes the CSV it reads itself. The 11 cases of a synthesized pass were re-recorded when it
 became its closed-form elevation, walked over its exact rise-to-set window rather than over a grid of whole
-samples, and the 4 `optimize` cases when the report named the source it searches.
+samples, and the 4 `optimize` cases when the report named the source it searches. The two
+`report-distinguishability` cases audit configs/default.yaml and the README's drift study (H, V, D and A
+drifting at 0.03, 0.05, 0.07 and 0.09 nm/degC, at 30 degC); they were recorded once as they stood and again when
+the filtered spectral overlap became a closed form, which moved its spectral overlaps and scores by up to 1e-6.
 
 To record the file again, when a report is meant to change, run from the repository root:
 
@@ -41,6 +44,7 @@ from conftest import two_source_run_config
 GOLDEN = Path(__file__).with_name("data") / "golden_reports.json"
 PASS_CHANNEL = {"mode": "pass", "pass": {"max_elevation_deg": 60.0}}  # a 60-degree pass at 500 km
 LOW_PASS_CSV = "time_s,elevation_deg\n0,3\n60,5\n120,3\n"  # below the default 10-degree minimum throughout
+DRIFT_NM_PER_C = (0.03, 0.05, 0.07, 0.09)  # temperature coefficients of the H, V, D and A diodes
 
 
 def _peaks_csv(header: str, xs, peaks, baseline: float) -> str:
@@ -75,8 +79,12 @@ def configs() -> dict:
     two = to_dict(two_source_run_config(2_000_000))
     slow = copy.deepcopy(two)
     slow["sources"][1]["repetition_rate_hz"] = 1e-4  # 0.04 pulses over the pass: the MC rounds it to none
-    return {"default": default, "two_sources": two, "default_pass": dict(default, channel=PASS_CHANNEL),
-            "two_sources_pass": dict(two, channel=PASS_CHANNEL),
+    drift = copy.deepcopy(default)  # the README's drift study: H, V, D and A drift at distinct rates
+    for src in drift["sources"]:
+        for diode, k in zip(src["diode_profiles"], DRIFT_NM_PER_C):
+            diode["temp_coefficient_nm_per_c"] = k
+    return {"default": default, "two_sources": two, "drift": drift,
+            "default_pass": dict(default, channel=PASS_CHANNEL), "two_sources_pass": dict(two, channel=PASS_CHANNEL),
             "slow_second_source_pass": dict(slow, channel=PASS_CHANNEL),
             "low_csv_pass": dict(default, channel={"mode": "pass", "pass": {"csv_path": "low_pass.csv"}})}
 
@@ -104,6 +112,8 @@ def _cases() -> dict:
     cases["pass/slow_second_source/mc/finite"] = ("slow_second_source_pass", ["pass", "--mode", "mc", "--seed", "3"])
     cases["pass/low_csv/analytic/finite"] = ("low_csv_pass", ["pass"])
     cases["pass/low_csv/mc/finite"] = ("low_csv_pass", ["pass", "--mode", "mc", "--seed", "3"])
+    cases["report-distinguishability/default"] = ("default", ["report-distinguishability"])
+    cases["report-distinguishability/drift_30degC"] = ("drift", ["report-distinguishability", "--temp", "30"])
     cases["analyze-histogram/pulse"] = ("pulse.csv", ["analyze-histogram"])
     cases["analyze-histogram/two_pulses"] = ("two_pulses.csv", ["analyze-histogram"])
     cases["analyze-spectrum/no_band"] = ("spectrum.csv", ["analyze-spectrum"])

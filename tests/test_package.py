@@ -11,7 +11,6 @@ PACKAGE = Path(satqkd.__file__).parent
 
 # public names with no caller in the package, each kept for a reason of its own
 LIBRARY_ONLY = (
-    ("filter_transmission", "acceptance gate 6 checks a line's filter throughput against its numeric integral"),
     ("integrate_pass", "one source's pass key, the one-source case of the CLI's pass keying; a library entry point "
                        "that the pass tests and pins call"),
 )

@@ -46,6 +46,32 @@ def transmission_oracle(center, fwhm, filt: FilterSpec, n=200001):
     return float(np.trapezoid(gaussian(x, center, fwhm), x))
 
 
+def log_trapezoid(log_y, x) -> float:
+    """The log of the trapezoid integral of exp(log_y) over x, taken relative to its peak, so no tail underflows."""
+    top = float(log_y.max())
+    return top + math.log(float(np.trapezoid(np.exp(log_y - top), x)))
+
+
+def filtered_oracle(line_a, line_b, filt: FilterSpec, n=1_000_001):
+    """(log T_a, log T_b, overlap) of two (center_nm, fwhm_nm) lines behind filt, in log space on n points.
+
+    A rectangular filter is integrated over its band only; a Gaussian one over +-12 sigma of both lines and of
+    the filter, which holds +-12 sigma of each filtered line too.
+    """
+    lines = [(c, f * FWHM_TO_SIGMA) for c, f in (line_a, line_b)]
+    sig_f = filt.fwhm_nm * FWHM_TO_SIGMA
+    if filt.shape == "rectangular":
+        x = np.linspace(filt.center_nm - filt.fwhm_nm / 2, filt.center_nm + filt.fwhm_nm / 2, n)
+        log_t = 0.0
+    else:
+        spans = [*lines, (filt.center_nm, sig_f)]
+        x = np.linspace(min(c - 12 * s for c, s in spans), max(c + 12 * s for c, s in spans), n)
+        log_t = -((x - filt.center_nm) ** 2) / (2 * sig_f**2)
+    log_a, log_b = (-((x - c) ** 2) / (2 * s**2) - math.log(s * math.sqrt(2 * math.pi)) + log_t for c, s in lines)
+    log_ta, log_tb = log_trapezoid(log_a, x), log_trapezoid(log_b, x)
+    return log_ta, log_tb, math.exp(log_trapezoid(0.5 * (log_a + log_b), x) - 0.5 * (log_ta + log_tb))
+
+
 # ---------------------------------------------------------------------------
 # intrinsic QBER
 
@@ -194,6 +220,55 @@ def test_spectral_overlap_filtered_identical_lines():
     assert spectral_overlap((777.5, 1.0), (777.5, 1.0), filt) == pytest.approx(1.0, abs=1e-6)
 
 
+# (line_a, line_b) behind FilterSpec(777.5, 2.0): both inside the band, one straddling an edge, both or one
+# of them at least 10 sigma outside it, and lines on opposite sides of the band centre
+FILTERED_PAIRS = [
+    ((777.2, 0.8), (778.1, 1.3)),
+    ((777.4, 0.3), (777.6, 0.25)),
+    ((778.5, 0.6), (778.3, 0.9)),
+    ((776.4, 0.7), (776.9, 0.4)),
+    ((780.9, 0.5), (781.2, 0.6)),
+    ((774.0, 0.3), (773.9, 0.35)),
+    ((777.5, 1.0), (780.9, 0.5)),
+    ((776.7, 1.0), (778.4, 1.2)),
+]
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
+@pytest.mark.parametrize("line_a, line_b", FILTERED_PAIRS)
+def test_filtered_spectral_overlap_vs_log_space_oracle(line_a, line_b, shape):
+    filt = FilterSpec(777.5, 2.0, shape=shape)
+    assert spectral_overlap(line_a, line_b, filt) == pytest.approx(filtered_oracle(line_a, line_b, filt)[2], abs=1e-9)
+
+
+def test_filter_transmission_far_tail_is_not_zero():
+    # the line sits 17 sigma below a 0.6 nm band: the erf difference cancels to 0.0, the erfc tail does not
+    filt = FilterSpec(777.5, 0.6)
+    got = filter_transmission(775.6, 0.218, filt)
+    assert got > 0.0
+    assert got == pytest.approx(math.exp(filtered_oracle((775.6, 0.218), (775.6, 0.218), filt, n=2_000_001)[0]),
+                                rel=1e-9)
+    mirror = FilterSpec(2 * 775.6 - 777.5, 0.6)  # the same band reflected about the line centre
+    assert filter_transmission(775.6, 0.218, mirror) == pytest.approx(got, rel=1e-12)
+
+
+@given(
+    ca=st.floats(770.0, 785.0), fa=st.floats(0.1, 3.0),
+    cb=st.floats(770.0, 785.0), fb=st.floats(0.1, 3.0),
+    shape=st.sampled_from(["rectangular", "gaussian"]),
+)
+@settings(max_examples=200)
+def test_filtered_spectral_overlap_symmetric_bounded_and_one_for_identical_lines(ca, fa, cb, fb, shape):
+    filt = FilterSpec(777.5, 2.0, shape=shape)
+    try:
+        ab = spectral_overlap((ca, fa), (cb, fb), filt)
+    except OverlapUndefinedError:
+        return
+    assert ab == spectral_overlap((cb, fb), (ca, fa), filt)
+    assert 0.0 <= ab <= 1.0
+    assert spectral_overlap((ca, fa), (ca, fa), filt) == 1.0
+
+
 def test_temporal_overlap_identical():
     assert temporal_overlap(700.0, 700.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -223,6 +298,29 @@ def test_overlap_symmetry_and_range(fa, fb, d):
     ba = temporal_overlap(fb, fa, -d)
     assert ab == pytest.approx(ba, rel=1e-12)
     assert 0.0 <= ab <= 1.0
+
+
+@pytest.mark.parametrize("args", [(math.nan, 500.0, 0.0), (500.0, math.inf, 0.0), (500.0, 500.0, math.nan),
+                                  (500.0, 500.0, -math.inf)])
+def test_temporal_overlap_rejects_non_finite_width_or_delay(args):
+    # min(1.0, nan) is 1.0: a NaN would read as two identical modes
+    with pytest.raises(DomainError, match="must be finite"):
+        temporal_overlap(*args)
+
+
+@pytest.mark.parametrize("filt", [None, FilterSpec(777.5, 2.0)])
+@pytest.mark.parametrize("line_a, line_b", [((math.nan, 1.0), (777.5, 1.0)), ((777.5, math.nan), (777.5, 1.0)),
+                                            ((777.5, 1.0), (math.inf, 1.0)), ((777.5, 1.0), (777.5, math.inf))])
+def test_spectral_overlap_rejects_non_finite_center_or_width(line_a, line_b, filt):
+    with pytest.raises(DomainError, match="must be finite"):
+        spectral_overlap(line_a, line_b, filt)
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
+@pytest.mark.parametrize("center, fwhm", [(math.nan, 1.0), (-math.inf, 1.0), (777.5, math.nan), (777.5, math.inf)])
+def test_filter_transmission_rejects_non_finite_center_or_width(center, fwhm, shape):
+    with pytest.raises(DomainError, match="must be finite"):
+        filter_transmission(center, fwhm, FilterSpec(777.5, 2.0, shape=shape))
 
 
 def test_temporal_overlap_strictly_decreasing_in_delay():
@@ -283,6 +381,13 @@ def test_intensity_class_rejects_non_finite_emit_probability(p):
 @pytest.mark.parametrize("field", ["center_wavelength_nm", "spectral_fwhm_nm"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
 def test_diode_profile_rejects_non_finite_wavelengths(field, value):
+    with pytest.raises(DomainError, match=field):
+        _diode(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["temp_coefficient_nm_per_c", "reference_temp_c", "trigger_delay_ps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_diode_profile_rejects_non_finite_drift_and_delay(field, value):
     with pytest.raises(DomainError, match=field):
         _diode(**{field: value})
 
