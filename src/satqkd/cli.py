@@ -172,12 +172,12 @@ def _total_fixed_loss(cfg: RunConfig) -> float:
     return cfg.channel.fixed_loss_db + cfg.channel.excess_loss_db
 
 
-def _source_blocks(sources, keys, batch):
-    """Each source's report block, from its point of a join and of the join's keys, and the sums of their key
+def _source_blocks(sources, tallies, keys):
+    """Each source's report block, from its one-point tally and its point of the keys, and the sums of their key
     lengths and rates, which start at 0 and add the sources in order."""
     source_keys = [keys.point(i) for i in range(len(sources))]
-    blocks = [{"wavelength_nm": src.wavelength_label_nm, "tally": batch.point(i).to_dict(), "key": key.to_dict()}
-              for i, (src, key) in enumerate(zip(sources, source_keys))]
+    blocks = [{"wavelength_nm": src.wavelength_label_nm, "tally": tally.to_dict(), "key": key.to_dict()}
+              for src, tally, key in zip(sources, tallies, source_keys)]
     return blocks, sum(key.secret_key_length for key in source_keys), sum(key.secret_key_rate for key in source_keys)
 
 
@@ -187,7 +187,8 @@ def cmd_simulate(args) -> dict:
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.sources))  # one independent stream per source
     tallies = [simulate_block(src, loss, cfg.receiver, cfg.e_det(src), cfg.block_pulses, seed=stream)
                for src, stream in zip(cfg.sources, streams)]
-    blocks, length, rate = _source_blocks(cfg.sources, *key_tallies(cfg.sources, tallies, cfg.security, args.regime))
+    blocks, length, rate = _source_blocks(cfg.sources, tallies,
+                                          key_tallies(cfg.sources, tallies, cfg.security, args.regime))
     return {
         "command": "simulate",
         "loss_db": loss,
@@ -207,7 +208,7 @@ def cmd_keyrate(args) -> dict:
     total_losses = [loss + cfg.channel.excess_loss_db for loss in losses]
     tallies = [fixed_loss_tally(src, total_losses, cfg.receiver, cfg.e_det(src), args.duration)
                for src in cfg.sources]
-    keys, _ = key_tallies(cfg.sources, tallies, cfg.security, args.regime)
+    keys = key_tallies(cfg.sources, tallies, cfg.security, args.regime)
     # a row per source; the sum starts at 0 and adds the sources in order
     rates = sum(keys.secret_key_rate.reshape(len(cfg.sources), -1)).tolist()
     losses = [round(loss, 12) for loss in losses]
@@ -234,8 +235,8 @@ def cmd_pass(args) -> dict:
                else [None] * len(cfg.sources))
     tallies = [pass_tally(*segments, src, cfg.receiver, cfg.e_det(src), args.mode, stream)
                for src, stream in zip(cfg.sources, streams)]
-    keys, batch = key_tallies(cfg.sources, tallies, cfg.security, args.regime, empty_pass_reason(segments[0]))
-    blocks, length, _ = _source_blocks(cfg.sources, keys, batch)
+    keys = key_tallies(cfg.sources, tallies, cfg.security, args.regime, empty_pass_reason(segments[0]))
+    blocks, length, _ = _source_blocks(cfg.sources, tallies, keys)
     if args.out_dir:  # the midpoint of each kept step, walked again only here
         _write_csv(args.out_dir, "pass_elevation.csv", ["time_s", "elevation_deg"], zip(*profile.walk(step)[:2]))
     return {

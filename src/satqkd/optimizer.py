@@ -92,7 +92,8 @@ def optimize(
     The feasible points are keyed in one key_from_fixed_loss call. The axes
     keep every swept value in its domain, so a point is infeasible when
     mu_signal equals mu_decoy, p_signal or p_decoy is 0 (an unswept emit
-    probability may be), or the vacuum share 1 - p_signal - p_decoy is < 0.
+    probability may be), or the vacuum share 1 - p_signal - p_decoy is <= 0:
+    the 2-decoy bound needs a vacuum class that sends.
     """
     names = [n for n in SWEEPABLE if n in space.axes]
     # row-major over the axes in SWEEPABLE order: the order of itertools.product
@@ -103,13 +104,11 @@ def optimize(
                 base_source.basis_probability_z)
     mu_s, mu_d, p_s, p_d, pz = np.broadcast_arrays(*(grid.get(n, d) for n, d in zip(SWEEPABLE, defaults)))
     p_v = 1.0 - p_s - p_d
-    feasible = ~((mu_s == mu_d) | (p_s <= 0) | (p_d <= 0) | (p_v < 0))
+    feasible = ~((mu_s == mu_d) | (p_s <= 0) | (p_d <= 0) | (p_v <= 0))
     if not feasible.any():
         raise DomainError("search space contains no feasible grid point")
-    # (mu, emit probability) per class in source order; the vacuum class takes the rest
-    swept = {IntensityLabel.SIGNAL: (mu_s, p_s), IntensityLabel.DECOY: (mu_d, p_d)}
-    rows = [swept.get(c.label, (np.full(pz.shape, c.mu), p_v)) for c in base_source.intensity_classes]
-    mus, emit = (np.array(column)[:, feasible] for column in zip(*rows))
+    # rows in LABELS order: signal, decoy and the vacuum, which sends no photon and takes the rest
+    mus, emit = (np.array(rows)[:, feasible] for rows in ([mu_s, mu_d, np.zeros(pz.shape)], [p_s, p_d, p_v]))
     result = key_from_fixed_loss(base_source, total_loss_db, det, e_det, sec, duration_s, regime,
                                  mus=mus, emit=emit, p_z=pz[feasible])
     table = {n: grid[n][feasible].tolist() for n in names}

@@ -39,17 +39,6 @@ def _points(*values) -> tuple:
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
 
 
-def _refuse_empty_class(labels: Tuple[IntensityLabel, ...], sent: np.ndarray):
-    """DomainError naming the first class, in label order, of the first point whose class sent no pulse.
-
-    sent is (class[, point]). Points come before classes, so a batch fails
-    as keying its points one by one fails.
-    """
-    empty = (sent <= 0).reshape(len(labels), -1).T.ravel()  # each point's classes in turn
-    if empty.any():
-        raise DomainError(f"no pulses sent in class {labels[int(np.argmax(empty)) % len(labels)].value}")
-
-
 def binary_entropy(x: ArrayLike):
     outside = (x <= 0.0) | (x >= 1.0)  # NaN is inside: it gives NaN
     x_in = np.where(outside, 0.5, x)
@@ -61,6 +50,7 @@ def binary_entropy(x: ArrayLike):
 # tallies
 
 
+LABELS = tuple(IntensityLabel)  # signal, decoy, vacuum: the class axis of every count array
 BASES = (Basis.RECTILINEAR, Basis.DIAGONAL)
 COUNTS = ("sent", "detected", "sifted", "errors")
 SENT, DETECTED, SIFTED, ERRORS = range(len(COUNTS))
@@ -70,46 +60,17 @@ SENT, DETECTED, SIFTED, ERRORS = range(len(COUNTS))
 class TallyTable:
     """Sufficient statistics of a block per intensity class and sender basis.
 
-    counts[k, b, j] is count COUNTS[j] of the pulses of class labels[k]
-    (source order) sent in basis BASES[b]. The analytic route gives
-    expected, fractional counts, so the array is float64; for a batch of
-    points it puts a point axis first. total_pulses and elapsed_s hold for
-    every point, or are ([point]) arrays when the points send different
-    pulses or at different repetition rates, as the points of a join do.
+    counts[k, b, j] is count COUNTS[j] of the pulses of class LABELS[k]
+    sent in basis BASES[b], whatever order the source lists its classes in.
+    The analytic route gives expected, fractional counts, so the array is
+    float64; for a batch of points it puts a point axis first. total_pulses
+    and elapsed_s hold for every point, or are ([point]) arrays when the
+    points send different pulses or at different repetition rates.
     """
 
-    labels: Tuple[IntensityLabel, ...]
     counts: np.ndarray  # ([point,] class, basis, count)
     total_pulses: ArrayLike = 0.0
     elapsed_s: ArrayLike = 0.0
-
-    @classmethod
-    def zeros(cls, source: SourceConfig) -> "TallyTable":
-        labels = tuple(c.label for c in source.intensity_classes)
-        return cls(labels, np.zeros((len(labels), len(BASES), len(COUNTS))))
-
-    @classmethod
-    def stack(cls, tallies: Sequence["TallyTable"]) -> "TallyTable":
-        """The points of the tallies, each of one point or a batch, as the points of one batch, in order.
-
-        Every point takes the first tally's class order and keeps its own
-        total_pulses and elapsed_s. A class that sent no pulse, in a point
-        that sent some, is refused here, as keying the tallies one by one
-        would refuse it: once a tally's classes are reordered, the batch no
-        longer knows which of its classes came first.
-        """
-        labels, counts, totals, elapsed = tallies[0].labels, [], [], []
-        for tally in tallies:
-            points = tally.counts.reshape(-1, *tally.counts.shape[-3:])  # (point, class, basis, count)
-            totals.append(np.full(len(points), tally.total_pulses, dtype=float))
-            elapsed.append(np.full(len(points), tally.elapsed_s, dtype=float))
-            _refuse_empty_class(tally.labels, points[totals[-1] > 0, :, :, SENT].sum(axis=-1).T)
-            counts.append(points[:, [tally.labels.index(label) for label in labels]])
-        return cls(labels, np.concatenate(counts), np.concatenate(totals), np.concatenate(elapsed))
-
-    def point(self, i: int) -> "TallyTable":
-        """Point i of a join (stack), whose total_pulses and elapsed_s are per point, as a one-point tally."""
-        return TallyTable(self.labels, self.counts[i], self.total_pulses[i], self.elapsed_s[i])
 
     def to_dict(self) -> dict:
         """Deterministic, JSON-ready form (sorted keys) of a one-point tally."""
@@ -118,7 +79,7 @@ class TallyTable:
                               "report one point's (class, basis, count) counts at a time")
         cells = {
             f"{label.value}/{basis.value}": dict(zip(COUNTS, self.counts[k, b].tolist()))
-            for k, label in enumerate(self.labels)
+            for k, label in enumerate(LABELS)
             for b, basis in enumerate(BASES)
         }
         return {"total_pulses": self.total_pulses, "elapsed_s": self.elapsed_s,
@@ -152,11 +113,11 @@ def analytic_tallies(
     array with each segment's pulse count; a scalar loss and count are one
     segment. A pulse count is finite and >= 0, and need not be whole. mus,
     emit and p_z replace the source's intensities, emit probabilities and
-    sender Z-basis probability: (class[, point]) arrays in source order and
-    a ([point]) array. Every point is pooled on its own, and a batch gives
-    counts with a leading point axis when any of them or the grid has one;
-    the points send the same pulses, so total_pulses and elapsed_s hold for
-    each.
+    sender Z-basis probability: (class[, point]) arrays with rows in LABELS
+    order and a ([point]) array. Every point is pooled on its own, and a
+    batch gives counts with a leading point axis when any of them or the
+    grid has one; the points send the same pulses, so total_pulses and
+    elapsed_s hold for each.
     """
     losses, pulses = np.asarray(total_loss_db, dtype=float), np.asarray(n_pulses, dtype=float)
     if losses.ndim > 2 or losses.shape[-1:] != pulses.shape:
@@ -167,7 +128,7 @@ def analytic_tallies(
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
     losses, pulses = np.atleast_1d(losses), np.atleast_1d(pulses)
-    classes = source.intensity_classes
+    classes = [source.intensity(label) for label in LABELS]
 
     def per_class(rows: ArrayLike) -> np.ndarray:  # (class[, point]) -> ([point,] 1, class, 1)
         return np.moveaxis(np.asarray(rows, dtype=float), 0, -1)[..., None, :, None]
@@ -197,7 +158,7 @@ def analytic_tallies(
     pulses = np.concatenate(([0.0], pulses))
     total_pulses = np.add.accumulate(pulses)[-1].item()
     elapsed_s = np.add.accumulate(pulses / source.repetition_rate_hz)[-1].item()
-    return TallyTable(tuple(c.label for c in classes), counts, total_pulses, elapsed_s)
+    return TallyTable(counts, total_pulses, elapsed_s)
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +177,22 @@ def simulate_block(
 
     total_loss_db and n_pulses are scalars, or matching 1-D arrays that give
     the loss and pulse count of each segment of a pass, pooled into one
-    tally. Each count is a whole number, and the block holds between 1 and
-    2**63 - 1 pulses. The tally is a deterministic function of seed: one rng
-    stream draws every segment, seed itself when it is a SeedSequence, else
-    the first child of SeedSequence(seed). So child i of SeedSequence(s)
-    gives source i of a run a stream independent of every other source's,
-    and child 0 draws what the int seed s draws.
+    tally. Each count is a whole number, and the block holds at most
+    2**63 - 1 pulses; a block of none (a 0, all-zero segments or no
+    segments) gives the zero tally. The tally is a deterministic function
+    of seed: one rng stream draws every segment, seed itself when it is a
+    SeedSequence, else the first child of SeedSequence(seed). So child i of
+    SeedSequence(s) gives source i of a run a stream independent of every
+    other source's, and child 0 draws what the int seed s draws.
 
     Per segment one multinomial draw splits the pulses into (class, sender
     basis) cells, and per (segment, cell) a second one splits the cell's
     pulses over the four outcome levels of receiver.outcome_probabilities.
     Pulses are independent and each lands in a level with exactly those
     probabilities, so the counts have the same distribution as a
-    pulse-by-pulse simulation.
+    pulse-by-pulse simulation. The cells are drawn in the source's class
+    order, so a seed draws the same counts whatever that order, and then
+    put in LABELS order.
     """
     losses = np.atleast_1d(np.asarray(total_loss_db, dtype=float))
     counts = np.atleast_1d(np.asarray(n_pulses))
@@ -241,8 +205,8 @@ def simulate_block(
         raise DomainError("total_loss_db and n_pulses must be scalars or 1-D arrays of equal length")
     if not np.all(np.isfinite(losses) & (losses >= 0)):
         raise DomainError(f"losses must be finite and >= 0 dB, got {total_loss_db}")
-    if (counts < 0).any() or not 1 <= sum(counts.tolist()) < 2**63:
-        raise DomainError("n_pulses must be >= 0 per segment, and their sum in [1, 2**63 - 1]")
+    if (counts < 0).any() or not sum(counts.tolist()) < 2**63:
+        raise DomainError("n_pulses must be >= 0 per segment, and their sum at most 2**63 - 1")
     if not 0.0 <= e_det <= 0.5:
         raise DomainError(f"e_det must be in [0, 0.5], got {e_det}")
     if not isinstance(seed, np.random.SeedSequence):
@@ -264,8 +228,9 @@ def simulate_block(
     # a pulse at level j counts as detected, sifted and an error up to j, so the running sums
     # from the last level give errors, sifted, detected and sent
     cells = np.cumsum(drawn, axis=-1)[..., ::-1].reshape(len(classes), 2, len(COUNTS)).astype(float)
+    cells = cells[[[c.label for c in classes].index(label) for label in LABELS]]
     total = float(counts.sum())
-    return TallyTable(tuple(c.label for c in classes), cells, total, total / source.repetition_rate_hz)
+    return TallyTable(cells, total, total / source.repetition_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -492,50 +457,60 @@ def key_length(
 # the key of a count array
 
 
+def _refuse_empty_class(sent: np.ndarray):
+    """DomainError naming the first class, in LABELS order, of the first point whose class sent no pulse.
+
+    sent is (class[, point]). Points come before classes, so a batch fails
+    as keying its points one by one fails.
+    """
+    empty = (sent <= 0).reshape(len(LABELS), -1).T.ravel()  # each point's classes in turn
+    if empty.any():
+        raise DomainError(f"no pulses sent in class {LABELS[int(np.argmax(empty)) % len(LABELS)].value}")
+
+
 def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams, regime: str,
                    mus: Optional[ArrayLike] = None) -> KeyResult:
     """Key of a pooled tally; counts with a leading point axis key each point on its own, as a batch.
 
-    The tally's labels are one signal, one decoy and one vacuum class, as
-    SourceConfig requires. mus, one row per class in source order, each a
-    scalar or one entry per point, replaces the source's intensities. The
-    2-decoy bounds take each class's observed gain (detections per pulse
-    sent) and error rate (errors per sifted detection); the key formula
-    takes the signal class's counts.
+    The tally's class rows are signal, decoy and vacuum (LABELS). mus, one
+    row per class in that order, each a scalar or one entry per point,
+    replaces the source's intensities. The 2-decoy bounds take each class's
+    observed gain (detections per pulse sent) and error rate (errors per
+    sifted detection); the key formula takes the signal class's counts.
     """
-    labels, counts = tally.labels, tally.counts
-    mus = [source.intensity(label).mu for label in labels] if mus is None else np.asarray(mus, dtype=float)
-    by_class = counts[..., 0, :] + counts[..., 1, :]  # ([point,] class, count): the sum over the bases
+    mus = [source.intensity(label).mu for label in LABELS] if mus is None else np.asarray(mus, dtype=float)
+    by_class = tally.counts[..., 0, :] + tally.counts[..., 1, :]  # ([point,] class, count): the sum over the bases
     sent, detected, sifted, errors = np.ascontiguousarray(by_class.T)  # each (class[, point])
-    _refuse_empty_class(labels, sent)
+    _refuse_empty_class(sent)
     gains = detected / sent
     with np.errstate(divide="ignore", invalid="ignore"):
         error_gains = np.where(sifted > 0, errors / sifted, E0) * gains
-    a, b = (k for k, label in enumerate(labels) if label is not IntensityLabel.VACUUM)
-    bounds = decoy_bounds(mus[a], mus[b], gains[a], gains[b], gains[labels.index(IntensityLabel.VACUUM)],
-                          error_gains[a], error_gains[b])
-    k = labels.index(IntensityLabel.SIGNAL)
-    return key_length(SiftedStats(sifted[k], errors[k], detected[k], sent[k], mus[k], tally.elapsed_s),
+    s, d, v = range(len(LABELS))  # the signal, decoy and vacuum rows
+    bounds = decoy_bounds(mus[s], mus[d], gains[s], gains[d], gains[v], error_gains[s], error_gains[d])
+    return key_length(SiftedStats(sifted[s], errors[s], detected[s], sent[s], mus[s], tally.elapsed_s),
                       bounds, sec, regime)
 
 
 def key_tallies(sources: Sequence[SourceConfig], tallies: Sequence[TallyTable], sec: SecurityParams, regime: str,
-                empty_reason: Optional[str] = None) -> Tuple[KeyResult, TallyTable]:
-    """The keys of the points of the sources' joined tallies, made in one key_from_tally call, and the join.
+                empty_reason: Optional[str] = None) -> KeyResult:
+    """The keys of the points of the sources' tallies, in order, made in one key_from_tally call.
 
-    tallies[i] is sources[i]'s, of one point or a batch (TallyTable.stack),
-    and each of its points is keyed with that source's intensities, so every
-    point gets the key it gets alone. A point that sent no pulse is not
-    keyed: its key is 0, with empty_reason as its reason and its bounds'.
+    tallies[i] is sources[i]'s, of one point or a batch, and each of its
+    points is keyed with that source's intensities and its tally's
+    total_pulses and elapsed_s, so every point gets the key it gets alone.
+    A point that sent no pulse is not keyed: its key is 0, with
+    empty_reason as its reason and its bounds'.
     """
-    batch = TallyTable.stack(tallies)
-    sizes = [tally.counts[..., 0, 0, 0].size for tally in tallies]  # each tally's points
-    mus = np.repeat([[src.intensity(label).mu for src in sources] for label in batch.labels], sizes, axis=1)
-    keyed = batch.total_pulses > 0
-    sending = TallyTable(batch.labels, batch.counts[keyed], batch.total_pulses[keyed], batch.elapsed_s[keyed])
+    points = [tally.counts.reshape(-1, *tally.counts.shape[-3:]) for tally in tallies]  # (point, class, basis, count)
+    sizes = [len(p) for p in points]
+    totals = np.concatenate([np.full(n, tally.total_pulses, dtype=float) for n, tally in zip(sizes, tallies)])
+    elapsed = np.concatenate([np.full(n, tally.elapsed_s, dtype=float) for n, tally in zip(sizes, tallies)])
+    mus = np.repeat([[src.intensity(label).mu for src in sources] for label in LABELS], sizes, axis=1)
+    keyed = totals > 0
+    sending = TallyTable(np.concatenate(points)[keyed], totals[keyed], elapsed[keyed])
     keys = key_from_tally(sources[0], sending, sec, regime, mus[:, keyed])
     if keyed.all():
-        return keys, batch
+        return keys
     empty = KeyResult(0.0, E0, DecoyBounds(0.0, None, 0.0, empty_reason), 0.0, 0.0, regime, empty_reason)
 
     def spread(field):  # the keyed points' values of the field, and the empty key's at every other point
@@ -545,7 +520,7 @@ def key_tallies(sources: Sequence[SourceConfig], tallies: Sequence[TallyTable], 
 
     bounds = DecoyBounds(*map(spread, ("bounds.y1_lower", "bounds.e1_upper", "bounds.y0_estimate", "bounds.reason")))
     return KeyResult(spread("sifted_bits"), spread("qber_signal"), bounds, spread("secret_key_length"),
-                     spread("secret_key_rate"), regime, spread("reason")), batch
+                     spread("secret_key_rate"), regime, spread("reason"))
 
 
 def fixed_loss_tally(source: SourceConfig, total_loss_db: ArrayLike, det: DetectorModel, e_det: float,
@@ -553,9 +528,9 @@ def fixed_loss_tally(source: SourceConfig, total_loss_db: ArrayLike, det: Detect
                      p_z: Optional[ArrayLike] = None) -> TallyTable:
     """Analytic tally of duration_s at a fixed channel loss, for one point or a batch: that of a pass of one segment.
 
-    total_loss_db is a scalar or a 1-D array with one loss per point. mus,
-    emit and p_z replace the source's figures point by point, as in
-    analytic_tallies.
+    total_loss_db is a scalar or a 1-D array with one loss per point. mus
+    and emit, rows in LABELS order, and p_z replace the source's figures
+    point by point, as in analytic_tallies.
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise DomainError(f"duration must be finite and > 0 s, got {duration_s}")
@@ -595,7 +570,7 @@ def pass_tally(losses_db: ArrayLike, durations_s: ArrayLike, source: SourceConfi
         return analytic_tallies(source, losses, det, e_det, pulses)
     # a segment sends what the rounded running total gains: rounding each on its own would bias the total
     counts = np.diff(np.rint(np.cumsum(pulses)), prepend=0.0).astype(np.int64)
-    return simulate_block(source, losses, det, e_det, counts, seed=seed) if counts.sum() else TallyTable.zeros(source)
+    return simulate_block(source, losses, det, e_det, counts, seed=seed)
 
 
 def empty_pass_reason(losses_db: ArrayLike) -> str:
@@ -609,5 +584,5 @@ def integrate_pass(losses_db: ArrayLike, durations_s: ArrayLike, source: SourceC
                    seed: int | np.random.SeedSequence | None = None) -> Tuple[KeyResult, TallyTable]:
     """One source's pass keyed once on its pool: key_tallies of its pass_tally, as a pass of several sources keys."""
     tally = pass_tally(losses_db, durations_s, source, det, e_det, mode, seed)
-    keys, _ = key_tallies([source], [tally], sec, regime, empty_pass_reason(losses_db))
+    keys = key_tallies([source], [tally], sec, regime, empty_pass_reason(losses_db))
     return keys.point(0), tally

@@ -210,13 +210,9 @@ def shifted_center(diode: DiodeProfile, temp_c: float) -> float:
 def filter_transmission(center_nm: float, line_fwhm_nm: float, filt: FilterSpec) -> float:
     """Fraction of a Gaussian line's power that passes the bandpass filter; a far tail stays > 0 (erfc, not erf)."""
     _finite(center_nm=center_nm, line_fwhm_nm=line_fwhm_nm)
-    if line_fwhm_nm < 0:
-        raise DomainError("line_fwhm_nm must be >= 0")
+    if line_fwhm_nm <= 0:
+        raise DomainError("line_fwhm_nm must be > 0")
     half, sig_f = filt.fwhm_nm / 2.0, filt.fwhm_nm * FWHM_TO_SIGMA
-    if line_fwhm_nm == 0.0:  # delta line
-        if filt.shape == "rectangular":
-            return 1.0 if abs(center_nm - filt.center_nm) <= half else 0.0
-        return math.exp(-((center_nm - filt.center_nm) ** 2) / (2.0 * sig_f**2))
     sig = line_fwhm_nm * FWHM_TO_SIGMA
     if filt.shape == "rectangular":
         a = (filt.center_nm - half - center_nm) / (sig * math.sqrt(2.0))

@@ -44,7 +44,7 @@ from satqkd.channel import (
     transmittance_from_db,
 )
 from satqkd.errors import DomainError
-from satqkd.protocol import E0, TallyTable, simulate_block
+from satqkd.protocol import E0, LABELS, TallyTable, simulate_block
 from satqkd.receiver import N_DETECTORS, OUTCOME_LEVELS, DetectorModel
 from satqkd.source import SourceConfig
 
@@ -188,7 +188,7 @@ def reference_block(
     det_eff = det if background_click_prob == 0.0 else replace(
         det, dark_prob=det.dark_prob + background_click_prob
     )
-    counts = np.zeros((len(classes), 2, 4))  # (class, basis Z/X, sent/detected/sifted/errors)
+    counts = np.zeros((len(LABELS), 2, 4))  # (class in LABELS order, basis Z/X, sent/detected/sifted/errors)
     done = 0
     while done < n_pulses:
         m = min(chunk, n_pulses - done)
@@ -201,11 +201,10 @@ def reference_block(
         for i, cls in enumerate(classes):
             for b, mask_b in enumerate((basis_z, ~basis_z)):
                 mask = (cls_idx == i) & mask_b
-                counts[i, b] += [int(mask.sum()), int((out["detected"] & mask).sum()),
+                counts[LABELS.index(cls.label), b] += [int(mask.sum()), int((out["detected"] & mask).sum()),
                                  int((out["sifted"] & mask).sum()), int((out["error"] & mask).sum())]
         done += m
-    labels = tuple(c.label for c in classes)
-    return TallyTable(labels, counts, n_pulses, n_pulses / source.repetition_rate_hz)
+    return TallyTable(counts, n_pulses, n_pulses / source.repetition_rate_hz)
 
 
 def reference_pass(
@@ -219,8 +218,7 @@ def reference_pass(
 ) -> TallyTable:
     t0, t1 = profile.start_s, profile.end_s
     # the segments are added up here, in order, and make one tally at the end
-    empty = TallyTable.zeros(source)
-    counts, total_pulses, elapsed_s = empty.counts, 0.0, 0.0
+    counts, total_pulses, elapsed_s = np.zeros((len(LABELS), 2, 4)), 0.0, 0.0
     seg_index, t = 0, t0  # step seg_index starts at t0 + seg_index * step_s
     while t < t1:
         dt = min(step_s, t1 - t)
@@ -238,7 +236,7 @@ def reference_pass(
             elapsed_s += seg.elapsed_s
         seg_index += 1
         t = t0 + seg_index * step_s
-    return TallyTable(empty.labels, counts, total_pulses, elapsed_s)
+    return TallyTable(counts, total_pulses, elapsed_s)
 
 
 N_MAX = 40  # arriving photons summed over; the Poisson tail past it is below 1e-40 at lambda 1.5
@@ -327,12 +325,12 @@ def n_photon_yield_and_error(n: int, eta_det, flip, p_d, p_z, sender_z) -> tuple
 
 def enumerated_cells(source: SourceConfig, total_loss_db: float, det: DetectorModel, e_det: float,
                      n_pulses: float, background_click_prob: float = 0.0) -> np.ndarray:
-    """Expected (class, basis, sent/detected/sifted/errors) counts of a block: n_pulses times each
+    """Expected (class in LABELS order, basis, sent/detected/sifted/errors) counts of a block: n_pulses times each
     cell's probability times its enumerated outcome levels, a level counting toward every count up to it."""
     eta_channel = transmittance_from_db(total_loss_db + source.insertion_loss_db)
     p_d = det.dark_prob + background_click_prob
-    cells = np.zeros((len(source.intensity_classes), 2, 4))
-    for k, cls in enumerate(source.intensity_classes):
+    cells = np.zeros((len(LABELS), 2, 4))
+    for k, cls in enumerate(map(source.intensity, LABELS)):
         for b, (sender_z, p_basis) in enumerate(((True, source.basis_probability_z),
                                                  (False, 1.0 - source.basis_probability_z))):
             levels = enumerated_levels(cls.mu * eta_channel, det.efficiency, e_det, p_d,

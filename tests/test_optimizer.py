@@ -86,6 +86,17 @@ def test_empty_effective_grid_raises(source, detector, e_det, security):
         run(space, source, detector, e_det, security)
 
 
+def test_grid_points_whose_vacuum_sends_nothing_are_infeasible(source, detector, e_det, security):
+    # p_signal + p_decoy == 1 leaves the vacuum class no pulse, which the 2-decoy bound needs;
+    # such a point once failed the whole search with "no pulses sent in class vacuum"
+    space = SearchSpace(axes={"p_signal": Axis(0.5, 0.75, 2), "p_decoy": Axis(0.25, 0.5, 2)})
+    result = run(space, source, detector, e_det, security)
+    assert result.table["p_signal"] == [0.5] and result.table["p_decoy"] == [0.25]
+    assert result.table == {k: [row[k] for row in reference_grid(space, source, 40.0, detector, e_det, security)]
+                            for k in result.table}
+    assert result.best_key_length > 0
+
+
 def test_basis_bias_axis_supported(source, detector, e_det, security):
     space = SearchSpace(axes={"basis_probability_z": Axis(0.3, 0.7, 5)})
     result = run(space, source, detector, e_det, security)
@@ -103,7 +114,7 @@ def reference_grid(space, base, loss, detector, e_det, security, regime="asympto
         params = dict(zip(names, (float(v) for v in combo)))
         mu_s, mu_d, p_s, p_d, pz = (params.get(n, defaults[n]) for n in SWEEPABLE)
         p_v = 1.0 - p_s - p_d
-        if mu_s <= 0 or mu_d <= 0 or mu_s == mu_d or p_s <= 0 or p_d <= 0 or p_v < 0 or not 0.0 < pz < 1.0:
+        if mu_s <= 0 or mu_d <= 0 or mu_s == mu_d or p_s <= 0 or p_d <= 0 or p_v <= 0 or not 0.0 < pz < 1.0:
             continue
         by_label = {IntensityLabel.SIGNAL: (mu_s, p_s), IntensityLabel.DECOY: (mu_d, p_d),
                     IntensityLabel.VACUUM: (0.0, p_v)}

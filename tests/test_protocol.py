@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -11,9 +12,11 @@ from satqkd.config import default_run_config, default_source
 from satqkd.errors import DomainError
 from satqkd.exact import each, square
 from satqkd.protocol import (
+    BASES,
     COUNTS,
     DETECTED,
     E0,
+    LABELS,
     SENT,
     SIFTED,
     SecurityParams,
@@ -22,11 +25,13 @@ from satqkd.protocol import (
     TallyTable,
     analytic_tallies,
     decoy_bounds,
+    fixed_loss_tally,
     integrate_pass,
     key_from_fixed_loss,
     key_from_tally,
     key_length,
     key_tallies,
+    pass_tally,
     simulate_block,
 )
 from satqkd.receiver import DetectorModel
@@ -53,7 +58,7 @@ def true_single_photon(eta, y0, ed):
 def class_rates(tally):
     """{label: (gain, error rate)} of a tally: detections per pulse sent, errors per sifted detection."""
     return {label: (detected / sent, errors / sifted if sifted else E0)
-            for label, (sent, detected, sifted, errors) in zip(tally.labels, by_class(tally).tolist())}
+            for label, (sent, detected, sifted, errors) in zip(LABELS, by_class(tally).tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +186,21 @@ def test_monte_carlo_is_a_draw_of_the_outcome_law(source, detector, e_det, seed)
     assert (np.abs(drawn - expected) < 5.0 * sigma).all(), (drawn - expected) / sigma
 
 
-def test_simulate_block_rejects_zero_pulses(source, detector, e_det):
-    with pytest.raises(DomainError):
-        simulate_block(source, 40.0, detector, e_det, 0, seed=1)
+# the tally of a block or pass that sends no pulse lists every cell of the default source at zero
+ZERO_TALLY = {
+    "total_pulses": 0.0,
+    "elapsed_s": 0.0,
+    "cells": {f"{label}/{basis}": dict.fromkeys(COUNTS, 0.0)
+              for label in ("decoy", "signal", "vacuum") for basis in ("X", "Z")},
+}
+
+
+@pytest.mark.parametrize("losses, n_pulses", [(40.0, 0), ([20.0, 30.0], [0, 0]), ([], [])])
+def test_simulate_block_of_no_pulse_is_the_zero_tally(source, detector, e_det, losses, n_pulses):
+    # a scalar 0, segments of 0 and no segments: each was refused, though the analytic route took them
+    tally = simulate_block(source, losses, detector, e_det, n_pulses, seed=1)
+    assert tally.counts.shape == (len(LABELS), len(BASES), len(COUNTS))
+    assert tally.to_dict() == ZERO_TALLY == analytic_tallies(source, losses, detector, e_det, n_pulses).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +220,8 @@ def test_sift_keeps_same_basis_only(source, detector, e_det):
 
 
 def test_sift_zero_when_all_wrong_basis():
-    # one class, signal; cell [0, 0] is its rectilinear basis
-    t = TallyTable((IntensityLabel.SIGNAL,), np.zeros((1, 2, 4)), total_pulses=100, elapsed_s=1.0)
+    # only the signal class sends; cell [0, 0] is its rectilinear basis
+    t = TallyTable(np.zeros((len(LABELS), 2, 4)), total_pulses=100, elapsed_s=1.0)
     t.counts[0, 0] = 100, 40, 0, 0
     validate_tally(t)
     _, _, sifted, errors = by_class(t)[0]
@@ -230,7 +247,7 @@ def test_simulate_block_matches_analytic_per_cell_at_biased_bases(source, e_det)
     n = 10**9
     drawn = simulate_block(src, 20.0, det, e_det, n, seed=5).counts
     expected = analytic_tallies(src, 20.0, det, e_det, n).counts
-    lit = [k for k, c in enumerate(src.intensity_classes) if c.label is not IntensityLabel.VACUUM]
+    lit = [k for k, label in enumerate(LABELS) if label is not IntensityLabel.VACUUM]
     for cell, means in zip(drawn[lit].reshape(-1, 4).tolist(), expected[lit].reshape(-1, 4).tolist()):
         # each count is binomial in the one before it: detected in sent, sifted in detected, ...
         for trials, count, p in zip(cell, cell[1:], np.divide(means[1:], means[:-1]).tolist()):
@@ -238,7 +255,7 @@ def test_simulate_block_matches_analytic_per_cell_at_biased_bases(source, e_det)
 
 
 def test_tally_validate_rejects_inconsistent():
-    t = TallyTable((IntensityLabel.SIGNAL,), np.zeros((1, 2, 4)), total_pulses=10, elapsed_s=1.0)
+    t = TallyTable(np.zeros((len(LABELS), 2, 4)), total_pulses=10, elapsed_s=1.0)
     t.counts[0, 0] = 10, 5, 6, 0
     with pytest.raises(DomainError):
         validate_tally(t)
@@ -465,13 +482,10 @@ def source_at(base, mu_signal, mu_decoy, p_signal, p_decoy, p_z):
     return replace(base, intensity_classes=classes, basis_probability_z=p_z)
 
 
-def overrides_at(base, points):
-    """(mus, emit, p_z) of source_at's parameters per point: (class, point) rows in source order, one p_z a point."""
+def overrides_at(points):
+    """(mus, emit, p_z) of source_at's parameters per point: (class, point) rows in LABELS order, one p_z a point."""
     mu_s, mu_d, p_s, p_d, p_z = (np.array(column) for column in zip(*points))
-    by_label = {IntensityLabel.SIGNAL: (mu_s, p_s), IntensityLabel.DECOY: (mu_d, p_d),
-                IntensityLabel.VACUUM: (np.zeros_like(mu_s), 1.0 - p_s - p_d)}
-    mus, emit = (np.array([by_label[c.label][j] for c in base.intensity_classes]) for j in (0, 1))
-    return mus, emit, p_z
+    return np.array([mu_s, mu_d, np.zeros_like(mu_s)]), np.array([p_s, p_d, 1.0 - p_s - p_d]), p_z
 
 
 @st.composite
@@ -508,7 +522,7 @@ def test_key_batch_is_finite_or_domain_error_and_each_point_keys_as_alone(
     for one in filter(None, alone):
         for value in (one.secret_key_length, one.secret_key_rate):
             assert math.isfinite(value) and value >= 0.0
-    mus, emit, p_z = overrides_at(base, [params for params, _ in points])
+    mus, emit, p_z = overrides_at([params for params, _ in points])
     try:
         batch = key_from_fixed_loss(base, np.array([loss for _, loss in points]), *args,
                                     mus=mus, emit=emit, p_z=p_z)
@@ -557,12 +571,12 @@ def test_one_point_entry_points_return_scalars_equal_to_their_point_in_a_batch(
         assert values == key_fields(many, i)
 
 
-def filled_tally(source, sent_by_class) -> TallyTable:
-    """A one-point tally of source whose classes, in source order, sent the given pulses, half per basis."""
-    counts = np.zeros((len(sent_by_class), 2, len(COUNTS)))
+def filled_tally(sent_by_class) -> TallyTable:
+    """A one-point tally whose classes, in LABELS order, sent the given pulses, half per basis."""
+    counts = np.zeros((len(LABELS), len(BASES), len(COUNTS)))
     counts[..., SENT] = np.array(sent_by_class, dtype=float)[:, None] / 2.0
     counts[..., DETECTED] = counts[..., SENT] / 10.0
-    return TallyTable(tuple(c.label for c in source.intensity_classes), counts, float(sum(sent_by_class)), 1.0)
+    return TallyTable(counts, float(sum(sent_by_class)), 1.0)
 
 
 def empty_class_message(call) -> str:
@@ -573,42 +587,39 @@ def empty_class_message(call) -> str:
 
 def test_batch_names_the_empty_class_of_its_first_point_that_has_one(source, security):
     # class-major, the batch would name signal, which only the second point lacks
-    first, second = filled_tally(source, [10, 0, 10]), filled_tally(source, [0, 10, 10])
+    first, second = filled_tally([10, 0, 10]), filled_tally([0, 10, 10])
     tally = replace(first, counts=np.stack([first.counts, second.counts]))
     assert empty_class_message(lambda: key_from_tally(source, tally, security, "finite")) == (
         "no pulses sent in class decoy")
 
 
-def test_stack_names_the_empty_class_a_loop_over_differently_ordered_tallies_names(source, security):
+def test_key_tallies_names_the_empty_class_a_loop_over_the_tallies_names(source, security):
+    # of two empty classes the first in LABELS order is named, whatever order the source lists them in
     reordered = replace(source, intensity_classes=tuple(reversed(source.intensity_classes)))  # vacuum first
-    tallies = [filled_tally(source, [10, 10, 10]), filled_tally(reordered, [0, 0, 10])]
-    loop = empty_class_message(lambda: [key_from_tally(s, t, security, "finite")
-                                        for s, t in zip([source, reordered], tallies)])
-    assert loop == empty_class_message(lambda: TallyTable.stack(tallies)) == "no pulses sent in class vacuum"
+    sources, tallies = [source, reordered], [filled_tally([10, 10, 10]), filled_tally([0, 0, 10])]
+    loop = empty_class_message(lambda: [key_from_tally(s, t, security, "finite") for s, t in zip(sources, tallies)])
+    assert loop == empty_class_message(lambda: key_tallies(sources, tallies, security, "finite")) == (
+        "no pulses sent in class signal")
 
 
-def test_stack_puts_every_tally_in_the_first_tallys_class_order(source, security):
-    reordered = replace(source, intensity_classes=tuple(reversed(source.intensity_classes)), repetition_rate_hz=1e6)
-    first, second = filled_tally(source, [10, 20, 30]), filled_tally(reordered, [5, 25, 31])
-    second = replace(second, elapsed_s=61 / reordered.repetition_rate_hz)
-    tally = TallyTable.stack([first, second])
-    assert tally.labels == first.labels
-    assert tally.counts[1].tolist() == second.counts[::-1].tolist()
-    # every point keeps its own total_pulses and elapsed_s, and point(i) gives tally i back
-    assert tally.total_pulses.tolist() == [60.0, 61.0] and tally.elapsed_s.tolist() == [1.0, 6.1e-5]
-    assert tally.point(0).to_dict() == first.to_dict() and tally.point(1).to_dict() == second.to_dict()
-
-
-def test_stack_joins_batches_point_by_point(source):
-    # a batch of two points that share their total_pulses, then one point that sent none
-    first, second = filled_tally(source, [10, 20, 30]), filled_tally(source, [1, 2, 3])
-    batch = replace(first, counts=np.stack([first.counts, second.counts]))
-    empty = TallyTable.zeros(source)
-    tally = TallyTable.stack([batch, empty])
-    assert tally.counts.shape == (3, 3, 2, len(COUNTS))
-    assert tally.total_pulses.tolist() == [60.0, 60.0, 0.0] and tally.elapsed_s.tolist() == [1.0, 1.0, 0.0]
-    assert [tally.point(i).counts.tolist() for i in range(3)] == [
-        first.counts.tolist(), second.counts.tolist(), empty.counts.tolist()]
+@pytest.mark.parametrize("order", itertools.permutations(range(len(LABELS))))
+def test_every_class_order_of_a_source_tallies_and_keys_as_the_source(source, detector, e_det, security, order):
+    # the class axis is LABELS whatever order the source lists its classes in: at a fixed loss and
+    # over a 60 degree pass, its tallies and keys are those of the source, alone and in one batch
+    reordered = replace(source, intensity_classes=tuple(source.intensity_classes[k] for k in order))
+    segments = synthesize_pass(60.0, 500e3).segments(1.0)
+    expected, got = ([fixed_loss_tally(src, 35.0, detector, e_det, 10.0), pass_tally(*segments, src, detector, e_det)]
+                     for src in (source, reordered))
+    for want, tally in zip(expected, got):
+        np.testing.assert_array_equal(tally.counts, want.counts)
+        assert (tally.total_pulses, tally.elapsed_s) == (want.total_pulses, want.elapsed_s)
+        for regime in ("asymptotic", "finite"):
+            assert key_fields(key_from_tally(reordered, tally, security, regime)) == key_fields(
+                key_from_tally(source, want, security, regime))
+    batch = key_tallies([source, source, reordered, reordered], expected + got, security, "finite")
+    for i, want in enumerate(expected):
+        assert key_fields(batch, i) == key_fields(batch, i + 2) == key_fields(
+            key_from_tally(source, want, security, "finite"))
 
 
 @pytest.mark.parametrize("regime", ["asymptotic", "finite"])
@@ -617,20 +628,19 @@ def test_key_tallies_keys_every_point_as_alone_and_no_point_that_sent_nothing(so
     # a batch of two losses, a tally that sent nothing, and a source with other intensities in reverse class order
     other = source_at(source, 0.6, 0.1, 0.8, 0.15, 0.5)
     other = replace(other, intensity_classes=tuple(reversed(other.intensity_classes)))
-    tallies = [analytic_tallies(source, [[30.0], [45.0]], detector, e_det, [1e9]), TallyTable.zeros(source),
+    empty = TallyTable(np.zeros((len(LABELS), len(BASES), len(COUNTS))))
+    tallies = [analytic_tallies(source, [[30.0], [45.0]], detector, e_det, [1e9]), empty,
                simulate_block(other, 33.0, detector, e_det, 10**9, seed=5)]
-    keys, batch = key_tallies([source, source, other], tallies, security, regime, "sent nothing")
+    keys = key_tallies([source, source, other], tallies, security, regime, "sent nothing")
     alone = [key_from_tally(source, analytic_tallies(source, [loss], detector, e_det, [1e9]), security, regime)
              for loss in (30.0, 45.0)] + [None, key_from_tally(other, tallies[2], security, regime)]
-    empty = [0.0, E0, 0.0, None, 0.0, "sent nothing", 0.0, 0.0, "sent nothing"]  # key_fields of an unkeyed point
+    unkeyed = [0.0, E0, 0.0, None, 0.0, "sent nothing", 0.0, 0.0, "sent nothing"]  # key_fields of an unkeyed point
     for i, one in enumerate(alone):
-        assert key_fields(keys, i) == (empty if one is None else key_fields(one))
+        assert key_fields(keys, i) == (unkeyed if one is None else key_fields(one))
     assert keys.secret_key_length[0] > 0 and keys.secret_key_length[3] > 0
-    assert batch.point(2).to_dict() == tallies[1].to_dict() and batch.point(3).to_dict() == tallies[2].to_dict()
     # with no point that sent a pulse, every point gets the empty key
-    none_sent, _ = key_tallies([source, other], [TallyTable.zeros(source), TallyTable.zeros(other)], security, regime,
-                               "sent nothing")
-    assert key_fields(none_sent, 0) == key_fields(none_sent, 1) == empty
+    none_sent = key_tallies([source, other], [empty, empty], security, regime, "sent nothing")
+    assert key_fields(none_sent, 0) == key_fields(none_sent, 1) == unkeyed
 
 
 # (mu_signal, mu_decoy, p_signal, p_decoy, p_z, excess loss dB) of the points of a batched pass
@@ -642,7 +652,7 @@ def test_analytic_tallies_row_of_a_point_segment_grid_equals_that_point_alone(so
     losses, durations = synthesize_pass(60.0, 500e3).segments(1.0)
     grid = losses + np.array([point[-1] for point in GRID_POINTS])[:, None]  # (point, segment)
     pulses = source.repetition_rate_hz * durations
-    mus, emit, p_z = overrides_at(source, [point[:-1] for point in GRID_POINTS])
+    mus, emit, p_z = overrides_at([point[:-1] for point in GRID_POINTS])
     batch = analytic_tallies(source, grid, detector, e_det, pulses, mus, emit, p_z)
     assert batch.counts.shape == (len(GRID_POINTS), 3, 2, len(COUNTS))
     for p in range(len(GRID_POINTS)):
@@ -655,7 +665,7 @@ def test_analytic_tallies_row_of_a_point_segment_grid_equals_that_point_alone(so
 def test_batched_pass_key_equals_a_loop_over_integrate_pass(source, detector, e_det, security, regime):
     losses, durations = synthesize_pass(60.0, 500e3).segments(1.0)
     grid = losses + np.array([point[-1] for point in GRID_POINTS])[:, None]
-    mus, emit, p_z = overrides_at(source, [point[:-1] for point in GRID_POINTS])
+    mus, emit, p_z = overrides_at([point[:-1] for point in GRID_POINTS])
     tally = analytic_tallies(source, grid, detector, e_det, source.repetition_rate_hz * durations, mus, emit, p_z)
     batch = key_from_tally(source, tally, security, regime, mus)
     assert batch.secret_key_length[-1] == 0.0 < batch.secret_key_length[0]  # 25 dB more leaves no key
@@ -716,15 +726,6 @@ def test_key_length_degenerate_bounds_zero_with_reason(security):
 
 # ---------------------------------------------------------------------------
 # pass integration
-
-
-# the tally of a pass that sends no pulse lists every cell of the default source at zero
-ZERO_TALLY = {
-    "total_pulses": 0.0,
-    "elapsed_s": 0.0,
-    "cells": {f"{label}/{basis}": dict.fromkeys(COUNTS, 0.0)
-              for label in ("decoy", "signal", "vacuum") for basis in ("X", "Z")},
-}
 
 
 def test_integrate_pass_below_min_elevation(source, detector, e_det, security):
@@ -847,7 +848,6 @@ def test_simulate_block_rejects_bad_segment_losses(source, detector, e_det, loss
 @pytest.mark.parametrize("losses, counts", [
     ([20.0, 30.0], [1000]),  # lengths differ
     ([20.0, 30.0, 40.0], [1000, -1, 5]),
-    ([20.0, 30.0], [0, 0]),
 ])
 def test_simulate_block_rejects_bad_segment_counts(source, detector, e_det, losses, counts):
     with pytest.raises(DomainError):

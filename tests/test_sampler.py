@@ -19,6 +19,7 @@ import pytest
 
 from satqkd.channel import sampled_pass
 from satqkd.protocol import (
+    LABELS,
     SENT,
     SecurityParams,
     analytic_tallies,
@@ -51,7 +52,7 @@ def homogeneity_chi2(a: np.ndarray, b: np.ndarray):
 
 
 def expected_gains(source, loss, det, e_det) -> list:
-    """Each class's gain, detections per pulse sent, in the analytic tally (source order)."""
+    """Each class's gain, detections per pulse sent, in the analytic tally (LABELS order)."""
     return [detected / sent for sent, detected, _, _ in
             by_class(analytic_tallies(source, loss, det, e_det, 1.0)).tolist()]
 
@@ -76,7 +77,7 @@ def test_sampler_matches_reference_distribution(regime, source, e_det):
     source = replace(source, basis_probability_z=pz)
     noisy = replace(det, dark_prob=det.dark_prob + background)  # the reference adds the background itself
     n = 100_000
-    new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
+    new = np.zeros(4 * 2 * len(LABELS), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(SEEDS):
         fast = simulate_block(source, loss, noisy, e_det, n, seed=np.random.SeedSequence([1, s]))
@@ -96,7 +97,7 @@ def test_sampler_matches_reference_per_cell_at_zero_loss(source, e_det):
     # detector efficiency applied to the wrong cells shows at once
     source = replace(source, basis_probability_z=0.8)
     det = DetectorModel(efficiency=0.6, dark_prob=1e-3, basis_probability_z=0.7)
-    new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
+    new = np.zeros(4 * 2 * len(LABELS), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(8):
         drawn = simulate_block(source, 0.0, det, e_det, 50_000, seed=np.random.SeedSequence([3, s]))
@@ -111,7 +112,7 @@ def test_sampler_vacuum_and_no_darks(source, e_det):
     det = DetectorModel(dark_prob=0.0)
     tally = simulate_block(source, 20.0, det, e_det, 200_000, seed=np.random.SeedSequence(9))
     validate_tally(tally)
-    for label, by_basis in zip(tally.labels, tally.counts.tolist()):
+    for label, by_basis in zip(LABELS, tally.counts.tolist()):
         for values in by_basis:
             sent, detected, _, _ = values
             assert all(math.isfinite(v) for v in values)
@@ -153,7 +154,7 @@ def test_pooled_pass_matches_per_segment_reference(source, e_det):
     det = DetectorModel(dark_prob=1e-4)
     losses, durations = profile.segments(1.0)
     assert losses.tolist() == pytest.approx([20.0, 30.0, 40.0]) and durations.tolist() == [1.0] * 3
-    new = np.zeros(4 * 2 * len(source.intensity_classes), dtype=np.int64)
+    new = np.zeros(4 * 2 * len(LABELS), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(SEEDS):
         _, pooled = integrate_pass(losses, durations, source, det, e_det, SecurityParams(), mode="mc",
@@ -211,8 +212,8 @@ def test_pooled_segments_match_analytic_gains(source, detector, e_det):
     losses, counts = [0.0, 30.0], [300_000, 300_000]
     tally = simulate_block(source, losses, detector, e_det, counts, seed=12)
     validate_tally(tally)
-    per_class = dict(zip(tally.labels, by_class(tally).tolist()))
-    for k, cls in enumerate(source.intensity_classes):
+    per_class = dict(zip(LABELS, by_class(tally).tolist()))
+    for k, cls in enumerate(map(source.intensity, LABELS)):
         gains = [expected_gains(source, loss, detector, e_det)[k] for loss in losses]
         sent = [n * cls.emit_probability for n in counts]
         expected = sum(m * q for m, q in zip(sent, gains))

@@ -154,11 +154,6 @@ def test_shifted_center_is_linear():
 # filter transmission
 
 
-def test_filter_transmission_delta_line_in_band():
-    filt = FilterSpec(777.5, 2.0)
-    assert filter_transmission(777.5, 0.0, filt) == 1.0
-
-
 def test_filter_transmission_centered_line_vs_oracle():
     filt = FilterSpec(777.5, 2.0)
     got = filter_transmission(777.5, 1.0, filt)
@@ -317,9 +312,11 @@ def test_spectral_overlap_rejects_non_finite_center_or_width(line_a, line_b, fil
 
 
 @pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
-@pytest.mark.parametrize("center, fwhm", [(math.nan, 1.0), (-math.inf, 1.0), (777.5, math.nan), (777.5, math.inf)])
-def test_filter_transmission_rejects_non_finite_center_or_width(center, fwhm, shape):
-    with pytest.raises(DomainError, match="must be finite"):
+@pytest.mark.parametrize("center, fwhm, match", [(math.nan, 1.0, "must be finite"), (-math.inf, 1.0, "must be finite"),
+                                                  (777.5, math.nan, "must be finite"), (777.5, math.inf, "must be finite"),
+                                                  (777.5, 0.0, "must be > 0"), (777.5, -1.0, "must be > 0")])
+def test_filter_transmission_rejects_bad_center_or_width(center, fwhm, match, shape):
+    with pytest.raises(DomainError, match=match):
         filter_transmission(center, fwhm, FilterSpec(777.5, 2.0, shape=shape))
 
 
