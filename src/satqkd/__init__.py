@@ -21,7 +21,6 @@ from .protocol import (
     decoy_bounds,
     integrate_pass,
     key_from_fixed_loss,
-    key_length,
     simulate_block,
 )
 from .receiver import DetectorModel

@@ -3,9 +3,12 @@
 Two routes produce the same sufficient statistics (a TallyTable): a Monte
 Carlo over Poissonian weak coherent pulses, which draws each cell's counts
 from the receiver's exact per-pulse outcome law, and the expected counts of
-the closed-form gain/error equations for the same channel. One reader keys
-every count array, through the 2-decoy bounds and the GLLP-style key formula
-(with Hoeffding finite-size corrections).
+the closed-form gain/error equations for the same channel. One kernel,
+key_from_tally, reads every ([point,] class, basis, count) array straight
+to its key: each class's gain and error gain feed the 2-decoy bounds, and
+the signal class's counts the GLLP-style key formula (with Hoeffding
+finite-size corrections). A point that sent no pulse is keyed inside it,
+to a zero key with the caller's reason.
 
 Counting convention: sifted counts (same-basis detections) feed the key
 formula, and the single-photon count estimate is scaled by the observed
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
@@ -283,9 +285,11 @@ def decoy_bounds(
     convention of which class is brighter does not matter), their gains Q,
     the vacuum gain, and the error-gain products E*Q. Each is a scalar or an
     array with one entry per point; they broadcast, and each point is
-    bounded on its own.
+    bounded on its own. An argument that is not finite raises DomainError.
     """
-    mu_a, mu_b, q_a, q_b, y0, eq_a, eq_b = _points(mu_a, mu_b, q_a, q_b, q_vacuum, eq_a, eq_b)
+    mu_a, mu_b, q_a, q_b, y0, eq_a, eq_b = args = _points(mu_a, mu_b, q_a, q_b, q_vacuum, eq_a, eq_b)
+    if not np.isfinite(args).all():
+        raise DomainError("an intensity, gain or error gain of the decoy bounds is not finite")
     if ((mu_a <= 0) | (mu_b <= 0) | (mu_a == mu_b)).any():
         raise DomainError("need two distinct positive non-vacuum intensities")
     a_hi = mu_a > mu_b
@@ -321,7 +325,7 @@ def decoy_bounds(
 
 
 # ---------------------------------------------------------------------------
-# key length
+# the key of a count array
 
 
 @record
@@ -341,18 +345,6 @@ class SecurityParams:
             raise DomainError("epsilons must be in (0,1)")
         if not 1.0 <= self.f_ec < math.inf:  # false for NaN too
             raise DomainError(f"f_ec must be finite and >= 1, got {self.f_ec}")
-
-
-@record
-class SiftedStats:
-    """Signal-class statistics feeding the key formula; scalars, or arrays with one entry per point."""
-
-    n_signal: ArrayLike  # sifted signal detections
-    errors_signal: ArrayLike
-    detected_signal: ArrayLike  # all signal detections (before sifting)
-    sent_signal: ArrayLike  # signal pulses sent
-    mu_signal: ArrayLike
-    elapsed_s: ArrayLike
 
 
 @record
@@ -386,38 +378,73 @@ class KeyResult:
                          self.secret_key_rate[i], self.regime, self.reason[i])
 
 
-def key_length(
-    stats: SiftedStats,
-    bounds: DecoyBounds,
-    sec: SecurityParams,
-    regime: str = "asymptotic",
-) -> KeyResult:
-    """Secret key length from sifted signal statistics and decoy bounds.
+def _refuse_empty_class(sent: np.ndarray):
+    """DomainError naming the first class, in LABELS order, of the first point whose class sent no pulse.
 
+    sent is (class[, point]). Points come before classes, so a batch fails
+    as keying its points one by one fails.
+    """
+    empty = (sent <= 0).reshape(len(LABELS), -1).T.ravel()  # each point's classes in turn
+    if empty.any():
+        raise DomainError(f"no pulses sent in class {LABELS[int(np.argmax(empty)) % len(LABELS)].value}")
+
+
+def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams, regime: str,
+                   mus: Optional[ArrayLike] = None, empty_reason: Optional[str] = None) -> KeyResult:
+    """Key of a pooled tally; counts with a leading point axis key each point on its own, as a batch.
+
+    The tally's class rows are signal, decoy and vacuum (LABELS). mus, one
+    row per class in that order, each a scalar or one entry per point,
+    replaces the source's intensities. The 2-decoy bounds take each class's
+    observed gain (detections per pulse sent) and error rate (errors per
+    sifted detection); the key formula takes the signal class's counts.
     Asymptotic: GLLP-style, crediting only the bounded single-photon
     fraction and debiting the error-correction cost. Finite: Hoeffding
     deviations (eps budget split equally across the two deviations) shrink
     the single-photon count and inflate its error bound, then fixed
     secrecy/correctness penalties are subtracted.
 
-    Every field of stats and bounds is a scalar or an array with one entry
-    per point; they broadcast, each point is keyed on its own, and the
-    result then holds arrays. A key length or rate that is not finite
-    raises DomainError.
+    Every count, total_pulses and elapsed_s must be finite and >= 0, with
+    sent >= detected >= sifted >= errors in each cell. With empty_reason, a
+    point that sent no pulse (total_pulses <= 0) keys as one that sent a
+    pulse per cell and detected none, and empty_reason is its key's reason
+    and its bounds'. Without, it raises DomainError as any point with a
+    class that sent no pulse does; so does a key length or rate that is not
+    finite.
     """
     if regime not in ("asymptotic", "finite"):
         raise DomainError(f"unknown regime {regime!r}")
-    n, errors, detected, sent, mu, elapsed, y1, e1 = _points(
-        stats.n_signal, stats.errors_signal, stats.detected_signal, stats.sent_signal, stats.mu_signal,
-        stats.elapsed_s, bounds.y1_lower, bounds.e1_upper)  # e1_upper None: NaN
+    counts = tally.counts
+    values = np.concatenate([counts.ravel(), np.ravel(tally.total_pulses), np.ravel(tally.elapsed_s)])
+    if not ((0.0 <= values) & (values < math.inf)).all():  # false for NaN too
+        raise DomainError("a count, total_pulses or elapsed_s of the tally is not finite, or is negative")
+    if not (counts[..., 1:] <= counts[..., :-1]).all():
+        raise DomainError("inconsistent tally: every cell needs sent >= detected >= sifted >= errors")
+    empty = False if empty_reason is None else np.asarray(tally.total_pulses) <= 0  # ([point])
+    if np.any(empty):  # (sent, detected, sifted, errors) of each cell of an empty point
+        counts = np.where(empty[..., None, None, None], [1.0, 0.0, 0.0, 0.0], counts)
+    mus = [source.intensity(label).mu for label in LABELS] if mus is None else np.asarray(mus, dtype=float)
+    by_class = counts[..., 0, :] + counts[..., 1, :]  # ([point,] class, count): the sum over the bases
+    sent, detected, sifted, errors = np.ascontiguousarray(by_class.T)  # each (class[, point])
+    _refuse_empty_class(sent)
+    gains = detected / sent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error_gains = np.where(sifted > 0, errors / sifted, E0) * gains
+    s, d, v = range(len(LABELS))  # the signal, decoy and vacuum rows
+    bounds = decoy_bounds(mus[s], mus[d], gains[s], gains[d], gains[v], error_gains[s], error_gains[d])
+    if np.any(empty):
+        reason = np.where(empty, np.array(empty_reason, dtype=object), bounds.reason)[()]
+        bounds = DecoyBounds(bounds.y1_lower, bounds.e1_upper, bounds.y0_estimate, reason)
+    n, errors, q_sig, mu, elapsed, y1, e1 = _points(
+        sifted[s], errors[s], gains[s], mus[s], tally.elapsed_s, bounds.y1_lower, bounds.e1_upper)  # e1_upper None: NaN
     with np.errstate(all="ignore"):  # the points that make no key may divide by zero
         e_sig = np.where(n > 0, errors / n, E0)
-        q_sig = np.where(sent > 0, detected / sent, 0.0)
         # expected sifted single-photon count, scaled by the observed sifted fraction
         s1 = n * (mu * each(math.exp, -mu) * y1) / q_sig
         ec_cost = sec.f_ec * n * binary_entropy(e_sig)
         # the first of these that holds makes a point's key zero, with its reason
         zero_keys = [
+            (empty, empty_reason),
             (n < 1, "no sifted signal detections"),
             (e_sig > 0.5, "signal QBER above 0.5"),
             # e1 != e1 holds for NaN, which is what the None e1_upper of a degenerate bound reads as
@@ -453,74 +480,22 @@ def key_length(
     return KeyResult(n[()], e_sig[()], bounds, length[()], rate[()], regime, reason[()])
 
 
-# ---------------------------------------------------------------------------
-# the key of a count array
-
-
-def _refuse_empty_class(sent: np.ndarray):
-    """DomainError naming the first class, in LABELS order, of the first point whose class sent no pulse.
-
-    sent is (class[, point]). Points come before classes, so a batch fails
-    as keying its points one by one fails.
-    """
-    empty = (sent <= 0).reshape(len(LABELS), -1).T.ravel()  # each point's classes in turn
-    if empty.any():
-        raise DomainError(f"no pulses sent in class {LABELS[int(np.argmax(empty)) % len(LABELS)].value}")
-
-
-def key_from_tally(source: SourceConfig, tally: TallyTable, sec: SecurityParams, regime: str,
-                   mus: Optional[ArrayLike] = None) -> KeyResult:
-    """Key of a pooled tally; counts with a leading point axis key each point on its own, as a batch.
-
-    The tally's class rows are signal, decoy and vacuum (LABELS). mus, one
-    row per class in that order, each a scalar or one entry per point,
-    replaces the source's intensities. The 2-decoy bounds take each class's
-    observed gain (detections per pulse sent) and error rate (errors per
-    sifted detection); the key formula takes the signal class's counts.
-    """
-    mus = [source.intensity(label).mu for label in LABELS] if mus is None else np.asarray(mus, dtype=float)
-    by_class = tally.counts[..., 0, :] + tally.counts[..., 1, :]  # ([point,] class, count): the sum over the bases
-    sent, detected, sifted, errors = np.ascontiguousarray(by_class.T)  # each (class[, point])
-    _refuse_empty_class(sent)
-    gains = detected / sent
-    with np.errstate(divide="ignore", invalid="ignore"):
-        error_gains = np.where(sifted > 0, errors / sifted, E0) * gains
-    s, d, v = range(len(LABELS))  # the signal, decoy and vacuum rows
-    bounds = decoy_bounds(mus[s], mus[d], gains[s], gains[d], gains[v], error_gains[s], error_gains[d])
-    return key_length(SiftedStats(sifted[s], errors[s], detected[s], sent[s], mus[s], tally.elapsed_s),
-                      bounds, sec, regime)
-
-
 def key_tallies(sources: Sequence[SourceConfig], tallies: Sequence[TallyTable], sec: SecurityParams, regime: str,
                 empty_reason: Optional[str] = None) -> KeyResult:
     """The keys of the points of the sources' tallies, in order, made in one key_from_tally call.
 
     tallies[i] is sources[i]'s, of one point or a batch, and each of its
     points is keyed with that source's intensities and its tally's
-    total_pulses and elapsed_s, so every point gets the key it gets alone.
-    A point that sent no pulse is not keyed: its key is 0, with
-    empty_reason as its reason and its bounds'.
+    total_pulses and elapsed_s, so every point gets the key it gets alone,
+    a point that sent no pulse the key of empty_reason.
     """
     points = [tally.counts.reshape(-1, *tally.counts.shape[-3:]) for tally in tallies]  # (point, class, basis, count)
     sizes = [len(p) for p in points]
     totals = np.concatenate([np.full(n, tally.total_pulses, dtype=float) for n, tally in zip(sizes, tallies)])
     elapsed = np.concatenate([np.full(n, tally.elapsed_s, dtype=float) for n, tally in zip(sizes, tallies)])
     mus = np.repeat([[src.intensity(label).mu for src in sources] for label in LABELS], sizes, axis=1)
-    keyed = totals > 0
-    sending = TallyTable(np.concatenate(points)[keyed], totals[keyed], elapsed[keyed])
-    keys = key_from_tally(sources[0], sending, sec, regime, mus[:, keyed])
-    if keyed.all():
-        return keys
-    empty = KeyResult(0.0, E0, DecoyBounds(0.0, None, 0.0, empty_reason), 0.0, 0.0, regime, empty_reason)
-
-    def spread(field):  # the keyed points' values of the field, and the empty key's at every other point
-        values = np.full(keyed.shape, attrgetter(field)(empty), dtype=object)
-        values[keyed] = attrgetter(field)(keys)
-        return values
-
-    bounds = DecoyBounds(*map(spread, ("bounds.y1_lower", "bounds.e1_upper", "bounds.y0_estimate", "bounds.reason")))
-    return KeyResult(spread("sifted_bits"), spread("qber_signal"), bounds, spread("secret_key_length"),
-                     spread("secret_key_rate"), regime, spread("reason"))
+    return key_from_tally(sources[0], TallyTable(np.concatenate(points), totals, elapsed), sec, regime, mus,
+                          empty_reason)
 
 
 def fixed_loss_tally(source: SourceConfig, total_loss_db: ArrayLike, det: DetectorModel, e_det: float,

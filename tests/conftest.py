@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import yaml
 
 from satqkd.config import default_run_config, default_source, to_dict
 from satqkd.errors import DomainError
-from satqkd.protocol import SENT, SecurityParams
+from satqkd.protocol import E0, LABELS, SENT, SecurityParams, TallyTable
 from satqkd.receiver import DetectorModel
 from satqkd.source import ExtinctionSet, IntensityLabel, intrinsic_qber
 
@@ -37,6 +38,30 @@ def validate_tally(tally):
     sent = tally.counts[..., SENT].sum()
     if abs(sent - tally.total_pulses) > 1e-6 * max(1.0, tally.total_pulses):
         raise DomainError("per-cell sent counts do not sum to total pulses")
+
+
+def poisson_rates(mu, eta, y0, ed):
+    """Independent closed-form oracle for WCP gains and errors."""
+    q = 1 - (1 - y0) * math.exp(-eta * mu)
+    eq = E0 * y0 + ed * (1 - math.exp(-eta * mu))
+    return q, eq / q if q > 0 else E0
+
+
+def rate_tally(gains, error_rates, n_total, sift_p=0.5, rep=1e8) -> TallyTable:
+    """One-point tally in which each class of the default source, in LABELS order, sends its share of n_total
+    pulses, half per basis, detects gains[k] of them, sifts sift_p of those and errs on error_rates[k] of these."""
+    source = default_source()
+    sent = np.array([n_total * source.intensity(label).emit_probability for label in LABELS]) / 2.0
+    detected = sent * np.asarray(gains, dtype=float)
+    sifted = detected * sift_p
+    cells = np.stack([sent, detected, sifted, sifted * np.asarray(error_rates, dtype=float)], axis=-1)
+    return TallyTable(np.stack([cells, cells], axis=1), float(n_total), n_total / rep)
+
+
+def closed_form_tally(eta, y0, ed, n_total) -> TallyTable:
+    """rate_tally at each class's closed-form WCP gain and error rate: a 0.3 signal, a 0.5 decoy and the vacuum."""
+    gains, error_rates = zip(*(poisson_rates(default_source().intensity(label).mu, eta, y0, ed) for label in LABELS))
+    return rate_tally(gains, error_rates, n_total)
 
 
 def degenerate(bounds):

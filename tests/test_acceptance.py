@@ -23,18 +23,17 @@ from satqkd.config import default_source
 from satqkd.protocol import (
     E0,
     SecurityParams,
-    SiftedStats,
     analytic_tallies,
     decoy_bounds,
     integrate_pass,
     key_from_fixed_loss,
-    key_length,
+    key_from_tally,
     simulate_block,
 )
 from satqkd.receiver import DetectorModel
 from satqkd.source import FWHM_TO_SIGMA, FilterSpec, filter_transmission, intrinsic_qber, temporal_overlap
 
-from conftest import MEASURED_EXTINCTION, by_class, degenerate
+from conftest import MEASURED_EXTINCTION, by_class, closed_form_tally, degenerate
 
 
 @pytest.fixture
@@ -115,14 +114,14 @@ def exact_bounds_at(eta, y0, ed, mu_sig=0.3, mu_dec=0.5):
 
     q_s, eq_s = qe(mu_sig)
     q_d, eq_d = qe(mu_dec)
-    return decoy_bounds(mu_sig, mu_dec, q_s, q_d, y0, eq_s, eq_d), (q_s, eq_s / q_s)
+    return decoy_bounds(mu_sig, mu_dec, q_s, q_d, y0, eq_s, eq_d)
 
 
 def test_acceptance_4_decoy_sandwich(report):
     t0 = time.perf_counter()
     ok = True
     for eta, y0, ed in grid_points():
-        b, _ = exact_bounds_at(eta, y0, ed)
+        b = exact_bounds_at(eta, y0, ed)
         y1, e1 = true_single_photon(eta, y0, ed)
         if degenerate(b):
             continue
@@ -137,22 +136,13 @@ def test_acceptance_4_decoy_sandwich(report):
 def test_acceptance_5_finite_below_asymptotic(report):
     t0 = time.perf_counter()
     n_sent = 1e10
+    src = default_source()
     ok = True
     for eta, y0, ed in grid_points():
-        b, (q_sig, e_sig) = exact_bounds_at(eta, y0, ed)
-        sent_sig = n_sent * 0.7  # signal emission probability of the default source
-        stats = SiftedStats(
-            n_signal=sent_sig * q_sig * 0.5,
-            errors_signal=sent_sig * q_sig * 0.5 * min(e_sig, 0.5),
-            detected_signal=sent_sig * q_sig,
-            sent_signal=sent_sig,
-            mu_signal=0.3,
-            elapsed_s=n_sent / 1e8,
-        )
-        fin = key_length(stats, b, SEC, "finite").secret_key_length
-        asy = key_length(stats, b, SEC, "asymptotic").secret_key_length
+        tally = closed_form_tally(eta, y0, ed, n_sent)
+        fin = key_from_tally(src, tally, SEC, "finite").secret_key_length
+        asy = key_from_tally(src, tally, SEC, "asymptotic").secret_key_length
         ok &= fin <= asy + 1e-6
-    src = default_source()
     fin40 = key_from_fixed_loss(src, 40.0, DetectorModel(), E_DET, SEC, 100.0, regime="finite")
     asy40 = key_from_fixed_loss(src, 40.0, DetectorModel(), E_DET, SEC, 100.0, regime="asymptotic")
     ok &= fin40.secret_key_length >= 0.5 * asy40.secret_key_length

@@ -15,12 +15,12 @@ from satqkd.protocol import (
     BASES,
     COUNTS,
     DETECTED,
+    ERRORS,
     E0,
     LABELS,
     SENT,
     SIFTED,
     SecurityParams,
-    SiftedStats,
     Y1_LOST_IN_ROUNDING,
     TallyTable,
     analytic_tallies,
@@ -29,7 +29,6 @@ from satqkd.protocol import (
     integrate_pass,
     key_from_fixed_loss,
     key_from_tally,
-    key_length,
     key_tallies,
     pass_tally,
     simulate_block,
@@ -37,15 +36,9 @@ from satqkd.protocol import (
 from satqkd.receiver import DetectorModel
 from satqkd.source import IntensityLabel, intrinsic_qber
 
-from conftest import MEASURED_EXTINCTION, FixedLossModel, by_class, degenerate, validate_tally
+from conftest import (MEASURED_EXTINCTION, FixedLossModel, by_class, closed_form_tally, degenerate, poisson_rates,
+                      rate_tally, validate_tally)
 from reference_sampler import elevation_at, enumerated_cells, reference_loss
-
-
-def poisson_rates(mu, eta, y0, ed):
-    """Independent closed-form oracle for WCP gains and errors."""
-    q = 1 - (1 - y0) * math.exp(-eta * mu)
-    eq = E0 * y0 + ed * (1 - math.exp(-eta * mu))
-    return q, eq / q if q > 0 else E0
 
 
 def true_single_photon(eta, y0, ed):
@@ -383,21 +376,6 @@ def test_decoy_bounds_from_rates_and_tally_agree(source, detector, e_det, securi
 # key length
 
 
-def make_stats(eta, y0, ed, n_total, p_sig=0.7, mu_sig=0.3, sift_p=0.5, rep=1e8):
-    q, e = poisson_rates(mu_sig, eta, y0, ed)
-    sent = n_total * p_sig
-    detected = sent * q
-    n_sig = detected * sift_p
-    return SiftedStats(
-        n_signal=n_sig,
-        errors_signal=n_sig * e,
-        detected_signal=detected,
-        sent_signal=sent,
-        mu_signal=mu_sig,
-        elapsed_s=n_total / rep,
-    )
-
-
 def bounds_args(eta, y0, ed) -> tuple:
     """decoy_bounds' arguments at the closed-form rates of a 0.5 decoy and a 0.3 signal."""
     q_s, e_s = poisson_rates(0.3, eta, y0, ed)
@@ -405,41 +383,40 @@ def bounds_args(eta, y0, ed) -> tuple:
     return 0.5, 0.3, q_d, q_s, y0, e_d * q_d, e_s * q_s
 
 
-def bounds_for(eta, y0, ed):
-    return decoy_bounds(*bounds_args(eta, y0, ed))
+def with_signal_qber(tally, qber) -> TallyTable:
+    """The tally with qber of each signal cell's sifted detections counted as errors."""
+    counts = tally.counts.copy()
+    counts[0, :, ERRORS] = counts[0, :, SIFTED] * qber
+    return replace(tally, counts=counts)
 
 
-def test_key_length_zero_at_half_qber(security):
-    stats = make_stats(1e-3, 1e-6, 0.0, 1e9)
-    stats = replace(stats, errors_signal=stats.n_signal * 0.5)
-    result = key_length(stats, bounds_for(1e-3, 1e-6, 0.0), security)
+def test_key_length_zero_at_half_qber(source, security):
+    tally = with_signal_qber(closed_form_tally(1e-3, 1e-6, 0.0, 1e9), 0.5)
+    result = key_from_tally(source, tally, security, "asymptotic")
     assert result.secret_key_length == 0.0
 
 
-def test_key_length_rejects_qber_above_half(security):
-    stats = make_stats(1e-3, 1e-6, 0.0, 1e9)
-    stats = replace(stats, errors_signal=stats.n_signal * 0.6)
-    result = key_length(stats, bounds_for(1e-3, 1e-6, 0.0), security)
+def test_key_length_rejects_qber_above_half(source, security):
+    tally = with_signal_qber(closed_form_tally(1e-3, 1e-6, 0.0, 1e9), 0.6)
+    result = key_from_tally(source, tally, security, "asymptotic")
     assert result.secret_key_length == result.secret_key_rate == 0.0
     assert result.qber_signal == pytest.approx(0.6)
     assert result.reason == "signal QBER above 0.5"
 
 
-def test_key_length_zero_past_bb84_threshold(security):
-    stats = make_stats(1e-3, 1e-6, 0.0, 1e9)
-    stats = replace(stats, errors_signal=stats.n_signal * 0.25)
-    result = key_length(stats, bounds_for(1e-3, 1e-6, 0.25), security)
+def test_key_length_zero_past_bb84_threshold(source, security):
+    tally = with_signal_qber(closed_form_tally(1e-3, 1e-6, 0.25, 1e9), 0.25)
+    result = key_from_tally(source, tally, security, "asymptotic")
     assert result.secret_key_length == 0.0
 
 
-def test_finite_key_never_exceeds_asymptotic(security):
+def test_finite_key_never_exceeds_asymptotic(source, security):
     for eta in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
         for y0 in np.linspace(0.0, 1e-4, 5):
             for ed in np.linspace(0.0, 0.05, 5):
-                stats = make_stats(eta, y0, ed, 1e10)
-                bounds = bounds_for(eta, y0, ed)
-                asym = key_length(stats, bounds, security, "asymptotic")
-                finite = key_length(stats, bounds, security, "finite")
+                tally = closed_form_tally(eta, y0, ed, 1e10)
+                asym = key_from_tally(source, tally, security, "asymptotic")
+                finite = key_from_tally(source, tally, security, "finite")
                 assert finite.secret_key_length <= asym.secret_key_length + 1e-9
 
 
@@ -600,6 +577,10 @@ def test_key_tallies_names_the_empty_class_a_loop_over_the_tallies_names(source,
     loop = empty_class_message(lambda: [key_from_tally(s, t, security, "finite") for s, t in zip(sources, tallies)])
     assert loop == empty_class_message(lambda: key_tallies(sources, tallies, security, "finite")) == (
         "no pulses sent in class signal")
+    # with no reason to key it by, a tally that sent nothing is refused as one whose classes sent nothing
+    nothing = TallyTable(np.zeros((len(LABELS), len(BASES), len(COUNTS))))
+    assert empty_class_message(lambda: key_from_tally(source, nothing, security, "finite")) == (
+        "no pulses sent in class signal")
 
 
 @pytest.mark.parametrize("order", itertools.permutations(range(len(LABELS))))
@@ -634,10 +615,18 @@ def test_key_tallies_keys_every_point_as_alone_and_no_point_that_sent_nothing(so
     keys = key_tallies([source, source, other], tallies, security, regime, "sent nothing")
     alone = [key_from_tally(source, analytic_tallies(source, [loss], detector, e_det, [1e9]), security, regime)
              for loss in (30.0, 45.0)] + [None, key_from_tally(other, tallies[2], security, regime)]
-    unkeyed = [0.0, E0, 0.0, None, 0.0, "sent nothing", 0.0, 0.0, "sent nothing"]  # key_fields of an unkeyed point
+    # key_fields of a point that sent nothing: its key's reason and its bounds' are the reason given
+    unkeyed = [0.0, E0, 0.0, None, 0.0, "sent nothing", 0.0, 0.0, "sent nothing"]
+    assert key_fields(key_from_tally(source, empty, security, regime, empty_reason="sent nothing")) == unkeyed
     for i, one in enumerate(alone):
         assert key_fields(keys, i) == (unkeyed if one is None else key_fields(one))
     assert keys.secret_key_length[0] > 0 and keys.secret_key_length[3] > 0
+    # one tally whose points send, send nothing and send again keys them as alone too
+    mixed = TallyTable(np.stack([tallies[0].counts[0], empty.counts, tallies[0].counts[1]]),
+                       np.array([1e9, 0.0, 1e9]), np.array([10.0, 0.0, 10.0]))
+    batch = key_from_tally(source, mixed, security, regime, empty_reason="sent nothing")
+    for i, one in enumerate([alone[0], None, alone[1]]):
+        assert key_fields(batch, i) == (unkeyed if one is None else key_fields(one))
     # with no point that sent a pulse, every point gets the empty key
     none_sent = key_tallies([source, other], [empty, empty], security, regime, "sent nothing")
     assert key_fields(none_sent, 0) == key_fields(none_sent, 1) == unkeyed
@@ -687,16 +676,43 @@ def test_decoy_bounds_of_one_point_are_scalars_equal_to_their_point_in_a_batch()
         assert values == [batch.y1_lower[i], batch.e1_upper[i], batch.y0_estimate[i], batch.reason[i]]
 
 
-def test_key_length_rejects_non_finite_statistics(security):
-    bounds = bounds_for(1e-3, 1e-6, 0.01)
-    stats = make_stats(1e-3, 1e-6, 0.01, 1e9)
-    for bad in (replace(stats, n_signal=math.nan), replace(stats, errors_signal=math.nan)):
+def test_key_length_rejects_non_finite_statistics(source, security):
+    tally = closed_form_tally(1e-3, 1e-6, 0.01, 1e9)
+    bad = []
+    for count in (SIFTED, ERRORS):
+        counts = tally.counts.copy()
+        counts[0, :, count] = math.nan
+        bad.append(replace(tally, counts=counts))
+    for one in bad:
         with pytest.raises(DomainError, match="not finite"):
-            key_length(bad, bounds, security)
+            key_from_tally(source, one, security, "asymptotic")
     # one bad point fails the whole batch
-    batch = replace(stats, n_signal=np.array([stats.n_signal, math.nan]))
+    batch = replace(tally, counts=np.stack([tally.counts, bad[0].counts]))
     with pytest.raises(DomainError, match="not finite"):
-        key_length(batch, bounds, security, "finite")
+        key_from_tally(source, batch, security, "finite")
+
+
+@pytest.mark.parametrize("cell,count,value", [
+    ((0, 0), SIFTED, math.nan),  # reported sifted_bits NaN under a zero key
+    ((0, 0), ERRORS, -5.0),  # keyed 1716.9 bits
+    ((2, 0), DETECTED, -1.0),  # gave y0_estimate -3.0e-14 and a positive key
+    ((1, 0), DETECTED, math.inf),  # was taken for a decoy bound that overflows a float
+    (None, "elapsed_s", math.nan),  # reported rate 0.0 next to a positive length
+    (None, "elapsed_s", -1.0),
+    ((0, 1), ERRORS, None),  # more errors than sifted detections
+], ids=["nan_sifted", "negative_errors", "negative_vacuum_detected", "inf_decoy_detected", "nan_elapsed",
+        "negative_elapsed", "errors_above_sifted"])
+def test_key_from_tally_refuses_a_malformed_tally(source, detector, e_det, security, cell, count, value):
+    tally = fixed_loss_tally(source, 30.0, detector, e_det, 1.0)
+    if cell is None:
+        tally = replace(tally, **{count: value})
+    else:
+        counts = tally.counts.copy()
+        counts[cell][count] = counts[cell][SIFTED] + 1.0 if value is None else value
+        tally = replace(tally, counts=counts)
+    for regime in ("asymptotic", "finite"):
+        with pytest.raises(DomainError, match="tally"):
+            key_from_tally(source, tally, security, regime)
 
 
 @pytest.mark.parametrize("f_ec", [
@@ -712,14 +728,22 @@ def test_security_params_reject_non_finite_or_small_f_ec(f_ec):
 def test_decoy_bounds_reject_intensity_whose_exp_overflows():
     with pytest.raises(DomainError, match="no finite decoy bound"):
         decoy_bounds(800.0, 0.3, 1.0, 1e-3, 0.0, 1e-3, 1e-5)
+    # a non-finite argument is named as such: a NaN error gain gave a bound that held with e1_upper NaN,
+    # and a NaN gain or vacuum gain was taken for an overflow
+    args = (0.3, 0.5, 1e-3, 1e-3, 1e-6, 1e-5, 1e-5)
+    for k in range(len(args)):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="not finite"):
+                decoy_bounds(*args[:k], bad, *args[k + 1:])
 
 
-def test_key_length_degenerate_bounds_zero_with_reason(security):
-    from satqkd.protocol import Y1_ZERO, DecoyBounds
+def test_key_length_degenerate_bounds_zero_with_reason(source, security):
+    from satqkd.protocol import Y1_ZERO
 
-    stats = make_stats(1e-3, 1e-6, 0.01, 1e9)
-    degenerate = DecoyBounds(y1_lower=0.0, e1_upper=None, y0_estimate=1e-6, reason=Y1_ZERO)
-    result = key_length(stats, degenerate, security)
+    # equal signal, decoy and vacuum gains bound Y1 at 0.97 Y0; signal and decoy gains half the vacuum's bound it at 0
+    tally = rate_tally([5e-7, 5e-7, 1e-6], [0.01, 0.01, E0], 1e9)
+    result = key_from_tally(source, tally, security, "asymptotic")
+    assert result.bounds.reason == Y1_ZERO
     assert result.secret_key_length == 0.0
     assert "degenerate" in result.reason
 

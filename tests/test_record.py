@@ -26,7 +26,7 @@ from satqkd.analysis import Series, estimate_peak
 from satqkd.channel import ChannelConfig, ElevationLossModel, PassSpec
 from satqkd.config import default_run_config, default_source
 from satqkd.optimizer import Axis, SearchSpace, optimize
-from satqkd.protocol import SecurityParams, SiftedStats, key_from_fixed_loss, simulate_block
+from satqkd.protocol import SecurityParams, key_from_fixed_loss, simulate_block
 from satqkd.receiver import DetectorModel
 from satqkd.record import record
 
@@ -67,7 +67,6 @@ SAMPLES = {
     "RunConfig": default_run_config,
     "TallyTable": lambda: simulate_block(default_source(), 30.0, DetectorModel(), 0.01, 10_000, seed=1),
     "DecoyBounds": lambda: _key().bounds,
-    "SiftedStats": lambda: SiftedStats(1e4, 120.0, 2e4, 7e7, 0.3, 1.0),
     "KeyResult": _key,
     "Axis": lambda: Axis(0.2, 0.6, 3),
     "SearchSpace": _search_space,
@@ -172,7 +171,7 @@ def assert_behaves_as_frozen_dataclass(cls, sample):
 
 def test_every_frozen_class_of_the_package_is_a_record_with_a_sample():
     assert set(package_dataclasses()) == set(RECORDS) == set(SAMPLES)
-    assert len(RECORDS) == 21
+    assert len(RECORDS) == 20
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
