@@ -145,19 +145,22 @@ def centroid(series: Series, estimate: PeakEstimate) -> float:
 def load_two_column_csv(path, col_x: str, col_y: str) -> Tuple[np.ndarray, np.ndarray]:
     """The two columns of a CSV whose header starts with col_x,col_y, as float arrays; blank rows are skipped."""
     xs, ys = [], []
-    with open_or_raise(path, FileFormatError, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != [col_x, col_y]:
-            raise FileFormatError(f"{path}: expected header '{col_x},{col_y}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
+    try:
+        with open_or_raise(path, FileFormatError, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header[:2]] != [col_x, col_y]:
+                raise FileFormatError(f"{path}: expected header '{col_x},{col_y}'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    xs.append(float(row[0]))
+                    ys.append(float(row[1]))
+                except (ValueError, IndexError) as exc:
+                    raise FileFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     return np.asarray(xs), np.asarray(ys)
 
 

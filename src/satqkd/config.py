@@ -19,10 +19,8 @@ from dataclasses import MISSING, field, fields, is_dataclass, replace
 from enum import Enum
 
 import yaml
-from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
-from yaml.events import AliasEvent, MappingStartEvent, ScalarEvent, SequenceEndEvent, SequenceStartEvent, StreamEndEvent
-from yaml.nodes import ScalarNode
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .channel import ChannelConfig
 from .errors import ConfigError, DomainError, open_or_raise
@@ -262,146 +260,86 @@ def parse_run_config(data: dict) -> RunConfig:
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 _TAG = "tag:yaml.org,2002:"
-_STR, _FLOAT, _MAP, _SEQ, _MERGE, _VALUE = (_TAG + t for t in ("str", "float", "map", "seq", "merge", "value"))
+_STR, _FLOAT, _MAP, _SEQ = (_TAG + t for t in ("str", "float", "map", "seq"))
 _DECIMAL = frozenset("0123456789.eE+-")  # a float tag on only these: float() reads it as SafeLoader does
-_NO_KEY = object()  # a mapping frame waiting for its next key
-_IN_LIST = object()  # the key slot of a list frame
-_MERGE_KEY = object()  # the key <<: merge the value's mappings in
-_VALUE_KEY = object()  # the key =, which SafeLoader reads as the str "="
-_KEY_TOKENS = {_MERGE: _MERGE_KEY, _VALUE: _VALUE_KEY}  # tags a plain scalar may have only as a key
+_RESOLVER = yaml.resolver.Resolver()
+
+
+@functools.lru_cache(maxsize=1024)
+def _resolve(kind, value, implicit):
+    """The tag of an untagged or ! node as Resolver gives it, or float for a plain decimal float.
+
+    Cached, as a config repeats most of its scalars. libyaml reports an empty
+    ! scalar as not plain, where PyYAML's parser reads every ! scalar as a
+    plain one; so does this.
+    """
+    tag = _RESOLVER.resolve(kind, value, (True, False) if implicit == (False, False) else implicit)
+    return float if tag == _FLOAT and _DECIMAL.issuperset(value) else tag
+
+
+def _build(node, loader, built: dict):
+    """The value of a composed node as SafeLoader constructs it; built maps each collection node built to its value.
+
+    A str and a plain decimal float are made here, and every other scalar by
+    the loader's own construct_object, so ints, bools, nulls, .nan and
+    explicit tags come out as SafeLoader makes them. A mapping is flattened
+    first by SafeLoader's flatten_mapping: << merges, and = as a key is a str.
+    """
+    tag = node.tag
+    if node.__class__ is ScalarNode:
+        if tag is float:
+            return float(node.value)
+        if tag == _STR:
+            return node.value
+        try:
+            return loader.construct_object(node, deep=True)
+        except (ValueError, LookupError, AttributeError) as exc:  # SafeLoader lets these out:
+            # int() of !!int abc, !!bool maybe's dict lookup, !!timestamp abc's failed match
+            raise ConstructorError(None, None, f"cannot read {node.value!r} as {tag}: {exc!r}",
+                                   node.start_mark) from exc
+    if node in built:  # an alias: the anchor's own object
+        return built[node]
+    if tag != (_MAP if node.__class__ is MappingNode else _SEQ):
+        raise ConstructorError(None, None, f"found unsupported collection tag {tag!r}", node.start_mark)
+    if node.__class__ is SequenceNode:
+        built[node] = out = []
+        for item in node.value:
+            out.append(_build(item, loader, built))
+        return out
+    built[node] = out = {}
+    loader.flatten_mapping(node)
+    for key_node, value_node in node.value:
+        key = _build(key_node, loader, built)
+        if key.__class__ is dict or key.__class__ is list:
+            raise ConstructorError("while constructing a mapping", node.start_mark,
+                                   "found unhashable key", key_node.start_mark)
+        out[key] = _build(value_node, loader, built)
+    return out
 
 
 def _read_yaml(stream):
-    """The one YAML document of stream as SafeLoader builds it, read in one pass over YAML_LOADER's events.
+    """The one YAML document of stream as SafeLoader builds it, from the node graph YAML_LOADER composes.
 
-    No node graph is built and no generic constructor runs over it: a str
-    and a plain decimal float are made here, and every other scalar by the
-    loader's own construct_object, so ints, bools, nulls, .nan and explicit
-    tags come out as SafeLoader makes them. An alias is the anchor's object,
-    << merges as SafeLoader's flatten_mapping does (a mapping's own keys win,
-    then earlier mappings of a merge list) and = as a key is a str. A
-    collection tag other than !!map and !!seq is a YAMLError, and so is
-    every input SafeLoader refuses; an empty stream gives None. A scalar
-    tagged ! resolves as a plain one with either loader, as SafeLoader's.
+    A collection tag other than !!map and !!seq is a YAMLError, and so is
+    every input SafeLoader refuses, a document nested past the recursion
+    limit too; an empty stream gives None.
     """
     loader = YAML_LOADER(stream)
+    loader.resolve = _resolve
     try:
-        get_event, resolve = loader.get_event, loader.resolve
-        get_event()  # StreamStartEvent
-        event = get_event()
-        if event.__class__ is StreamEndEvent:
-            return None
-        document_mark = event.start_mark
-        tags = {}  # (value, implicit) -> resolved tag of an untagged or ! scalar, or float for a plain decimal one
-        anchors = {}  # name -> (object, start mark)
-        stack = []  # open collections: [container, key or _NO_KEY (_IN_LIST in a list), merged mappings, start mark]
-        event = get_event()
-        while True:
-            cls = event.__class__
-            if cls is ScalarEvent:
-                value, tag = event.value, event.tag
-                if tag is None or tag == "!":
-                    # PyYAML's parser reads a ! scalar as a plain one; libyaml does not when it is empty
-                    seen = (value, event.implicit if tag is None else (True, False))
-                    tag = tags.get(seen)
-                    if tag is None:
-                        tag = resolve(ScalarNode, value, seen[1])
-                        tags[seen] = tag = float if tag == _FLOAT and _DECIMAL.issuperset(value) else tag
-                if tag is float:
-                    value = float(value)
-                elif tag == _STR:
-                    pass
-                elif tag in _KEY_TOKENS and stack and stack[-1][1] is _NO_KEY:
-                    value = _KEY_TOKENS[tag]
-                else:
-                    node = ScalarNode(tag, value, event.start_mark, event.end_mark, style=event.style)
-                    try:
-                        value = loader.construct_object(node, deep=True)
-                    except (ValueError, LookupError, AttributeError) as exc:  # SafeLoader lets these out:
-                        # int() of !!int abc, !!bool maybe's dict lookup, !!timestamp abc's failed match
-                        raise ConstructorError(
-                            None, None, f"cannot read {value!r} as {tag}: {exc!r}", event.start_mark) from exc
-                if event.anchor is not None:
-                    _anchor(anchors, event, value)
-            elif cls is MappingStartEvent or cls is SequenceStartEvent:
-                is_map = cls is MappingStartEvent
-                if event.tag not in (None, "!", _MAP if is_map else _SEQ):
-                    raise ConstructorError(
-                        None, None, f"found unsupported collection tag {event.tag!r}", event.start_mark)
-                container = {} if is_map else []
-                stack.append([container, _NO_KEY if is_map else _IN_LIST, [], event.start_mark])
-                if event.anchor is not None:
-                    _anchor(anchors, event, container)
-                event = get_event()
-                continue
-            elif cls is AliasEvent:
-                try:
-                    value = anchors[event.anchor][0]
-                except KeyError:
-                    raise ComposerError(
-                        None, None, f"found undefined alias {event.anchor!r}", event.start_mark) from None
-                if (value is _MERGE_KEY or value is _VALUE_KEY) and stack[-1][1] is not _NO_KEY:
-                    raise ConstructorError(
-                        None, None, "found an alias of a << or = key outside a key", event.start_mark)
-            elif cls is SequenceEndEvent:
-                value = stack.pop()[0]
-            else:  # MappingEndEvent
-                value, _, merged, _ = stack.pop()
-                if merged:  # merged keys come first, and a later mapping overrides an earlier one
-                    own = value.copy()
-                    value.clear()
-                    for mapping in merged:
-                        value.update(mapping)
-                    value.update(own)
-            if not stack:
-                break
-            frame = stack[-1]
-            container, key = frame[0], frame[1]
-            if key is _IN_LIST:
-                container.append(value)
-            elif key is _NO_KEY:
-                if value.__class__ is dict or value.__class__ is list:
-                    raise ConstructorError(
-                        "while constructing a mapping", frame[3], "found unhashable key", event.start_mark)
-                frame[1] = value
-            else:
-                frame[1] = _NO_KEY
-                if key is _VALUE_KEY:
-                    container["="] = value
-                elif key is not _MERGE_KEY:
-                    container[key] = value
-                elif value.__class__ is dict:
-                    frame[2].append(value)
-                elif value.__class__ is list and all(m.__class__ is dict for m in value):
-                    frame[2].extend(reversed(value))  # the first mapping of a merge list wins
-                else:
-                    raise ConstructorError(
-                        "while constructing a mapping", frame[3],
-                        "expected a mapping or list of mappings for merging", event.start_mark)
-            event = get_event()
-        get_event()  # DocumentEndEvent
-        event = get_event()
-        if event.__class__ is not StreamEndEvent:
-            raise ComposerError("expected a single document in the stream", document_mark,
-                                              "but found another document", event.start_mark)
-        return value
+        node = loader.get_single_node()
+        return None if node is None else _build(node, loader, {})
+    except RecursionError:
+        raise ConstructorError(None, None, "found a document nested too deep to read") from None
     finally:
         loader.dispose()
 
 
-def _anchor(anchors: dict, event, value) -> None:
-    """Name value by event's anchor; an anchor named twice in a document is a YAMLError."""
-    if event.anchor in anchors:
-        raise ComposerError(f"found duplicate anchor {event.anchor!r}; first occurrence",
-                                          anchors[event.anchor][1], "second occurrence", event.start_mark)
-    anchors[event.anchor] = value, event.start_mark
-
-
 def load_run_config(path) -> RunConfig:
-    with open_or_raise(path, ConfigError) as fh:
+    with open_or_raise(path, ConfigError, encoding="utf-8") as fh:
         try:
             data = _read_yaml(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")

@@ -960,7 +960,57 @@ def test_cli_pass_csv_error_is_file_format_error(capsys, config_path, tmp_path, 
     assert json.loads(err)["error"] == "file-format"
 
 
+NOT_UTF8 = b"seed: 1\n\xff junk: 1\n"  # 0xff starts no UTF-8 character
+
+
+def test_cli_csv_pass_not_utf8_is_file_format_error(capsys, config_path, tmp_path):
+    bad_csv = tmp_path / "pass.csv"
+    bad_csv.write_bytes(b"time_s,elevation_deg\n0,10\n" + NOT_UTF8)
+    data = yaml.safe_load(config_path.read_text())
+    data["channel"] = {"mode": "pass", "pass": {"csv_path": str(bad_csv)}}
+    path = tmp_path / "csv_pass.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "pass", "--config", str(path))
+    assert code == 3 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "file-format" and "not UTF-8" in report["message"]
+
+
+def test_cli_histogram_not_utf8_is_file_format_error(capsys, tmp_path):
+    bad_csv = tmp_path / "histogram.csv"
+    bad_csv.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "analyze-histogram", str(bad_csv))
+    assert code == 3 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "file-format" and "not UTF-8" in report["message"]
+
+
 YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda l: l.__name__)
+def test_cli_config_not_utf8_is_invalid_yaml(capsys, monkeypatch, tmp_path, loader):
+    monkeypatch.setattr(config, "YAML_LOADER", loader)
+    path = tmp_path / "not_utf8.yaml"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "config" and "invalid YAML" in report["message"]
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda l: l.__name__)
+@pytest.mark.parametrize("key", ["junk", "seed"])  # an unknown key, and a known one whose value is refused
+@pytest.mark.parametrize("close", [False, True])
+def test_cli_config_nested_past_the_recursion_limit_is_one_config_error(capsys, monkeypatch, config_path, loader,
+                                                                        key, close):
+    monkeypatch.setattr(config, "YAML_LOADER", loader)
+    with config_path.open("a") as fh:
+        fh.write(f"{key}: " + "[" * 3000 + ("]" * 3000 if close else "") + "\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "config"
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")

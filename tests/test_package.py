@@ -92,3 +92,19 @@ def test_only_record_builds_dataclasses():
     # every class of the package is built one way: by satqkd.record, the one caller of dataclasses.dataclass
     builders = [path.name for path in sorted(PACKAGE.glob("*.py")) if builds_dataclasses(ast.parse(path.read_text()))]
     assert builders == ["record.py"]
+
+
+def imports_yaml(tree: ast.AST) -> bool:
+    """Whether a module imports yaml or one of its modules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "yaml" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "yaml":
+            return True
+    return False
+
+
+def test_only_config_imports_yaml():
+    # how a config file is read is decided in one module, satqkd.config
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py")) if imports_yaml(ast.parse(path.read_text()))]
+    assert importers == ["config.py"]
