@@ -117,6 +117,7 @@ class PassProfile:
     def __post_init__(self):
         if not (math.isfinite(self.start_s) and math.isfinite(self.end_s) and self.start_s <= self.end_s):
             raise DomainError(f"the pass window needs finite start_s <= end_s, got [{self.start_s}, {self.end_s}]")
+        _check_min_elevation(self.min_elevation_deg)
 
     @property
     def duration_s(self) -> float:

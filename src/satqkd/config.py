@@ -253,7 +253,10 @@ def to_dict(obj):
 
 
 def parse_run_config(data: dict) -> RunConfig:
-    return from_dict(RunConfig, data, "config")
+    try:
+        return from_dict(RunConfig, data, "config")
+    except RecursionError:  # the repr, in a message, of a value nested near the recursion limit
+        raise ConfigError("config: a value is nested too deep to read") from None
 
 
 # libyaml's parser when PyYAML is built with it, ~8x faster than the pure-Python one

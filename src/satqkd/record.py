@@ -1,68 +1,48 @@
-"""Frozen record classes without per-class code generation.
+"""Frozen record classes without per-class code generation at import.
 
 ``@dataclass(frozen=True)`` writes the source of six methods for each class
 and compiles it on every import, which made most of the package's import
-time. ``record`` gives a class the same behaviour from methods written once
-in this module: closures over the class's fields, attached as they are.
+time. ``record`` writes three of them once, in this module, as closures
+over the class's fields: ``__init__``, which runs on every construction, and
+the frozen ``__setattr__`` and ``__delattr__``, whose ``super(twin, self)``
+would fail on a record. The rest come from the class's twin, the
+``@dataclass(frozen=True)`` class of the same fields, built the first time
+one of them is used: ``==``, hash, repr, the signature and the ``TypeError``
+of a call that does not bind.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
-import reprlib
 from dataclasses import MISSING, FrozenInstanceError
-from operator import attrgetter
 
 # the methods record writes; a class that defines one itself is refused
 _WRITTEN = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
 
 
-class _InitSignature:
-    """The signature of a record class: that of the dataclass __init__ over its fields, built when asked for."""
+@functools.cache
+def _twin(cls):
+    """The @dataclass(frozen=True) class of cls's fields, whose methods a record borrows."""
+    specs = [(f.name, f.type, dataclasses.field(default=f.default, default_factory=f.default_factory,
+                                                repr=f.repr, hash=f.hash, compare=f.compare))
+             for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace={"__qualname__": cls.__qualname__},
+                                      frozen=True)
+
+
+class _TwinSignature:
+    """The signature of a record class: its twin's, built when asked for."""
 
     def __get__(self, obj, owner):
         if obj is not None:  # an instance has no signature of its own, as a dataclass instance has none
             raise AttributeError("__signature__")
-        return inspect.Signature([
-            inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
-                              default=(f.default if f.default is not MISSING
-                                       else inspect.Parameter.empty if f.default_factory is MISSING
-                                       else dataclasses._HAS_DEFAULT_FACTORY))
-            for f in dataclasses.fields(owner)
-        ], return_annotation=None)
-
-
-_SIGNATURE = _InitSignature()
-
-
-def _getter(names):
-    """obj -> the tuple of obj's attributes named in names."""
-    if len(names) > 1:
-        return attrgetter(*names)  # a tuple for two names or more
-    return lambda obj: tuple(getattr(obj, name) for name in names)
-
-
-def _arguments_error(cls, names, required, args, kwargs) -> TypeError:
-    """The TypeError that Python gives when a dataclass __init__ over names cannot bind args and kwargs."""
-    where = f"{cls.__qualname__}.__init__()"
-    for key in kwargs:
-        if key not in names:
-            return TypeError(f"{where} got an unexpected keyword argument '{key}'")
-        if names.index(key) < len(args):
-            return TypeError(f"{where} got multiple values for argument '{key}'")
-    if len(args) > len(names):
-        takes = len(names) + 1 if len(required) == len(names) else f"from {len(required) + 1} to {len(names) + 1}"
-        plural = "" if takes == 1 else "s"
-        return TypeError(f"{where} takes {takes} positional argument{plural} but {len(args) + 1} were given")
-    missing = [f"'{name}'" for name in required if name not in kwargs and names.index(name) >= len(args)]
-    listed = ", ".join(missing[:-1]) + ", and " + missing[-1] if len(missing) > 2 else " and ".join(missing)
-    plural = "" if len(missing) == 1 else "s"
-    return TypeError(f"{where} missing {len(missing)} required positional argument{plural}: {listed}")
+        return inspect.signature(_twin(owner))
 
 
 def record(cls):
-    """Make cls a frozen dataclass whose methods are the closures below, not code compiled for it.
+    """Make cls a frozen dataclass whose methods are the closures below, not code compiled for it at import.
 
     It behaves as ``@dataclass(frozen=True)``: fields, replace, is_dataclass,
     field metadata and default_factory, __match_args__, the signature and
@@ -75,7 +55,7 @@ def record(cls):
     own = [name for name in _WRITTEN if name in cls.__dict__]
     if own:
         raise TypeError(f"record {cls.__qualname__} defines {own}, which record writes")
-    cls.__signature__ = _SIGNATURE  # read by the doc that dataclass writes for a class without one
+    cls.__signature__ = _TwinSignature()  # read by the doc that dataclass writes for a class without one
     dataclasses.dataclass(cls, init=False, repr=False, eq=False)
     if any(f._field_type is dataclasses._FIELD_INITVAR for f in cls.__dataclass_fields__.values()):
         raise TypeError(f"record {cls.__qualname__} has an InitVar field")
@@ -99,7 +79,7 @@ def record(cls):
         # with every field given, none can be missing
         if k > n or not may_follow[k].issuperset(kwargs) or (
                 k + len(kwargs) < n and not must_follow[k].issubset(kwargs)):
-            raise _arguments_error(cls, names, required, args, kwargs)
+            _twin(cls).__init__(self, *args, **kwargs)  # a call that does not bind: raises Python's TypeError
         values = self.__dict__  # written directly, past the frozen __setattr__
         values.update(template)  # first, so that the fields keep their order
         if k:
@@ -111,25 +91,14 @@ def record(cls):
         if has_post_init:
             self.__post_init__()
 
-    shown = tuple(f.name for f in fields if f.repr)
-    shown_values = _getter(shown)
-
-    @reprlib.recursive_repr()
     def __repr__(self):
-        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(shown, shown_values(self)))
-        return f"{self.__class__.__qualname__}({pairs})"
-
-    compared = _getter(tuple(f.name for f in fields if f.compare))
+        return _twin(cls).__repr__(self)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return compared(self) == compared(other)
-        return NotImplemented
-
-    hashed = _getter(tuple(f.name for f in fields if (f.compare if f.hash is None else f.hash)))
+        return _twin(cls).__eq__(self, other)
 
     def __hash__(self):
-        return hash(hashed(self))
+        return _twin(cls).__hash__(self)
 
     def __setattr__(self, name, value):
         if type(self) is cls or name in names:

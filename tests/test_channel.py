@@ -189,6 +189,17 @@ def test_synthesize_pass_refuses_a_negative_min_elevation_as_a_config_does(min_e
         synthesize_pass(60.0, 500e3, min_elevation_deg=min_elevation)
 
 
+@pytest.mark.parametrize("min_elevation", [-5.0, math.nan])
+def test_sampled_and_csv_passes_refuse_a_negative_min_elevation(tmp_path, min_elevation):
+    # NaN once gave a pass of no segments, and -5 an error from the loss model at the 0 degree samples
+    path = tmp_path / "pass.csv"
+    path.write_text("time_s,elevation_deg\n0,0\n60,60\n120,0\n")
+    for build in (lambda: sampled_pass([0, 60, 120], [0, 60, 0], ElevationLossModel(), min_elevation),
+                  lambda: load_pass_csv(path, ElevationLossModel(), min_elevation_deg=min_elevation)):
+        with pytest.raises(DomainError, match=f"min_elevation_deg must be >= 0, got {min_elevation}"):
+            build()
+
+
 @pytest.mark.parametrize("altitude_m", [0.0, -1.0, math.nan, math.inf])
 def test_synthesize_pass_rejects_altitude_not_finite_and_positive(altitude_m):
     # inf divided by a zero orbital rate, and nan failed converting the sample count to an int

@@ -999,14 +999,22 @@ def test_cli_config_not_utf8_is_invalid_yaml(capsys, monkeypatch, tmp_path, load
     assert report["error"] == "config" and "invalid YAML" in report["message"]
 
 
+# each anchor one list deeper than the last: the reader builds it without recursion, at any stack depth
+ALIAS_CHAIN = "[&a0 [], " + ", ".join(f"&a{i} [*a{i - 1}]" for i in range(1, 3000)) + "]"
+
+
 @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda l: l.__name__)
-@pytest.mark.parametrize("key", ["junk", "seed"])  # an unknown key, and a known one whose value is refused
-@pytest.mark.parametrize("close", [False, True])
+# under an unknown key, and under a known one whose value is refused with its repr in the message; run from a
+# shell, a 990-deep value is read but its repr passes the recursion limit, as the alias chain's does anywhere
+@pytest.mark.parametrize("key, value", [
+    ("junk", "[" * 3000), ("junk", "[" * 3000 + "]" * 3000), ("seed", "[" * 3000),
+    ("seed", "[" * 3000 + "]" * 3000), ("seed", "[" * 990 + "]" * 990), ("seed", ALIAS_CHAIN),
+], ids=["junk-open", "junk-closed", "seed-open", "seed-closed", "seed-990", "seed-alias-chain"])
 def test_cli_config_nested_past_the_recursion_limit_is_one_config_error(capsys, monkeypatch, config_path, loader,
-                                                                        key, close):
+                                                                        key, value):
     monkeypatch.setattr(config, "YAML_LOADER", loader)
     with config_path.open("a") as fh:
-        fh.write(f"{key}: " + "[" * 3000 + ("]" * 3000 if close else "") + "\n")
+        fh.write(f"{key}: {value}\n")
     code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
     assert code == 2 and out == ""
     (line,) = err.splitlines()

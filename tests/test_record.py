@@ -12,10 +12,15 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 import textwrap
-from dataclasses import FrozenInstanceError, InitVar, KW_ONLY, field
+from dataclasses import FrozenInstanceError, InitVar, KW_ONLY, field, replace
+from pathlib import Path
 from unittest.mock import ANY
 
 import numpy as np
@@ -29,6 +34,8 @@ from satqkd.optimizer import Axis, SearchSpace, optimize
 from satqkd.protocol import SecurityParams, key_from_fixed_loss, simulate_block
 from satqkd.receiver import DetectorModel
 from satqkd.record import record
+
+from conftest import save_run_config
 
 @record
 class Node:
@@ -224,3 +231,35 @@ def test_record_subclass_may_set_its_own_attributes():
 def test_record_refuses_what_it_does_not_implement(annotations, body, refused):
     with pytest.raises(TypeError, match=refused):
         record(type("C", (), {"__annotations__": annotations, **body}))
+
+
+def test_no_twin_is_built_by_an_import_a_config_load_or_a_keying_command(tmp_path):
+    # record builds a class's dataclass twin on its first ==, hash, repr, signature or unbound call; were
+    # one built in set-up or in a command, setup_s or keys_per_s would pay for compiling its methods
+    cfg = replace(default_run_config(), block_pulses=200_000)
+    fixed, passes = tmp_path / "fixed.yaml", tmp_path / "pass.yaml"
+    save_run_config(cfg, fixed)
+    pass_channel = ChannelConfig(mode="pass", pass_spec=PassSpec(max_elevation_deg=60.0, step_s=2.0))
+    save_run_config(replace(cfg, channel=pass_channel), passes)
+    argvs = [["simulate", "--config", str(fixed), "--seed", "2", "--loss-db", "35"],
+             ["keyrate", "--config", str(fixed)], ["pass", "--config", str(passes)],
+             ["pass", "--config", str(passes), "--mode", "mc"],
+             ["optimize", "--loss-db", "38", "--mu-points", "5", "--config", str(fixed)],
+             ["report-distinguishability", "--config", str(fixed)],
+             ["optimize", "--mu-max", "800", "--mu-points", "3"]]  # a domain error, exit 4
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import satqkd.cli\n"
+        "from satqkd import config, record\n"
+        f"config.load_run_config({str(Path(__file__).resolve().parents[1] / 'configs' / 'default.yaml')!r})\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [satqkd.cli.main(argv) for argv in {argvs!r}]\n"
+        "twins = record._twin.cache_info().currsize\n"
+        "repr(config.default_run_config())\n"
+        "print(json.dumps([codes, twins, record._twin.cache_info().currsize > 0]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(Path(satqkd.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0, 0, 4], 0, True]
