@@ -19,7 +19,6 @@ from .protocol import (
     TallyTable,
     analytic_tallies,
     decoy_bounds,
-    integrate_pass,
     key_from_fixed_loss,
     simulate_block,
 )

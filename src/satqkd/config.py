@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import reprlib
 import types
 import typing
 from collections.abc import Mapping, Sequence
@@ -170,22 +171,24 @@ def from_dict(tp, data, where: str):
     type, an Enum its value, Sequence[X] a list, Mapping[K, V] a mapping and
     X | None also null. A dataclass takes a mapping of its schema's keys,
     and the DomainError of an invariant it checks becomes a ConfigError.
+    A message shows an offending value as reprlib.repr cuts it short, so a
+    long or deeply nested value makes a short message.
     """
     if tp is float:
         if type(data) not in (float, int):  # a bool is no number here
-            raise ConfigError(f"{where}: expected a number, got {data!r}{_text_number_hint(data)}")
+            raise ConfigError(f"{where}: expected a number, got {reprlib.repr(data)}{_text_number_hint(data)}")
         if not math.isfinite(data):
             raise ConfigError(f"{where}: expected a finite number, got {data!r}")
         return float(data)
     if tp is int or tp is str:
         if type(data) is not tp:
-            raise ConfigError(f"{where}: expected {tp.__name__}, got {data!r}")
+            raise ConfigError(f"{where}: expected {tp.__name__}, got {reprlib.repr(data)}")
         return data
     if isinstance(tp, type) and issubclass(tp, Enum):
         try:
             return _members(tp)[data]
         except (KeyError, TypeError):  # TypeError: an unhashable value such as a list
-            raise ConfigError(f"{where}: expected one of {[m.value for m in tp]}, got {data!r}") from None
+            raise ConfigError(f"{where}: expected one of {[m.value for m in tp]}, got {reprlib.repr(data)}") from None
     if is_dataclass(tp):
         if not isinstance(data, dict):
             raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
@@ -253,10 +256,7 @@ def to_dict(obj):
 
 
 def parse_run_config(data: dict) -> RunConfig:
-    try:
-        return from_dict(RunConfig, data, "config")
-    except RecursionError:  # the repr, in a message, of a value nested near the recursion limit
-        raise ConfigError("config: a value is nested too deep to read") from None
+    return from_dict(RunConfig, data, "config")
 
 
 # libyaml's parser when PyYAML is built with it, ~8x faster than the pure-Python one

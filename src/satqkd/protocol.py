@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -553,11 +553,3 @@ def empty_pass_reason(losses_db: ArrayLike) -> str:
     return ("no whole pulse sent above the minimum elevation" if np.size(losses_db)
             else "pass never rises above the minimum elevation")
 
-
-def integrate_pass(losses_db: ArrayLike, durations_s: ArrayLike, source: SourceConfig, det: DetectorModel,
-                   e_det: float, sec: SecurityParams, regime: str = "finite", mode: str = "analytic",
-                   seed: int | np.random.SeedSequence | None = None) -> Tuple[KeyResult, TallyTable]:
-    """One source's pass keyed once on its pool: key_tallies of its pass_tally, as a pass of several sources keys."""
-    tally = pass_tally(losses_db, durations_s, source, det, e_det, mode, seed)
-    keys = key_tallies([source], [tally], sec, regime, empty_pass_reason(losses_db))
-    return keys.point(0), tally

@@ -7,9 +7,11 @@ import yaml
 
 from satqkd.config import default_run_config, default_source, to_dict
 from satqkd.errors import DomainError
-from satqkd.protocol import E0, LABELS, SENT, SecurityParams, TallyTable
-from satqkd.receiver import DetectorModel
+from satqkd.protocol import E0, LABELS, SENT, SecurityParams, TallyTable, empty_pass_reason, key_tallies, pass_tally
+from satqkd.receiver import N_DETECTORS, DetectorModel
 from satqkd.source import ExtinctionSet, IntensityLabel, intrinsic_qber
+
+from reference_sampler import single_photon_yield_and_error
 
 # extinction ratios measured on the 785 nm module (H, V, D, A)
 MEASURED_EXTINCTION = ExtinctionSet(er_h=0.61e-3, er_v=0.35e-3, er_d=1.3e-2, er_a=1.8e-2)
@@ -47,6 +49,13 @@ def poisson_rates(mu, eta, y0, ed):
     return q, eq / q if q > 0 else E0
 
 
+def single_photon_truth(eta, y0, ed):
+    """(Y1, e1) of the receiver's exact law: one photon sent down a channel of transmittance eta to detectors of
+    efficiency 1 and flip ed, the four of which together make a noise click with probability y0; both bases 1/2."""
+    p_d = -math.expm1(math.log1p(-y0) / N_DETECTORS)  # each detector's, so that 1 - (1 - p_d)^4 = y0
+    return single_photon_yield_and_error(eta, 1.0, ed, p_d, 0.5, 0.5)
+
+
 def rate_tally(gains, error_rates, n_total, sift_p=0.5, rep=1e8) -> TallyTable:
     """One-point tally in which each class of the default source, in LABELS order, sends its share of n_total
     pulses, half per basis, detects gains[k] of them, sifts sift_p of those and errs on error_rates[k] of these."""
@@ -64,9 +73,22 @@ def closed_form_tally(eta, y0, ed, n_total) -> TallyTable:
     return rate_tally(gains, error_rates, n_total)
 
 
+def pass_key(losses_db, durations_s, source, det, e_det, sec, regime="finite", mode="analytic", seed=None):
+    """(key, tally) of one source's pass, keyed as `satqkd pass` keys each source: its pass_tally, then key_tallies."""
+    tally = pass_tally(losses_db, durations_s, source, det, e_det, mode, seed)
+    return key_tallies([source], [tally], sec, regime, empty_pass_reason(losses_db)).point(0), tally
+
+
 def degenerate(bounds):
     """Where DecoyBounds are degenerate: where they carry a reason."""
     return np.not_equal(bounds.reason, None)
+
+
+def source_with_mus(mu_signal, mu_decoy):
+    """The default source with the given signal and decoy intensities."""
+    base = default_source()
+    mus = {IntensityLabel.SIGNAL: mu_signal, IntensityLabel.DECOY: mu_decoy, IntensityLabel.VACUUM: 0.0}
+    return replace(base, intensity_classes=tuple(replace(c, mu=mus[c.label]) for c in base.intensity_classes))
 
 
 def two_source_run_config(block_pulses: int):

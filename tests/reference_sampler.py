@@ -21,6 +21,9 @@ enumerated_cells the expected tally that law gives a block. Given the law of
 exactly n arriving photons (photon_number_law), enumerated_levels gives the
 outcome law of n photons, and n_photon_yield_and_error the n-photon yield
 Y_n and error rate e_n that the decoy bounds estimate.
+single_photon_yield_and_error is the truth the decoy bounds of a class's
+tally must hold: Y1 and e1 of one photon sent, pooled over the sender's
+bases as the tally pools them.
 
 reference_loss and synthesized_elevations are the pass geometry of satqkd
 in scalar math: ElevationLossModel's loss at one elevation, and the
@@ -311,16 +314,31 @@ def enumerated_levels(photons, eta_det, flip, p_d, p_z, sender_z) -> np.ndarray:
     return levels
 
 
-def n_photon_yield_and_error(n: int, eta_det, flip, p_d, p_z, sender_z) -> tuple:
-    """(Y_n, e_n) of the receiver model when exactly n photons arrive.
-
-    Y_n is the probability of a detection and e_n the error rate of the
-    sifted detections (errors per sifted detection, as the tallies count
-    them); with nothing sifted e_n is E0, a random bit.
-    """
-    _, detected_only, right, wrong = enumerated_levels(photon_number_law(n), eta_det, flip, p_d, p_z, sender_z)
+def yield_and_error(levels) -> tuple:
+    """(yield, error rate) of outcome levels: the probability of a detection, and errors per sifted
+    detection, as the tallies count them; with nothing sifted the error rate is E0, a random bit."""
+    _, detected_only, right, wrong = levels
     sifted = right + wrong
     return detected_only + sifted, wrong / sifted if sifted > 0 else E0
+
+
+def n_photon_yield_and_error(n: int, eta_det, flip, p_d, p_z, sender_z) -> tuple:
+    """(Y_n, e_n) of the receiver model when exactly n photons arrive."""
+    return yield_and_error(enumerated_levels(photon_number_law(n), eta_det, flip, p_d, p_z, sender_z))
+
+
+def single_photon_yield_and_error(eta_channel, eta_det, flip, p_d, p_z, sender_p_z) -> tuple:
+    """(Y1, e1) of one photon sent down a channel of transmittance eta_channel, pooled over the sender's bases.
+
+    The photon arrives with probability eta_channel, so the law of arriving
+    photons is [1 - eta_channel, eta_channel]. Each sender basis weighs its
+    levels by its probability sender_p_z or 1 - sender_p_z, as a class's
+    tally adds the counts of its two sender-basis cells.
+    """
+    law = np.zeros(N_MAX)
+    law[:2] = 1.0 - eta_channel, eta_channel
+    return yield_and_error(sum(p * enumerated_levels(law, eta_det, flip, p_d, p_z, sender_z)
+                               for sender_z, p in ((True, sender_p_z), (False, 1.0 - sender_p_z))))
 
 
 def enumerated_cells(source: SourceConfig, total_loss_db: float, det: DetectorModel, e_det: float,

@@ -25,7 +25,6 @@ from satqkd.protocol import (
     SecurityParams,
     analytic_tallies,
     decoy_bounds,
-    integrate_pass,
     key_from_fixed_loss,
     key_from_tally,
     simulate_block,
@@ -33,7 +32,7 @@ from satqkd.protocol import (
 from satqkd.receiver import DetectorModel
 from satqkd.source import FWHM_TO_SIGMA, FilterSpec, filter_transmission, intrinsic_qber, temporal_overlap
 
-from conftest import MEASURED_EXTINCTION, by_class, closed_form_tally, degenerate
+from conftest import MEASURED_EXTINCTION, by_class, closed_form_tally, degenerate, pass_key, single_photon_truth
 
 
 @pytest.fixture
@@ -47,12 +46,6 @@ def report(capfd):
         assert ok, f"acceptance criterion {n} ({label}) failed"
 
     return _report
-
-
-def true_single_photon(eta, y0, ed):
-    y1 = y0 + eta - y0 * eta
-    e1 = (E0 * y0 + ed * eta) / y1 if y1 > 0 else E0
-    return y1, e1
 
 
 E_DET = intrinsic_qber(MEASURED_EXTINCTION)
@@ -122,7 +115,7 @@ def test_acceptance_4_decoy_sandwich(report):
     ok = True
     for eta, y0, ed in grid_points():
         b = exact_bounds_at(eta, y0, ed)
-        y1, e1 = true_single_photon(eta, y0, ed)
+        y1, e1 = single_photon_truth(eta, y0, ed)
         if degenerate(b):
             continue
         ok &= b.y1_lower <= y1 + 1e-12
@@ -190,9 +183,7 @@ def test_acceptance_8_pass_integration(report):
         loss_model=ElevationLossModel(altitude_m=500e3),
     )
     minutes = profile.duration_s / 60.0
-    result, pooled = integrate_pass(
-        *profile.segments(1.0), default_source(), DetectorModel(), E_DET, SEC, regime="finite"
-    )
+    result, _ = pass_key(*profile.segments(1.0), default_source(), DetectorModel(), E_DET, SEC, regime="finite")
     elapsed = time.perf_counter() - t0
     ok = 4.0 <= minutes <= 12.0 and result.secret_key_length > 0 and elapsed < 10.0
     report(8, "pass integration", ok)

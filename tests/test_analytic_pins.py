@@ -21,7 +21,8 @@ from pathlib import Path
 from satqkd.channel import synthesize_pass
 from satqkd.cli import main
 from satqkd.config import default_run_config
-from satqkd.protocol import integrate_pass
+
+from conftest import pass_key
 
 PINS = Path(__file__).with_name("data") / "analytic_pins.json"
 
@@ -50,7 +51,7 @@ def analytic_results() -> dict:
     for name, (culmination, regime, excess, background) in PASSES.items():
         profile = synthesize_pass(culmination, 500e3, min_elevation_deg=10.0)
         receiver = replace(cfg, channel=replace(cfg.channel, background_click_prob=background)).receiver
-        key, tally = integrate_pass(
+        key, tally = pass_key(
             *profile.segments(1.0, excess), src, receiver, cfg.e_det(src), cfg.security, regime=regime,
         )
         results[name] = {"key": key.to_dict(), "tally": tally.to_dict()}

@@ -1005,11 +1005,14 @@ ALIAS_CHAIN = "[&a0 [], " + ", ".join(f"&a{i} [*a{i - 1}]" for i in range(1, 300
 
 @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda l: l.__name__)
 # under an unknown key, and under a known one whose value is refused with its repr in the message; run from a
-# shell, a 990-deep value is read but its repr passes the recursion limit, as the alias chain's does anywhere
+# shell, a 985- or 990-deep value is read, as the 100-deep one and the alias chain are anywhere, and the whole
+# repr of each made a line of thousands of bytes or passed the recursion limit
 @pytest.mark.parametrize("key, value", [
     ("junk", "[" * 3000), ("junk", "[" * 3000 + "]" * 3000), ("seed", "[" * 3000),
-    ("seed", "[" * 3000 + "]" * 3000), ("seed", "[" * 990 + "]" * 990), ("seed", ALIAS_CHAIN),
-], ids=["junk-open", "junk-closed", "seed-open", "seed-closed", "seed-990", "seed-alias-chain"])
+    ("seed", "[" * 3000 + "]" * 3000), ("seed", "[" * 100 + "]" * 100), ("seed", "[" * 985 + "]" * 985),
+    ("seed", "[" * 990 + "]" * 990), ("seed", ALIAS_CHAIN),
+], ids=["junk-open", "junk-closed", "seed-open", "seed-closed", "seed-100", "seed-985", "seed-990",
+        "seed-alias-chain"])
 def test_cli_config_nested_past_the_recursion_limit_is_one_config_error(capsys, monkeypatch, config_path, loader,
                                                                         key, value):
     monkeypatch.setattr(config, "YAML_LOADER", loader)
@@ -1019,6 +1022,7 @@ def test_cli_config_nested_past_the_recursion_limit_is_one_config_error(capsys, 
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["error"] == "config"
+    assert len(line.replace(str(config_path), "").encode()) <= 200  # one short line, however deep the value
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")

@@ -9,13 +9,6 @@ import satqkd
 
 PACKAGE = Path(satqkd.__file__).parent
 
-# public names with no caller in the package, each kept for a reason of its own
-LIBRARY_ONLY = (
-    ("integrate_pass", "one source's pass key, the one-source case of the CLI's pass keying; a library entry point "
-                       "that the pass tests and pins call"),
-)
-
-
 def names_used(node: ast.AST) -> set:
     """Every name a node reads, imports or takes an attribute by."""
     used = set()
@@ -52,11 +45,8 @@ def test_every_public_name_has_a_caller_in_the_package():
                 if not node.name.startswith("_"):
                     defined.append(node.name)
             used |= names_used(node) - own
-    library_only = {name for name, _ in LIBRARY_ONLY}
-    assert library_only <= set(defined), "LIBRARY_ONLY names a definition that is gone"
-    uncalled = [name for name in defined if name not in used and name not in library_only]
+    uncalled = [name for name in defined if name not in used]
     assert not uncalled, f"public names with no caller in the package: {uncalled}"
-    assert not library_only & used, "a LIBRARY_ONLY name has a caller in the package now"
 
 
 def test_every_public_member_is_read_by_the_package():

@@ -26,7 +26,6 @@ from satqkd.protocol import (
     analytic_tallies,
     decoy_bounds,
     fixed_loss_tally,
-    integrate_pass,
     key_from_fixed_loss,
     key_from_tally,
     key_tallies,
@@ -36,16 +35,9 @@ from satqkd.protocol import (
 from satqkd.receiver import DetectorModel
 from satqkd.source import IntensityLabel, intrinsic_qber
 
-from conftest import (MEASURED_EXTINCTION, FixedLossModel, by_class, closed_form_tally, degenerate, poisson_rates,
-                      rate_tally, validate_tally)
-from reference_sampler import elevation_at, enumerated_cells, reference_loss
-
-
-def true_single_photon(eta, y0, ed):
-    """Photon-number-resolved oracle: exact Y1 and e1 for a threshold receiver."""
-    y1 = y0 + eta - y0 * eta
-    e1 = (E0 * y0 + ed * eta) / y1 if y1 > 0 else E0
-    return y1, e1
+from conftest import (MEASURED_EXTINCTION, FixedLossModel, by_class, closed_form_tally, degenerate, pass_key,
+                      poisson_rates, rate_tally, single_photon_truth, source_with_mus, validate_tally)
+from reference_sampler import elevation_at, enumerated_cells, reference_loss, single_photon_yield_and_error
 
 
 def class_rates(tally):
@@ -131,7 +123,7 @@ def test_analytic_pass_and_fixed_loss_key_take_one_analytic_call(source, detecto
 
     monkeypatch.setattr(protocol, "analytic_tallies", counting)
     # a second analytic path would show as no call, or as a second call
-    integrate_pass(*synthesize_pass(60.0, 500e3).segments(1.0), source, detector, e_det, security)
+    pass_key(*synthesize_pass(60.0, 500e3).segments(1.0), source, detector, e_det, security)
     assert calls == ["analytic_tallies"]
     calls.clear()
     key_from_fixed_loss(source, np.array([40.0, 45.0]), detector, e_det, security, 1.0)
@@ -263,7 +255,7 @@ def test_decoy_bounds_sandwich_spec_point():
     q_s, e_s = poisson_rates(0.3, eta, y0, ed)
     q_d, e_d = poisson_rates(0.5, eta, y0, ed)
     b = decoy_bounds(0.5, 0.3, q_d, q_s, y0, e_d * q_d, e_s * q_s)
-    y1_true, e1_true = true_single_photon(eta, y0, ed)
+    y1_true, e1_true = single_photon_truth(eta, y0, ed)
     assert b.y1_lower <= y1_true
     assert b.y1_lower >= 0.8 * y1_true
     assert b.e1_upper >= e1_true
@@ -296,7 +288,7 @@ def test_decoy_bounds_sandwich_grid():
                 b = decoy_bounds(0.5, 0.3, q_d, q_s, y0, e_d * q_d, e_s * q_s)
                 if degenerate(b):
                     continue
-                y1_true, e1_true = true_single_photon(eta, y0, ed)
+                y1_true, e1_true = single_photon_truth(eta, y0, ed)
                 if b.y1_lower > y1_true + 1e-12 or b.e1_upper < e1_true - 1e-12:
                     violations += 1
     assert violations == 0
@@ -305,12 +297,6 @@ def test_decoy_bounds_sandwich_grid():
 def test_decoy_bounds_rejects_equal_intensities():
     with pytest.raises(DomainError):
         decoy_bounds(0.3, 0.3, 1e-4, 1e-4, 0.0, 0.0, 0.0)
-
-
-def source_with_mus(mu_signal, mu_decoy):
-    base = default_source()
-    mus = {IntensityLabel.SIGNAL: mu_signal, IntensityLabel.DECOY: mu_decoy, IntensityLabel.VACUUM: 0.0}
-    return replace(base, intensity_classes=tuple(replace(c, mu=mus[c.label]) for c in base.intensity_classes))
 
 
 @st.composite
@@ -335,12 +321,13 @@ def mu_pairs(draw):
 )
 @example(mus=(0.30000000000000004, 0.3), loss_db=40.0, dark_prob=1e-7, background=0.0, ed=0.0079)
 def test_decoy_bounds_sound_on_analytic_route(mus, loss_db, dark_prob, background, ed):
-    """The bounds never pass the photon-number-resolved truth, for near-equal intensities too."""
+    """The bounds never pass the single-photon truth of the receiver's exact law, for near-equal intensities too."""
     det = DetectorModel(dark_prob=dark_prob + background)  # background light clicks as darks do
-    b = key_from_fixed_loss(source_with_mus(*mus), loss_db, det, ed, SecurityParams(), 1.0).bounds
-    eta = 10.0 ** (-loss_db / 10.0) * det.efficiency
-    y0 = 1.0 - (1.0 - dark_prob - background) ** 4
-    y1_true, e1_true = true_single_photon(eta, y0, ed)
+    source = source_with_mus(*mus)
+    b = key_from_fixed_loss(source, loss_db, det, ed, SecurityParams(), 1.0).bounds
+    y1_true, e1_true = single_photon_yield_and_error(
+        transmittance_from_db(loss_db + source.insertion_loss_db), det.efficiency, ed, det.dark_prob,
+        det.basis_probability_z, source.basis_probability_z)
     assert b.y1_lower <= y1_true
     if not degenerate(b):
         assert b.e1_upper >= e1_true
@@ -538,9 +525,9 @@ def test_one_point_entry_points_return_scalars_equal_to_their_point_in_a_batch(
     ones = [
         (key_from_fixed_loss(source, loss, detector, e_det, security, duration, regime), batch, 0),
         (key_from_tally(source, analytic, security, regime), batch, 0),
-        (integrate_pass(*pass_args)[0], batch, 0),
+        (pass_key(*pass_args)[0], batch, 0),
         (key_from_tally(source, mc, security, regime), mc_batch, 1),
-        (integrate_pass(*pass_args, mode="mc", seed=3)[0], mc_batch, 1),
+        (pass_key(*pass_args, mode="mc", seed=3)[0], mc_batch, 1),
     ]
     for one, many, i in ones:
         values = key_fields(one)
@@ -651,7 +638,7 @@ def test_analytic_tallies_row_of_a_point_segment_grid_equals_that_point_alone(so
 
 
 @pytest.mark.parametrize("regime", ["asymptotic", "finite"])
-def test_batched_pass_key_equals_a_loop_over_integrate_pass(source, detector, e_det, security, regime):
+def test_batched_pass_key_equals_a_loop_over_one_point_pass_keys(source, detector, e_det, security, regime):
     losses, durations = synthesize_pass(60.0, 500e3).segments(1.0)
     grid = losses + np.array([point[-1] for point in GRID_POINTS])[:, None]
     mus, emit, p_z = overrides_at([point[:-1] for point in GRID_POINTS])
@@ -659,8 +646,7 @@ def test_batched_pass_key_equals_a_loop_over_integrate_pass(source, detector, e_
     batch = key_from_tally(source, tally, security, regime, mus)
     assert batch.secret_key_length[-1] == 0.0 < batch.secret_key_length[0]  # 25 dB more leaves no key
     for p, point in enumerate(GRID_POINTS):
-        one, _ = integrate_pass(grid[p], durations, source_at(source, *point[:-1]), detector, e_det, security,
-                                regime)
+        one, _ = pass_key(grid[p], durations, source_at(source, *point[:-1]), detector, e_det, security, regime)
         assert key_fields(one) == key_fields(batch, p)
 
 
@@ -752,20 +738,20 @@ def test_key_length_degenerate_bounds_zero_with_reason(source, security):
 # pass integration
 
 
-def test_integrate_pass_below_min_elevation(source, detector, e_det, security):
+def test_pass_below_min_elevation_keys_zero(source, detector, e_det, security):
     profile = sampled_pass(
         times_s=[0.0, 60.0, 120.0],
         elevations_deg=[3.0, 5.0, 3.0],
         loss_model=FixedLossModel(40.0),
         min_elevation_deg=10.0,
     )
-    result, tally = integrate_pass(*profile.segments(1.0), source, detector, e_det, security)
+    result, tally = pass_key(*profile.segments(1.0), source, detector, e_det, security)
     assert result.secret_key_length == 0.0
     assert tally.to_dict() == ZERO_TALLY
     assert "elevation" in result.reason
 
 
-def test_integrate_pass_constant_loss_matches_fixed(source, detector, e_det, security):
+def test_pass_key_at_constant_loss_matches_fixed(source, detector, e_det, security):
     duration = 120.0
     profile = sampled_pass(
         times_s=[0.0, duration],
@@ -773,23 +759,21 @@ def test_integrate_pass_constant_loss_matches_fixed(source, detector, e_det, sec
         loss_model=FixedLossModel(38.0),
         min_elevation_deg=10.0,
     )
-    from_pass, _ = integrate_pass(
-        *profile.segments(1.0), source, detector, e_det, security, regime="asymptotic"
-    )
+    from_pass, _ = pass_key(*profile.segments(1.0), source, detector, e_det, security, regime="asymptotic")
     direct = key_from_fixed_loss(source, 38.0, detector, e_det, security, duration, "asymptotic")
     assert from_pass.secret_key_length == pytest.approx(direct.secret_key_length, rel=1e-9)
 
 
-def test_integrate_pass_pooling_beats_per_segment_keys(source, detector, e_det, security):
+def test_pass_key_pooling_beats_per_segment_keys(source, detector, e_det, security):
     profile = synthesize_pass(90.0, 500e3, min_elevation_deg=10.0)
-    pooled, _ = integrate_pass(*profile.segments(1.0), source, detector, e_det, security, regime="finite")
+    pooled, _ = pass_key(*profile.segments(1.0), source, detector, e_det, security, regime="finite")
     # split the pass into 30 s slices keyed independently
     per_segment = 0.0
     t = profile.start_s
     while t < profile.end_s:
         end = min(t + 30.0, profile.end_s)
         sliced = replace(profile, start_s=t, end_s=end)
-        seg, _ = integrate_pass(*sliced.segments(1.0), source, detector, e_det, security, regime="finite")
+        seg, _ = pass_key(*sliced.segments(1.0), source, detector, e_det, security, regime="finite")
         per_segment += seg.secret_key_length
         t = end
     assert pooled.secret_key_length >= per_segment
@@ -802,8 +786,8 @@ def test_pass_key_at_1_s_steps_is_within_2e_6_of_the_0_01_s_walk(culmination):
     cfg = default_run_config()
     src = cfg.sources[0]
     profile = synthesize_pass(culmination, 500e3)
-    coarse, fine = (integrate_pass(*profile.segments(step), src, cfg.receiver, cfg.e_det(src), cfg.security,
-                                   regime="finite")[0].secret_key_length for step in (1.0, 0.01))
+    coarse, fine = (pass_key(*profile.segments(step), src, cfg.receiver, cfg.e_det(src), cfg.security,
+                             regime="finite")[0].secret_key_length for step in (1.0, 0.01))
     assert coarse == pytest.approx(fine, rel=2e-6)
     if culmination == 60.0:
         assert coarse == pytest.approx(886317.9, abs=0.5)
@@ -840,7 +824,7 @@ def test_pass_segments_interpolate_as_one_call_per_step(step):
         assert (losses.tolist(), durations.tolist()) == per_step_segments(profile, step, 1.5, loss)
 
 
-def test_integrate_pass_mc_mode_deterministic(source, detector, e_det, security):
+def test_pass_tally_mc_mode_deterministic(source, detector, e_det):
     profile = sampled_pass(
         times_s=[0.0, 2.0],
         elevations_deg=[60.0, 60.0],
@@ -849,11 +833,11 @@ def test_integrate_pass_mc_mode_deterministic(source, detector, e_det, security)
     )
     small = replace(source, repetition_rate_hz=1e5)
     segments = profile.segments(1.0)
-    a, ta = integrate_pass(*segments, small, detector, e_det, security, mode="mc", seed=7)
-    b, tb = integrate_pass(*segments, small, detector, e_det, security, mode="mc", seed=7)
-    assert ta.to_dict() == tb.to_dict()
+    a = pass_tally(*segments, small, detector, e_det, mode="mc", seed=7)
+    b = pass_tally(*segments, small, detector, e_det, mode="mc", seed=7)
+    assert a.to_dict() == b.to_dict()
     with pytest.raises(DomainError):
-        integrate_pass(*segments, small, detector, e_det, security, mode="mc")
+        pass_tally(*segments, small, detector, e_det, mode="mc")
 
 
 def test_no_route_can_take_a_noise_click_probability_of_one():
@@ -926,7 +910,7 @@ def test_simulate_block_one_segment_array_equals_scalar(source, detector, e_det)
     assert array.to_dict() == scalar.to_dict()
 
 
-def test_integrate_pass_mc_draws_all_segments_in_one_call(source, detector, e_det, security, monkeypatch):
+def test_pass_tally_mc_draws_all_segments_in_one_call(source, detector, e_det, monkeypatch):
     from satqkd import protocol
 
     calls = []
@@ -940,38 +924,38 @@ def test_integrate_pass_mc_draws_all_segments_in_one_call(source, detector, e_de
     profile = sampled_pass(times_s=[0.0, 5.0], elevations_deg=[20.0, 70.0],
                            loss_model=lambda el: 60.0 - el / 2.0, min_elevation_deg=10.0)
     small = replace(source, repetition_rate_hz=1e4)
-    _, tally = integrate_pass(*profile.segments(1.0), small, detector, e_det, security, mode="mc", seed=2)
+    tally = pass_tally(*profile.segments(1.0), small, detector, e_det, mode="mc", seed=2)
     assert len(calls) == 1 and list(calls[0]) == [10_000] * 5
     assert tally.total_pulses == 50_000
 
 
-def test_integrate_pass_mc_zero_pulse_last_segment(source, detector, e_det, security):
+def test_pass_mc_zero_pulse_last_segment(source, detector, e_det, security):
     # the last step is 0.4 ms long: 0.4 pulses at 1 kHz, which round to none
     profile = sampled_pass(times_s=[0.0, 2.0004], elevations_deg=[60.0, 60.0],
                            loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
     small = replace(source, repetition_rate_hz=1e3)
-    mc, tally = integrate_pass(*profile.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
+    mc, tally = pass_key(*profile.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
     validate_tally(tally)
     assert tally.total_pulses == 1000 + 1000 + 0
     assert tally.counts[..., SENT].sum() == 2000
-    analytic, _ = integrate_pass(*profile.segments(1.0), small, detector, e_det, security)
+    analytic, _ = pass_key(*profile.segments(1.0), small, detector, e_det, security)
     assert math.isfinite(mc.secret_key_length) and math.isfinite(analytic.secret_key_length)
     # a pass above the minimum elevation whose only step rounds to no pulse
     short = sampled_pass(times_s=[0.0, 0.0004], elevations_deg=[60.0, 60.0],
                          loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
-    mc, tally = integrate_pass(*short.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
+    mc, tally = pass_key(*short.segments(1.0), small, detector, e_det, security, mode="mc", seed=4)
     assert tally.to_dict() == ZERO_TALLY and mc.secret_key_length == 0.0
     assert "no whole pulse" in mc.reason
 
 
 @pytest.mark.parametrize("step", [0.0017, 0.0014, 0.0006, 0.0003])
-def test_integrate_pass_mc_sends_the_rounded_total_at_a_fractional_step(source, detector, e_det, security, step):
+def test_pass_tally_mc_sends_the_rounded_total_at_a_fractional_step(source, detector, e_det, step):
     # 1.7, 1.4, 0.6 and 0.3 pulses a step at 1 kHz: rounding each step on its own sent 2, 1, 1 and 0
     profile = sampled_pass(times_s=[0.0, 10.0], elevations_deg=[60.0, 60.0],
                            loss_model=FixedLossModel(20.0), min_elevation_deg=10.0)
     small = replace(source, repetition_rate_hz=1e3)
     losses, durations = profile.segments(step)
-    _, tally = integrate_pass(losses, durations, small, detector, e_det, security, mode="mc", seed=3)
+    tally = pass_tally(losses, durations, small, detector, e_det, mode="mc", seed=3)
     validate_tally(tally)
     assert tally.total_pulses == np.rint((small.repetition_rate_hz * durations).sum()) == 10_000
     assert tally.counts[..., SENT].sum() == 10_000

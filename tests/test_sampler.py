@@ -21,9 +21,8 @@ from satqkd.channel import sampled_pass
 from satqkd.protocol import (
     LABELS,
     SENT,
-    SecurityParams,
     analytic_tallies,
-    integrate_pass,
+    pass_tally,
     simulate_block,
 )
 from satqkd.receiver import DetectorModel
@@ -157,8 +156,7 @@ def test_pooled_pass_matches_per_segment_reference(source, e_det):
     new = np.zeros(4 * 2 * len(LABELS), dtype=np.int64)
     ref = np.zeros_like(new)
     for s in range(SEEDS):
-        _, pooled = integrate_pass(losses, durations, source, det, e_det, SecurityParams(), mode="mc",
-                                   seed=1000 + s)
+        pooled = pass_tally(losses, durations, source, det, e_det, mode="mc", seed=1000 + s)
         slow = reference_pass(profile, source, det, e_det, seed=2000 + s)
         validate_tally(pooled)
         assert pooled.total_pulses == slow.total_pulses == 300_000
